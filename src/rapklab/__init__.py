@@ -44,7 +44,6 @@ from .montecarlo import (
     KernelValidationReport,
     LogitConcentrationReport,
     centered_unit_sequence,
-    dk_sweep,
     kernel_mse,
     kernel_pearson,
     logit_concentration,
@@ -105,7 +104,6 @@ __all__ = [
     "compute_rapk",
     "config_digest",
     "correlation_study",
-    "dk_sweep",
     "empirical_kernel",
     "encoder_forward",
     "fit_centroids",

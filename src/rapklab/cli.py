@@ -34,15 +34,9 @@ from .harness import (
     write_report_json,
     write_sweep_csv,
 )
-from .initializers import analytic_variance, parse_scheme
+from .initializers import parse_scheme
 from .metrics import lsii, wte
-from .montecarlo import (
-    centered_unit_sequence,
-    dk_sweep_detail,
-    logit_concentration,
-    monte_carlo_kernel,
-)
-from .rapk import rapk_coefficients, rapk_kernel
+from .montecarlo import centered_unit_sequence, dk_sweep_detail, logit_concentration
 from .seeding import generator, mix_seed
 from .sequences import FeatureSequence, StageSequence
 from .synthgen import SynthConfig, make_dataset
@@ -88,14 +82,13 @@ _ENC_FLAGS = (
 )
 
 
-def _add_common(parser: _Parser) -> None:
+def _add_config_and_out(parser: _Parser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
 
 def _add_run_options(parser: _Parser) -> None:
-    _add_common(parser)
+    _add_config_and_out(parser)
     parser.add_argument("--dataset", type=Path, help="dataset directory")
     parser.add_argument("--smoother", choices=SMOOTHERS)
     parser.add_argument("--seed", help="comma-separated run seeds")
@@ -119,7 +112,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset directory")
-    _add_common(p)
+    _add_config_and_out(p)
     p.add_argument("--seed", type=int, help="dataset seed")
     p.add_argument("--classes", type=int, help="number of stages")
     p.add_argument("--t-len", type=int, help="epochs per subject")
@@ -142,7 +135,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("kernel-validate", help="Monte Carlo vs closed-form kernel")
-    _add_common(p)
+    p.add_argument("--out", type=Path, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t-len", type=int, default=10)
     p.add_argument("--dim", type=int, default=16)
@@ -155,7 +148,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_kernel_validate)
 
     p = sub.add_parser("logit-stats", help="logit concentration across schemes")
-    _add_common(p)
+    p.add_argument("--out", type=Path, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t-len", type=int, default=10)
     p.add_argument("--dim", type=int, default=64)
@@ -166,18 +159,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_logit_stats)
 
     p = sub.add_parser("metrics", help="compute WTE/LSII from label CSVs")
-    _add_common(p)
+    p.add_argument("--out", type=Path, help="output directory")
     p.add_argument("--labels", type=Path, help="stage CSV for WTE")
     p.add_argument("--none", type=Path, help="unsmoothed predictions CSV (LSII)")
     p.add_argument("--corr", type=Path, help="smoothed predictions CSV (LSII)")
-    p.add_argument("--true", dest="true_labels", type=Path,
-                   help="ground-truth CSV (optional, defaults to --corr)")
     p.add_argument("--window", type=int, help="LSII window width")
     p.add_argument("--classes", type=int, help="label-space size override")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("correlate", help="metric-accuracy correlations over a sweep CSV")
-    _add_common(p)
     p.add_argument("--csv", type=Path, required=True, help="sweep CSV path")
     p.set_defaults(func=_cmd_correlate)
 
@@ -269,7 +259,7 @@ def _run_config_from_args(args):
 
 def _cmd_smooth_eval(args) -> int:
     cfg = _run_config_from_args(args)
-    result = run_pipeline(cfg, jobs=args.jobs)
+    result = run_pipeline(cfg)
     agg = result.aggregate
     lsii_text = "n/a" if agg["mean_lsii"] is None else f"{agg['mean_lsii']:.4f}"
     print(
@@ -294,7 +284,7 @@ def _cmd_sweep(args) -> int:
     else:
         grid = tuple(values)
     spec = SweepSpec(axis=axis, grid=grid, base=base)
-    rows = run_sweep(spec, jobs=args.jobs)
+    rows = run_sweep(spec)
     out = _ensure_out(args)
     path = out / "sweep.csv"
     write_sweep_csv(rows, path)
@@ -311,7 +301,7 @@ def _cmd_kernel_validate(args) -> int:
         centered_unit_sequence(args.t_len, args.dim, mix_seed(args.seed, i))
         for i in range(args.sequences)
     ]
-    report, blocks = dk_sweep_detail(x_set, scheme, grid, args.trials, args.seed)
+    report, blocks, kernels = dk_sweep_detail(x_set, scheme, grid, args.trials, args.seed)
     out = _ensure_out(args)
     payload = asdict(report)
     payload["scheme"] = args.scheme
@@ -323,13 +313,9 @@ def _cmd_kernel_validate(args) -> int:
         for d_k, block, mse, pearson in blocks:
             fh.write(f"{d_k},{block},{mse!r},{pearson!r}\n")
     if args.dump_kernels:
-        for di, d_k in enumerate(report.d_k_grid):
-            for si, x in enumerate(x_set):
-                var = analytic_variance(scheme, x.dim, d_k)
-                emp = monte_carlo_kernel(x, scheme, d_k, args.trials, mix_seed(args.seed, di, si))
-                theory = rapk_kernel(x, *rapk_coefficients(x, d_k, var, var, var))
-                np.savetxt(out / f"kernel_emp_dk{d_k}_seq{si}.csv", emp, delimiter=",")
-                np.savetxt(out / f"kernel_theory_dk{d_k}_seq{si}.csv", theory, delimiter=",")
+        for d_k, si, emp, theory in kernels:
+            np.savetxt(out / f"kernel_emp_dk{d_k}_seq{si}.csv", emp, delimiter=",")
+            np.savetxt(out / f"kernel_theory_dk{d_k}_seq{si}.csv", theory, delimiter=",")
     for d_k, mse, pearson in zip(report.d_k_grid, report.mse_per_dk, report.pearson_per_dk):
         print(f"d_k={d_k}: mse {mse:.3e}  pearson {pearson:.4f}")
     return 0
@@ -381,18 +367,10 @@ def _cmd_metrics(args) -> int:
             raise CliError("LSII needs --window")
         c = args.classes
         if c is None:
-            peak = max(int(read_label_csv(p).max()) for p in (args.none, args.corr))
-            if args.true_labels is not None:
-                peak = max(peak, int(read_label_csv(args.true_labels).max()))
-            c = peak + 1
+            c = max(int(read_label_csv(p).max()) for p in (args.none, args.corr)) + 1
         none_seq = _stage_sequence_from(args.none, c)
         corr_seq = _stage_sequence_from(args.corr, c)
-        true_seq = (
-            _stage_sequence_from(args.true_labels, c)
-            if args.true_labels is not None
-            else corr_seq
-        )
-        out["lsii"] = lsii(none_seq, corr_seq, true_seq, args.window)
+        out["lsii"] = lsii(none_seq, corr_seq, args.window)
     if not out:
         raise CliError("nothing to compute: pass --labels and/or --none/--corr")
     text = json.dumps(out, indent=2, sort_keys=True)

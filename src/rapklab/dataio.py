@@ -125,7 +125,18 @@ def read_label_csv(path: str | Path) -> np.ndarray:
 
 
 def _load_subject(root: Path, entry: dict, n_classes: int, feat_dim: int) -> Subject:
+    manifest_path = root / _MANIFEST
+    if not isinstance(entry, dict):
+        raise DatasetError(f"{manifest_path}: subject entry {entry!r} is not an object")
+    for key in ("id", "split"):
+        if key not in entry:
+            raise DatasetError(f"{manifest_path}: subject entry {entry!r} has no {key!r}")
     sub_id = entry["id"]
+    # The id names a directory directly under the root; nothing may escape it.
+    if not isinstance(sub_id, str) or sub_id in (".", "..") or Path(sub_id).parts != (sub_id,):
+        raise DatasetError(
+            f"{manifest_path}: subject id {sub_id!r} is not a plain directory name"
+        )
     sub_dir = root / sub_id
     feats = _read_table(sub_dir / "features.csv", [f"f{j}" for j in range(feat_dim)])
     labels = read_label_csv(sub_dir / "labels.csv")

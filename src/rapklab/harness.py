@@ -1,9 +1,8 @@
 """Experiment harness: resolved configs, evaluation pipeline, sweeps, reports.
 
 A run is a pure function of its resolved configuration, so reports are
-byte-identical across repeats and across worker counts. Parallelism only
-fans out independent (grid value / seed) tasks and collects them by key;
-nothing about the numbers depends on scheduling.
+byte-identical across repeats. Seeds and grid points are evaluated one after
+another, in the order they are given.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -29,7 +27,7 @@ from .metrics import (
     weighted_f1,
     wte_pooled,
 )
-from .sequences import FeatureSequence, StageSequence
+from .sequences import FeatureSequence, ProbSequence, StageSequence
 from .smoothers import (
     classify,
     fit_centroids,
@@ -223,28 +221,12 @@ class PipelineResult:
     aggregate: dict
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _concat_features(parts: list[FeatureSequence]) -> FeatureSequence:
     return FeatureSequence(np.concatenate([p.data for p in parts], axis=0))
 
 
 def _concat_labels(parts: list[StageSequence], n_classes: int) -> StageSequence:
     return StageSequence(np.concatenate([p.labels for p in parts]), n_classes)
-
-
-def _argmax_stages(sub: Subject, smoother: str) -> StageSequence:
-    if sub.probs is None:
-        raise ValueError(
-            f"smoother {smoother!r} needs per-epoch probabilities, "
-            f"but {sub.subject_id} has none"
-        )
-    return StageSequence(np.argmax(sub.probs.probs, axis=1), sub.probs.n_classes)
 
 
 def _load_data(cfg: RunConfig) -> SynthDataset:
@@ -270,9 +252,12 @@ def _smoothed_predictions(
             moving_average_smooth(_require_probs(sub, kind), w) for sub in test
         ]
     if kind == "median":
+        probs = [_require_probs(sub, kind) for sub in test]
         return [
-            majority_filter_smooth(_argmax_stages(sub, kind), w, cfg.integer_median)
-            for sub in test
+            majority_filter_smooth(
+                StageSequence(np.argmax(p.probs, axis=1), p.n_classes), w, cfg.integer_median
+            )
+            for p in probs
         ]
     if kind == "fixed_attention":
         smooth = lambda sub: fixed_attention_smooth(sub.features, w)  # noqa: E731
@@ -289,7 +274,7 @@ def _smoothed_predictions(
     return [classify(smooth(sub), clf) for sub in test]
 
 
-def _require_probs(sub: Subject, smoother: str):
+def _require_probs(sub: Subject, smoother: str) -> ProbSequence:
     if sub.probs is None:
         raise ValueError(
             f"smoother {smoother!r} needs per-epoch probabilities, "
@@ -298,8 +283,8 @@ def _require_probs(sub: Subject, smoother: str):
     return sub.probs
 
 
-def run_pipeline(cfg: RunConfig, jobs: int = 1) -> PipelineResult:
-    """Evaluate one configuration across its seeds.
+def run_pipeline(cfg: RunConfig) -> PipelineResult:
+    """Evaluate one configuration across its seeds, in the order given.
 
     Per seed: smooth the test subjects, fit/apply the head where the
     smoother works in feature space, and score accuracy, weighted F1,
@@ -339,7 +324,7 @@ def run_pipeline(cfg: RunConfig, jobs: int = 1) -> PipelineResult:
             seed=seed,
         )
 
-    reports = _parallel_map(eval_seed, list(cfg.seeds), jobs)
+    reports = [eval_seed(seed) for seed in cfg.seeds]
     return PipelineResult(
         config=resolved,
         digest=digest,
@@ -430,16 +415,17 @@ def _seed_sort_key(seed):
     return (1, 0) if seed == "mean" else (1, 1)
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
-    """Evaluate every grid point and return flat result rows.
+def run_sweep(spec: SweepSpec) -> list[dict]:
+    """Evaluate every grid point in turn and return flat result rows.
 
     One row per (grid value, seed), plus ``mean`` and ``std`` aggregate rows
     per grid value; rows are sorted by (axis value, seed).
     """
+    # Every grid point is specialized before any runs, so a bad value fails fast.
     configs = [(value, apply_axis(spec.base, spec.axis, value)) for value in spec.grid]
-    results = _parallel_map(lambda vc: run_pipeline(vc[1]), configs, jobs)
     rows: list[dict] = []
-    for (value, _), result in zip(configs, results):
+    for value, cfg in configs:
+        result = run_pipeline(cfg)
         for report in result.per_seed:
             rows.append(
                 {

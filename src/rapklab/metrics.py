@@ -126,29 +126,22 @@ def _lsii_terms(none_labels: np.ndarray, corr_labels: np.ndarray, w: int) -> lis
     return terms
 
 
-def lsii(
-    none_preds: StageSequence,
-    corr_preds: StageSequence,
-    y_true: StageSequence,
-    w: int,
-) -> float | None:
+def lsii(none_preds: StageSequence, corr_preds: StageSequence, w: int) -> float | None:
     """Local smoothing impact index of a corrected prediction sequence.
 
     For each epoch where ``corr_preds`` differs from ``none_preds``, measures
     the fraction of the other epochs in its non-overlapping width-``w``
     window whose corrected label matches the corrected label at that epoch,
-    and averages over corrections. Returns ``None`` when there are no
-    corrections (or none with window context to score).
-
-    ``y_true`` is accepted for interface compatibility but does not enter
-    the score: agreement is measured against the corrected sequence itself.
+    and averages over corrections. Agreement is measured against the
+    corrected sequence itself, so no ground truth enters the score. Returns
+    ``None`` when there are no corrections (or none with window context to
+    score).
     """
     if w < 2:
         raise ValueError(f"window width must be >= 2, got {w}")
-    if not (none_preds.t_len == corr_preds.t_len == y_true.t_len):
+    if none_preds.t_len != corr_preds.t_len:
         raise ValueError(
-            f"sequence lengths differ: none={none_preds.t_len}, "
-            f"corrected={corr_preds.t_len}, true={y_true.t_len}"
+            f"sequence lengths differ: none={none_preds.t_len}, corrected={corr_preds.t_len}"
         )
     terms = _lsii_terms(none_preds.labels, corr_preds.labels, w)
     if not terms:

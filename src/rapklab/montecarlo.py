@@ -33,7 +33,6 @@ __all__ = [
     "kernel_mse",
     "kernel_pearson",
     "logit_concentration",
-    "dk_sweep",
     "dk_sweep_detail",
     "centered_unit_sequence",
 ]
@@ -191,12 +190,21 @@ def dk_sweep_detail(
     d_k_grid: list[int] | tuple[int, ...],
     trials: int,
     seed: int,
-) -> tuple[KernelValidationReport, list[tuple[int, int, float, float]]]:
-    """Run the d_k sweep and also return per-block rows for plotting.
+) -> tuple[
+    KernelValidationReport,
+    list[tuple[int, int, float, float]],
+    list[tuple[int, int, np.ndarray, np.ndarray]],
+]:
+    """Monte Carlo vs closed-form kernel agreement across a d_k grid.
 
-    Returns ``(report, blocks)`` where ``blocks`` holds one row
+    Returns ``(report, blocks, kernels)``. ``blocks`` holds one row
     ``(d_k, block_index, mse, pearson)`` per trial block, averaged over the
-    sequence set. The aggregate report uses the all-trials mean kernel.
+    sequence set. ``kernels`` holds one row
+    ``(d_k, sequence_index, empirical, theory)`` per grid point ``di`` and
+    sequence ``si``: the all-trials mean kernel, bit for bit
+    ``monte_carlo_kernel(x, scheme, d_k, trials, mix_seed(seed, di, si))``,
+    and the closed-form kernel. The aggregate report scores the all-trials
+    mean kernels.
     """
     if not x_set:
         raise ValueError("sequence set must be non-empty")
@@ -211,6 +219,7 @@ def dk_sweep_detail(
     mse_per_dk: list[float] = []
     pearson_per_dk: list[float] = []
     blocks: list[tuple[int, int, float, float]] = []
+    kernels: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     for di, d_k in enumerate(grid):
         seq_mse: list[float] = []
         seq_pearson: list[float] = []
@@ -221,15 +230,14 @@ def dk_sweep_detail(
             theory = rapk_kernel(x, *rapk_coefficients(x, d_k, var, var, var))
             sub_seed = mix_seed(seed, di, si)
             total = np.zeros((x.t_len, x.t_len))
-            done = 0
             for bi, (size, mean) in enumerate(
                 _block_mean_kernels(x, scheme, d_k, trials, sub_seed)
             ):
                 block_mse.setdefault(bi, []).append(kernel_mse(mean, theory))
                 block_pearson.setdefault(bi, []).append(kernel_pearson(mean, theory))
                 total += size * mean
-                done += size
-            full = total / done
+            full = total / trials
+            kernels.append((d_k, si, full, theory))
             seq_mse.append(kernel_mse(full, theory))
             seq_pearson.append(kernel_pearson(full, theory))
         mse_per_dk.append(float(np.mean(seq_mse)))
@@ -245,18 +253,7 @@ def dk_sweep_detail(
         trials=trials,
         seed=seed,
     )
-    return report, blocks
-
-
-def dk_sweep(
-    x_set: list[FeatureSequence] | tuple[FeatureSequence, ...],
-    scheme: InitScheme,
-    d_k_grid: list[int] | tuple[int, ...],
-    trials: int,
-    seed: int,
-) -> KernelValidationReport:
-    """Monte Carlo vs closed-form kernel agreement across a d_k grid."""
-    return dk_sweep_detail(x_set, scheme, d_k_grid, trials, seed)[0]
+    return report, blocks, kernels
 
 
 def centered_unit_sequence(t_len: int, dim: int, seed: int) -> FeatureSequence:

@@ -35,7 +35,6 @@ __all__ = [
     "rapk_kernel",
     "RapkResult",
     "compute_rapk",
-    "LogitStats",
 ]
 
 
@@ -168,30 +167,3 @@ def compute_rapk(
         sigma_k2=sigma_k2,
         sigma_v2=sigma_v2,
     )
-
-
-@dataclass(frozen=True)
-class LogitStats:
-    """Row means of an observed score matrix plus the analytic moment accessors."""
-
-    x: FeatureSequence
-    sigma_q2: float
-    sigma_k2: float
-    s_bar: np.ndarray
-
-    @classmethod
-    def from_scores(
-        cls, x: FeatureSequence, scores: np.ndarray, sigma_q2: float, sigma_k2: float
-    ) -> "LogitStats":
-        arr = np.asarray(scores, dtype=np.float64)
-        if arr.shape != (x.t_len, x.t_len):
-            raise ValueError(
-                f"scores must have shape ({x.t_len}, {x.t_len}), got {arr.shape}"
-            )
-        return cls(x=x, sigma_q2=sigma_q2, sigma_k2=sigma_k2, s_bar=arr.mean(axis=1))
-
-    def second_moment(self, i: int, p: int, j: int, q: int) -> float:
-        return logit_second_moment(self.x, i, p, j, q, self.sigma_q2, self.sigma_k2)
-
-    def centered_cov(self, i: int, p: int, j: int, q: int) -> float:
-        return centered_logit_cov(self.x, i, p, j, q, self.sigma_q2, self.sigma_k2)

@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from rapklab.cli import main
 from rapklab.dataio import load_dataset
+from rapklab.initializers import InitScheme, analytic_variance
+from rapklab.montecarlo import centered_unit_sequence, monte_carlo_kernel
+from rapklab.rapk import compute_rapk
+from rapklab.seeding import mix_seed
 
 SYNTH = {
     "n_classes": 3, "t_len": 60, "n_subjects": 4, "feat_dim": 4,
@@ -152,12 +157,22 @@ def test_kernel_validate(tmp_path, capsys):
 def test_kernel_validate_dump_kernels(tmp_path):
     out = tmp_path / "kv"
     code = main([
-        "kernel-validate", "--out", str(out), "--t-len", "4", "--dim", "3",
-        "--sequences", "1", "--trials", "100", "--dk-grid", "4", "--dump-kernels",
+        "kernel-validate", "--out", str(out), "--t-len", "4", "--dim", "3", "--seed", "5",
+        "--sequences", "2", "--trials", "120", "--dk-grid", "4,8", "--dump-kernels",
     ])
     assert code == 0
-    assert (out / "kernel_emp_dk4_seq0.csv").is_file()
-    assert (out / "kernel_theory_dk4_seq0.csv").is_file()
+    # Each dumped kernel parses back to a standalone estimate for its sub-seed
+    # and to the closed form.
+    scheme = InitScheme("xavier_uniform")
+    for di, d_k in enumerate((4, 8)):
+        for si in range(2):
+            x = centered_unit_sequence(4, 3, mix_seed(5, si))
+            emp = np.loadtxt(out / f"kernel_emp_dk{d_k}_seq{si}.csv", delimiter=",")
+            want = monte_carlo_kernel(x, scheme, d_k, 120, mix_seed(5, di, si))
+            np.testing.assert_array_equal(emp, want)
+            theory = np.loadtxt(out / f"kernel_theory_dk{d_k}_seq{si}.csv", delimiter=",")
+            var = analytic_variance(scheme, 3, d_k)
+            np.testing.assert_array_equal(theory, compute_rapk(x, d_k, var, var, var).kernel)
 
 
 def test_kernel_validate_rejects_bad_args(tmp_path, capsys):
@@ -244,6 +259,50 @@ def test_correlate(tmp_path, capsys):
     assert out["r_lsii_acc"] == pytest.approx(1.0)
     assert out["r_wte_acc"] == pytest.approx(-1.0)
     assert main(["correlate", "--csv", str(tmp_path / "absent.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-validate", "--jobs", "2"],
+    ["smooth-eval", "--smoother", "none", "--jobs", "2"],
+    ["logit-stats", "--config", "x.json"],
+    ["correlate", "--csv", "s.csv", "--config", "x.json"],
+    ["correlate", "--csv", "s.csv", "--out", "o"],
+    ["metrics", "--none", "a.csv", "--corr", "b.csv", "--window", "5", "--true", "t.csv"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [
+    "missing_id", "missing_split", "int_id", "parent_id", "absolute_id", "nested_id",
+    "dot_id", "empty_id", "string_entry",
+])
+def test_malformed_manifest_subject_is_a_dataset_error(case, tmp_path, capsys):
+    root = tmp_path / "ds"
+    assert main([
+        "simulate", "--out", str(root), "--classes", "3", "--t-len", "20",
+        "--subjects", "3", "--feat-dim", "4", "--seed", "1",
+    ]) == 0
+    manifest = json.loads((root / "manifest.json").read_text())
+    entry = manifest["subjects"][0]
+    if case == "missing_id":
+        del entry["id"]
+    elif case == "missing_split":
+        del entry["split"]
+    elif case == "string_entry":
+        manifest["subjects"][0] = "subject_000"
+    else:
+        entry["id"] = {
+            "int_id": 7, "parent_id": "../subject_000", "absolute_id": str(root / "subject_000"),
+            "nested_id": "subject_000/.", "dot_id": ".", "empty_id": "",
+        }[case]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["smooth-eval", "--dataset", str(root), "--smoother", "none"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "manifest.json: subject" in err
 
 
 def test_no_command_and_bad_choice(capsys):

@@ -136,41 +136,32 @@ def test_wte_pooled_matches_count_merge():
 
 
 def test_lsii_reference_fixtures():
-    t = seq([0, 0, 0, 0, 0], 2)
-    assert lsii(seq([0, 0, 1, 0, 0], 2), seq([0, 0, 0, 0, 0], 2), t, 5) == 1.0
-    assert lsii(seq([0, 0, 1, 1, 0], 2), seq([0, 0, 0, 1, 0], 2), t, 5) == 0.75
-
-
-def test_lsii_ignores_true_labels():
-    none_s = seq([0, 0, 1, 0, 0], 2)
-    corr_s = seq([0, 0, 0, 0, 0], 2)
-    a = lsii(none_s, corr_s, seq([0, 0, 0, 0, 0], 2), 5)
-    b = lsii(none_s, corr_s, seq([1, 1, 1, 1, 1], 2), 5)
-    assert a == b == 1.0
+    assert lsii(seq([0, 0, 1, 0, 0], 2), seq([0, 0, 0, 0, 0], 2), 5) == 1.0
+    assert lsii(seq([0, 0, 1, 1, 0], 2), seq([0, 0, 0, 1, 0], 2), 5) == 0.75
 
 
 def test_lsii_none_when_nothing_scorable():
     s = seq([0, 1, 0, 1], 2)
-    assert lsii(s, s, s, 2) is None
+    assert lsii(s, s, 2) is None
     # The only correction sits in a width-1 tail window.
     none_s = seq([0, 0, 0, 0, 1], 2)
     corr_s = seq([0, 0, 0, 0, 0], 2)
-    assert lsii(none_s, corr_s, corr_s, 4) is None
+    assert lsii(none_s, corr_s, 4) is None
 
 
 def test_lsii_validation():
     s = seq([0, 1], 2)
     with pytest.raises(ValueError, match=">= 2"):
-        lsii(s, s, s, 1)
+        lsii(s, s, 1)
     with pytest.raises(ValueError, match="lengths differ"):
-        lsii(s, seq([0, 1, 0], 2), s, 2)
+        lsii(s, seq([0, 1, 0], 2), 2)
 
 
 def test_lsii_matches_naive_exhaustively():
     for w in (2, 3):
         for none_l in itertools.product(range(2), repeat=4):
             for corr_l in itertools.product(range(2), repeat=4):
-                got = lsii(seq(none_l, 2), seq(corr_l, 2), seq(corr_l, 2), w)
+                got = lsii(seq(none_l, 2), seq(corr_l, 2), w)
                 want = naive_lsii(none_l, corr_l, w)
                 if want is None:
                     assert got is None, (none_l, corr_l, w)
@@ -178,7 +169,7 @@ def test_lsii_matches_naive_exhaustively():
                     assert got == pytest.approx(want, abs=1e-12), (none_l, corr_l, w)
     for none_l in itertools.product(range(3), repeat=3):
         for corr_l in itertools.product(range(3), repeat=3):
-            got = lsii(seq(none_l, 3), seq(corr_l, 3), seq(corr_l, 3), 2)
+            got = lsii(seq(none_l, 3), seq(corr_l, 3), 2)
             want = naive_lsii(none_l, corr_l, 2)
             assert (got is None and want is None) or got == pytest.approx(want, abs=1e-12)
 

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from rapklab.attention import attention_apply, attention_scores, empirical_kernel, softmax_rows
-from rapklab.initializers import InitScheme, make_projection_set
+from rapklab.initializers import InitScheme, analytic_variance, make_projection_set
 from rapklab.montecarlo import (
     centered_unit_sequence,
-    dk_sweep,
     dk_sweep_detail,
     kernel_mse,
     kernel_pearson,
     logit_concentration,
     monte_carlo_kernel,
 )
+from rapklab.rapk import compute_rapk
 from rapklab.seeding import generator, mix_seed
 from rapklab.sequences import FeatureSequence
 
@@ -113,30 +113,42 @@ def test_logit_concentration_layernorm_bounds_scale():
 def test_dk_sweep_grid_validation():
     x = [small_sequence()]
     with pytest.raises(ValueError, match="sorted"):
-        dk_sweep(x, XAVIER, [16, 8], trials=1, seed=0)
+        dk_sweep_detail(x, XAVIER, [16, 8], trials=1, seed=0)
     with pytest.raises(ValueError, match="sorted"):
-        dk_sweep(x, XAVIER, [8, 8], trials=1, seed=0)
+        dk_sweep_detail(x, XAVIER, [8, 8], trials=1, seed=0)
     with pytest.raises(ValueError, match="non-empty"):
-        dk_sweep([], XAVIER, [8], trials=1, seed=0)
+        dk_sweep_detail([], XAVIER, [8], trials=1, seed=0)
     with pytest.raises(ValueError, match="grid"):
-        dk_sweep(x, XAVIER, [], trials=1, seed=0)
+        dk_sweep_detail(x, XAVIER, [], trials=1, seed=0)
     with pytest.raises(ValueError, match="trials"):
-        dk_sweep(x, XAVIER, [8], trials=0, seed=0)
+        dk_sweep_detail(x, XAVIER, [8], trials=0, seed=0)
 
 
 def test_dk_sweep_detail_consistent_with_report():
     xs = [centered_unit_sequence(6, 5, mix_seed(0, i)) for i in range(2)]
-    report, blocks = dk_sweep_detail(xs, XAVIER, [4, 16], trials=120, seed=17)
-    assert report == dk_sweep(xs, XAVIER, [4, 16], trials=120, seed=17)
+    report, blocks, kernels = dk_sweep_detail(xs, XAVIER, [4, 16], trials=120, seed=17)
     assert report.d_k_grid == (4, 16)
     # 120 trials -> blocks of 100 and 20 per d_k.
     assert [(d, b) for d, b, _, _ in blocks] == [(4, 0), (4, 1), (16, 0), (16, 1)]
     assert all(m >= 0.0 for _, _, m, _ in blocks)
+    # The returned kernels are the ones the report scores: bit for bit the
+    # standalone estimate for the same sub-seed, and the closed form.
+    assert [(d, s) for d, s, _, _ in kernels] == [(4, 0), (4, 1), (16, 0), (16, 1)]
+    for di, d_k in enumerate(report.d_k_grid):
+        pearsons = []
+        for si, x in enumerate(xs):
+            _, _, emp, theory = kernels[di * len(xs) + si]
+            oracle = monte_carlo_kernel(x, XAVIER, d_k, 120, mix_seed(17, di, si))
+            np.testing.assert_array_equal(emp, oracle)
+            var = analytic_variance(XAVIER, x.dim, d_k)
+            np.testing.assert_array_equal(theory, compute_rapk(x, d_k, var, var, var).kernel)
+            pearsons.append(kernel_pearson(emp, theory))
+        assert report.pearson_per_dk[di] == float(np.mean(pearsons))
 
 
 def test_dk_sweep_error_shrinks_with_width():
     xs = [centered_unit_sequence(6, 5, mix_seed(1, i)) for i in range(2)]
-    report = dk_sweep(xs, XAVIER, [4, 64], trials=200, seed=23)
+    report = dk_sweep_detail(xs, XAVIER, [4, 64], trials=200, seed=23)[0]
     assert report.mse_per_dk[1] < report.mse_per_dk[0]
     assert report.pearson_per_dk[1] > 0.8
 

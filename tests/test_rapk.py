@@ -3,7 +3,6 @@ import pytest
 
 from rapklab.attention import softmax_rows
 from rapklab.rapk import (
-    LogitStats,
     centered_logit_cov,
     compute_rapk,
     linearized_softmax,
@@ -160,13 +159,23 @@ def test_logit_moment_index_errors():
         centered_logit_cov(x, 0, 0, 0, -1, 1.0, 1.0)
 
 
-def test_logit_stats_wraps_scores():
-    rows = np.asarray(generator(6, 0x26).standard_normal((4, 3)))
+def test_logit_moments_match_observed_scores():
+    # Scaled logits from many independent Gaussian (W_Q, W_K) draws, each
+    # score matrix row-centered by its own row means s_bar, against the
+    # analytic moments; the tolerance is five Monte Carlo standard errors.
+    rng = generator(6, 0x26)
+    rows = np.asarray(rng.standard_normal((4, 3)))
     x = FeatureSequence(rows)
-    scores = np.asarray(generator(6, 0x27).standard_normal((4, 4)))
-    stats = LogitStats.from_scores(x, scores, sigma_q2=1.5, sigma_k2=0.5)
-    np.testing.assert_allclose(stats.s_bar, scores.mean(axis=1))
-    assert stats.second_moment(0, 1, 2, 3) == logit_second_moment(x, 0, 1, 2, 3, 1.5, 0.5)
-    assert stats.centered_cov(0, 1, 2, 3) == centered_logit_cov(x, 0, 1, 2, 3, 1.5, 0.5)
-    with pytest.raises(ValueError, match="shape"):
-        LogitStats.from_scores(x, scores[:3, :3], 1.0, 1.0)
+    sq2, sk2, d_k, draws = 1.5, 0.5, 8, 20000
+    w_q = np.sqrt(sq2) * rng.standard_normal((draws, 3, d_k))
+    w_k = np.sqrt(sk2) * rng.standard_normal((draws, 3, d_k))
+    scores = (rows @ w_q) @ np.swapaxes(rows @ w_k, 1, 2) / np.sqrt(d_k)
+    s_bar = scores.mean(axis=2, keepdims=True)
+    centered = scores - s_bar
+    for i, p, j, q in ((0, 1, 2, 3), (1, 1, 1, 1), (2, 0, 3, 0)):
+        for sample, want in (
+            (scores[:, i, p] * scores[:, j, q], logit_second_moment(x, i, p, j, q, sq2, sk2)),
+            (centered[:, i, p] * centered[:, j, q], centered_logit_cov(x, i, p, j, q, sq2, sk2)),
+        ):
+            stderr = sample.std() / np.sqrt(draws)
+            assert abs(sample.mean() - want) <= 5.0 * stderr, (i, p, j, q, want)
