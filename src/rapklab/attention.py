@@ -3,9 +3,9 @@
 The primitives (scores, row softmax, value mixing, empirical Gram kernel)
 are kept separate so the Monte Carlo kernel experiments can drive exactly
 the pipeline the closed-form theory describes: scores -> softmax -> apply.
-``encoder_forward`` composes them into a post-norm transformer encoder whose
-components can be switched off one by one; disabled components are identity
-maps, so with every flag false the encoder is the identity.
+``encoder_forward`` uses the same arithmetic, batched per attention window, in
+a post-norm encoder whose components can be switched off one by one; disabled
+components are identity maps, so with every flag false the encoder is the identity.
 """
 
 from __future__ import annotations
@@ -77,6 +77,13 @@ def attention_scores(x: FeatureSequence, proj: ProjectionSet) -> np.ndarray:
     return (q @ k.T) / math.sqrt(proj.d_k)
 
 
+def _softmax(s: np.ndarray) -> np.ndarray:
+    # Softmax over the last axis, shifted by each row's max for stability.
+    z = s - s.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(s: np.ndarray) -> AttentionMatrix:
     """Numerically stable row softmax of a score matrix."""
     arr = np.asarray(s, dtype=np.float64)
@@ -84,9 +91,7 @@ def softmax_rows(s: np.ndarray) -> AttentionMatrix:
         raise ValueError(f"scores must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("scores contain non-finite values")
-    z = arr - arr.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return AttentionMatrix(e / e.sum(axis=1, keepdims=True))
+    return AttentionMatrix(_softmax(arr))
 
 
 def attention_apply(a: AttentionMatrix, x: FeatureSequence, w_v: np.ndarray) -> np.ndarray:
@@ -120,9 +125,9 @@ def layer_norm_rows(h: np.ndarray, eps: float = LAYERNORM_EPS) -> np.ndarray:
 class EncoderConfig:
     """Configuration of the frozen random encoder.
 
-    ``window_w`` is the sequence length the encoder is built for (the
-    positional table has that many rows); shorter inputs are allowed and use
-    the leading rows. When ``use_output_linear`` is true each of the
+    ``window_w`` is the attention window: rows attend only inside their own
+    non-overlapping window, inputs may be any length, and the positional
+    rows repeat per window. When ``use_output_linear`` is true each of the
     ``n_heads`` heads has width ``d_k / n_heads`` and the concatenated heads
     are projected back to the input width; when false, heads keep the full
     ``d_k`` width and are averaged.
@@ -165,7 +170,6 @@ class EncoderWeights:
     positional: np.ndarray | None
     layers: tuple[LayerWeights, ...]
     d_in: int
-    d_out: int
 
 
 def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
@@ -208,37 +212,47 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
     positional = None
     if cfg.use_positional:
         positional = init_matrix(cfg.window_w, d, cfg.init, mix_seed(cfg.seed, _ROLE_POS))
-    return EncoderWeights(positional=positional, layers=tuple(layers), d_in=d, d_out=width)
+    return EncoderWeights(positional=positional, layers=tuple(layers), d_in=d)
+
+
+def _window_attention(h: np.ndarray, ps: ProjectionSet, w: int) -> np.ndarray:
+    # One head over non-overlapping windows of w rows: the whole windows as
+    # one (n_win, w, d_h) batch, then the ragged tail as a batch of one.
+    q, k, v = h @ ps.w_q, h @ ps.w_k, h @ ps.w_v
+    t_len = h.shape[0]
+    full = t_len - t_len % w
+    out = np.empty_like(v)
+    for lo, hi, width in ((0, full, w), (full, t_len, t_len - full)):
+        if hi > lo:
+            qb, kb, vb = (m[lo:hi].reshape(-1, width, m.shape[1]) for m in (q, k, v))
+            s = (qb @ kb.transpose(0, 2, 1)) / math.sqrt(ps.d_k)
+            out[lo:hi] = (_softmax(s) @ vb).reshape(hi - lo, -1)
+    return out
 
 
 def encoder_forward(
     x: FeatureSequence, cfg: EncoderConfig, weights: EncoderWeights | None = None
 ) -> FeatureSequence:
-    """Run the frozen random encoder over one window of epochs.
+    """Run the frozen random encoder over a sequence of any length.
 
-    The input must fit the configured window (``x.t_len <= cfg.window_w``);
-    a shorter tail window reuses the leading positional rows. Per layer, in
-    order and gated by its flag: multi-head attention, output linear,
+    Attention stays inside non-overlapping windows of ``cfg.window_w`` rows
+    (the last may be shorter); every other layer works row by row. Per layer,
+    in order and gated by its flag: multi-head attention, output linear,
     residual add, layer norm, then an FFN block (width -> 4x -> width, ReLU)
     with its own residual and norm.
     """
-    if x.t_len > cfg.window_w:
-        raise ValueError(f"sequence length {x.t_len} exceeds configured window {cfg.window_w}")
     if weights is None:
         weights = build_encoder_weights(cfg, x.dim)
     elif weights.d_in != x.dim:
         raise ValueError(f"weights were built for d={weights.d_in}, sequence has d={x.dim}")
 
+    w = cfg.window_w
     h = x.data
     if cfg.use_positional:
-        h = h + weights.positional[: x.t_len]
+        h = h + weights.positional[np.arange(x.t_len) % w]
     for lw in weights.layers:
         if cfg.use_attention:
-            seq = FeatureSequence(h)
-            outs = [
-                attention_apply(softmax_rows(attention_scores(seq, ps)), seq, ps.w_v)
-                for ps in lw.heads
-            ]
+            outs = [_window_attention(h, ps, w) for ps in lw.heads]
             if cfg.use_output_linear:
                 att = np.concatenate(outs, axis=1) @ lw.w_out
             else:

@@ -82,13 +82,8 @@ _ENC_FLAGS = (
 )
 
 
-def _add_config_and_out(parser: _Parser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON config file")
-    parser.add_argument("--out", type=Path, help="output directory")
-
-
 def _add_run_options(parser: _Parser) -> None:
-    _add_config_and_out(parser)
+    parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--dataset", type=Path, help="dataset directory")
     parser.add_argument("--smoother", choices=SMOOTHERS)
     parser.add_argument("--seed", help="comma-separated run seeds")
@@ -112,7 +107,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset directory")
-    _add_config_and_out(p)
+    p.add_argument("--config", type=Path, help="JSON config file")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, help="dataset seed")
     p.add_argument("--classes", type=int, help="number of stages")
     p.add_argument("--t-len", type=int, help="epochs per subject")
@@ -126,16 +122,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("smooth-eval", help="evaluate one smoother configuration")
     _add_run_options(p)
+    p.add_argument("--out", type=Path, help="output directory")
     p.set_defaults(func=_cmd_smooth_eval)
 
     p = sub.add_parser("sweep", help="sweep one axis of the configuration")
     _add_run_options(p)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--axis", choices=sorted(_AXIS_NAMES), required=True)
     p.add_argument("--grid", help="comma-separated grid values")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("kernel-validate", help="Monte Carlo vs closed-form kernel")
-    p.add_argument("--out", type=Path, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t-len", type=int, default=10)
     p.add_argument("--dim", type=int, default=16)
@@ -148,7 +146,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_kernel_validate)
 
     p = sub.add_parser("logit-stats", help="logit concentration across schemes")
-    p.add_argument("--out", type=Path, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t-len", type=int, default=10)
     p.add_argument("--dim", type=int, default=64)
@@ -189,11 +187,8 @@ def _load_config_file(path: Path | None) -> dict:
 
 
 def _ensure_out(args) -> Path:
-    if args.out is None:
-        raise CliError("this command needs --out")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:

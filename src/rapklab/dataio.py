@@ -192,13 +192,23 @@ def load_dataset(path: str | Path) -> SynthDataset:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{manifest_path}: invalid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("format") != _FORMAT:
         raise DatasetError(f"{manifest_path}: unrecognized format {manifest.get('format')!r}")
     for key in ("n_classes", "feat_dim", "subjects"):
         if key not in manifest:
             raise DatasetError(f"{manifest_path}: missing key {key!r}")
-    n_classes = int(manifest["n_classes"])
-    feat_dim = int(manifest["feat_dim"])
+    for key in ("n_classes", "feat_dim"):
+        # JSON true/false load as bool, a subclass of int: reject them too.
+        if type(manifest[key]) is not int or manifest[key] < 1:
+            raise DatasetError(
+                f"{manifest_path}: {key} must be an integer >= 1, got {manifest[key]!r}"
+            )
+    if not isinstance(manifest["subjects"], list):
+        raise DatasetError(f"{manifest_path}: subjects is not a list")
+    n_classes = manifest["n_classes"]
+    feat_dim = manifest["feat_dim"]
     config = None
     if manifest.get("synth_config") is not None:
         try:

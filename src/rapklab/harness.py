@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import EncoderConfig
+from .attention import EncoderConfig, build_encoder_weights
 from .dataio import load_dataset
 from .initializers import parse_scheme, scheme_label
 from .metrics import (
@@ -263,7 +263,8 @@ def _smoothed_predictions(
         smooth = lambda sub: fixed_attention_smooth(sub.features, w)  # noqa: E731
     elif kind == "random_transformer":
         enc = replace(cfg.encoder, seed=seed)
-        smooth = lambda sub: random_transformer_smooth(sub.features, enc)  # noqa: E731
+        weights = build_encoder_weights(enc, train[0].features.dim)
+        smooth = lambda sub: random_transformer_smooth(sub.features, enc, weights)  # noqa: E731
     else:  # pragma: no cover - guarded by RunConfig validation
         raise ValueError(f"unknown smoother {kind!r}")
     # The classifier head is fitted on training features passed through the
@@ -292,7 +293,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     baseline predictions. Metrics pool across test subjects without crossing
     subject boundaries.
     """
-    dataset = _load_data(cfg)
+    return _evaluate(cfg, _load_data(cfg))
+
+
+def _evaluate(cfg: RunConfig, dataset: SynthDataset) -> PipelineResult:
     n_classes = dataset.n_classes
     train = dataset.split("train")
     test = dataset.split("test")
@@ -423,9 +427,11 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """
     # Every grid point is specialized before any runs, so a bad value fails fast.
     configs = [(value, apply_axis(spec.base, spec.axis, value)) for value in spec.grid]
+    # No axis changes the data source, so every grid point shares one load.
+    dataset = _load_data(spec.base)
     rows: list[dict] = []
     for value, cfg in configs:
-        result = run_pipeline(cfg)
+        result = _evaluate(cfg, dataset)
         for report in result.per_seed:
             rows.append(
                 {

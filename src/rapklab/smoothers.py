@@ -11,7 +11,8 @@ temporally coherent hypnogram.
   window mean: pure uniform averaging, the global term of the closed-form
   kernel with the content term switched off.
 - ``random_transformer_smooth`` runs a frozen randomly initialized encoder
-  over each non-overlapping window with the same weights everywhere.
+  whose attention stays inside non-overlapping windows, with the same
+  weights everywhere.
 
 Feature-space smoothers are paired with a nearest-centroid classifier
 (``fit_centroids`` / ``classify``) fitted on smoothed training features.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import EncoderConfig, build_encoder_weights, encoder_forward
+from .attention import EncoderConfig, EncoderWeights, encoder_forward
 from .sequences import FeatureSequence, ProbSequence, StageSequence
 
 __all__ = [
@@ -107,18 +108,15 @@ def fixed_attention_smooth(x: FeatureSequence, w: int) -> FeatureSequence:
     return FeatureSequence(out)
 
 
-def random_transformer_smooth(x: FeatureSequence, cfg: EncoderConfig) -> FeatureSequence:
-    """Run the frozen random encoder over each non-overlapping window.
+def random_transformer_smooth(
+    x: FeatureSequence, cfg: EncoderConfig, weights: EncoderWeights | None = None
+) -> FeatureSequence:
+    """Run the frozen random encoder (``encoder_forward``) over the sequence.
 
-    Every window sees the same weights, drawn once from ``cfg.seed``; a
-    ragged tail window reuses the leading rows of the positional table.
+    Every attention window sees the same weights: ``weights`` if given, else
+    drawn from ``cfg.seed``.
     """
-    weights = build_encoder_weights(cfg, x.dim)
-    parts = [
-        encoder_forward(FeatureSequence(x.data[start:stop]), cfg, weights).data
-        for start, stop in window_partition(x.t_len, cfg.window_w)
-    ]
-    return FeatureSequence(np.concatenate(parts, axis=0))
+    return encoder_forward(x, cfg, weights)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from rapklab.attention import (
 from rapklab.initializers import InitScheme, ProjectionSet
 from rapklab.seeding import generator
 from rapklab.sequences import FeatureSequence
+from rapklab.smoothers import window_partition
 
 
 def identity_projection(d: int) -> ProjectionSet:
@@ -180,13 +181,6 @@ def test_encoder_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_encoder_rejects_sequence_longer_than_window():
-    cfg = EncoderConfig(window_w=4, n_heads=1, d_k=4)
-    x = FeatureSequence(np.zeros((5, 4)))
-    with pytest.raises(ValueError, match="exceeds"):
-        encoder_forward(x, cfg)
-
-
 def test_encoder_config_head_divisibility():
     with pytest.raises(ValueError, match="divisible"):
         EncoderConfig(n_heads=3, d_k=8)
@@ -225,3 +219,52 @@ def test_encoder_heads_averaged_without_output_linear():
         outs.append(attention_apply(a, x, ps.w_v))
     expected = (outs[0] + outs[1]) / 2.0
     np.testing.assert_allclose(encoder_forward(x, cfg, weights).data, expected, atol=1e-12)
+
+
+def per_window_encoder(x: FeatureSequence, cfg: EncoderConfig, weights) -> np.ndarray:
+    """Reference encoder: each window on its own, built from the primitives."""
+    parts = []
+    for start, stop in window_partition(x.t_len, cfg.window_w):
+        h = x.data[start:stop]
+        if cfg.use_positional:
+            h = h + weights.positional[: stop - start]
+        for lw in weights.layers:
+            if cfg.use_attention:
+                seq = FeatureSequence(h)
+                outs = [
+                    attention_apply(softmax_rows(attention_scores(seq, ps)), seq, ps.w_v)
+                    for ps in lw.heads
+                ]
+                if cfg.use_output_linear:
+                    att = np.concatenate(outs, axis=1) @ lw.w_out
+                else:
+                    att = np.mean(outs, axis=0)
+                h = h + att if cfg.use_residual else att
+            if cfg.use_layernorm:
+                h = layer_norm_rows(h)
+            if cfg.use_ffn:
+                f = np.maximum(h @ lw.w_ff1, 0.0) @ lw.w_ff2
+                h = h + f if cfg.use_residual else f
+                if cfg.use_layernorm:
+                    h = layer_norm_rows(h)
+        parts.append(h)
+    return np.concatenate(parts, axis=0)
+
+
+@pytest.mark.parametrize("t_len, overrides", [
+    pytest.param(10, dict(window_w=4), id="ragged_tail"),
+    pytest.param(7, dict(window_w=4, use_positional=True), id="positional_tail"),
+    pytest.param(3, dict(window_w=6, use_positional=True), id="shorter_than_window"),
+    pytest.param(12, dict(window_w=4, n_layers=2), id="two_layers"),
+    pytest.param(9, dict(window_w=3, use_layernorm=False, use_ffn=False), id="residual"),
+    pytest.param(10, dict(window_w=4, use_output_linear=False, use_residual=False, d_k=6),
+                 id="heads_averaged"),
+])
+def test_encoder_forward_matches_per_window_oracle(t_len, overrides):
+    # Batching the windows reorders floating-point sums in the matmuls, so
+    # agreement is to rounding (observed up to 6e-15), not bit for bit.
+    cfg = EncoderConfig(**{**dict(n_heads=2, d_k=8, seed=31), **overrides})
+    x = FeatureSequence(generator(9, 0x14).standard_normal((t_len, 8)))
+    weights = build_encoder_weights(cfg, 8)
+    got = encoder_forward(x, cfg, weights).data
+    np.testing.assert_allclose(got, per_window_encoder(x, cfg, weights), rtol=0, atol=1e-12)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rapklab import cli
 from rapklab.cli import main
 from rapklab.dataio import load_dataset
 from rapklab.initializers import InitScheme, analytic_variance
@@ -57,7 +58,7 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
 
 def test_simulate_needs_out(capsys):
     assert main(["simulate", "--classes", "3"]) == 1
-    assert "needs --out" in capsys.readouterr().err
+    assert "required: --out" in capsys.readouterr().err
 
 
 def test_smooth_eval_with_config_file(run_config, tmp_path, capsys):
@@ -134,7 +135,23 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
     assert main([
         "sweep", "--config", str(run_config), "--axis", "window", "--grid", "2,3",
     ]) == 1
-    assert "needs --out" in capsys.readouterr().err
+    assert "required: --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "CONFIG", "--axis", "window", "--grid", "2,3"],
+    ["kernel-validate", "--trials", "10"],
+    ["logit-stats", "--trials", "10"],
+])
+def test_missing_out_fails_before_any_work(argv, run_config, monkeypatch, capsys):
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran its work before checking --out")
+
+    for name in ("run_sweep", "dk_sweep_detail", "logit_concentration"):
+        monkeypatch.setattr(cli, name, work)
+    argv = [str(run_config) if a == "CONFIG" else a for a in argv]
+    assert main(argv) == 1
+    assert "required: --out" in capsys.readouterr().err
 
 
 def test_kernel_validate(tmp_path, capsys):
@@ -262,9 +279,9 @@ def test_correlate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["kernel-validate", "--jobs", "2"],
+    ["kernel-validate", "--out", "o", "--jobs", "2"],
     ["smooth-eval", "--smoother", "none", "--jobs", "2"],
-    ["logit-stats", "--config", "x.json"],
+    ["logit-stats", "--out", "o", "--config", "x.json"],
     ["correlate", "--csv", "s.csv", "--config", "x.json"],
     ["correlate", "--csv", "s.csv", "--out", "o"],
     ["metrics", "--none", "a.csv", "--corr", "b.csv", "--window", "5", "--true", "t.csv"],
@@ -274,9 +291,21 @@ def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# Manifest-level cases: (key to replace, or None for the whole manifest; the
+# bad value; what the one-line error must say after "manifest.json: ").
+_BAD_MANIFEST_FIELDS = {
+    "list_manifest": (None, [1, 2], "manifest is not a JSON object"),
+    "int_subjects": ("subjects", 5, "subjects is not a list"),
+    "string_n_classes": ("n_classes", "three", "n_classes must be an integer >= 1"),
+    "float_n_classes": ("n_classes", 2.5, "n_classes must be an integer >= 1"),
+    "zero_feat_dim": ("feat_dim", 0, "feat_dim must be an integer >= 1"),
+    "bool_feat_dim": ("feat_dim", True, "feat_dim must be an integer >= 1"),
+}
+
+
 @pytest.mark.parametrize("case", [
     "missing_id", "missing_split", "int_id", "parent_id", "absolute_id", "nested_id",
-    "dot_id", "empty_id", "string_entry",
+    "dot_id", "empty_id", "string_entry", *_BAD_MANIFEST_FIELDS,
 ])
 def test_malformed_manifest_subject_is_a_dataset_error(case, tmp_path, capsys):
     root = tmp_path / "ds"
@@ -286,7 +315,14 @@ def test_malformed_manifest_subject_is_a_dataset_error(case, tmp_path, capsys):
     ]) == 0
     manifest = json.loads((root / "manifest.json").read_text())
     entry = manifest["subjects"][0]
-    if case == "missing_id":
+    fragment = "subject"
+    if case in _BAD_MANIFEST_FIELDS:
+        key, value, fragment = _BAD_MANIFEST_FIELDS[case]
+        if key is None:
+            manifest = value
+        else:
+            manifest[key] = value
+    elif case == "missing_id":
         del entry["id"]
     elif case == "missing_split":
         del entry["split"]
@@ -302,7 +338,7 @@ def test_malformed_manifest_subject_is_a_dataset_error(case, tmp_path, capsys):
     assert main(["smooth-eval", "--dataset", str(root), "--smoother", "none"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "manifest.json: subject" in err
+    assert f"manifest.json: {fragment}" in err
 
 
 def test_no_command_and_bad_choice(capsys):

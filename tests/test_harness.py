@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rapklab import harness
 from rapklab.attention import EncoderConfig
 from rapklab.dataio import save_dataset
 from rapklab.harness import (
@@ -275,6 +276,28 @@ def test_run_sweep_rows_and_ordering():
     per_seed = [r["accuracy"] for r in rows[:2]]
     assert mean_row["accuracy"] == pytest.approx(np.mean(per_seed), abs=1e-12)
     assert rows == run_sweep(spec)
+
+
+def test_run_sweep_loads_the_dataset_once(tmp_path, monkeypatch):
+    root = save_dataset(make_dataset(small_synth()), tmp_path / "ds")
+    base = small_run(synth=None, dataset_path=str(root), smoother="median")
+    spec = SweepSpec(axis="window", grid=(3, 5, 7), base=base)
+    expected = {
+        value: run_pipeline(apply_axis(base, "window", value)).per_seed for value in spec.grid
+    }
+    loads = []
+    real_load = harness.load_dataset
+    monkeypatch.setattr(harness, "load_dataset", lambda path: loads.append(path) or real_load(path))
+    rows = run_sweep(spec)
+    assert loads == [str(root)]
+    got = {}
+    for r in rows:
+        if isinstance(r["seed"], int):
+            got.setdefault(r["value"], []).append((r["seed"], r["accuracy"], r["wte"], r["lsii"]))
+    assert got == {
+        value: [(e.seed, e.accuracy, e.wte, e.lsii) for e in reports]
+        for value, reports in expected.items()
+    }
 
 
 def test_correlation_study_filters_rows():

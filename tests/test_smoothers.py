@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rapklab.attention import EncoderConfig, build_encoder_weights, encoder_forward
+from rapklab.attention import EncoderConfig
 from rapklab.seeding import generator
 from rapklab.sequences import FeatureSequence, ProbSequence, StageSequence
 from rapklab.smoothers import (
@@ -125,19 +125,6 @@ def rt_config(**overrides) -> EncoderConfig:
     base = dict(n_heads=2, n_layers=1, d_k=8, window_w=4, seed=31)
     base.update(overrides)
     return EncoderConfig(**base)
-
-
-def test_random_transformer_matches_manual_windows():
-    cfg = rt_config()
-    x = FeatureSequence(np.asarray(generator(3, 0x43).standard_normal((10, 8))))
-    got = random_transformer_smooth(x, cfg)
-    assert got.t_len == 10 and got.dim == 8
-    weights = build_encoder_weights(cfg, 8)
-    parts = [
-        encoder_forward(FeatureSequence(x.data[a:b]), cfg, weights).data
-        for a, b in window_partition(10, 4)
-    ]
-    np.testing.assert_array_equal(got.data, np.concatenate(parts, axis=0))
 
 
 def test_random_transformer_deterministic_and_seed_sensitive():
