@@ -11,10 +11,13 @@ Layout::
       subject_001/
         ...
 
-Floats are written with ``repr`` so every file parses back losslessly.
-Loading validates headers, numeric cells, label ranges, and row counts, and
-raises ``DatasetError`` naming the offending file and row; ``probs.csv`` may
-be absent, in which case the subject loads with probabilities missing.
+Cells are written with ``repr``, one CRLF-terminated line per row (the bytes
+``csv.writer`` gives), so every file parses back losslessly. Each table is
+parsed in one ``numpy.loadtxt`` call, with a row-by-row scan as the fallback
+that decides what is rejected. Loading validates headers, numeric and finite
+cells, label ranges, and row counts, and raises ``DatasetError`` naming the
+offending file and row; ``probs.csv`` may be absent, in which case the
+subject loads with probabilities missing.
 """
 
 from __future__ import annotations
@@ -39,11 +42,14 @@ class DatasetError(Exception):
     """A dataset directory is missing pieces or malformed."""
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
+    # The bytes csv.writer gives for rows of ``repr`` cells: a list's repr
+    # joins its items' reprs with ", ", and no number needs quoting. Rows are
+    # written one at a time so the file text is never held whole.
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for row in table:
+            fh.write(repr(row.tolist())[1:-1].replace(", ", ",") + "\r\n")
 
 
 def save_dataset(dataset: SynthDataset, out_dir: str | Path) -> Path:
@@ -67,22 +73,17 @@ def save_dataset(dataset: SynthDataset, out_dir: str | Path) -> Path:
     for sub in dataset.subjects:
         sub_dir = root / sub.subject_id
         sub_dir.mkdir(exist_ok=True)
-        d = sub.features.dim
-        _write_csv(
+        _write_table(
             sub_dir / "features.csv",
-            [f"f{j}" for j in range(d)],
-            ([repr(float(v)) for v in row] for row in sub.features.data),
+            [f"f{j}" for j in range(sub.features.dim)],
+            sub.features.data,
         )
-        _write_csv(
-            sub_dir / "labels.csv",
-            ["stage"],
-            ([str(int(v))] for v in sub.stages.labels),
-        )
+        _write_table(sub_dir / "labels.csv", ["stage"], sub.stages.labels[:, None])
         if sub.probs is not None:
-            _write_csv(
+            _write_table(
                 sub_dir / "probs.csv",
                 [f"p{j}" for j in range(sub.probs.n_classes)],
-                ([repr(float(v)) for v in row] for row in sub.probs.probs),
+                sub.probs.probs,
             )
     return root
 
@@ -91,25 +92,59 @@ def _read_table(path: Path, expected_header: list[str]) -> np.ndarray:
     if not path.is_file():
         raise DatasetError(f"missing file: {path}")
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        if header != expected_header:
+            table = _parse_table(fh, expected_header)
+        except ValueError:  # loadtxt's parse errors and undecodable bytes
+            table = None
+        if table is None:
+            fh.seek(0)
+            table = _scan_table(fh, path, expected_header)
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise DatasetError(f"{path}: row {int(np.argmax(bad)) + 2} contains a non-finite cell")
+    return table
+
+
+def _parse_table(fh, expected_header: list[str]) -> np.ndarray | None:
+    """One ``loadtxt`` call over the data rows, or None to leave the file to
+    ``_scan_table``. Only a table with one row per line and the expected
+    width is returned, so this never accepts a file the scan rejects."""
+    if fh.readline().rstrip("\r\n") != ",".join(expected_header):
+        return None
+    body = fh.tell()
+    n_rows = 0
+    for line in fh:
+        if not line.strip():  # loadtxt skips blank lines; the scan rejects them
+            return None
+        n_rows += 1
+    if not n_rows:
+        return None
+    fh.seek(body)
+    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    return table if table.shape == (n_rows, len(expected_header)) else None
+
+
+def _scan_table(fh, path: Path, expected_header: list[str]) -> np.ndarray:
+    """Parse row by row, raising ``DatasetError`` at the first bad row."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetError(f"{path}: empty file") from None
+    if header != expected_header:
+        raise DatasetError(
+            f"{path}: header mismatch; expected {expected_header}, got {header}"
+        )
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(expected_header):
             raise DatasetError(
-                f"{path}: header mismatch; expected {expected_header}, got {header}"
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(expected_header)}"
             )
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
-                raise DatasetError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(expected_header)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise DatasetError(f"{path}: row {lineno} contains a non-numeric cell") from None
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            raise DatasetError(f"{path}: row {lineno} contains a non-numeric cell") from None
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
@@ -119,8 +154,15 @@ def read_label_csv(path: str | Path) -> np.ndarray:
     """Read a single-column ``stage`` CSV into an int64 label array."""
     table = _read_table(Path(path), ["stage"])
     labels = table[:, 0]
-    if not np.all(labels == np.floor(labels)):
-        raise DatasetError(f"{path}: stage labels must be integers")
+    # Checked before the cast, which would turn |x| >= 2**63 into garbage
+    # (with a RuntimeWarning) instead of an error.
+    bad = (labels != np.floor(labels)) | (np.abs(labels) >= 2.0**63)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DatasetError(
+            f"{path}: row {row + 2} has stage {float(labels[row])}; "
+            "stage labels must be integers within the int64 range"
+        )
     return labels.astype(np.int64)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -221,8 +222,20 @@ class PipelineResult:
     aggregate: dict
 
 
-def _concat_features(parts: list[FeatureSequence]) -> FeatureSequence:
-    return FeatureSequence(np.concatenate([p.data for p in parts], axis=0))
+def _concat_features(
+    subjects: list[Subject], features: Callable[[Subject], FeatureSequence]
+) -> FeatureSequence:
+    # Filled subject by subject, so at most one subject's (possibly freshly
+    # smoothed) features are alive beside the result.
+    out = None
+    start = 0
+    for sub in subjects:
+        part = features(sub).data
+        if out is None:
+            out = np.empty((sum(s.stages.t_len for s in subjects), part.shape[1]), part.dtype)
+        out[start:start + len(part)] = part
+        start += len(part)
+    return FeatureSequence(out)
 
 
 def _concat_labels(parts: list[StageSequence], n_classes: int) -> StageSequence:
@@ -269,7 +282,7 @@ def _smoothed_predictions(
         raise ValueError(f"unknown smoother {kind!r}")
     # The classifier head is fitted on training features passed through the
     # same smoother, mirroring a head trained on the frozen model's outputs.
-    train_feats = _concat_features([smooth(sub) for sub in train])
+    train_feats = _concat_features(train, smooth)
     train_labels = _concat_labels([sub.stages for sub in train], n_classes)
     clf = fit_centroids(train_feats, train_labels, n_classes)
     return [classify(smooth(sub), clf) for sub in test]
@@ -304,7 +317,7 @@ def _evaluate(cfg: RunConfig, dataset: SynthDataset) -> PipelineResult:
         raise ValueError("dataset needs non-empty train and test splits")
 
     base_clf = fit_centroids(
-        _concat_features([sub.features for sub in train]),
+        _concat_features(train, lambda sub: sub.features),
         _concat_labels([sub.stages for sub in train], n_classes),
         n_classes,
     )

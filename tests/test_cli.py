@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rapklab import cli
+from rapklab import cli, dataio
 from rapklab.cli import main
-from rapklab.dataio import load_dataset
+from rapklab.dataio import DatasetError, load_dataset
 from rapklab.initializers import InitScheme, analytic_variance
 from rapklab.montecarlo import centered_unit_sequence, monte_carlo_kernel
 from rapklab.rapk import compute_rapk
@@ -339,6 +339,97 @@ def test_malformed_manifest_subject_is_a_dataset_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"manifest.json: {fragment}" in err
+
+
+def _rows(edit):
+    """Apply ``edit`` to the lines of a CSV text and rejoin them with CRLF endings."""
+    return lambda text: "".join(line + "\r\n" for line in edit(text.split("\r\n")[:-1]))
+
+
+def _cell(lines, row, col, value):
+    cells = lines[row].split(",")
+    cells[col] = value
+    return [*lines[:row], ",".join(cells), *lines[row + 1:]]
+
+
+# Malformed (or merely unusual) CSVs: (file in subject_000, edit of its text,
+# the error after "<file>: ", or None where the file must load as the row
+# scan loads it). The subject has 20 rows, so its last line is 21.
+_MALFORMED_CSV = {
+    "blank_line_mid_file": (
+        "features.csv", _rows(lambda ls: [*ls[:3], "", *ls[3:]]), "row 4 has 0 cells"),
+    "trailing_blank_line": ("features.csv", _rows(lambda ls: [*ls, ""]), "row 22 has 0 cells"),
+    "hash_in_cell": (
+        "features.csv", _rows(lambda ls: _cell(ls, 2, 3, "0.5#1")),
+        "row 3 contains a non-numeric cell"),
+    "quoted_cell": ("features.csv", _rows(lambda ls: _cell(ls, 2, 0, '"0.5"')), None),
+    "trailing_comma": (
+        "features.csv", _rows(lambda ls: _cell(ls, 2, 3, ls[2].split(",")[3] + ",")),
+        "row 3 has 5 cells, expected 4"),
+    "short_row": (
+        "features.csv", _rows(lambda ls: [*ls[:2], ls[2].rsplit(",", 1)[0], *ls[3:]]),
+        "row 3 has 3 cells, expected 4"),
+    "header_only": ("labels.csv", _rows(lambda ls: ls[:1]), "no data rows"),
+    "empty_file": ("labels.csv", lambda text: "", "empty file"),
+    "lf_line_endings": ("features.csv", lambda text: text.replace("\r\n", "\n"), None),
+    "spaces_around_number": ("features.csv", _rows(lambda ls: _cell(ls, 2, 1, " 0.5 ")), None),
+    "nan_in_features": (
+        "features.csv", _rows(lambda ls: _cell(ls, 2, 3, "nan")),
+        "row 3 contains a non-finite cell"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CSV))
+def test_malformed_csv_loads_as_the_row_scan_does_or_fails_cleanly(case, tmp_path, capsys):
+    root = tmp_path / "ds"
+    assert main([
+        "simulate", "--out", str(root), "--classes", "3", "--t-len", "20",
+        "--subjects", "3", "--feat-dim", "4", "--seed", "1",
+    ]) == 0
+    name, edit, fragment = _MALFORMED_CSV[case]
+    path = root / "subject_000" / name
+    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    capsys.readouterr()
+    code = main(["smooth-eval", "--dataset", str(root), "--smoother", "none"])
+    err = capsys.readouterr().err
+
+    # The one-call parse and the row scan agree: the parse either hands the
+    # file over (None or ValueError) or returns exactly what the scan returns.
+    header = ["stage"] if name == "labels.csv" else [f"f{j}" for j in range(4)]
+    with path.open(newline="") as fh:
+        try:
+            scanned = dataio._scan_table(fh, path, header)
+        except DatasetError:
+            scanned = None
+    with path.open(newline="") as fh:
+        try:
+            parsed = dataio._parse_table(fh, header)
+        except ValueError:
+            parsed = None
+    if parsed is not None:
+        assert scanned is not None
+        np.testing.assert_array_equal(parsed.view(np.uint64), scanned.view(np.uint64))
+
+    if fragment is None:
+        assert code == 0 and err == ""
+        loaded = load_dataset(root).subjects[0].features.data
+        np.testing.assert_array_equal(loaded.view(np.uint64), scanned.view(np.uint64))
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path}: {fragment}" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e300", "nan"])
+def test_metrics_rejects_non_finite_or_huge_labels(cell, tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"stage\n0\n{cell}\n1\n")
+    assert main(["metrics", "--labels", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{labels}: row 3 " in err
 
 
 def test_no_command_and_bad_choice(capsys):

@@ -1,11 +1,14 @@
+import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rapklab.dataio import DatasetError, load_dataset, read_label_csv, save_dataset
-from rapklab.synthgen import SynthConfig, make_dataset
+from rapklab.sequences import FeatureSequence, ProbSequence
+from rapklab.synthgen import SynthConfig, SynthDataset, make_dataset
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +152,66 @@ def test_save_is_deterministic(small_dataset, tmp_path):
     b = save_dataset(small_dataset, tmp_path / "b")
     for rel in ("manifest.json", "subject_000/features.csv", "subject_002/probs.csv"):
         assert (Path(a) / rel).read_bytes() == (Path(b) / rel).read_bytes()
+
+
+def _reference_write(path, header, rows):
+    # The writer the format was defined by: csv.writer over repr(float) cells.
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# Values either side of repr's switches (to exponent notation above 1e16 and
+# below 1e-4), signed zeros, a subnormal, integral floats, and the extremes.
+_EDGE_FEATURES = [
+    [0.0, -0.0, 5e-324, -5e-324],
+    [1e16, 9999999999999998.0, 1e-5, 0.0001],
+    [2.0, -3.0, 1e15, 123456789.0],
+    [1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308, 1e-300],
+    [0.1, 1 / 3, -2.5e-10, 6.02214076e23],
+]
+_EDGE_PROBS = [
+    [1.0, 0.0, -0.0],
+    [5e-324, 1.0, 0.0],
+    [1e-5, 0.99999, 0.0],
+    [0.25, 0.5, 0.25],
+    [1 / 3, 1 / 3, 1 / 3],
+]
+
+
+def test_files_match_the_reference_writer_byte_for_byte(small_dataset, tmp_path):
+    first = small_dataset.subjects[0]
+    n = len(_EDGE_FEATURES)
+    edge = replace(
+        first,
+        features=FeatureSequence(np.vstack([_EDGE_FEATURES, first.features.data[n:]])),
+        probs=ProbSequence(np.vstack([_EDGE_PROBS, first.probs.probs[n:]])),
+    )
+    dataset = SynthDataset(
+        subjects=(edge, *small_dataset.subjects[1:]),
+        n_classes=small_dataset.n_classes,
+        feat_dim=small_dataset.feat_dim,
+        config=small_dataset.config,
+    )
+    root = save_dataset(dataset, tmp_path / "ds")
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for sub in dataset.subjects:
+        got = root / sub.subject_id
+        d, c = sub.features.dim, sub.probs.n_classes
+        _reference_write(ref / "features.csv", [f"f{j}" for j in range(d)],
+                         ([repr(float(v)) for v in row] for row in sub.features.data))
+        _reference_write(ref / "labels.csv", ["stage"],
+                         ([str(int(v))] for v in sub.stages.labels))
+        _reference_write(ref / "probs.csv", [f"p{j}" for j in range(c)],
+                         ([repr(float(v)) for v in row] for row in sub.probs.probs))
+        for name in ("features.csv", "labels.csv", "probs.csv"):
+            assert (got / name).read_bytes() == (ref / name).read_bytes(), (sub.subject_id, name)
+    assert "-0.0,5e-324,-5e-324" in (root / "subject_000" / "features.csv").read_text()
+    loaded = load_dataset(root)
+    for a, b in zip(dataset.subjects, loaded.subjects):
+        for x, y in ((a.features.data, b.features.data), (a.probs.probs, b.probs.probs)):
+            assert x.shape == y.shape
+            np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
+        np.testing.assert_array_equal(a.stages.labels, b.stages.labels)
