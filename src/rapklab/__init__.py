@@ -39,19 +39,16 @@ from .initializers import (
     parse_scheme,
     scheme_label,
 )
-from .metrics import EvalReport, accuracy, lsii, lsii_pooled, weighted_f1, wte, wte_pooled
+from .metrics import EvalReport, accuracy, lsii, lsii_pooled, pearson, weighted_f1, wte, wte_pooled
 from .montecarlo import (
     KernelValidationReport,
     LogitConcentrationReport,
     centered_unit_sequence,
     kernel_mse,
-    kernel_pearson,
     logit_concentration,
     monte_carlo_kernel,
 )
 from .rapk import (
-    RapkResult,
-    compute_rapk,
     linearized_softmax,
     rapk_c1_centered,
     rapk_coefficients,
@@ -87,7 +84,6 @@ __all__ = [
     "PipelineResult",
     "ProbSequence",
     "ProjectionSet",
-    "RapkResult",
     "RunConfig",
     "SMOOTHERS",
     "StageSequence",
@@ -101,7 +97,6 @@ __all__ = [
     "build_encoder_weights",
     "centered_unit_sequence",
     "classify",
-    "compute_rapk",
     "config_digest",
     "correlation_study",
     "empirical_kernel",
@@ -111,7 +106,6 @@ __all__ = [
     "generator",
     "init_matrix",
     "kernel_mse",
-    "kernel_pearson",
     "layer_norm_rows",
     "linearized_softmax",
     "load_dataset",
@@ -126,6 +120,7 @@ __all__ = [
     "monte_carlo_kernel",
     "moving_average_smooth",
     "parse_scheme",
+    "pearson",
     "random_transformer_smooth",
     "rapk_c1_centered",
     "rapk_coefficients",

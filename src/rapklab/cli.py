@@ -344,28 +344,25 @@ def _cmd_logit_stats(args) -> int:
     return 0
 
 
-def _stage_sequence_from(path: Path, n_classes: int | None) -> StageSequence:
-    labels = read_label_csv(path)
-    c = n_classes if n_classes is not None else int(labels.max()) + 1
-    return StageSequence(labels, c)
+def _stage_sequences(paths: list[Path], n_classes: int | None) -> list[StageSequence]:
+    if n_classes is not None and n_classes < 1:
+        raise CliError(f"--classes must be >= 1, got {n_classes}")
+    labels = [read_label_csv(path, n_classes) for path in paths]
+    # Without --classes the label space is the smallest that holds every file.
+    c = n_classes if n_classes is not None else max(int(a.max()) for a in labels) + 1
+    return [StageSequence(a, c) for a in labels]
 
 
 def _cmd_metrics(args) -> int:
     out: dict = {}
     if args.labels is not None:
-        seq = _stage_sequence_from(args.labels, args.classes)
-        out["wte"] = wte(seq)
+        out["wte"] = wte(*_stage_sequences([args.labels], args.classes))
     if (args.none is None) != (args.corr is None):
         raise CliError("LSII needs both --none and --corr")
     if args.none is not None:
         if args.window is None:
             raise CliError("LSII needs --window")
-        c = args.classes
-        if c is None:
-            c = max(int(read_label_csv(p).max()) for p in (args.none, args.corr)) + 1
-        none_seq = _stage_sequence_from(args.none, c)
-        corr_seq = _stage_sequence_from(args.corr, c)
-        out["lsii"] = lsii(none_seq, corr_seq, args.window)
+        out["lsii"] = lsii(*_stage_sequences([args.none, args.corr], args.classes), args.window)
     if not out:
         raise CliError("nothing to compute: pass --labels and/or --none/--corr")
     text = json.dumps(out, indent=2, sort_keys=True)

@@ -46,7 +46,7 @@ def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
     # The bytes csv.writer gives for rows of ``repr`` cells: a list's repr
     # joins its items' reprs with ", ", and no number needs quoting. Rows are
     # written one at a time so the file text is never held whole.
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in table:
             fh.write(repr(row.tolist())[1:-1].replace(", ", ",") + "\r\n")
@@ -91,7 +91,7 @@ def save_dataset(dataset: SynthDataset, out_dir: str | Path) -> Path:
 def _read_table(path: Path, expected_header: list[str]) -> np.ndarray:
     if not path.is_file():
         raise DatasetError(f"missing file: {path}")
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         try:
             table = _parse_table(fh, expected_header)
         except ValueError:  # loadtxt's parse errors and undecodable bytes
@@ -127,41 +127,53 @@ def _parse_table(fh, expected_header: list[str]) -> np.ndarray | None:
 def _scan_table(fh, path: Path, expected_header: list[str]) -> np.ndarray:
     """Parse row by row, raising ``DatasetError`` at the first bad row."""
     reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetError(f"{path}: empty file") from None
-    if header != expected_header:
-        raise DatasetError(
-            f"{path}: header mismatch; expected {expected_header}, got {header}"
-        )
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(expected_header):
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
+        if header != expected_header:
             raise DatasetError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {len(expected_header)}"
+                f"{path}: header mismatch; expected {expected_header}, got {header}"
             )
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError:
-            raise DatasetError(f"{path}: row {lineno} contains a non-numeric cell") from None
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(expected_header):
+                raise DatasetError(
+                    f"{path}: row {lineno} has {len(row)} cells, "
+                    f"expected {len(expected_header)}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                raise DatasetError(
+                    f"{path}: row {lineno} contains a non-numeric cell"
+                ) from None
+    except csv.Error as exc:  # e.g. a cell beyond the csv module's field limit
+        raise DatasetError(f"{path}: row {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
 
 
-def read_label_csv(path: str | Path) -> np.ndarray:
-    """Read a single-column ``stage`` CSV into an int64 label array."""
+def read_label_csv(path: str | Path, n_classes: int | None = None) -> np.ndarray:
+    """Read a single-column ``stage`` CSV into an int64 label array.
+
+    Every stage must be an integer in [0, n_classes), or in [0, 2**63) when
+    ``n_classes`` is None.
+    """
     table = _read_table(Path(path), ["stage"])
     labels = table[:, 0]
     # Checked before the cast, which would turn |x| >= 2**63 into garbage
     # (with a RuntimeWarning) instead of an error.
-    bad = (labels != np.floor(labels)) | (np.abs(labels) >= 2.0**63)
+    upper = 2.0**63 if n_classes is None else n_classes
+    bad = (labels != np.floor(labels)) | (labels < 0) | (labels >= upper)
     if bad.any():
         row = int(np.argmax(bad))
         raise DatasetError(
-            f"{path}: row {row + 2} has stage {float(labels[row])}; "
-            "stage labels must be integers within the int64 range"
+            f"{path}: row {row + 2} has stage {float(labels[row])}; stage labels "
+            f"must be integers in [0, {'2**63' if n_classes is None else n_classes})"
         )
     return labels.astype(np.int64)
 
@@ -181,14 +193,7 @@ def _load_subject(root: Path, entry: dict, n_classes: int, feat_dim: int) -> Sub
         )
     sub_dir = root / sub_id
     feats = _read_table(sub_dir / "features.csv", [f"f{j}" for j in range(feat_dim)])
-    labels = read_label_csv(sub_dir / "labels.csv")
-    bad = (labels < 0) | (labels >= n_classes)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise DatasetError(
-            f"{sub_dir / 'labels.csv'}: row {row + 2} has stage {labels[row]}, "
-            f"outside [0, {n_classes})"
-        )
+    labels = read_label_csv(sub_dir / "labels.csv", n_classes)
     if feats.shape[0] != labels.shape[0]:
         raise DatasetError(
             f"{sub_dir}: features.csv has {feats.shape[0]} rows "
@@ -231,8 +236,8 @@ def load_dataset(path: str | Path) -> SynthDataset:
     if not manifest_path.is_file():
         raise DatasetError(f"missing manifest: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise DatasetError(f"{manifest_path}: invalid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise DatasetError(f"{manifest_path}: manifest is not a JSON object")

@@ -23,7 +23,7 @@ from .metrics import (
     EvalReport,
     accuracy,
     lsii_pooled,
-    metric_accuracy_correlation,
+    pearson,
     per_class_f1,
     weighted_f1,
     wte_pooled,
@@ -176,6 +176,8 @@ def config_digest(resolved: dict) -> str:
 
 
 def _encoder_from_dict(entry: dict) -> EncoderConfig:
+    if "seed" in entry:
+        raise ValueError("encoder.seed is not a config key: each run seed in 'seeds' sets it")
     kwargs = dict(entry)
     if "init" in kwargs:
         kwargs["init"] = parse_scheme(kwargs["init"])
@@ -486,9 +488,8 @@ def correlation_study(rows: list[dict]) -> tuple[float, float]:
     ]
     if len(usable) < 3:
         raise ValueError(f"need at least 3 per-seed rows with LSII, got {len(usable)}")
-    r_lsii = metric_accuracy_correlation([(r["lsii"], r["accuracy"]) for r in usable])
-    r_wte = metric_accuracy_correlation([(r["wte"], r["accuracy"]) for r in usable])
-    return r_lsii, r_wte
+    acc = [r["accuracy"] for r in usable]
+    return pearson([r["lsii"] for r in usable], acc), pearson([r["wte"] for r in usable], acc)
 
 
 # ---------------------------------------------------------------------------

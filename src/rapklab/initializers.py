@@ -79,21 +79,13 @@ class InitScheme:
 
 @dataclass(frozen=True)
 class ProjectionSet:
-    """Frozen query/key/value projections for one attention head.
-
-    The sigma fields record the analytic element variance implied by the
-    scheme and shape, which is what the closed-form kernel expects.
-    """
+    """Frozen query/key/value projections (each d x d_k) for one attention head."""
 
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
-    sigma_q2: float
-    sigma_k2: float
-    sigma_v2: float
     d: int
     d_k: int
-    seed: int
 
     def __post_init__(self) -> None:
         for name in ("w_q", "w_k", "w_v"):
@@ -190,20 +182,12 @@ def analytic_variance(scheme: InitScheme, rows: int, cols: int) -> float:
 
 def make_projection_set(d: int, d_k: int, scheme: InitScheme, seed: int) -> ProjectionSet:
     """Draw W_Q, W_K, W_V (each d x d_k) from decorrelated sub-seeds of ``seed``."""
-    w_q = init_matrix(d, d_k, scheme, mix_seed(seed, 0))
-    w_k = init_matrix(d, d_k, scheme, mix_seed(seed, 1))
-    w_v = init_matrix(d, d_k, scheme, mix_seed(seed, 2))
-    var = analytic_variance(scheme, d, d_k)
     return ProjectionSet(
-        w_q=w_q,
-        w_k=w_k,
-        w_v=w_v,
-        sigma_q2=var,
-        sigma_k2=var,
-        sigma_v2=var,
+        w_q=init_matrix(d, d_k, scheme, mix_seed(seed, 0)),
+        w_k=init_matrix(d, d_k, scheme, mix_seed(seed, 1)),
+        w_v=init_matrix(d, d_k, scheme, mix_seed(seed, 2)),
         d=d,
         d_k=d_k,
-        seed=seed,
     )
 
 

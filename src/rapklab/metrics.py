@@ -24,8 +24,7 @@ import numpy as np
 from .sequences import StageSequence
 
 __all__ = [
-    "TransitionStats",
-    "transition_stats",
+    "transition_counts",
     "wte",
     "wte_pooled",
     "lsii",
@@ -33,40 +32,18 @@ __all__ = [
     "accuracy",
     "per_class_f1",
     "weighted_f1",
-    "metric_accuracy_correlation",
+    "pearson",
     "EvalReport",
 ]
 
 
-@dataclass(frozen=True)
-class TransitionStats:
-    """Empirical stage-transition counts and row-normalized probabilities.
-
-    ``row_probs`` rows for stages that never occur as a transition source are
-    all zero. ``class_weights`` are the departure frequencies R_c / (T - 1).
-    """
-
-    counts: np.ndarray
-    row_probs: np.ndarray
-    row_totals: np.ndarray
-    class_weights: np.ndarray
-
-
-def transition_stats(s: StageSequence) -> TransitionStats:
-    """Count consecutive-epoch transitions of a stage sequence (needs T >= 2)."""
+def transition_counts(s: StageSequence) -> np.ndarray:
+    """C x C counts of consecutive-epoch transitions (needs T >= 2)."""
     if s.t_len < 2:
         raise ValueError(f"transition statistics need at least 2 epochs, got {s.t_len}")
-    c = s.n_classes
-    counts = np.zeros((c, c), dtype=np.int64)
+    counts = np.zeros((s.n_classes, s.n_classes), dtype=np.int64)
     np.add.at(counts, (s.labels[:-1], s.labels[1:]), 1)
-    row_totals = counts.sum(axis=1)
-    row_probs = np.zeros((c, c))
-    nz = row_totals > 0
-    row_probs[nz] = counts[nz] / row_totals[nz, np.newaxis]
-    class_weights = row_totals / (s.t_len - 1)
-    return TransitionStats(
-        counts=counts, row_probs=row_probs, row_totals=row_totals, class_weights=class_weights
-    )
+    return counts
 
 
 def _wte_from_counts(counts: np.ndarray) -> float:
@@ -91,7 +68,7 @@ def wte(s: StageSequence) -> float:
     stage is departed. Constant sequences score 0; the upper bound is
     ln(n_classes).
     """
-    return _wte_from_counts(transition_stats(s).counts)
+    return _wte_from_counts(transition_counts(s))
 
 
 def wte_pooled(sequences: list[StageSequence] | tuple[StageSequence, ...]) -> float:
@@ -107,23 +84,8 @@ def wte_pooled(sequences: list[StageSequence] | tuple[StageSequence, ...]) -> fl
         raise ValueError("sequences disagree on n_classes")
     counts = np.zeros((c, c), dtype=np.int64)
     for s in sequences:
-        counts += transition_stats(s).counts
+        counts += transition_counts(s)
     return _wte_from_counts(counts)
-
-
-def _lsii_terms(none_labels: np.ndarray, corr_labels: np.ndarray, w: int) -> list[float]:
-    t_len = none_labels.shape[0]
-    terms: list[float] = []
-    for t in np.nonzero(none_labels != corr_labels)[0]:
-        start = (int(t) // w) * w
-        stop = min(start + w, t_len)
-        others = stop - start - 1
-        if others == 0:
-            # Singleton window: no context to agree with.
-            continue
-        agree = int(np.count_nonzero(corr_labels[start:stop] == corr_labels[t])) - 1
-        terms.append(agree / others)
-    return terms
 
 
 def lsii(none_preds: StageSequence, corr_preds: StageSequence, w: int) -> float | None:
@@ -137,16 +99,7 @@ def lsii(none_preds: StageSequence, corr_preds: StageSequence, w: int) -> float 
     ``None`` when there are no corrections (or none with window context to
     score).
     """
-    if w < 2:
-        raise ValueError(f"window width must be >= 2, got {w}")
-    if none_preds.t_len != corr_preds.t_len:
-        raise ValueError(
-            f"sequence lengths differ: none={none_preds.t_len}, corrected={corr_preds.t_len}"
-        )
-    terms = _lsii_terms(none_preds.labels, corr_preds.labels, w)
-    if not terms:
-        return None
-    return sum(terms) / len(terms)
+    return lsii_pooled([none_preds], [corr_preds], w)
 
 
 def lsii_pooled(
@@ -162,8 +115,18 @@ def lsii_pooled(
     terms: list[float] = []
     for none_s, corr_s in zip(none_list, corr_list):
         if none_s.t_len != corr_s.t_len:
-            raise ValueError("paired sequences differ in length")
-        terms.extend(_lsii_terms(none_s.labels, corr_s.labels, w))
+            raise ValueError(
+                f"sequence lengths differ: none={none_s.t_len}, corrected={corr_s.t_len}"
+            )
+        corr = corr_s.labels
+        for t in np.nonzero(none_s.labels != corr)[0]:
+            start = (int(t) // w) * w
+            stop = min(start + w, corr_s.t_len)
+            others = stop - start - 1
+            if others == 0:
+                # Singleton window: no context to agree with.
+                continue
+            terms.append((int(np.count_nonzero(corr[start:stop] == corr[t])) - 1) / others)
     if not terms:
         return None
     return sum(terms) / len(terms)
@@ -197,19 +160,22 @@ def weighted_f1(pred: StageSequence, true: StageSequence, n_classes: int) -> flo
     return float(np.sum(f1 * support) / true.t_len)
 
 
-def metric_accuracy_correlation(points: list[tuple[float, float]]) -> float:
-    """Pearson correlation of (metric, accuracy) pairs across runs.
+def pearson(a: np.ndarray | list[float], b: np.ndarray | list[float]) -> float:
+    """Pearson correlation of two equal-shape arrays, entries paired in order.
 
-    Needs at least 3 points and nonzero variance on both coordinates.
+    Needs at least 3 entries, all finite, and nonzero variance on both sides.
     """
-    if len(points) < 3:
-        raise ValueError(f"need at least 3 points, got {len(points)}")
-    arr = np.asarray(points, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"shapes differ: {x.shape} vs {y.shape}")
+    if x.size < 3:
+        raise ValueError(f"need at least 3 points, got {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("points contain non-finite values")
-    if np.std(arr[:, 0]) == 0.0 or np.std(arr[:, 1]) == 0.0:
-        raise ValueError("correlation undefined: a coordinate has zero variance")
-    return float(np.corrcoef(arr[:, 0], arr[:, 1])[0, 1])
+    if np.std(x) == 0.0 or np.std(y) == 0.0:
+        raise ValueError("correlation undefined: an input has zero variance")
+    return float(np.corrcoef(x.ravel(), y.ravel())[0, 1])
 
 
 @dataclass(frozen=True)

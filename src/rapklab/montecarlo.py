@@ -21,6 +21,7 @@ from .initializers import (
     make_projection_set,
     scheme_label,
 )
+from .metrics import pearson
 from .rapk import rapk_coefficients, rapk_kernel
 from .seeding import generator, mix_seed
 from .sequences import FeatureSequence
@@ -31,7 +32,6 @@ __all__ = [
     "KernelValidationReport",
     "monte_carlo_kernel",
     "kernel_mse",
-    "kernel_pearson",
     "logit_concentration",
     "dk_sweep_detail",
     "centered_unit_sequence",
@@ -93,17 +93,6 @@ def kernel_mse(k_a: np.ndarray, k_b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"kernel shapes differ: {a.shape} vs {b.shape}")
     return float(np.mean((a - b) ** 2))
-
-
-def kernel_pearson(k_a: np.ndarray, k_b: np.ndarray) -> float:
-    """Pearson correlation of the flattened kernel entries."""
-    a = np.asarray(k_a, dtype=np.float64).ravel()
-    b = np.asarray(k_b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"kernel shapes differ: {k_a.shape} vs {k_b.shape}")
-    if np.std(a) == 0.0 or np.std(b) == 0.0:
-        raise ValueError("kernel correlation undefined for zero-variance input")
-    return float(np.corrcoef(a, b)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -234,12 +223,12 @@ def dk_sweep_detail(
                 _block_mean_kernels(x, scheme, d_k, trials, sub_seed)
             ):
                 block_mse.setdefault(bi, []).append(kernel_mse(mean, theory))
-                block_pearson.setdefault(bi, []).append(kernel_pearson(mean, theory))
+                block_pearson.setdefault(bi, []).append(pearson(mean, theory))
                 total += size * mean
             full = total / trials
             kernels.append((d_k, si, full, theory))
             seq_mse.append(kernel_mse(full, theory))
-            seq_pearson.append(kernel_pearson(full, theory))
+            seq_pearson.append(pearson(full, theory))
         mse_per_dk.append(float(np.mean(seq_mse)))
         pearson_per_dk.append(float(np.mean(seq_pearson)))
         for bi in sorted(block_mse):

@@ -20,8 +20,6 @@ Monte Carlo cross-checks live in ``montecarlo``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sequences import FeatureSequence
@@ -33,8 +31,6 @@ __all__ = [
     "rapk_coefficients",
     "rapk_c1_centered",
     "rapk_kernel",
-    "RapkResult",
-    "compute_rapk",
 ]
 
 
@@ -133,37 +129,3 @@ def rapk_kernel(x: FeatureSequence, c0: float, c1: float) -> np.ndarray:
     gram = 0.5 * (gram + gram.T)
     return c0 + c1 * gram
 
-
-@dataclass(frozen=True)
-class RapkResult:
-    """Closed-form kernel evaluation for one sequence and variance setting."""
-
-    c0: float
-    c1: float
-    kernel: np.ndarray
-    mu: np.ndarray
-    t_len: int
-    d: int
-    d_k: int
-    sigma_q2: float
-    sigma_k2: float
-    sigma_v2: float
-
-
-def compute_rapk(
-    x: FeatureSequence, d_k: int, sigma_q2: float, sigma_k2: float, sigma_v2: float
-) -> RapkResult:
-    """Evaluate (C0, C1) and the full expected kernel for ``x``."""
-    c0, c1 = rapk_coefficients(x, d_k, sigma_q2, sigma_k2, sigma_v2)
-    return RapkResult(
-        c0=c0,
-        c1=c1,
-        kernel=rapk_kernel(x, c0, c1),
-        mu=x.data.mean(axis=0),
-        t_len=x.t_len,
-        d=x.dim,
-        d_k=d_k,
-        sigma_q2=sigma_q2,
-        sigma_k2=sigma_k2,
-        sigma_v2=sigma_v2,
-    )

@@ -51,13 +51,19 @@ def window_partition(t_len: int, w: int) -> list[tuple[int, int]]:
     return [(start, min(start + w, t_len)) for start in range(0, t_len, w)]
 
 
-def _sliding_bounds(t_len: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    # Centered window [t - w//2, t + w//2], truncated at the edges.
-    half = w // 2
-    idx = np.arange(t_len)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half + 1, t_len)
-    return lo, hi
+def _window_sums(values: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums of ``values`` over each row's centered sliding window, and
+    the window sizes.
+
+    The window spans [t - w//2, t + w//2], truncated at the sequence edges.
+    """
+    if w < 1:
+        raise ValueError(f"window width must be >= 1, got {w}")
+    idx = np.arange(len(values))
+    lo = np.maximum(idx - w // 2, 0)
+    hi = np.minimum(idx + w // 2 + 1, len(values))
+    csum = np.vstack([np.zeros((1, values.shape[1]), values.dtype), np.cumsum(values, axis=0)])
+    return csum[hi] - csum[lo], hi - lo
 
 
 def moving_average_smooth(p: ProbSequence, w: int) -> StageSequence:
@@ -66,12 +72,8 @@ def moving_average_smooth(p: ProbSequence, w: int) -> StageSequence:
     The window spans [t - w//2, t + w//2], truncated at the sequence edges.
     Argmax ties resolve to the smallest class index.
     """
-    if w < 1:
-        raise ValueError(f"window width must be >= 1, got {w}")
-    lo, hi = _sliding_bounds(p.t_len, w)
-    csum = np.vstack([np.zeros((1, p.n_classes)), np.cumsum(p.probs, axis=0)])
-    means = (csum[hi] - csum[lo]) / (hi - lo)[:, np.newaxis]
-    return StageSequence(np.argmax(means, axis=1), p.n_classes)
+    sums, sizes = _window_sums(p.probs, w)
+    return StageSequence(np.argmax(sums / sizes[:, np.newaxis], axis=1), p.n_classes)
 
 
 def majority_filter_smooth(
@@ -84,20 +86,15 @@ def majority_filter_smooth(
     ``integer_median`` the (lower) median of the window labels is used
     instead, which treats labels as ordered integers.
     """
-    if w < 1:
-        raise ValueError(f"window width must be >= 1, got {w}")
     labels = s.labels
-    lo, hi = _sliding_bounds(s.t_len, w)
-    out = np.empty_like(labels)
-    for t in range(s.t_len):
-        win = labels[lo[t] : hi[t]]
-        if integer_median:
-            out[t] = np.sort(win)[(win.size - 1) // 2]
-        else:
-            counts = np.bincount(win, minlength=s.n_classes)
-            top = counts.max()
-            out[t] = labels[t] if counts[labels[t]] == top else int(np.argmax(counts))
-    return StageSequence(out, s.n_classes)
+    counts, sizes = _window_sums(np.eye(s.n_classes, dtype=np.int64)[labels], w)
+    if integer_median:
+        # The lower median is the smallest label whose cumulative count
+        # passes (size - 1) // 2.
+        below = np.cumsum(counts, axis=1) > ((sizes - 1) // 2)[:, np.newaxis]
+        return StageSequence(np.argmax(below, axis=1), s.n_classes)
+    modal = counts[np.arange(s.t_len), labels] == counts.max(axis=1)
+    return StageSequence(np.where(modal, labels, np.argmax(counts, axis=1)), s.n_classes)
 
 
 def fixed_attention_smooth(x: FeatureSequence, w: int) -> FeatureSequence:
@@ -121,10 +118,9 @@ def random_transformer_smooth(
 
 @dataclass(frozen=True)
 class CentroidClassifier:
-    """Per-class mean feature vectors with their training counts."""
+    """Per-class mean feature vectors."""
 
     centroids: np.ndarray
-    counts: np.ndarray
 
     @property
     def n_classes(self) -> int:
@@ -142,14 +138,12 @@ def fit_centroids(x_train: FeatureSequence, y_train: StageSequence, n_classes: i
             f"n_classes={n_classes} below label space {y_train.n_classes}"
         )
     centroids = np.empty((n_classes, x_train.dim))
-    counts = np.empty(n_classes, dtype=np.int64)
     for c in range(n_classes):
         mask = y_train.labels == c
         if not mask.any():
             raise ValueError(f"class {c} has no training examples; cannot place a centroid")
         centroids[c] = x_train.data[mask].mean(axis=0)
-        counts[c] = int(mask.sum())
-    return CentroidClassifier(centroids=centroids, counts=counts)
+    return CentroidClassifier(centroids=centroids)
 
 
 def classify(x: FeatureSequence, clf: CentroidClassifier) -> StageSequence:

@@ -22,11 +22,7 @@ from rapklab.smoothers import window_partition
 
 def identity_projection(d: int) -> ProjectionSet:
     eye = np.eye(d)
-    return ProjectionSet(
-        w_q=eye, w_k=eye, w_v=eye,
-        sigma_q2=1.0, sigma_k2=1.0, sigma_v2=1.0,
-        d=d, d_k=d, seed=0,
-    )
+    return ProjectionSet(w_q=eye, w_k=eye, w_v=eye, d=d, d_k=d)
 
 
 def test_attention_scores_identity_projection():

@@ -8,7 +8,6 @@ from rapklab.cli import main
 from rapklab.dataio import DatasetError, load_dataset
 from rapklab.initializers import InitScheme, analytic_variance
 from rapklab.montecarlo import centered_unit_sequence, monte_carlo_kernel
-from rapklab.rapk import compute_rapk
 from rapklab.seeding import mix_seed
 
 SYNTH = {
@@ -16,6 +15,17 @@ SYNTH = {
     "class_sep": 2.0, "noise_std": 0.4, "label_noise": 0.2, "seed": 5,
 }
 ENCODER = {"n_heads": 2, "d_k": 8, "window_w": 5}
+
+
+def closed_form_kernel(rows: np.ndarray, d_k: int, var: float) -> np.ndarray:
+    # C0 11^T + C1 X X^T for equal projection variances, from the formulas in
+    # the rapk module docstring.
+    t = rows.shape[0]
+    gram = rows @ rows.T
+    centered = rows - rows.mean(axis=0)
+    c0 = d_k * var * gram.sum() / t**2
+    c1 = d_k * var**3 * np.sum((centered @ centered.T) * gram) / t**2
+    return c0 + c1 * gram
 
 
 @pytest.fixture()
@@ -107,6 +117,16 @@ def test_smooth_eval_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_smooth_eval_rejects_encoder_seed(tmp_path, capsys):
+    # Each run seed sets the encoder seed, so a config seed would be ignored.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"synth": SYNTH, "encoder": {**ENCODER, "seed": 5}}))
+    assert main(["smooth-eval", "--config", str(path), "--smoother", "none"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "encoder.seed" in err
+
+
 def test_smooth_eval_missing_dataset_dir(tmp_path, capsys):
     code = main(["smooth-eval", "--dataset", str(tmp_path / "nope"), "--smoother", "none"])
     assert code == 2
@@ -189,7 +209,7 @@ def test_kernel_validate_dump_kernels(tmp_path):
             np.testing.assert_array_equal(emp, want)
             theory = np.loadtxt(out / f"kernel_theory_dk{d_k}_seq{si}.csv", delimiter=",")
             var = analytic_variance(scheme, 3, d_k)
-            np.testing.assert_array_equal(theory, compute_rapk(x, d_k, var, var, var).kernel)
+            np.testing.assert_allclose(theory, closed_form_kernel(x.data, d_k, var), rtol=1e-12)
 
 
 def test_kernel_validate_rejects_bad_args(tmp_path, capsys):
@@ -256,6 +276,8 @@ def test_metrics_argument_errors(tmp_path, capsys):
     assert "both --none and --corr" in err
     assert "needs --window" in err
     assert main(["metrics", "--labels", str(tmp_path / "ghost.csv")]) == 2
+    assert main(["metrics", "--labels", str(none_p), "--classes", "0"]) == 1
+    assert "--classes must be >= 1" in capsys.readouterr().err
 
 
 def test_correlate(tmp_path, capsys):
@@ -376,6 +398,12 @@ _MALFORMED_CSV = {
     "nan_in_features": (
         "features.csv", _rows(lambda ls: _cell(ls, 2, 3, "nan")),
         "row 3 contains a non-finite cell"),
+    "cell_beyond_csv_field_limit": (
+        "features.csv", _rows(lambda ls: _cell(ls, 2, 1, "x" * 200_000)),
+        "row 3: field larger than field limit"),
+    # "\udcff" is written as the raw byte 0xff (see the surrogateescape below).
+    "non_utf8_byte": ("labels.csv", _rows(lambda ls: [*ls[:2], "1\udcff", *ls[3:]]),
+                      "not UTF-8 text"),
 }
 
 
@@ -389,7 +417,8 @@ def test_malformed_csv_loads_as_the_row_scan_does_or_fails_cleanly(case, tmp_pat
     ]) == 0
     name, edit, fragment = _MALFORMED_CSV[case]
     path = root / "subject_000" / name
-    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    text = path.read_bytes().decode("utf-8", "surrogateescape")
+    path.write_bytes(edit(text).encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     code = main(["smooth-eval", "--dataset", str(root), "--smoother", "none"])
     err = capsys.readouterr().err
@@ -397,12 +426,12 @@ def test_malformed_csv_loads_as_the_row_scan_does_or_fails_cleanly(case, tmp_pat
     # The one-call parse and the row scan agree: the parse either hands the
     # file over (None or ValueError) or returns exactly what the scan returns.
     header = ["stage"] if name == "labels.csv" else [f"f{j}" for j in range(4)]
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         try:
             scanned = dataio._scan_table(fh, path, header)
         except DatasetError:
             scanned = None
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         try:
             parsed = dataio._parse_table(fh, header)
         except ValueError:
@@ -422,7 +451,7 @@ def test_malformed_csv_loads_as_the_row_scan_does_or_fails_cleanly(case, tmp_pat
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("cell", ["inf", "-inf", "1e300", "nan"])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e300", "nan", "-1"])
 def test_metrics_rejects_non_finite_or_huge_labels(cell, tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     labels.write_text(f"stage\n0\n{cell}\n1\n")
@@ -430,6 +459,20 @@ def test_metrics_rejects_non_finite_or_huge_labels(cell, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{labels}: row 3 " in err
+
+
+def test_metrics_reads_each_label_file_once(tmp_path, monkeypatch, capsys):
+    reads = []
+
+    def read_label_csv(path, n_classes):
+        reads.append(path)
+        return dataio.read_label_csv(path, n_classes)
+
+    monkeypatch.setattr(cli, "read_label_csv", read_label_csv)
+    none_p = tmp_path / "none.csv"
+    none_p.write_text("stage\n0\n0\n1\n0\n0\n")
+    assert main(["metrics", "--none", str(none_p), "--corr", str(none_p), "--window", "5"]) == 0
+    assert reads == [none_p, none_p]
 
 
 def test_no_command_and_bad_choice(capsys):

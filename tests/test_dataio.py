@@ -53,6 +53,9 @@ def test_corrupt_manifest(small_dataset, tmp_path):
     (root / "manifest.json").write_text("{not json")
     with pytest.raises(DatasetError, match="invalid JSON"):
         load_dataset(root)
+    (root / "manifest.json").write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(DatasetError, match="manifest.json: invalid JSON"):
+        load_dataset(root)
     (root / "manifest.json").write_text(json.dumps({"format": "other"}))
     with pytest.raises(DatasetError, match="unrecognized format"):
         load_dataset(root)
@@ -139,6 +142,8 @@ def test_read_label_csv(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("stage\n0\n2\n1\n")
     np.testing.assert_array_equal(read_label_csv(path), [0, 2, 1])
+    with pytest.raises(DatasetError, match=r"row 3 has stage 2\.0; .* in \[0, 2\)"):
+        read_label_csv(path, 2)
     path.write_text("stage\n")
     with pytest.raises(DatasetError, match="no data rows"):
         read_label_csv(path)

@@ -120,9 +120,7 @@ def test_scheme_requires_positive_scale_where_used():
 def test_make_projection_set_contract():
     scheme = parse_scheme("xavier_uniform")
     proj = make_projection_set(8, 6, scheme, seed=21)
-    var = analytic_variance(scheme, 8, 6)
     assert proj.w_q.shape == proj.w_k.shape == proj.w_v.shape == (8, 6)
-    assert proj.sigma_q2 == proj.sigma_k2 == proj.sigma_v2 == var
     assert not np.array_equal(proj.w_q, proj.w_k)
     assert not np.array_equal(proj.w_k, proj.w_v)
     again = make_projection_set(8, 6, scheme, seed=21)

@@ -10,9 +10,9 @@ from rapklab.metrics import (
     accuracy,
     lsii,
     lsii_pooled,
-    metric_accuracy_correlation,
+    pearson,
     per_class_f1,
-    transition_stats,
+    transition_counts,
     weighted_f1,
     wte,
     wte_pooled,
@@ -55,20 +55,14 @@ def seq(labels, n_classes: int) -> StageSequence:
     return StageSequence(np.array(labels), n_classes)
 
 
-def test_transition_stats_fixture():
-    st = transition_stats(seq([0, 1, 0], 2))
-    np.testing.assert_array_equal(st.counts, [[0, 1], [1, 0]])
-    np.testing.assert_allclose(st.row_probs, [[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(st.row_totals, [1, 1])
-    np.testing.assert_allclose(st.class_weights, [0.5, 0.5])
+def test_transition_counts_fixture():
+    np.testing.assert_array_equal(transition_counts(seq([0, 1, 0], 2)), [[0, 1], [1, 0]])
 
 
-def test_transition_stats_absent_class_row_is_zero():
-    st = transition_stats(seq([0, 0, 0], 3))
-    np.testing.assert_array_equal(st.counts[1], [0, 0, 0])
-    np.testing.assert_allclose(st.row_probs[1], [0.0, 0.0, 0.0])
+def test_transition_counts_absent_class_row_is_zero():
+    np.testing.assert_array_equal(transition_counts(seq([0, 0, 0], 3))[1], [0, 0, 0])
     with pytest.raises(ValueError, match="at least 2"):
-        transition_stats(seq([0], 2))
+        transition_counts(seq([0], 2))
 
 
 def test_wte_reference_fixture():
@@ -210,14 +204,16 @@ def test_per_class_f1_silent_class_scores_zero():
 
 
 def test_metric_accuracy_correlation():
-    assert metric_accuracy_correlation([(0, 0), (1, 1), (2, 0)]) == pytest.approx(0.0)
-    assert metric_accuracy_correlation([(0, 0), (1, 1), (2, 2)]) == pytest.approx(1.0)
+    assert pearson([0, 1, 2], [0, 1, 0]) == pytest.approx(0.0)
+    assert pearson([0, 1, 2], [0, 1, 2]) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="3 points"):
-        metric_accuracy_correlation([(0, 0), (1, 1)])
+        pearson([0, 1], [0, 1])
     with pytest.raises(ValueError, match="zero variance"):
-        metric_accuracy_correlation([(1, 0), (1, 1), (1, 2)])
+        pearson([1, 1, 1], [0, 1, 2])
     with pytest.raises(ValueError, match="non-finite"):
-        metric_accuracy_correlation([(0, 0), (1, math.nan), (2, 2)])
+        pearson([0, 1, 2], [0, math.nan, 2])
+    with pytest.raises(ValueError, match="differ"):
+        pearson([0, 1, 2], [0, 1, 2, 3])
 
 
 def test_eval_report_validation_and_dict():

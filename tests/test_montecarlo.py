@@ -7,11 +7,10 @@ from rapklab.montecarlo import (
     centered_unit_sequence,
     dk_sweep_detail,
     kernel_mse,
-    kernel_pearson,
     logit_concentration,
     monte_carlo_kernel,
 )
-from rapklab.rapk import compute_rapk
+from rapklab.metrics import pearson
 from rapklab.seeding import generator, mix_seed
 from rapklab.sequences import FeatureSequence
 
@@ -22,6 +21,19 @@ def manual_trial_kernel(x: FeatureSequence, scheme: InitScheme, d_k: int, sub_se
     proj = make_projection_set(x.dim, d_k, scheme, sub_seed)
     a = softmax_rows(attention_scores(x, proj))
     return empirical_kernel(attention_apply(a, x, proj.w_v))
+
+
+def closed_form_kernel(x: FeatureSequence, d_k: int, var: float) -> np.ndarray:
+    # C0 11^T + C1 X X^T for equal projection variances, straight from the
+    # module formulas: C0 = d_k var sum_pq x_p.x_q / T^2 and
+    # C1 = d_k var^3 sum_pq ((x_p - mu).(x_q - mu)) (x_p.x_q) / T^2.
+    rows = x.data
+    t = rows.shape[0]
+    gram = rows @ rows.T
+    centered = rows - rows.mean(axis=0)
+    c0 = d_k * var * gram.sum() / t**2
+    c1 = d_k * var**3 * np.sum((centered @ centered.T) * gram) / t**2
+    return c0 + c1 * gram
 
 
 def small_sequence(seed: int = 0) -> FeatureSequence:
@@ -64,18 +76,18 @@ def test_kernel_mse_fixture():
 
 def test_kernel_pearson_fixture():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert kernel_pearson(a, 2.0 * a + 1.0) == pytest.approx(1.0)
-    assert kernel_pearson(a, -a) == pytest.approx(-1.0)
-    with pytest.raises(ValueError, match="zero-variance"):
-        kernel_pearson(a, np.ones((2, 2)))
+    assert pearson(a, 2.0 * a + 1.0) == pytest.approx(1.0)
+    assert pearson(a, -a) == pytest.approx(-1.0)
+    with pytest.raises(ValueError, match="zero variance"):
+        pearson(a, np.ones((2, 2)))
     with pytest.raises(ValueError, match="differ"):
-        kernel_pearson(a, np.zeros((3, 3)))
+        pearson(a, np.zeros((3, 3)))
 
 
 def test_kernel_pearson_near_zero_for_unrelated_matrices():
     rng_a = generator(10, 0x31)
     rng_b = generator(11, 0x32)
-    r = kernel_pearson(rng_a.standard_normal((12, 12)), rng_b.standard_normal((12, 12)))
+    r = pearson(rng_a.standard_normal((12, 12)), rng_b.standard_normal((12, 12)))
     assert abs(r) < 0.3
 
 
@@ -141,8 +153,8 @@ def test_dk_sweep_detail_consistent_with_report():
             oracle = monte_carlo_kernel(x, XAVIER, d_k, 120, mix_seed(17, di, si))
             np.testing.assert_array_equal(emp, oracle)
             var = analytic_variance(XAVIER, x.dim, d_k)
-            np.testing.assert_array_equal(theory, compute_rapk(x, d_k, var, var, var).kernel)
-            pearsons.append(kernel_pearson(emp, theory))
+            np.testing.assert_allclose(theory, closed_form_kernel(x, d_k, var), rtol=1e-12)
+            pearsons.append(pearson(emp, theory))
         assert report.pearson_per_dk[di] == float(np.mean(pearsons))
 
 

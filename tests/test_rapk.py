@@ -4,7 +4,6 @@ import pytest
 from rapklab.attention import softmax_rows
 from rapklab.rapk import (
     centered_logit_cov,
-    compute_rapk,
     linearized_softmax,
     logit_second_moment,
     rapk_c1_centered,
@@ -120,18 +119,6 @@ def test_coefficients_reject_bad_variances():
         rapk_coefficients(x, 2, 1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         rapk_c1_centered(x, 2, 0.0, 1.0, 1.0)
-
-
-def test_compute_rapk_assembles_consistent_result():
-    rng = generator(5, 0x25)
-    rows = np.asarray(rng.standard_normal((5, 3)))
-    x = FeatureSequence(rows)
-    res = compute_rapk(x, 16, 0.5, 0.25, 2.0)
-    assert (res.t_len, res.d, res.d_k) == (5, 3, 16)
-    np.testing.assert_allclose(res.mu, rows.mean(axis=0))
-    gram = rows @ rows.T
-    np.testing.assert_allclose(res.kernel, res.c0 + res.c1 * gram, atol=1e-12)
-    np.testing.assert_allclose(res.kernel, res.kernel.T, atol=1e-15)
 
 
 def test_logit_second_moment_closed_form():
