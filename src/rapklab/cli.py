@@ -6,8 +6,9 @@ Subcommands: ``simulate`` (write a synthetic dataset), ``smooth-eval``
 (logit concentration across schemes), ``metrics`` (WTE/LSII on label CSVs),
 and ``correlate`` (metric-accuracy correlations over a sweep CSV).
 
-Exit codes: 0 on success, 1 on a validation/usage error, 2 on an I/O or
-dataset-format error.
+Exit codes: 0 on success; 2 when an input file cannot be read, decoded or
+parsed into the expected shape, or a dataset, label CSV or sweep CSV is
+malformed; 1 on a usage error or a config value that parses but is invalid.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import DatasetError, read_label_csv, save_dataset
+from .attention import EncoderConfig
+from .dataio import DatasetError, read_json_object, read_label_csv, save_dataset
 from .harness import (
     COMPONENT_BUNDLES,
     SMOOTHERS,
@@ -44,13 +46,9 @@ from .synthgen import SynthConfig, make_dataset
 __all__ = ["main"]
 
 
-class CliError(Exception):
-    """Bad arguments or configuration (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: D102 - argparse hook
-        raise CliError(message)
+    def error(self, message):  # noqa: D102 - argparse hook; a usage error exits 1
+        raise ValueError(message)
 
 
 _AXIS_NAMES = {
@@ -72,14 +70,13 @@ _DEFAULT_GRIDS = {
     "components": ",".join(COMPONENT_BUNDLES),
 }
 
-_ENC_FLAGS = (
-    "use_attention",
-    "use_output_linear",
-    "use_ffn",
-    "use_layernorm",
-    "use_residual",
-    "use_positional",
-)
+_ENC_FLAGS = tuple(f.name for f in fields(EncoderConfig) if f.name.startswith("use_"))
+
+# Run options that set an encoder field: argument name -> EncoderConfig field.
+_ENC_ARGS = {
+    "window": "window_w", "dk": "d_k", "init": "init", "heads": "n_heads", "layers": "n_layers",
+    **{flag: flag for flag in _ENC_FLAGS},
+}
 
 
 def _add_run_options(parser: _Parser) -> None:
@@ -177,13 +174,7 @@ def _load_config_file(path: Path | None) -> dict:
         return {}
     if not path.is_file():
         raise DatasetError(f"config file not found: {path}")
-    try:
-        entry = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(entry, dict):
-        raise CliError(f"{path}: config must be a JSON object")
-    return entry
+    return read_json_object(path, "config")
 
 
 def _ensure_out(args) -> Path:
@@ -195,12 +186,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise CliError(f"bad {what}: {text!r}") from None
+        raise ValueError(f"bad {what}: {text!r}") from None
 
 
 def _cmd_simulate(args) -> int:
-    entry = _load_config_file(args.config).get("synth", {})
-    overrides = {
+    synth = _load_config_file(args.config).get("synth", {})
+    flags = {
         "seed": args.seed,
         "n_classes": args.classes,
         "t_len": args.t_len,
@@ -211,13 +202,10 @@ def _cmd_simulate(args) -> int:
         "noise_std": args.noise_std,
         "label_noise": args.label_noise,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            entry[key] = value
-    try:
-        cfg = SynthConfig(**entry)
+    try:  # a "synth" that is not an object fails here as well
+        cfg = SynthConfig(**{**synth, **{k: v for k, v in flags.items() if v is not None}})
     except TypeError as exc:
-        raise CliError(f"bad synth config: {exc}") from None
+        raise ValueError(f"bad synth config: {exc}") from None
     out = _ensure_out(args)
     save_dataset(make_dataset(cfg), out)
     print(f"wrote {cfg.n_subjects} subjects x {cfg.t_len} epochs to {out}")
@@ -226,18 +214,11 @@ def _cmd_simulate(args) -> int:
 
 def _run_config_from_args(args):
     entry = _load_config_file(args.config)
-    enc = dict(entry.get("encoder", {}))
-    for attr, key in (("window", "window_w"), ("dk", "d_k"), ("init", "init"),
-                      ("heads", "n_heads"), ("layers", "n_layers")):
-        value = getattr(args, attr)
-        if value is not None:
-            enc[key] = value
-    for flag in _ENC_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            enc[flag] = value
-    if enc:
-        entry["encoder"] = enc
+    enc = {key: getattr(args, arg) for arg, key in _ENC_ARGS.items()
+           if getattr(args, arg) is not None}
+    file_enc = entry.get("encoder", {})
+    if enc and isinstance(file_enc, dict):  # any other "encoder" fails in load_run_config
+        entry["encoder"] = {**file_enc, **enc}
     if args.dataset is not None:
         entry.pop("synth", None)
         entry["dataset"] = str(args.dataset)
@@ -291,7 +272,7 @@ def _cmd_kernel_validate(args) -> int:
     grid = _parse_int_list(args.dk_grid, "--dk-grid")
     scheme = parse_scheme(args.scheme)
     if args.sequences < 1:
-        raise CliError("--sequences must be >= 1")
+        raise ValueError("--sequences must be >= 1")
     x_set = [
         centered_unit_sequence(args.t_len, args.dim, mix_seed(args.seed, i))
         for i in range(args.sequences)
@@ -346,7 +327,7 @@ def _cmd_logit_stats(args) -> int:
 
 def _stage_sequences(paths: list[Path], n_classes: int | None) -> list[StageSequence]:
     if n_classes is not None and n_classes < 1:
-        raise CliError(f"--classes must be >= 1, got {n_classes}")
+        raise ValueError(f"--classes must be >= 1, got {n_classes}")
     labels = [read_label_csv(path, n_classes) for path in paths]
     # Without --classes the label space is the smallest that holds every file.
     c = n_classes if n_classes is not None else max(int(a.max()) for a in labels) + 1
@@ -358,13 +339,13 @@ def _cmd_metrics(args) -> int:
     if args.labels is not None:
         out["wte"] = wte(*_stage_sequences([args.labels], args.classes))
     if (args.none is None) != (args.corr is None):
-        raise CliError("LSII needs both --none and --corr")
+        raise ValueError("LSII needs both --none and --corr")
     if args.none is not None:
         if args.window is None:
-            raise CliError("LSII needs --window")
+            raise ValueError("LSII needs --window")
         out["lsii"] = lsii(*_stage_sequences([args.none, args.corr], args.classes), args.window)
     if not out:
-        raise CliError("nothing to compute: pass --labels and/or --none/--corr")
+        raise ValueError("nothing to compute: pass --labels and/or --none/--corr")
     text = json.dumps(out, indent=2, sort_keys=True)
     print(text)
     if args.out is not None:
@@ -385,13 +366,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -18,12 +18,18 @@ that decides what is rejected. Loading validates headers, numeric and finite
 cells, label ranges, and row counts, and raises ``DatasetError`` naming the
 offending file and row; ``probs.csv`` may be absent, in which case the
 subject loads with probabilities missing.
+
+The program's other input files are read here too: config files by
+``read_json_object`` and sweep CSVs by ``read_csv_rows``, through the same
+row scan, so every read fault is a ``DatasetError`` naming the file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -32,7 +38,10 @@ import numpy as np
 from .sequences import FeatureSequence, ProbSequence, StageSequence
 from .synthgen import Subject, SynthConfig, SynthDataset
 
-__all__ = ["DatasetError", "save_dataset", "load_dataset", "read_label_csv"]
+__all__ = [
+    "DatasetError", "save_dataset", "load_dataset", "read_label_csv",
+    "read_json_object", "read_csv_rows", "number_cell",
+]
 
 _MANIFEST = "manifest.json"
 _FORMAT = "rapklab-dataset"
@@ -88,10 +97,14 @@ def save_dataset(dataset: SynthDataset, out_dir: str | Path) -> Path:
     return root
 
 
-def _read_table(path: Path, expected_header: list[str]) -> np.ndarray:
+def _open_csv(path: Path):
     if not path.is_file():
         raise DatasetError(f"missing file: {path}")
-    with path.open(encoding="utf-8", newline="") as fh:
+    return path.open(encoding="utf-8", newline="")
+
+
+def _read_table(path: Path, expected_header: list[str]) -> np.ndarray:
+    with _open_csv(path) as fh:
         try:
             table = _parse_table(fh, expected_header)
         except ValueError:  # loadtxt's parse errors and undecodable bytes
@@ -99,16 +112,13 @@ def _read_table(path: Path, expected_header: list[str]) -> np.ndarray:
         if table is None:
             fh.seek(0)
             table = _scan_table(fh, path, expected_header)
-    bad = ~np.isfinite(table).all(axis=1)
-    if bad.any():
-        raise DatasetError(f"{path}: row {int(np.argmax(bad)) + 2} contains a non-finite cell")
     return table
 
 
 def _parse_table(fh, expected_header: list[str]) -> np.ndarray | None:
     """One ``loadtxt`` call over the data rows, or None to leave the file to
-    ``_scan_table``. Only a table with one row per line and the expected
-    width is returned, so this never accepts a file the scan rejects."""
+    ``_scan_table``. Only a finite table with one row per line and the
+    expected width is returned, so this never accepts a file the scan rejects."""
     if fh.readline().rstrip("\r\n") != ",".join(expected_header):
         return None
     body = fh.tell()
@@ -121,13 +131,27 @@ def _parse_table(fh, expected_header: list[str]) -> np.ndarray | None:
         return None
     fh.seek(body)
     table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    return table if table.shape == (n_rows, len(expected_header)) else None
+    ok = table.shape == (n_rows, len(expected_header)) and np.isfinite(table).all()
+    return table if ok else None
 
 
-def _scan_table(fh, path: Path, expected_header: list[str]) -> np.ndarray:
-    """Parse row by row, raising ``DatasetError`` at the first bad row."""
+def number_cell(cell: str, kind: type = float):
+    """``kind(cell)``, or a ValueError that ``_scan_rows`` reports against the
+    cell's row when the cell is not a finite number."""
+    try:
+        value = kind(cell)
+    except ValueError:
+        raise ValueError("contains a non-numeric cell") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError("contains a non-finite cell")
+    return value
+
+
+def _scan_rows(fh, path: Path, expected_header: list[str], parse_row: Callable) -> list:
+    """Each data row through ``parse_row``; the first bad row raises a
+    ``DatasetError`` naming the file and row."""
     reader = csv.reader(fh)
-    rows: list[list[float]] = []
+    rows = []
     try:
         header = next(reader, None)
         if header is None:
@@ -143,18 +167,46 @@ def _scan_table(fh, path: Path, expected_header: list[str]) -> np.ndarray:
                     f"expected {len(expected_header)}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise DatasetError(
-                    f"{path}: row {lineno} contains a non-numeric cell"
-                ) from None
+                rows.append(parse_row(row))
+            except ValueError as exc:
+                raise DatasetError(f"{path}: row {lineno} {exc}") from None
     except csv.Error as exc:  # e.g. a cell beyond the csv module's field limit
         raise DatasetError(f"{path}: row {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
-        raise DatasetError(f"{path}: not UTF-8 text") from None
+        with path.open("rb") as raw:  # decoded in chunks, so find the row in the bytes
+            row = next(n for n, line in enumerate(raw, 1)
+                       if line.decode("utf-8", "ignore").encode() != line)
+        raise DatasetError(f"{path}: not UTF-8 text at row {row}") from None
     if not rows:
         raise DatasetError(f"{path}: no data rows")
+    return rows
+
+
+def _scan_table(fh, path: Path, expected_header: list[str]) -> np.ndarray:
+    """Parse a numeric table row by row; every cell must be a finite number."""
+    rows = _scan_rows(fh, path, expected_header, lambda row: [number_cell(c) for c in row])
     return np.asarray(rows, dtype=np.float64)
+
+
+def read_csv_rows(path: str | Path, expected_header: list[str], parse_row: Callable) -> list:
+    """``parse_row`` of each data row of a UTF-8 CSV with ``expected_header``;
+    it raises ValueError (see ``number_cell``) to reject a row."""
+    path = Path(path)
+    with _open_csv(path) as fh:
+        return _scan_rows(fh, path, expected_header, parse_row)
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Read a UTF-8 JSON file whose top level must be an object; ``what``
+    names the document in the error."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON, undecodable bytes, deep nesting
+        raise DatasetError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise DatasetError(f"{path}: {what} is not a JSON object")
+    return data
 
 
 def read_label_csv(path: str | Path, n_classes: int | None = None) -> np.ndarray:
@@ -194,24 +246,19 @@ def _load_subject(root: Path, entry: dict, n_classes: int, feat_dim: int) -> Sub
     sub_dir = root / sub_id
     feats = _read_table(sub_dir / "features.csv", [f"f{j}" for j in range(feat_dim)])
     labels = read_label_csv(sub_dir / "labels.csv", n_classes)
-    if feats.shape[0] != labels.shape[0]:
-        raise DatasetError(
-            f"{sub_dir}: features.csv has {feats.shape[0]} rows "
-            f"but labels.csv has {labels.shape[0]}"
-        )
-    probs = None
     probs_path = sub_dir / "probs.csv"
+    table = None
     if probs_path.is_file():
         table = _read_table(probs_path, [f"p{j}" for j in range(n_classes)])
-        if table.shape[0] != labels.shape[0]:
+    for name, rows in (("features.csv", feats), ("probs.csv", table)):
+        if rows is not None and rows.shape[0] != labels.shape[0]:
             raise DatasetError(
-                f"{sub_dir}: probs.csv has {table.shape[0]} rows "
-                f"but labels.csv has {labels.shape[0]}"
+                f"{sub_dir}: {name} has {rows.shape[0]} rows but labels.csv has {labels.shape[0]}"
             )
-        try:
-            probs = ProbSequence(table)
-        except ValueError as exc:
-            raise DatasetError(f"{probs_path}: {exc}") from None
+    try:
+        probs = None if table is None else ProbSequence(table)
+    except ValueError as exc:
+        raise DatasetError(f"{probs_path}: {exc}") from None
     expected_t = entry.get("t_len")
     if expected_t is not None and expected_t != labels.shape[0]:
         raise DatasetError(
@@ -235,12 +282,7 @@ def load_dataset(path: str | Path) -> SynthDataset:
     manifest_path = root / _MANIFEST
     if not manifest_path.is_file():
         raise DatasetError(f"missing manifest: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
-        raise DatasetError(f"{manifest_path}: invalid JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise DatasetError(f"{manifest_path}: manifest is not a JSON object")
+    manifest = read_json_object(manifest_path, "manifest")
     if manifest.get("format") != _FORMAT:
         raise DatasetError(f"{manifest_path}: unrecognized format {manifest.get('format')!r}")
     for key in ("n_classes", "feat_dim", "subjects"):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import EncoderConfig, build_encoder_weights
-from .dataio import load_dataset
+from .dataio import load_dataset, number_cell, read_csv_rows
 from .initializers import parse_scheme, scheme_label
 from .metrics import (
     EvalReport,
@@ -61,6 +61,9 @@ __all__ = [
 SMOOTHERS = ("none", "moving_average", "median", "fixed_attention", "random_transformer")
 
 SWEEP_AXES = ("window", "d_k", "init", "heads_layers", "components")
+
+# One sweep row: the grid point, then its scores (sweep.csv has these columns).
+_SWEEP_HEADER = ["axis", "value", "seed", "accuracy", "weighted_f1", "wte", "lsii"]
 
 # Named component bundles for the ablation sweep. Bundles that drop the
 # output linear also drop the residual, so the attention output may keep its
@@ -175,9 +178,22 @@ def config_digest(resolved: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _typed(value, kind: type, key: str, none_ok: bool = False):
+    # Exact types, so a config is never coerced: JSON true/false load as bool,
+    # a subclass of int, and bool("no") is True.
+    if type(value) is not kind and not (none_ok and value is None):
+        raise ValueError(f"config key {key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def _encoder_from_dict(entry: dict) -> EncoderConfig:
+    _typed(entry, dict, "encoder")
     if "seed" in entry:
         raise ValueError("encoder.seed is not a config key: each run seed in 'seeds' sets it")
+    defaults = asdict(EncoderConfig())
+    for key, value in entry.items():
+        if key in defaults:  # other keys fail in EncoderConfig below
+            _typed(value, str if key == "init" else type(defaults[key]), f"encoder.{key}")
     kwargs = dict(entry)
     if "init" in kwargs:
         kwargs["init"] = parse_scheme(kwargs["init"])
@@ -202,15 +218,16 @@ def load_run_config(entry: dict) -> RunConfig:
             synth = SynthConfig(**entry["synth"])
         except TypeError as exc:
             raise ValueError(f"bad synth config: {exc}") from None
-    encoder = _encoder_from_dict(entry.get("encoder", {}))
+    dataset = entry.get("dataset", entry.get("dataset_path"))
+    seeds = _typed(entry.get("seeds", list(DEFAULT_SEEDS)), list, "seeds")
     return RunConfig(
         synth=synth,
-        dataset_path=entry.get("dataset", entry.get("dataset_path")),
+        dataset_path=_typed(dataset, str, "dataset", none_ok=True),
         smoother=entry.get("smoother", "random_transformer"),
-        encoder=encoder,
-        metric_window=entry.get("metric_window"),
-        seeds=tuple(entry.get("seeds", DEFAULT_SEEDS)),
-        integer_median=bool(entry.get("integer_median", False)),
+        encoder=_encoder_from_dict(entry.get("encoder", {})),
+        metric_window=_typed(entry.get("metric_window"), int, "metric_window", none_ok=True),
+        seeds=tuple(_typed(s, int, f"seeds[{i}]") for i, s in enumerate(seeds)),
+        integer_median=_typed(entry.get("integer_median", False), bool, "integer_median"),
     )
 
 
@@ -448,30 +465,11 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     for value, cfg in configs:
         result = _evaluate(cfg, dataset)
         for report in result.per_seed:
-            rows.append(
-                {
-                    "axis": spec.axis,
-                    "value": value,
-                    "seed": report.seed,
-                    "accuracy": report.accuracy,
-                    "weighted_f1": report.weighted_f1,
-                    "wte": report.wte,
-                    "lsii": report.lsii,
-                }
-            )
-        agg = result.aggregate
+            scores = [getattr(report, key) for key in _SWEEP_HEADER[3:]]
+            rows.append(dict(zip(_SWEEP_HEADER, [spec.axis, value, report.seed, *scores])))
         for tag in ("mean", "std"):
-            rows.append(
-                {
-                    "axis": spec.axis,
-                    "value": value,
-                    "seed": tag,
-                    "accuracy": agg[f"{tag}_accuracy"],
-                    "weighted_f1": agg[f"{tag}_weighted_f1"],
-                    "wte": agg[f"{tag}_wte"],
-                    "lsii": agg[f"{tag}_lsii"],
-                }
-            )
+            scores = [result.aggregate[f"{tag}_{key}"] for key in _SWEEP_HEADER[3:]]
+            rows.append(dict(zip(_SWEEP_HEADER, [spec.axis, value, tag, *scores])))
     rows.sort(key=lambda r: (_value_sort_key(r["value"]), _seed_sort_key(r["seed"])))
     return rows
 
@@ -546,46 +544,23 @@ def append_runs_csv(result: PipelineResult, path: str | Path) -> None:
             )
 
 
-_SWEEP_HEADER = ["axis", "value", "seed", "accuracy", "weighted_f1", "wte", "lsii"]
-
-
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SWEEP_HEADER)
         for r in rows:
-            writer.writerow(
-                [
-                    r["axis"],
-                    r["value"],
-                    r["seed"],
-                    repr(float(r["accuracy"])),
-                    repr(float(r["weighted_f1"])),
-                    repr(float(r["wte"])),
-                    "" if r["lsii"] is None else repr(float(r["lsii"])),
-                ]
-            )
+            cells = [r[key] for key in _SWEEP_HEADER]
+            # Scores as repr, so read_sweep_csv gets the same floats back.
+            writer.writerow(cells[:3] + ["" if x is None else repr(float(x)) for x in cells[3:]])
+
+
+def _sweep_row(row: list[str]) -> dict:
+    axis, value, seed, *scores, lsii_v = row
+    seed = seed if seed in ("mean", "std") else number_cell(seed, int)
+    lsii_v = None if lsii_v == "" else number_cell(lsii_v)
+    return dict(zip(_SWEEP_HEADER, [axis, value, seed, *map(number_cell, scores), lsii_v]))
 
 
 def read_sweep_csv(path: str | Path) -> list[dict]:
     """Parse a sweep CSV back into rows (lossless for repr-formatted floats)."""
-    rows: list[dict] = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _SWEEP_HEADER:
-            raise ValueError(f"{path}: unexpected sweep CSV header {header}")
-        for row in reader:
-            axis, value, seed, acc, wf1, wte_v, lsii_v = row
-            rows.append(
-                {
-                    "axis": axis,
-                    "value": value,
-                    "seed": int(seed) if seed not in ("mean", "std") else seed,
-                    "accuracy": float(acc),
-                    "weighted_f1": float(wf1),
-                    "wte": float(wte_v),
-                    "lsii": None if lsii_v == "" else float(lsii_v),
-                }
-            )
-    return rows
+    return read_csv_rows(path, _SWEEP_HEADER, _sweep_row)

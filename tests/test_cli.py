@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from rapklab import cli, dataio
 from rapklab.cli import main
 from rapklab.dataio import DatasetError, load_dataset
+from rapklab.harness import read_sweep_csv, write_sweep_csv
 from rapklab.initializers import InitScheme, analytic_variance
 from rapklab.montecarlo import centered_unit_sequence, monte_carlo_kernel
 from rapklab.seeding import mix_seed
@@ -64,6 +66,11 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "ds")])
     assert code == 1
     assert "bad synth config" in capsys.readouterr().err
+    for synth in ([1], {"t_len": 30.5}, {"seed": True}):  # never coerced
+        cfg.write_text(json.dumps({"synth": synth}))
+        out = str(tmp_path / "ds")
+        assert main(["simulate", "--config", str(cfg), "--out", out, "--classes", "3"]) == 1
+        assert "bad synth config" in capsys.readouterr().err
 
 
 def test_simulate_needs_out(capsys):
@@ -104,10 +111,10 @@ def test_smooth_eval_missing_config_file(tmp_path, capsys):
 def test_smooth_eval_invalid_config_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
-    assert main(["smooth-eval", "--config", str(path)]) == 1
+    assert main(["smooth-eval", "--config", str(path)]) == 2
     path.write_text("[1, 2]")
-    assert main(["smooth-eval", "--config", str(path)]) == 1
-    assert "config must be a JSON object" in capsys.readouterr().err
+    assert main(["smooth-eval", "--config", str(path)]) == 2
+    assert f"{path}: config is not a JSON object" in capsys.readouterr().err
 
 
 def test_smooth_eval_unknown_config_key(tmp_path, capsys):
@@ -125,6 +132,33 @@ def test_smooth_eval_rejects_encoder_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "encoder.seed" in err
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("seeds", 5, "seeds"),
+    ("seeds", "12", "seeds"),
+    ("seeds", [1.5], "seeds[0]"),
+    ("seeds", [True], "seeds[0]"),
+    ("metric_window", "5", "metric_window"),
+    ("integer_median", "no", "integer_median"),
+    ("encoder", [1], "encoder"),
+    ("encoder", {"use_ffn": "no"}, "encoder.use_ffn"),
+    ("encoder", {"d_k": 8.0}, "encoder.d_k"),
+    ("encoder", {"init": 5}, "encoder.init"),
+    ("dataset", 5, "dataset"),
+])
+def test_config_value_of_the_wrong_type_is_a_usage_error(key, value, name, tmp_path, capsys):
+    # Rejected, never coerced: bool("no") is True and JSON true is an int.
+    path = tmp_path / "c.json"
+    entry = {"synth": SYNTH, "smoother": "none", key: value}
+    if key == "dataset":
+        del entry["synth"]
+    path.write_text(json.dumps(entry))
+    for flags in ([], ["--window", "5"]):  # a flag merges into the file's encoder
+        assert main(["smooth-eval", "--config", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"config key {name} must be " in err
 
 
 def test_smooth_eval_missing_dataset_dir(tmp_path, capsys):
@@ -281,8 +315,6 @@ def test_metrics_argument_errors(tmp_path, capsys):
 
 
 def test_correlate(tmp_path, capsys):
-    from rapklab.harness import write_sweep_csv
-
     rows = [
         {"axis": "window", "value": 5, "seed": 1,
          "accuracy": 0.5, "weighted_f1": 0.5, "wte": 1.0, "lsii": 0.2},
@@ -364,8 +396,9 @@ def test_malformed_manifest_subject_is_a_dataset_error(case, tmp_path, capsys):
 
 
 def _rows(edit):
-    """Apply ``edit`` to the lines of a CSV text and rejoin them with CRLF endings."""
-    return lambda text: "".join(line + "\r\n" for line in edit(text.split("\r\n")[:-1]))
+    """Apply ``edit(lines, col)`` to the lines of a CSV text and rejoin them
+    with CRLF endings."""
+    return lambda text, col: "".join(line + "\r\n" for line in edit(text.split("\r\n")[:-1], col))
 
 
 def _cell(lines, row, col, value):
@@ -374,37 +407,57 @@ def _cell(lines, row, col, value):
     return [*lines[:row], ",".join(cells), *lines[row + 1:]]
 
 
-# Malformed (or merely unusual) CSVs: (file in subject_000, edit of its text,
-# the error after "<file>: ", or None where the file must load as the row
-# scan loads it). The subject has 20 rows, so its last line is 21.
+# Malformed (or merely unusual) CSVs: (file in subject_000 for the dataset
+# leg, edit of a CSV text given the numeric column the edit targets, the error
+# after "<file>: " or None where the file must load as the row scan loads it).
+# Every file has 20 data rows, so its last line is 21; {width} is its number of
+# columns. Each value an edit writes is a valid cell on every input path.
 _MALFORMED_CSV = {
     "blank_line_mid_file": (
-        "features.csv", _rows(lambda ls: [*ls[:3], "", *ls[3:]]), "row 4 has 0 cells"),
-    "trailing_blank_line": ("features.csv", _rows(lambda ls: [*ls, ""]), "row 22 has 0 cells"),
+        "features.csv", _rows(lambda ls, c: [*ls[:3], "", *ls[3:]]), "row 4 has 0 cells"),
+    "trailing_blank_line": ("features.csv", _rows(lambda ls, c: [*ls, ""]), "row 22 has 0 cells"),
     "hash_in_cell": (
-        "features.csv", _rows(lambda ls: _cell(ls, 2, 3, "0.5#1")),
+        "features.csv", _rows(lambda ls, c: _cell(ls, 2, c, "1#1")),
         "row 3 contains a non-numeric cell"),
-    "quoted_cell": ("features.csv", _rows(lambda ls: _cell(ls, 2, 0, '"0.5"')), None),
+    "quoted_cell": ("features.csv", _rows(lambda ls, c: _cell(ls, 2, c, '"1"')), None),
     "trailing_comma": (
-        "features.csv", _rows(lambda ls: _cell(ls, 2, 3, ls[2].split(",")[3] + ",")),
-        "row 3 has 5 cells, expected 4"),
+        "features.csv", _rows(lambda ls, c: [*ls[:2], ls[2] + ",", *ls[3:]]),
+        "row 3 has {over} cells, expected {width}"),
     "short_row": (
-        "features.csv", _rows(lambda ls: [*ls[:2], ls[2].rsplit(",", 1)[0], *ls[3:]]),
-        "row 3 has 3 cells, expected 4"),
-    "header_only": ("labels.csv", _rows(lambda ls: ls[:1]), "no data rows"),
-    "empty_file": ("labels.csv", lambda text: "", "empty file"),
-    "lf_line_endings": ("features.csv", lambda text: text.replace("\r\n", "\n"), None),
-    "spaces_around_number": ("features.csv", _rows(lambda ls: _cell(ls, 2, 1, " 0.5 ")), None),
+        "features.csv", _rows(lambda ls, c: [*ls[:2], ",".join(ls[2].split(",")[:-1]), *ls[3:]]),
+        "row 3 has {under} cells, expected {width}"),
+    "header_only": ("labels.csv", _rows(lambda ls, c: ls[:1]), "no data rows"),
+    "empty_file": ("labels.csv", lambda text, col: "", "empty file"),
+    "lf_line_endings": ("features.csv", lambda text, col: text.replace("\r\n", "\n"), None),
+    "spaces_around_number": ("features.csv", _rows(lambda ls, c: _cell(ls, 2, c, " 1 ")), None),
     "nan_in_features": (
-        "features.csv", _rows(lambda ls: _cell(ls, 2, 3, "nan")),
+        "features.csv", _rows(lambda ls, c: _cell(ls, 2, c, "nan")),
+        "row 3 contains a non-finite cell"),
+    "inf_cell": (
+        "features.csv", _rows(lambda ls, c: _cell(ls, 2, c, "-inf")),
         "row 3 contains a non-finite cell"),
     "cell_beyond_csv_field_limit": (
-        "features.csv", _rows(lambda ls: _cell(ls, 2, 1, "x" * 200_000)),
+        "features.csv", _rows(lambda ls, c: _cell(ls, 2, c, "x" * 200_000)),
         "row 3: field larger than field limit"),
     # "\udcff" is written as the raw byte 0xff (see the surrogateescape below).
-    "non_utf8_byte": ("labels.csv", _rows(lambda ls: [*ls[:2], "1\udcff", *ls[3:]]),
-                      "not UTF-8 text"),
+    "non_utf8_byte": ("labels.csv", _rows(lambda ls, c: [*ls[:2], "1\udcff", *ls[3:]]),
+                      "not UTF-8 text at row 3"),
 }
+
+
+def _apply_case(case, path, col):
+    """Edit ``path`` as catalogue ``case`` does; return the error fragment."""
+    _, edit, fragment = _MALFORMED_CSV[case]
+    text = path.read_bytes().decode("utf-8", "surrogateescape")
+    path.write_bytes(edit(text, col).encode("utf-8", "surrogateescape"))
+    width = text.split("\r\n", 1)[0].count(",") + 1
+    return fragment and fragment.format(width=width, over=width + 1, under=width - 1)
+
+
+def _assert_one_line_error(code, err, path, fragment):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{path}: {fragment}" in err
 
 
 @pytest.mark.filterwarnings("error")
@@ -415,17 +468,16 @@ def test_malformed_csv_loads_as_the_row_scan_does_or_fails_cleanly(case, tmp_pat
         "simulate", "--out", str(root), "--classes", "3", "--t-len", "20",
         "--subjects", "3", "--feat-dim", "4", "--seed", "1",
     ]) == 0
-    name, edit, fragment = _MALFORMED_CSV[case]
+    name = _MALFORMED_CSV[case][0]
+    header = ["stage"] if name == "labels.csv" else [f"f{j}" for j in range(4)]
     path = root / "subject_000" / name
-    text = path.read_bytes().decode("utf-8", "surrogateescape")
-    path.write_bytes(edit(text).encode("utf-8", "surrogateescape"))
+    fragment = _apply_case(case, path, len(header) - 1)
     capsys.readouterr()
     code = main(["smooth-eval", "--dataset", str(root), "--smoother", "none"])
     err = capsys.readouterr().err
 
     # The one-call parse and the row scan agree: the parse either hands the
     # file over (None or ValueError) or returns exactly what the scan returns.
-    header = ["stage"] if name == "labels.csv" else [f"f{j}" for j in range(4)]
     with path.open(encoding="utf-8", newline="") as fh:
         try:
             scanned = dataio._scan_table(fh, path, header)
@@ -445,9 +497,79 @@ def test_malformed_csv_loads_as_the_row_scan_does_or_fails_cleanly(case, tmp_pat
         loaded = load_dataset(root).subjects[0].features.data
         np.testing.assert_array_equal(loaded.view(np.uint64), scanned.view(np.uint64))
     else:
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"{path}: {fragment}" in err
+        _assert_one_line_error(code, err, path, fragment)
+
+
+# The other CSV input paths: (command given the edited file and a clean copy,
+# the numeric column the catalogue's edits target). The label paths read a
+# stage CSV and correlate reads a sweep CSV, whose column 3 is the accuracy.
+_CSV_PATHS = {
+    "metrics_labels": (lambda bad, good: ["metrics", "--labels", bad], 0),
+    "metrics_none": (
+        lambda bad, good: ["metrics", "--none", bad, "--corr", good, "--window", "5"], 0),
+    "metrics_corr": (
+        lambda bad, good: ["metrics", "--none", good, "--corr", bad, "--window", "5"], 0),
+    "correlate_csv": (lambda bad, good: ["correlate", "--csv", bad], 3),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CSV))
+@pytest.mark.parametrize("input_path", sorted(_CSV_PATHS))
+def test_malformed_csv_on_every_other_input_path(input_path, case, tmp_path, capsys):
+    command, col = _CSV_PATHS[input_path]
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    if input_path == "correlate_csv":
+        write_sweep_csv([
+            {"axis": "window", "value": 5, "seed": i, "accuracy": 0.5 + 0.02 * i,
+             "weighted_f1": 0.4 + 0.01 * i, "wte": 1.0 - 0.03 * i, "lsii": 0.1 * i % 0.7}
+            for i in range(20)
+        ], good)
+    else:
+        good.write_bytes(b"stage\r\n" + b"".join(b"%d\r\n" % (i % 3) for i in range(20)))
+    bad.write_bytes(good.read_bytes())
+    fragment = _apply_case(case, bad, col)
+    code = main(command(str(bad), str(good)))
+    err = capsys.readouterr().err
+    if fragment is None:
+        assert code == 0 and err == ""
+        with bad.open(encoding="utf-8", newline="") as fh:
+            want = [float(row[col]) for row in list(csv.reader(fh))[1:]]
+        if input_path == "correlate_csv":
+            assert [row["accuracy"] for row in read_sweep_csv(bad)] == want
+        else:
+            assert dataio.read_label_csv(bad).tolist() == want
+    else:
+        _assert_one_line_error(code, err, bad, fragment)
+
+
+# Broken JSON inputs: each edits the file it is given.
+_MALFORMED_JSON = {
+    "non_utf8_byte": lambda path: path.write_bytes(path.read_bytes() + b"\xff"),
+    "invalid_json": lambda path: path.write_text("{nope"),
+    "json_list": lambda path: path.write_text("[1, 2]"),
+    "missing_file": lambda path: path.unlink(),
+    "directory": lambda path: (path.unlink(), path.mkdir()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_JSON))
+@pytest.mark.parametrize("target", ["config", "manifest"])
+def test_malformed_json_is_a_one_line_exit_2(target, case, tmp_path, capsys):
+    root = tmp_path / "ds"
+    assert main([
+        "simulate", "--out", str(root), "--classes", "3", "--t-len", "20",
+        "--subjects", "3", "--feat-dim", "4", "--seed", "1",
+    ]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": str(root), "smoother": "none", "seeds": [1]}))
+    path = config if target == "config" else root / "manifest.json"
+    _MALFORMED_JSON[case](path)
+    capsys.readouterr()
+    assert main(["smooth-eval", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 @pytest.mark.filterwarnings("error")

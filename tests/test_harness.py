@@ -5,7 +5,7 @@ import pytest
 
 from rapklab import harness
 from rapklab.attention import EncoderConfig
-from rapklab.dataio import save_dataset
+from rapklab.dataio import DatasetError, save_dataset
 from rapklab.harness import (
     COMPONENT_BUNDLES,
     SMOOTHERS,
@@ -330,7 +330,7 @@ def test_sweep_csv_round_trip(tmp_path):
             assert parsed[key] == orig[key]  # repr round trip is exact
         assert parsed["lsii"] == orig["lsii"]
     (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(DatasetError, match="header"):
         read_sweep_csv(tmp_path / "bad.csv")
 
 
