@@ -6,9 +6,8 @@ Subcommands: ``simulate`` (write a synthetic dataset), ``smooth-eval``
 (logit concentration across schemes), ``metrics`` (WTE/LSII on label CSVs),
 and ``correlate`` (metric-accuracy correlations over a sweep CSV).
 
-Exit codes: 0 on success; 2 when an input file cannot be read, decoded or
-parsed into the expected shape, or a dataset, label CSV or sweep CSV is
-malformed; 1 on a usage error or a config value that parses but is invalid.
+Exit codes: 0 on success, 1 on a usage error or an invalid config value, 2
+when an input file cannot be read or a dataset, label or sweep file is faulty.
 """
 
 from __future__ import annotations
@@ -190,8 +189,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _cmd_simulate(args) -> int:
-    synth = _load_config_file(args.config).get("synth", {})
-    flags = {
+    entry = _load_config_file(args.config).get("synth", {})
+    overrides = {
         "seed": args.seed,
         "n_classes": args.classes,
         "t_len": args.t_len,
@@ -203,7 +202,7 @@ def _cmd_simulate(args) -> int:
         "label_noise": args.label_noise,
     }
     try:  # a "synth" that is not an object fails here as well
-        cfg = SynthConfig(**{**synth, **{k: v for k, v in flags.items() if v is not None}})
+        cfg = SynthConfig(**{**entry, **{k: v for k, v in overrides.items() if v is not None}})
     except TypeError as exc:
         raise ValueError(f"bad synth config: {exc}") from None
     out = _ensure_out(args)
@@ -329,6 +328,9 @@ def _stage_sequences(paths: list[Path], n_classes: int | None) -> list[StageSequ
     if n_classes is not None and n_classes < 1:
         raise ValueError(f"--classes must be >= 1, got {n_classes}")
     labels = [read_label_csv(path, n_classes) for path in paths]
+    if len({len(a) for a in labels}) > 1:  # --none and --corr label the same epochs
+        raise DatasetError(
+            f"{paths[1]} has {len(labels[1])} rows but {paths[0]} has {len(labels[0])}")
     # Without --classes the label space is the smallest that holds every file.
     c = n_classes if n_classes is not None else max(int(a.max()) for a in labels) + 1
     return [StageSequence(a, c) for a in labels]
@@ -355,8 +357,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    rows = read_sweep_csv(args.csv)
-    r_lsii, r_wte = correlation_study(rows)
+    try:  # too few usable rows, or no spread, is a fault of the sweep CSV
+        r_lsii, r_wte = correlation_study(read_sweep_csv(args.csv))
+    except ValueError as exc:
+        raise DatasetError(f"{args.csv}: {exc}") from None
     print(json.dumps({"r_lsii_acc": r_lsii, "r_wte_acc": r_wte}, indent=2, sort_keys=True))
     return 0
 

@@ -19,9 +19,8 @@ cells, label ranges, and row counts, and raises ``DatasetError`` naming the
 offending file and row; ``probs.csv`` may be absent, in which case the
 subject loads with probabilities missing.
 
-The program's other input files are read here too: config files by
-``read_json_object`` and sweep CSVs by ``read_csv_rows``, through the same
-row scan, so every read fault is a ``DatasetError`` naming the file.
+Config files (``read_json_object``) and sweep CSVs (``read_csv_rows``, the
+same row scan) are read here too, so every read fault is a ``DatasetError``.
 """
 
 from __future__ import annotations

@@ -179,8 +179,7 @@ def config_digest(resolved: dict) -> str:
 
 
 def _typed(value, kind: type, key: str, none_ok: bool = False):
-    # Exact types, so a config is never coerced: JSON true/false load as bool,
-    # a subclass of int, and bool("no") is True.
+    # Exact types, never coerced: JSON true is an int and bool("no") is True.
     if type(value) is not kind and not (none_ok and value is None):
         raise ValueError(f"config key {key} must be of type {kind.__name__}, got {value!r}")
     return value

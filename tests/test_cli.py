@@ -312,6 +312,11 @@ def test_metrics_argument_errors(tmp_path, capsys):
     assert main(["metrics", "--labels", str(tmp_path / "ghost.csv")]) == 2
     assert main(["metrics", "--labels", str(none_p), "--classes", "0"]) == 1
     assert "--classes must be >= 1" in capsys.readouterr().err
+    # Files that disagree are a fault of the input, not of the arguments.
+    corr_p = tmp_path / "corr.csv"
+    corr_p.write_text("stage\n0\n1\n1\n")
+    assert main(["metrics", "--none", str(none_p), "--corr", str(corr_p), "--window", "2"]) == 2
+    assert f"{corr_p} has 3 rows but {none_p} has 2" in capsys.readouterr().err
 
 
 def test_correlate(tmp_path, capsys):
@@ -330,6 +335,10 @@ def test_correlate(tmp_path, capsys):
     assert out["r_lsii_acc"] == pytest.approx(1.0)
     assert out["r_wte_acc"] == pytest.approx(-1.0)
     assert main(["correlate", "--csv", str(tmp_path / "absent.csv")]) == 2
+    write_sweep_csv(rows[:2], path)  # too few rows to correlate
+    capsys.readouterr()
+    assert main(["correlate", "--csv", str(path)]) == 2
+    assert f"{path}: need at least 3 per-seed rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
