@@ -27,6 +27,7 @@ from .harness import (
     SMOOTHERS,
     SweepSpec,
     append_runs_csv,
+    check_section_types,
     correlation_study,
     load_run_config,
     read_sweep_csv,
@@ -73,7 +74,11 @@ _ENC_FLAGS = tuple(f.name for f in fields(EncoderConfig) if f.name.startswith("u
 
 # Run options that set an encoder field: argument name -> EncoderConfig field.
 _ENC_ARGS = {
-    "window": "window_w", "dk": "d_k", "init": "init", "heads": "n_heads", "layers": "n_layers",
+    "window": "window_w",
+    "dk": "d_k",
+    "init": "init",
+    "heads": "n_heads",
+    "layers": "n_layers",
     **{flag: flag for flag in _ENC_FLAGS},
 }
 
@@ -201,8 +206,12 @@ def _cmd_simulate(args) -> int:
         "noise_std": args.noise_std,
         "label_noise": args.label_noise,
     }
-    try:  # a "synth" that is not an object fails here as well
-        cfg = SynthConfig(**{**entry, **{k: v for k, v in overrides.items() if v is not None}})
+    entry = dict(check_section_types(entry, SynthConfig, "synth"))
+    for key, value in overrides.items():
+        if value is not None:
+            entry[key] = value
+    try:
+        cfg = SynthConfig(**entry)
     except TypeError as exc:
         raise ValueError(f"bad synth config: {exc}") from None
     out = _ensure_out(args)
@@ -328,9 +337,6 @@ def _stage_sequences(paths: list[Path], n_classes: int | None) -> list[StageSequ
     if n_classes is not None and n_classes < 1:
         raise ValueError(f"--classes must be >= 1, got {n_classes}")
     labels = [read_label_csv(path, n_classes) for path in paths]
-    if len({len(a) for a in labels}) > 1:  # --none and --corr label the same epochs
-        raise DatasetError(
-            f"{paths[1]} has {len(labels[1])} rows but {paths[0]} has {len(labels[0])}")
     # Without --classes the label space is the smallest that holds every file.
     c = n_classes if n_classes is not None else max(int(a.max()) for a in labels) + 1
     return [StageSequence(a, c) for a in labels]

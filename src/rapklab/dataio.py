@@ -245,19 +245,24 @@ def _load_subject(root: Path, entry: dict, n_classes: int, feat_dim: int) -> Sub
     sub_dir = root / sub_id
     feats = _read_table(sub_dir / "features.csv", [f"f{j}" for j in range(feat_dim)])
     labels = read_label_csv(sub_dir / "labels.csv", n_classes)
+    if feats.shape[0] != labels.shape[0]:
+        raise DatasetError(
+            f"{sub_dir}: features.csv has {feats.shape[0]} rows "
+            f"but labels.csv has {labels.shape[0]}"
+        )
+    probs = None
     probs_path = sub_dir / "probs.csv"
-    table = None
     if probs_path.is_file():
         table = _read_table(probs_path, [f"p{j}" for j in range(n_classes)])
-    for name, rows in (("features.csv", feats), ("probs.csv", table)):
-        if rows is not None and rows.shape[0] != labels.shape[0]:
+        if table.shape[0] != labels.shape[0]:
             raise DatasetError(
-                f"{sub_dir}: {name} has {rows.shape[0]} rows but labels.csv has {labels.shape[0]}"
+                f"{sub_dir}: probs.csv has {table.shape[0]} rows "
+                f"but labels.csv has {labels.shape[0]}"
             )
-    try:
-        probs = None if table is None else ProbSequence(table)
-    except ValueError as exc:
-        raise DatasetError(f"{probs_path}: {exc}") from None
+        try:
+            probs = ProbSequence(table)
+        except ValueError as exc:
+            raise DatasetError(f"{probs_path}: {exc}") from None
     expected_t = entry.get("t_len")
     if expected_t is not None and expected_t != labels.shape[0]:
         raise DatasetError(

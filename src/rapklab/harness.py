@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,7 @@ __all__ = [
     "run_config_dict",
     "config_digest",
     "load_run_config",
+    "check_section_types",
     "run_pipeline",
     "run_sweep",
     "correlation_study",
@@ -61,9 +62,6 @@ __all__ = [
 SMOOTHERS = ("none", "moving_average", "median", "fixed_attention", "random_transformer")
 
 SWEEP_AXES = ("window", "d_k", "init", "heads_layers", "components")
-
-# One sweep row: the grid point, then its scores (sweep.csv has these columns).
-_SWEEP_HEADER = ["axis", "value", "seed", "accuracy", "weighted_f1", "wte", "lsii"]
 
 # Named component bundles for the ablation sweep. Bundles that drop the
 # output linear also drop the residual, so the attention output may keep its
@@ -180,19 +178,29 @@ def config_digest(resolved: dict) -> str:
 
 def _typed(value, kind: type, key: str, none_ok: bool = False):
     # Exact types, never coerced: JSON true is an int and bool("no") is True.
-    if type(value) is not kind and not (none_ok and value is None):
-        raise ValueError(f"config key {key} must be of type {kind.__name__}, got {value!r}")
-    return value
+    # The one exception is an int where a float is expected.
+    if type(value) is kind or (none_ok and value is None) or (kind is float and type(value) is int):
+        return value
+    raise ValueError(f"config key {key} must be of type {kind.__name__}, got {value!r}")
+
+
+def check_section_types(entry, cls: type, section: str, **kinds: type) -> dict:
+    """Return config section ``entry`` after checking that it is an object and
+    that each field of dataclass ``cls`` in it has the type of the field's
+    default; ``kinds`` gives the JSON type of a field that is parsed first."""
+    _typed(entry, dict, section)
+    defaults = cls()
+    for f in fields(cls):
+        if f.name in entry:  # an unknown key fails when cls is built
+            kind = kinds.get(f.name, type(getattr(defaults, f.name)))
+            _typed(entry[f.name], kind, f"{section}.{f.name}")
+    return entry
 
 
 def _encoder_from_dict(entry: dict) -> EncoderConfig:
-    _typed(entry, dict, "encoder")
+    check_section_types(entry, EncoderConfig, "encoder", init=str)
     if "seed" in entry:
         raise ValueError("encoder.seed is not a config key: each run seed in 'seeds' sets it")
-    defaults = asdict(EncoderConfig())
-    for key, value in entry.items():
-        if key in defaults:  # other keys fail in EncoderConfig below
-            _typed(value, str if key == "init" else type(defaults[key]), f"encoder.{key}")
     kwargs = dict(entry)
     if "init" in kwargs:
         kwargs["init"] = parse_scheme(kwargs["init"])
@@ -214,7 +222,7 @@ def load_run_config(entry: dict) -> RunConfig:
     synth = None
     if entry.get("synth") is not None:
         try:
-            synth = SynthConfig(**entry["synth"])
+            synth = SynthConfig(**check_section_types(entry["synth"], SynthConfig, "synth"))
         except TypeError as exc:
             raise ValueError(f"bad synth config: {exc}") from None
     dataset = entry.get("dataset", entry.get("dataset_path"))
@@ -464,11 +472,30 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     for value, cfg in configs:
         result = _evaluate(cfg, dataset)
         for report in result.per_seed:
-            scores = [getattr(report, key) for key in _SWEEP_HEADER[3:]]
-            rows.append(dict(zip(_SWEEP_HEADER, [spec.axis, value, report.seed, *scores])))
+            rows.append(
+                {
+                    "axis": spec.axis,
+                    "value": value,
+                    "seed": report.seed,
+                    "accuracy": report.accuracy,
+                    "weighted_f1": report.weighted_f1,
+                    "wte": report.wte,
+                    "lsii": report.lsii,
+                }
+            )
+        agg = result.aggregate
         for tag in ("mean", "std"):
-            scores = [result.aggregate[f"{tag}_{key}"] for key in _SWEEP_HEADER[3:]]
-            rows.append(dict(zip(_SWEEP_HEADER, [spec.axis, value, tag, *scores])))
+            rows.append(
+                {
+                    "axis": spec.axis,
+                    "value": value,
+                    "seed": tag,
+                    "accuracy": agg[f"{tag}_accuracy"],
+                    "weighted_f1": agg[f"{tag}_weighted_f1"],
+                    "wte": agg[f"{tag}_wte"],
+                    "lsii": agg[f"{tag}_lsii"],
+                }
+            )
     rows.sort(key=lambda r: (_value_sort_key(r["value"]), _seed_sort_key(r["seed"])))
     return rows
 
@@ -543,21 +570,38 @@ def append_runs_csv(result: PipelineResult, path: str | Path) -> None:
             )
 
 
+_SWEEP_HEADER = ["axis", "value", "seed", "accuracy", "weighted_f1", "wte", "lsii"]
+
+
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SWEEP_HEADER)
         for r in rows:
-            cells = [r[key] for key in _SWEEP_HEADER]
-            # Scores as repr, so read_sweep_csv gets the same floats back.
-            writer.writerow(cells[:3] + ["" if x is None else repr(float(x)) for x in cells[3:]])
+            writer.writerow(
+                [
+                    r["axis"],
+                    r["value"],
+                    r["seed"],
+                    repr(float(r["accuracy"])),
+                    repr(float(r["weighted_f1"])),
+                    repr(float(r["wte"])),
+                    "" if r["lsii"] is None else repr(float(r["lsii"])),
+                ]
+            )
 
 
 def _sweep_row(row: list[str]) -> dict:
-    axis, value, seed, *scores, lsii_v = row
-    seed = seed if seed in ("mean", "std") else number_cell(seed, int)
-    lsii_v = None if lsii_v == "" else number_cell(lsii_v)
-    return dict(zip(_SWEEP_HEADER, [axis, value, seed, *map(number_cell, scores), lsii_v]))
+    axis, value, seed, acc, wf1, wte_v, lsii_v = row
+    return {
+        "axis": axis,
+        "value": value,
+        "seed": seed if seed in ("mean", "std") else number_cell(seed, int),
+        "accuracy": number_cell(acc),
+        "weighted_f1": number_cell(wf1),
+        "wte": number_cell(wte_v),
+        "lsii": None if lsii_v == "" else number_cell(lsii_v),
+    }
 
 
 def read_sweep_csv(path: str | Path) -> list[dict]:

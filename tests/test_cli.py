@@ -70,7 +70,7 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
         cfg.write_text(json.dumps({"synth": synth}))
         out = str(tmp_path / "ds")
         assert main(["simulate", "--config", str(cfg), "--out", out, "--classes", "3"]) == 1
-        assert "bad synth config" in capsys.readouterr().err
+        assert "config key synth" in capsys.readouterr().err
 
 
 def test_simulate_needs_out(capsys):
@@ -312,11 +312,6 @@ def test_metrics_argument_errors(tmp_path, capsys):
     assert main(["metrics", "--labels", str(tmp_path / "ghost.csv")]) == 2
     assert main(["metrics", "--labels", str(none_p), "--classes", "0"]) == 1
     assert "--classes must be >= 1" in capsys.readouterr().err
-    # Files that disagree are a fault of the input, not of the arguments.
-    corr_p = tmp_path / "corr.csv"
-    corr_p.write_text("stage\n0\n1\n1\n")
-    assert main(["metrics", "--none", str(none_p), "--corr", str(corr_p), "--window", "2"]) == 2
-    assert f"{corr_p} has 3 rows but {none_p} has 2" in capsys.readouterr().err
 
 
 def test_correlate(tmp_path, capsys):
@@ -405,9 +400,10 @@ def test_malformed_manifest_subject_is_a_dataset_error(case, tmp_path, capsys):
 
 
 def _rows(edit):
-    """Apply ``edit(lines, col)`` to the lines of a CSV text and rejoin them
-    with CRLF endings."""
-    return lambda text, col: "".join(line + "\r\n" for line in edit(text.split("\r\n")[:-1], col))
+    """Apply ``edit(lines, col, num)`` to the lines of a CSV text and rejoin
+    them with CRLF endings."""
+    return lambda text, col, num: "".join(
+        line + "\r\n" for line in edit(text.split("\r\n")[:-1], col, num))
 
 
 def _cell(lines, row, col, value):
@@ -416,49 +412,55 @@ def _cell(lines, row, col, value):
     return [*lines[:row], ",".join(cells), *lines[row + 1:]]
 
 
-# Malformed (or merely unusual) CSVs: (file in subject_000 for the dataset
-# leg, edit of a CSV text given the numeric column the edit targets, the error
-# after "<file>: " or None where the file must load as the row scan loads it).
-# Every file has 20 data rows, so its last line is 21; {width} is its number of
-# columns. Each value an edit writes is a valid cell on every input path.
+# Malformed (or merely unusual) CSVs: (file in subject_000 and the column that
+# a cell edit targets there, edit of a CSV text given a column and a number to
+# write, the error after "<file>: " or None where the file must load as the row
+# scan loads it). The dataset leg writes "0.5" into the listed column; the
+# other input paths write "1" into their own numeric column. Every file has 20
+# data rows, so its last line is 21; {width} is its number of columns.
 _MALFORMED_CSV = {
     "blank_line_mid_file": (
-        "features.csv", _rows(lambda ls, c: [*ls[:3], "", *ls[3:]]), "row 4 has 0 cells"),
-    "trailing_blank_line": ("features.csv", _rows(lambda ls, c: [*ls, ""]), "row 22 has 0 cells"),
+        "features.csv", None, _rows(lambda ls, c, n: [*ls[:3], "", *ls[3:]]), "row 4 has 0 cells"),
+    "trailing_blank_line": (
+        "features.csv", None, _rows(lambda ls, c, n: [*ls, ""]), "row 22 has 0 cells"),
     "hash_in_cell": (
-        "features.csv", _rows(lambda ls, c: _cell(ls, 2, c, "1#1")),
+        "features.csv", 3, _rows(lambda ls, c, n: _cell(ls, 2, c, n + "#1")),
         "row 3 contains a non-numeric cell"),
-    "quoted_cell": ("features.csv", _rows(lambda ls, c: _cell(ls, 2, c, '"1"')), None),
+    "quoted_cell": ("features.csv", 0, _rows(lambda ls, c, n: _cell(ls, 2, c, f'"{n}"')), None),
     "trailing_comma": (
-        "features.csv", _rows(lambda ls, c: [*ls[:2], ls[2] + ",", *ls[3:]]),
+        "features.csv", None, _rows(lambda ls, c, n: [*ls[:2], ls[2] + ",", *ls[3:]]),
         "row 3 has {over} cells, expected {width}"),
     "short_row": (
-        "features.csv", _rows(lambda ls, c: [*ls[:2], ",".join(ls[2].split(",")[:-1]), *ls[3:]]),
+        "features.csv", None,
+        _rows(lambda ls, c, n: [*ls[:2], ",".join(ls[2].split(",")[:-1]), *ls[3:]]),
         "row 3 has {under} cells, expected {width}"),
-    "header_only": ("labels.csv", _rows(lambda ls, c: ls[:1]), "no data rows"),
-    "empty_file": ("labels.csv", lambda text, col: "", "empty file"),
-    "lf_line_endings": ("features.csv", lambda text, col: text.replace("\r\n", "\n"), None),
-    "spaces_around_number": ("features.csv", _rows(lambda ls, c: _cell(ls, 2, c, " 1 ")), None),
+    "header_only": ("labels.csv", None, _rows(lambda ls, c, n: ls[:1]), "no data rows"),
+    "empty_file": ("labels.csv", None, lambda text, col, num: "", "empty file"),
+    "lf_line_endings": (
+        "features.csv", None, lambda text, col, num: text.replace("\r\n", "\n"), None),
+    "spaces_around_number": (
+        "features.csv", 1, _rows(lambda ls, c, n: _cell(ls, 2, c, f" {n} ")), None),
     "nan_in_features": (
-        "features.csv", _rows(lambda ls, c: _cell(ls, 2, c, "nan")),
+        "features.csv", 3, _rows(lambda ls, c, n: _cell(ls, 2, c, "nan")),
         "row 3 contains a non-finite cell"),
     "inf_cell": (
-        "features.csv", _rows(lambda ls, c: _cell(ls, 2, c, "-inf")),
+        "features.csv", 3, _rows(lambda ls, c, n: _cell(ls, 2, c, "-inf")),
         "row 3 contains a non-finite cell"),
     "cell_beyond_csv_field_limit": (
-        "features.csv", _rows(lambda ls, c: _cell(ls, 2, c, "x" * 200_000)),
+        "features.csv", 1, _rows(lambda ls, c, n: _cell(ls, 2, c, "x" * 200_000)),
         "row 3: field larger than field limit"),
     # "\udcff" is written as the raw byte 0xff (see the surrogateescape below).
-    "non_utf8_byte": ("labels.csv", _rows(lambda ls, c: [*ls[:2], "1\udcff", *ls[3:]]),
+    "non_utf8_byte": ("labels.csv", None, _rows(lambda ls, c, n: [*ls[:2], "1\udcff", *ls[3:]]),
                       "not UTF-8 text at row 3"),
 }
 
 
-def _apply_case(case, path, col):
-    """Edit ``path`` as catalogue ``case`` does; return the error fragment."""
-    _, edit, fragment = _MALFORMED_CSV[case]
+def _apply_case(case, path, col, num):
+    """Edit ``path`` as catalogue ``case`` does, writing ``num`` into column
+    ``col`` where it edits a cell; return the error fragment."""
+    edit, fragment = _MALFORMED_CSV[case][2:]
     text = path.read_bytes().decode("utf-8", "surrogateescape")
-    path.write_bytes(edit(text, col).encode("utf-8", "surrogateescape"))
+    path.write_bytes(edit(text, col, num).encode("utf-8", "surrogateescape"))
     width = text.split("\r\n", 1)[0].count(",") + 1
     return fragment and fragment.format(width=width, over=width + 1, under=width - 1)
 
@@ -477,10 +479,10 @@ def test_malformed_csv_loads_as_the_row_scan_does_or_fails_cleanly(case, tmp_pat
         "simulate", "--out", str(root), "--classes", "3", "--t-len", "20",
         "--subjects", "3", "--feat-dim", "4", "--seed", "1",
     ]) == 0
-    name = _MALFORMED_CSV[case][0]
+    name, col = _MALFORMED_CSV[case][:2]
     header = ["stage"] if name == "labels.csv" else [f"f{j}" for j in range(4)]
     path = root / "subject_000" / name
-    fragment = _apply_case(case, path, len(header) - 1)
+    fragment = _apply_case(case, path, col, "0.5")
     capsys.readouterr()
     code = main(["smooth-eval", "--dataset", str(root), "--smoother", "none"])
     err = capsys.readouterr().err
@@ -537,7 +539,7 @@ def test_malformed_csv_on_every_other_input_path(input_path, case, tmp_path, cap
     else:
         good.write_bytes(b"stage\r\n" + b"".join(b"%d\r\n" % (i % 3) for i in range(20)))
     bad.write_bytes(good.read_bytes())
-    fragment = _apply_case(case, bad, col)
+    fragment = _apply_case(case, bad, col, "1")
     code = main(command(str(bad), str(good)))
     err = capsys.readouterr().err
     if fragment is None:
