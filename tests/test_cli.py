@@ -161,6 +161,13 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(key, value, name, tmp_p
         assert f"config key {name} must be " in err
 
 
+def test_config_accepts_an_int_where_a_float_is_expected(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"synth": {**SYNTH, "class_sep": 2}, "smoother": "none"}))
+    assert main(["smooth-eval", "--config", str(path), "--seed", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_smooth_eval_missing_dataset_dir(tmp_path, capsys):
     code = main(["smooth-eval", "--dataset", str(tmp_path / "nope"), "--smoother", "none"])
     assert code == 2
