@@ -34,6 +34,7 @@ from .initializers import (
     InitScheme,
     ProjectionSet,
     analytic_variance,
+    init_matrices,
     init_matrix,
     make_projection_set,
     parse_scheme,
@@ -105,6 +106,7 @@ __all__ = [
     "fixed_attention_smooth",
     "generator",
     "init_matrix",
+    "init_matrices",
     "kernel_mse",
     "layer_norm_rows",
     "linearized_softmax",

@@ -27,6 +27,7 @@ from .harness import (
     SMOOTHERS,
     SweepSpec,
     append_runs_csv,
+    check_config_keys,
     check_section_types,
     correlation_study,
     load_run_config,
@@ -194,7 +195,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _cmd_simulate(args) -> int:
-    entry = _load_config_file(args.config).get("synth", {})
+    # Keys of a run config other than "synth" are allowed and ignored here.
+    entry = check_config_keys(_load_config_file(args.config)).get("synth", {})
     overrides = {
         "seed": args.seed,
         "n_classes": args.classes,
@@ -307,17 +309,19 @@ def _cmd_kernel_validate(args) -> int:
 
 def _cmd_logit_stats(args) -> int:
     grid = _parse_int_list(args.dk_grid, "--dk-grid")
-    labels = [part for part in args.schemes.split(",") if part != ""]
+    if any(d_k < 1 for d_k in grid):
+        raise ValueError(f"--dk-grid values must be >= 1, got {args.dk_grid!r}")
+    schemes = [parse_scheme(part) for part in args.schemes.split(",") if part != ""]
     rng = generator(args.seed, 0xDD)
     x = FeatureSequence(args.row_scale * rng.standard_normal((args.t_len, args.dim)))
-    rows = []
-    for label in labels:
-        scheme = parse_scheme(label)
-        for d_k in grid:
-            for with_ln in (False, True):
-                rep = logit_concentration(x, scheme, d_k, with_ln, args.trials,
-                                          mix_seed(args.seed, d_k, int(with_ln)))
-                rows.append(asdict(rep))
+    # One call per (d_k, layernorm) setting, each returning a report per scheme.
+    settings = [
+        logit_concentration(x, schemes, d_k, with_ln, args.trials,
+                            mix_seed(args.seed, d_k, int(with_ln)))
+        for d_k in grid for with_ln in (False, True)
+    ]
+    # Rows run scheme by scheme, then over the d_k grid and layernorm off/on.
+    rows = [asdict(reports[i]) for i in range(len(schemes)) for reports in settings]
     out = _ensure_out(args)
     (out / "logit_stats.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     with (out / "logit_stats.csv").open("w", newline="") as fh:
@@ -351,7 +355,13 @@ def _cmd_metrics(args) -> int:
     if args.none is not None:
         if args.window is None:
             raise ValueError("LSII needs --window")
-        out["lsii"] = lsii(*_stage_sequences([args.none, args.corr], args.classes), args.window)
+        if args.window < 2:
+            raise ValueError(f"--window must be >= 2, got {args.window}")
+        pair = _stage_sequences([args.none, args.corr], args.classes)
+        try:  # with the window checked, what lsii rejects is the pair of files
+            out["lsii"] = lsii(*pair, args.window)
+        except ValueError as exc:
+            raise DatasetError(f"{args.none}, {args.corr}: {exc}") from None
     if not out:
         raise ValueError("nothing to compute: pass --labels and/or --none/--corr")
     text = json.dumps(out, indent=2, sort_keys=True)

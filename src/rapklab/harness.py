@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import EncoderConfig, build_encoder_weights
-from .dataio import load_dataset, number_cell, read_csv_rows
+from .dataio import DatasetError, load_dataset, number_cell, read_csv_rows
 from .initializers import parse_scheme, scheme_label
 from .metrics import (
     EvalReport,
@@ -49,6 +49,7 @@ __all__ = [
     "run_config_dict",
     "config_digest",
     "load_run_config",
+    "check_config_keys",
     "check_section_types",
     "run_pipeline",
     "run_sweep",
@@ -210,15 +211,23 @@ def _encoder_from_dict(entry: dict) -> EncoderConfig:
         raise ValueError(f"bad encoder config: {exc}") from None
 
 
-def load_run_config(entry: dict) -> RunConfig:
-    """Build a ``RunConfig`` from a JSON-style dict (e.g. a config file)."""
-    known = {
-        "synth", "dataset", "dataset_path", "smoother", "encoder",
-        "metric_window", "seeds", "integer_median",
-    }
-    unknown = set(entry) - known
+_RUN_CONFIG_KEYS = frozenset({
+    "synth", "dataset", "dataset_path", "smoother", "encoder",
+    "metric_window", "seeds", "integer_median",
+})
+
+
+def check_config_keys(entry: dict) -> dict:
+    """Return run config ``entry`` after checking that every top-level key is known."""
+    unknown = set(entry) - _RUN_CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return entry
+
+
+def load_run_config(entry: dict) -> RunConfig:
+    """Build a ``RunConfig`` from a JSON-style dict (e.g. a config file)."""
+    check_config_keys(entry)
     synth = None
     if entry.get("synth") is not None:
         try:
@@ -270,8 +279,11 @@ def _concat_labels(parts: list[StageSequence], n_classes: int) -> StageSequence:
 
 def _load_data(cfg: RunConfig) -> SynthDataset:
     if cfg.synth is not None:
-        return make_dataset(cfg.synth)
-    return load_dataset(cfg.dataset_path)
+        return make_dataset(cfg.synth)  # its splits are never empty
+    dataset = load_dataset(cfg.dataset_path)
+    if not dataset.split("train") or not dataset.split("test"):
+        raise DatasetError(f"{cfg.dataset_path}: dataset needs non-empty train and test splits")
+    return dataset
 
 
 def _smoothed_predictions(
@@ -339,8 +351,6 @@ def _evaluate(cfg: RunConfig, dataset: SynthDataset) -> PipelineResult:
     n_classes = dataset.n_classes
     train = dataset.split("train")
     test = dataset.split("test")
-    if not train or not test:
-        raise ValueError("dataset needs non-empty train and test splits")
 
     base_clf = fit_centroids(
         _concat_features(train, lambda sub: sub.features),

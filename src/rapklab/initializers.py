@@ -4,6 +4,8 @@ Eight initialization schemes: the fan-based Xavier/Kaiming rules in uniform
 and normal flavours, orthogonal factors (gain 1), and explicitly scaled
 uniform / normal / truncated-normal draws. Every draw is a pure function of
 (rows, cols, scheme, seed), so identical inputs give bit-identical matrices.
+At one seed every scheme transforms the same uniform or standard normal
+stream, so ``init_matrices`` builds many schemes from one draw of each.
 
 The Kaiming rules use fan-in with the ReLU gain sqrt(2); the truncated
 normal resamples out-of-range entries at +/- 2 sigma, so its realized
@@ -13,6 +15,7 @@ variance is below sigma^2 (see ``analytic_variance``).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,7 @@ __all__ = [
     "InitScheme",
     "ProjectionSet",
     "init_matrix",
+    "init_matrices",
     "analytic_variance",
     "make_projection_set",
     "parse_scheme",
@@ -45,6 +49,9 @@ SCHEME_KINDS = frozenset(
 
 # Kinds whose scale_param is the scheme's single free parameter.
 _SCALED_KINDS = frozenset({"uniform_bounded", "normal_std", "trunc_normal_std"})
+
+# Kinds drawn from the uniform stream; the others transform standard normals.
+_UNIFORM_KINDS = frozenset({"xavier_uniform", "kaiming_uniform", "uniform_bounded"})
 
 # Variance shrink factor of a normal truncated at +/- 2 sigma:
 # 1 - 2*alpha*phi(alpha) / (2*Phi(alpha) - 1) with alpha = 2.
@@ -98,13 +105,18 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & ((1 << 64) - 1)))
 
 
-def _orthogonal(rows: int, cols: int, seed: int) -> np.ndarray:
+def _orthogonal(rows: int, cols: int, seed: int, z: np.ndarray) -> np.ndarray:
     # QR of a Gaussian draw, sign-fixed on diag(R) so the factor is Haar and
-    # deterministic. Degenerate draws retry with a perturbed seed (3 attempts).
+    # deterministic. The first attempt factors ``z``, the (rows, cols)
+    # standard normal draw of ``seed``: it is filled row-major, so its reshape
+    # is the (n, m) draw. Degenerate draws retry with a perturbed seed (3
+    # attempts).
     n, m = (rows, cols) if rows >= cols else (cols, rows)
     for attempt in range(3):
-        s = seed if attempt == 0 else mix_seed(seed, _ORTHO_RETRY + attempt)
-        g = _rng(s).standard_normal((n, m))
+        if attempt == 0:
+            g = z.reshape(n, m)
+        else:
+            g = _rng(mix_seed(seed, _ORTHO_RETRY + attempt)).standard_normal((n, m))
         q, r = np.linalg.qr(g)
         diag = np.diag(r)
         if np.min(np.abs(diag)) <= 1e-12 * math.sqrt(n):
@@ -116,46 +128,85 @@ def _orthogonal(rows: int, cols: int, seed: int) -> np.ndarray:
     )
 
 
+def _scale(scheme: InitScheme, rows: int, cols: int) -> float:
+    # Half-width of a uniform kind, standard deviation of a normal kind.
+    kind = scheme.kind
+    if kind in _SCALED_KINDS:
+        return scheme.scale_param
+    if kind == "xavier_uniform":
+        return math.sqrt(6.0 / (rows + cols))
+    if kind == "xavier_normal":
+        return math.sqrt(2.0 / (rows + cols))
+    if kind == "kaiming_uniform":
+        # gain^2 = 2 (ReLU), fan-in = rows: bound sqrt(3 * 2 / rows).
+        return math.sqrt(6.0 / rows)
+    if kind == "kaiming_normal":
+        return math.sqrt(2.0 / rows)
+    raise AssertionError(f"unhandled scheme kind {kind!r}")
+
+
+def _normal(sd: float, z: np.ndarray) -> np.ndarray:
+    # numpy's normal(loc, scale) is loc + scale * z; here loc = 0.0, and the
+    # sum keeps its rounding of -0.0 to 0.0.
+    return 0.0 + sd * z
+
+
+def _trunc_normal(sd: float, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # Resample entries outside +/- 2 sigma from ``rng``; draw order is fixed,
+    # so the result is deterministic.
+    out = _normal(sd, z)
+    bad = np.abs(out) > 2.0 * sd
+    while bad.any():
+        out[bad] = _normal(sd, rng.standard_normal(int(bad.sum())))
+        bad = np.abs(out) > 2.0 * sd
+    return out
+
+
+def init_matrices(
+    rows: int, cols: int, schemes: Iterable[InitScheme], seed: int
+) -> Iterator[np.ndarray]:
+    """Yield ``init_matrix(rows, cols, s, seed)`` for each scheme ``s`` in turn.
+
+    Every scheme transforms one of two base streams of ``seed``, each drawn
+    at most once per call: the uniform doubles ``u`` and the standard normals
+    ``z``, both of shape (rows, cols). The transforms are numpy's own
+    (``uniform(low, high)`` is ``low + (high - low) * u``, ``normal(0, sd)``
+    is ``0.0 + sd * z``), so each matrix is bit for bit numpy's direct draw
+    at ``seed``. A truncated normal resamples from the generator state right
+    after ``z``, restored for each truncated scheme.
+    """
+    if rows < 1 or cols < 1:
+        raise ValueError(f"matrix shape must be positive, got ({rows}, {cols})")
+    u = z = None
+    for scheme in schemes:
+        kind = scheme.kind
+        if kind in _UNIFORM_KINDS:
+            if u is None:
+                u = _rng(seed).random((rows, cols))
+            high = _scale(scheme, rows, cols)
+            low = -high
+            yield low + (high - low) * u
+            continue
+        if z is None:
+            rng = _rng(seed)
+            z = rng.standard_normal((rows, cols))
+            after_z = rng.bit_generator.state
+        if kind == "orthogonal":
+            yield _orthogonal(rows, cols, seed, z)
+        elif kind == "trunc_normal_std":
+            rng.bit_generator.state = after_z
+            yield _trunc_normal(scheme.scale_param, z, rng)
+        else:
+            yield _normal(_scale(scheme, rows, cols), z)
+
+
 def init_matrix(rows: int, cols: int, scheme: InitScheme, seed: int) -> np.ndarray:
     """Draw a (rows, cols) float64 matrix under ``scheme``.
 
     Pure function of its inputs: identical (rows, cols, scheme, seed) yields
     bit-identical output.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape must be positive, got ({rows}, {cols})")
-    kind = scheme.kind
-    if kind == "orthogonal":
-        return _orthogonal(rows, cols, seed)
-
-    rng = _rng(seed)
-    if kind == "xavier_uniform":
-        a = math.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-a, a, size=(rows, cols))
-    if kind == "xavier_normal":
-        return rng.normal(0.0, math.sqrt(2.0 / (rows + cols)), size=(rows, cols))
-    if kind == "kaiming_uniform":
-        # gain^2 = 2 (ReLU), fan-in = rows: bound sqrt(3 * 2 / rows).
-        a = math.sqrt(6.0 / rows)
-        return rng.uniform(-a, a, size=(rows, cols))
-    if kind == "kaiming_normal":
-        return rng.normal(0.0, math.sqrt(2.0 / rows), size=(rows, cols))
-    if kind == "uniform_bounded":
-        a = scheme.scale_param
-        return rng.uniform(-a, a, size=(rows, cols))
-    if kind == "normal_std":
-        return rng.normal(0.0, scheme.scale_param, size=(rows, cols))
-    if kind == "trunc_normal_std":
-        # Resample entries outside +/- 2 sigma; draw order is fixed, so the
-        # result is deterministic.
-        sd = scheme.scale_param
-        out = rng.normal(0.0, sd, size=(rows, cols))
-        bad = np.abs(out) > 2.0 * sd
-        while bad.any():
-            out[bad] = rng.normal(0.0, sd, size=int(bad.sum()))
-            bad = np.abs(out) > 2.0 * sd
-        return out
-    raise AssertionError(f"unhandled scheme kind {kind!r}")
+    return next(init_matrices(rows, cols, (scheme,), seed))
 
 
 def analytic_variance(scheme: InitScheme, rows: int, cols: int) -> float:

@@ -4,11 +4,12 @@ Estimates E[O O^T] by averaging empirical kernels over freshly drawn
 projection sets, using the true softmax (not the linearization), and compares
 the estimate against the closed-form prediction as the projection width d_k
 grows. Also measures logit concentration: how tightly the attention logits
-cluster around zero for a given scheme and width.
+cluster around zero for a set of schemes at a given width.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .attention import attention_apply, attention_scores, empirical_kernel, laye
 from .initializers import (
     InitScheme,
     analytic_variance,
-    init_matrix,
+    init_matrices,
     make_projection_set,
     scheme_label,
 )
@@ -111,19 +112,25 @@ class LogitConcentrationReport:
 
 def logit_concentration(
     x: FeatureSequence,
-    scheme: InitScheme,
+    schemes: Sequence[InitScheme],
     d_k: int,
     with_layernorm: bool,
     trials: int,
     seed: int,
-) -> LogitConcentrationReport:
+) -> list[LogitConcentrationReport]:
     """Measure how tightly attention logits concentrate around zero.
 
-    Draws ``trials`` independent (W_Q, W_K) pairs, pools all T^2 logits per
-    trial, and reports the empirical mean/std, the analytic pooled std
+    Returns one report per scheme. Each draws ``trials`` independent
+    (W_Q, W_K) pairs, pools all T^2 logits per trial, and reports the
+    empirical mean/std, the analytic pooled std
     sqrt(sigma_Q^2 sigma_K^2) * mean_i ||x_i||^2, and the fraction of logits
     with |s| < ``LOGIT_EPS``. With ``with_layernorm`` the feature rows are
     layer-normalized before projection, which is what bounds the row norms.
+
+    The schemes share their random numbers: the role-``r`` matrices of trial
+    ``t`` all come from ``init_matrices`` at ``mix_seed(seed, t, r)``, so
+    each report is bit for bit that of a one-scheme call. Only the T x d_k
+    projections of a trial are kept, one role at a time.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100 for stable statistics, got {trials}")
@@ -131,35 +138,39 @@ def logit_concentration(
         raise ValueError(f"d_k must be >= 1, got {d_k}")
     rows = layer_norm_rows(x.data) if with_layernorm else x.data
     seq = FeatureSequence(rows)
-    var = analytic_variance(scheme, x.dim, d_k)
 
-    count = 0
-    total = 0.0
-    total_sq = 0.0
-    within = 0
+    total = [0.0] * len(schemes)
+    total_sq = [0.0] * len(schemes)
+    within = [0] * len(schemes)
     for trial in range(trials):
-        w_q = init_matrix(x.dim, d_k, scheme, mix_seed(seed, trial, _ROLE_Q))
-        w_k = init_matrix(x.dim, d_k, scheme, mix_seed(seed, trial, _ROLE_K))
-        s = (seq.data @ w_q) @ (seq.data @ w_k).T / np.sqrt(d_k)
-        count += s.size
-        total += float(s.sum())
-        total_sq += float(np.sum(s * s))
-        within += int(np.count_nonzero(np.abs(s) < LOGIT_EPS))
-    mean = total / count
-    variance = max(total_sq / count - mean**2, 0.0)
+        q, k = (
+            [seq.data @ w for w in init_matrices(x.dim, d_k, schemes, sub_seed)]
+            for sub_seed in (mix_seed(seed, trial, _ROLE_Q), mix_seed(seed, trial, _ROLE_K))
+        )
+        for i in range(len(schemes)):
+            s = q[i] @ k[i].T / np.sqrt(d_k)
+            total[i] += float(s.sum())
+            total_sq[i] += float(np.sum(s * s))
+            within[i] += int(np.count_nonzero(np.abs(s) < LOGIT_EPS))
+    count = trials * seq.t_len**2
 
     norms_sq = np.sum(seq.data**2, axis=1)
-    analytic_std = float(np.sqrt(var * var) * norms_sq.mean())
-    return LogitConcentrationReport(
-        scheme_label=scheme_label(scheme),
-        d_k=d_k,
-        with_layernorm=with_layernorm,
-        empirical_mean=mean,
-        empirical_std=float(np.sqrt(variance)),
-        analytic_std=analytic_std,
-        frac_within_eps=within / count,
-        trials=trials,
-    )
+    reports = []
+    for i, scheme in enumerate(schemes):
+        mean = total[i] / count
+        variance = max(total_sq[i] / count - mean**2, 0.0)
+        var = analytic_variance(scheme, x.dim, d_k)
+        reports.append(LogitConcentrationReport(
+            scheme_label=scheme_label(scheme),
+            d_k=d_k,
+            with_layernorm=with_layernorm,
+            empirical_mean=mean,
+            empirical_std=float(np.sqrt(variance)),
+            analytic_std=float(np.sqrt(var * var) * norms_sq.mean()),
+            frac_within_eps=within[i] / count,
+            trials=trials,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)

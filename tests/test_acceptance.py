@@ -238,15 +238,15 @@ def test_05_logit_concentration():
     # normalization visibly tightens the logits.
     x_big = FeatureSequence(3.0 * base_rows)
 
-    rep = logit_concentration(x_std, XAVIER, 128, False, trials=2000, seed=11)
+    (rep,) = logit_concentration(x_std, [XAVIER], 128, False, trials=2000, seed=11)
     assert rep.empirical_std == pytest.approx(rep.analytic_std, rel=0.10)
 
-    rep32 = logit_concentration(x_std, XAVIER, 32, False, trials=2000, seed=12)
-    rep1024 = logit_concentration(x_std, XAVIER, 1024, False, trials=2000, seed=12)
+    (rep32,) = logit_concentration(x_std, [XAVIER], 32, False, trials=2000, seed=12)
+    (rep1024,) = logit_concentration(x_std, [XAVIER], 1024, False, trials=2000, seed=12)
     assert rep1024.empirical_std < rep32.empirical_std
 
-    raw = logit_concentration(x_big, XAVIER, 512, False, trials=2000, seed=13)
-    normed = logit_concentration(x_big, XAVIER, 512, True, trials=2000, seed=13)
+    (raw,) = logit_concentration(x_big, [XAVIER], 512, False, trials=2000, seed=13)
+    (normed,) = logit_concentration(x_big, [XAVIER], 512, True, trials=2000, seed=13)
     assert normed.frac_within_eps >= raw.frac_within_eps
     print(
         f"PASS [logit-concentration] empirical {rep.empirical_std:.5f} vs analytic "

@@ -73,6 +73,23 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
         assert "config key synth" in capsys.readouterr().err
 
 
+def test_simulate_rejects_unknown_top_level_config_key(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    out = tmp_path / "ds"
+    cfg.write_text(json.dumps({"synht": {"n_classes": 3}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown config keys: ['synht']\n"
+    assert not out.exists()
+    # Known run-config keys are still read by smooth-eval only.
+    cfg.write_text(json.dumps({
+        "synth": {"n_classes": 3}, "smoother": "none", "seeds": [1], "metric_window": 4,
+    }))
+    args = ["--t-len", "20", "--subjects", "3", "--feat-dim", "4"]
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), *args]) == 0
+    assert load_dataset(out).n_classes == 3
+
+
 def test_simulate_needs_out(capsys):
     assert main(["simulate", "--classes", "3"]) == 1
     assert "required: --out" in capsys.readouterr().err
@@ -266,6 +283,37 @@ def test_kernel_validate_rejects_bad_args(tmp_path, capsys):
     assert "unknown init scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, fragment", [
+    (["--schemes", "xavier_uniform,orthogonal,glorot"], "unknown init scheme label 'glorot'"),
+    (["--schemes", "xavier_uniform,normal_x"], "bad numeric suffix"),
+    (["--dk-grid", "32,128,0"], "--dk-grid values must be >= 1"),
+    (["--dk-grid", "32,-4"], "--dk-grid values must be >= 1"),
+])
+def test_logit_stats_checks_every_argument_before_drawing(flags, fragment, tmp_path,
+                                                          monkeypatch, capsys):
+    def draw(*args, **kwargs):
+        raise AssertionError("logit-stats drew before checking its arguments")
+
+    monkeypatch.setattr(cli, "logit_concentration", draw)
+    assert main(["logit-stats", "--out", str(tmp_path / "ls"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+    assert not (tmp_path / "ls").exists()
+
+
+def test_logit_stats_rows_follow_scheme_then_dk_then_layernorm(tmp_path):
+    out = tmp_path / "ls"
+    assert main([
+        "logit-stats", "--out", str(out), "--t-len", "4", "--dim", "8", "--trials", "100",
+        "--dk-grid", "8,4", "--schemes", "orthogonal,uniform_0.1",
+    ]) == 0
+    lines = (out / "logit_stats.csv").read_text().splitlines()[1:]
+    assert [tuple(line.split(",")[:3]) for line in lines] == [
+        (s, d, ln) for s in ("orthogonal", "uniform_0.1") for d in ("8", "4")
+        for ln in ("False", "True")
+    ]
+
+
 def test_logit_stats(tmp_path, capsys):
     out = tmp_path / "ls"
     code = main([
@@ -316,9 +364,22 @@ def test_metrics_argument_errors(tmp_path, capsys):
     assert "nothing to compute" in err
     assert "both --none and --corr" in err
     assert "needs --window" in err
+    assert main(["metrics", "--none", str(none_p), "--corr", str(none_p), "--window", "1"]) == 1
+    assert "--window must be >= 2, got 1" in capsys.readouterr().err
     assert main(["metrics", "--labels", str(tmp_path / "ghost.csv")]) == 2
     assert main(["metrics", "--labels", str(none_p), "--classes", "0"]) == 1
     assert "--classes must be >= 1" in capsys.readouterr().err
+
+
+def test_metrics_lsii_files_of_different_lengths(tmp_path, capsys):
+    none_p = tmp_path / "none.csv"
+    corr_p = tmp_path / "corr.csv"
+    none_p.write_text("stage\n0\n1\n")
+    corr_p.write_text("stage\n0\n1\n1\n")
+    assert main(["metrics", "--none", str(none_p), "--corr", str(corr_p), "--window", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {none_p}, {corr_p}: ") and err.count("\n") == 1
+    assert "none=2, corrected=3" in err
 
 
 def test_correlate(tmp_path, capsys):
@@ -404,6 +465,26 @@ def test_malformed_manifest_subject_is_a_dataset_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"manifest.json: {fragment}" in err
+
+
+@pytest.mark.parametrize("missing", ["test", "train"])
+def test_dataset_with_an_empty_split_is_a_dataset_error(missing, tmp_path, capsys):
+    root = tmp_path / "ds"
+    assert main([
+        "simulate", "--out", str(root), "--classes", "3", "--t-len", "20",
+        "--subjects", "4", "--feat-dim", "4", "--seed", "1",
+    ]) == 0
+    manifest = json.loads((root / "manifest.json").read_text())
+    for entry in manifest["subjects"]:
+        if entry["split"] == missing:
+            entry["split"] = "val"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    for command in (["smooth-eval"], ["sweep", "--axis", "window", "--grid", "3",
+                                      "--out", str(tmp_path / "sw")]):
+        assert main([*command, "--dataset", str(root), "--smoother", "none"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {root}: dataset needs non-empty train and test splits\n"
 
 
 def _rows(edit):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from rapklab import initializers
 from rapklab.initializers import (
     InitScheme,
     TRUNC2_VAR_FACTOR,
     analytic_variance,
+    init_matrices,
     init_matrix,
     make_projection_set,
     parse_scheme,
@@ -23,6 +25,82 @@ ALL_LABELS = [
     "normal_0.02",
     "trunc_normal_0.02",
 ]
+
+# Every label, a second truncated-normal scale and repeated schemes: one
+# init_matrices call must serve them all. A subnormal scale rounds small
+# draws to zero, where numpy's loc + scale * z turns -0.0 into 0.0.
+ORACLE_LABELS = ALL_LABELS + [
+    "trunc_normal_0.5", "xavier_uniform", "trunc_normal_0.02", "orthogonal", "normal_1e-320",
+]
+
+
+def direct_draw(rows, cols, scheme, seed):
+    """The scheme drawn straight from numpy's samplers on a fresh generator."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    kind, p = scheme.kind, scheme.scale_param
+    shape = (rows, cols)
+    if kind == "xavier_uniform":
+        a = math.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-a, a, size=shape)
+    if kind == "kaiming_uniform":
+        a = math.sqrt(6.0 / rows)
+        return rng.uniform(-a, a, size=shape)
+    if kind == "uniform_bounded":
+        return rng.uniform(-p, p, size=shape)
+    if kind == "xavier_normal":
+        return rng.normal(0.0, math.sqrt(2.0 / (rows + cols)), size=shape)
+    if kind == "kaiming_normal":
+        return rng.normal(0.0, math.sqrt(2.0 / rows), size=shape)
+    if kind == "normal_std":
+        return rng.normal(0.0, p, size=shape)
+    if kind == "trunc_normal_std":
+        out = rng.normal(0.0, p, size=shape)
+        bad = np.abs(out) > 2.0 * p
+        while bad.any():
+            out[bad] = rng.normal(0.0, p, size=int(bad.sum()))
+            bad = np.abs(out) > 2.0 * p
+        return out
+    assert kind == "orthogonal"
+    q, r = np.linalg.qr(rng.standard_normal((max(shape), min(shape))))
+    q = q * np.sign(np.diag(r))[np.newaxis, :]
+    return q if rows >= cols else q.T
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (1, 1), (64, 48)])
+@pytest.mark.parametrize("seed", [0, 1, 29, 0xFEDCBA9876543210])
+def test_init_matrices_match_direct_numpy_draws(shape, seed):
+    # Bit for bit, so a numpy release that changes a sampler's formula fails here.
+    schemes = [parse_scheme(label) for label in ORACLE_LABELS]
+    got = list(init_matrices(*shape, schemes, seed))
+    assert len(got) == len(schemes)
+    for label, scheme, mat in zip(ORACLE_LABELS, schemes, got):
+        want = direct_draw(*shape, scheme, seed).view(np.uint64)
+        assert mat.shape == shape, label
+        np.testing.assert_array_equal(mat.view(np.uint64), want, err_msg=label)
+        np.testing.assert_array_equal(
+            init_matrix(*shape, scheme, seed).view(np.uint64), want, err_msg=label
+        )
+
+
+def test_init_matrices_draws_each_base_stream_once(monkeypatch):
+    made = []
+
+    def counting_rng(seed):
+        made.append(seed)
+        return np.random.Generator(np.random.PCG64(seed))
+
+    monkeypatch.setattr(initializers, "_rng", counting_rng)
+    schemes = [parse_scheme(label) for label in ORACLE_LABELS]
+    assert len(list(init_matrices(20, 8, schemes, 5))) == len(schemes)
+    assert made == [5, 5]  # one uniform stream, one standard normal stream
+    made.clear()
+    assert list(init_matrices(20, 8, [], 5)) == []
+    assert made == []
+
+
+def test_init_matrices_rejects_empty_shape():
+    with pytest.raises(ValueError, match="shape"):
+        list(init_matrices(0, 3, [parse_scheme("orthogonal")], 0))
 
 
 def test_init_matrix_deterministic():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rapklab.attention import attention_apply, attention_scores, empirical_kernel, softmax_rows
-from rapklab.initializers import InitScheme, analytic_variance, make_projection_set
+from rapklab.initializers import InitScheme, analytic_variance, make_projection_set, parse_scheme
 from rapklab.montecarlo import (
     centered_unit_sequence,
     dk_sweep_detail,
@@ -94,20 +94,35 @@ def test_kernel_pearson_near_zero_for_unrelated_matrices():
 def test_logit_concentration_contract():
     x = small_sequence(2)
     with pytest.raises(ValueError, match="trials"):
-        logit_concentration(x, XAVIER, 8, False, trials=50, seed=0)
-    rep = logit_concentration(x, XAVIER, 8, False, trials=100, seed=3)
+        logit_concentration(x, [XAVIER], 8, False, trials=50, seed=0)
+    (rep,) = logit_concentration(x, [XAVIER], 8, False, trials=100, seed=3)
     assert rep.scheme_label == "xavier_uniform"
     assert rep.d_k == 8 and rep.trials == 100
     assert 0.0 <= rep.frac_within_eps <= 1.0
-    rep2 = logit_concentration(x, XAVIER, 8, False, trials=100, seed=3)
+    (rep2,) = logit_concentration(x, [XAVIER], 8, False, trials=100, seed=3)
     assert rep == rep2
+
+
+@pytest.mark.parametrize("with_layernorm", [False, True])
+def test_logit_concentration_many_schemes_equal_one_scheme_calls(with_layernorm):
+    x = small_sequence(4)
+    labels = [
+        "xavier_uniform", "xavier_normal", "kaiming_uniform_relu", "kaiming_normal_relu",
+        "orthogonal", "uniform_0.1", "normal_0.02", "trunc_normal_0.02",
+        "trunc_normal_0.5", "xavier_uniform",
+    ]
+    schemes = [parse_scheme(label) for label in labels]
+    reports = logit_concentration(x, schemes, 6, with_layernorm, trials=100, seed=8)
+    assert [rep.scheme_label for rep in reports] == labels
+    for scheme, rep in zip(schemes, reports):
+        assert [rep] == logit_concentration(x, [scheme], 6, with_layernorm, 100, 8)
 
 
 def test_logit_concentration_matches_analytic_std():
     # Moderate size keeps the unit tier fast; the acceptance tier reruns this
     # at the full trial budget.
     x = FeatureSequence(np.asarray(generator(12, 0x33).standard_normal((6, 8))))
-    rep = logit_concentration(x, InitScheme("normal_std", 0.2), 32, False, trials=400, seed=21)
+    (rep,) = logit_concentration(x, [InitScheme("normal_std", 0.2)], 32, False, trials=400, seed=21)
     assert rep.empirical_std == pytest.approx(rep.analytic_std, rel=0.1)
     assert abs(rep.empirical_mean) < 0.1 * rep.analytic_std + 1e-3
 
@@ -116,8 +131,8 @@ def test_logit_concentration_layernorm_bounds_scale():
     # Blowing the input up by 100x barely moves the normalized statistics.
     base = np.asarray(generator(13, 0x34).standard_normal((5, 16)))
     # The normalizer's eps keeps this from being bit-exact.
-    rep_small = logit_concentration(FeatureSequence(base), XAVIER, 16, True, 100, 7)
-    rep_big = logit_concentration(FeatureSequence(100.0 * base), XAVIER, 16, True, 100, 7)
+    (rep_small,) = logit_concentration(FeatureSequence(base), [XAVIER], 16, True, 100, 7)
+    (rep_big,) = logit_concentration(FeatureSequence(100.0 * base), [XAVIER], 16, True, 100, 7)
     assert rep_big.analytic_std == pytest.approx(rep_small.analytic_std, rel=1e-4)
     assert rep_big.empirical_std == pytest.approx(rep_small.empirical_std, rel=1e-4)
 
