@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .attention import EncoderConfig
-from .dataio import DatasetError, read_json_object, read_label_csv, save_dataset
+from .dataio import DatasetError, float_cell, read_json_object, read_label_csv, save_dataset
 from .harness import (
     COMPONENT_BUNDLES,
     SMOOTHERS,
+    RunConfig,
     SweepSpec,
     append_runs_csv,
     check_config_keys,
@@ -37,7 +38,7 @@ from .harness import (
     write_report_json,
     write_sweep_csv,
 )
-from .initializers import parse_scheme
+from .initializers import parse_scheme, scheme_label
 from .metrics import lsii, wte
 from .montecarlo import centered_unit_sequence, dk_sweep_detail, logit_concentration
 from .seeding import generator, mix_seed
@@ -71,37 +72,25 @@ _DEFAULT_GRIDS = {
     "components": ",".join(COMPONENT_BUNDLES),
 }
 
-_ENC_FLAGS = tuple(f.name for f in fields(EncoderConfig) if f.name.startswith("use_"))
-
-# Run options that set an encoder field: argument name -> EncoderConfig field.
-_ENC_ARGS = {
-    "window": "window_w",
-    "dk": "d_k",
-    "init": "init",
-    "heads": "n_heads",
-    "layers": "n_layers",
-    **{flag: flag for flag in _ENC_FLAGS},
-}
-
 
 def _add_run_options(parser: _Parser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file")
-    parser.add_argument("--dataset", type=Path, help="dataset directory")
+    parser.add_argument("--dataset", help="dataset directory")
     parser.add_argument("--smoother", choices=SMOOTHERS)
-    parser.add_argument("--seed", help="comma-separated run seeds")
-    parser.add_argument("--window", type=int, help="smoothing window width")
-    parser.add_argument("--dk", type=int, help="total attention width d_k")
+    # Not "seed": that is the EncoderConfig field each run seed sets.
+    parser.add_argument("--seed", dest="seeds", help="comma-separated run seeds")
+    parser.add_argument("--window", dest="window_w", type=int, help="smoothing window width")
+    parser.add_argument("--dk", dest="d_k", type=int, help="total attention width d_k")
     parser.add_argument("--init", help="init scheme label (e.g. xavier_uniform)")
-    parser.add_argument("--heads", type=int, help="attention heads per layer")
-    parser.add_argument("--layers", type=int, help="encoder layers")
+    parser.add_argument("--heads", dest="n_heads", type=int, help="attention heads per layer")
+    parser.add_argument("--layers", dest="n_layers", type=int, help="encoder layers")
     parser.add_argument("--metric-window", type=int, help="LSII window width")
-    parser.add_argument("--integer-median", action="store_true",
+    parser.add_argument("--integer-median", action="store_true", default=None,
                         help="median smoother: integer median instead of mode")
-    for flag in _ENC_FLAGS:
-        parser.add_argument(
-            f"--{flag.replace('_', '-')}", dest=flag,
-            action=argparse.BooleanOptionalAction, default=None,
-        )
+    for f in fields(EncoderConfig):
+        if f.name.startswith("use_"):
+            parser.add_argument(f"--{f.name.replace('_', '-')}",
+                                action=argparse.BooleanOptionalAction)
 
 
 def build_parser() -> _Parser:
@@ -112,9 +101,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", type=Path, help="JSON config file")
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, help="dataset seed")
-    p.add_argument("--classes", type=int, help="number of stages")
+    p.add_argument("--classes", dest="n_classes", type=int, help="number of stages")
     p.add_argument("--t-len", type=int, help="epochs per subject")
-    p.add_argument("--subjects", type=int, help="number of subjects")
+    p.add_argument("--subjects", dest="n_subjects", type=int, help="number of subjects")
     p.add_argument("--self-prob", type=float, help="Markov stay probability")
     p.add_argument("--feat-dim", type=int, help="feature width")
     p.add_argument("--class-sep", type=float, help="class mean separation")
@@ -194,24 +183,20 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValueError(f"bad {what}: {text!r}") from None
 
 
+def _overrides(args, cls: type) -> dict:
+    """The flags given on the command line that set a field of dataclass ``cls``.
+
+    Each flag that sets a config value has that field's name as its dest and
+    stays None unless it is given.
+    """
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name, None) is not None}
+
+
 def _cmd_simulate(args) -> int:
     # Keys of a run config other than "synth" are allowed and ignored here.
     entry = check_config_keys(_load_config_file(args.config)).get("synth", {})
-    overrides = {
-        "seed": args.seed,
-        "n_classes": args.classes,
-        "t_len": args.t_len,
-        "n_subjects": args.subjects,
-        "self_prob": args.self_prob,
-        "feat_dim": args.feat_dim,
-        "class_sep": args.class_sep,
-        "noise_std": args.noise_std,
-        "label_noise": args.label_noise,
-    }
-    entry = dict(check_section_types(entry, SynthConfig, "synth"))
-    for key, value in overrides.items():
-        if value is not None:
-            entry[key] = value
+    entry = {**check_section_types(entry, SynthConfig, "synth"), **_overrides(args, SynthConfig)}
     try:
         cfg = SynthConfig(**entry)
     except TypeError as exc:
@@ -224,22 +209,16 @@ def _cmd_simulate(args) -> int:
 
 def _run_config_from_args(args):
     entry = _load_config_file(args.config)
-    enc = {key: getattr(args, arg) for arg, key in _ENC_ARGS.items()
-           if getattr(args, arg) is not None}
+    enc = _overrides(args, EncoderConfig)
     file_enc = entry.get("encoder", {})
     if enc and isinstance(file_enc, dict):  # any other "encoder" fails in load_run_config
         entry["encoder"] = {**file_enc, **enc}
     if args.dataset is not None:
         entry.pop("synth", None)
-        entry["dataset"] = str(args.dataset)
-    if args.smoother is not None:
-        entry["smoother"] = args.smoother
-    if args.metric_window is not None:
-        entry["metric_window"] = args.metric_window
-    if args.integer_median:
-        entry["integer_median"] = True
-    if args.seed is not None:
-        entry["seeds"] = _parse_int_list(str(args.seed), "--seed list")
+        entry["dataset"] = args.dataset
+    entry.update(_overrides(args, RunConfig))
+    if args.seeds is not None:
+        entry["seeds"] = _parse_int_list(args.seeds, "--seed list")
     return load_run_config(entry)
 
 
@@ -264,11 +243,10 @@ def _cmd_sweep(args) -> int:
     base = _run_config_from_args(args)
     axis = _AXIS_NAMES[args.axis]
     grid_text = args.grid if args.grid is not None else _DEFAULT_GRIDS[args.axis]
-    values = [part for part in grid_text.split(",") if part != ""]
     if args.axis in ("window", "dk"):
         grid = tuple(_parse_int_list(grid_text, f"--grid for {args.axis}"))
     else:
-        grid = tuple(values)
+        grid = tuple(part for part in grid_text.split(",") if part != "")
     spec = SweepSpec(axis=axis, grid=grid, base=base)
     rows = run_sweep(spec)
     out = _ensure_out(args)
@@ -312,6 +290,10 @@ def _cmd_logit_stats(args) -> int:
     if any(d_k < 1 for d_k in grid):
         raise ValueError(f"--dk-grid values must be >= 1, got {args.dk_grid!r}")
     schemes = [parse_scheme(part) for part in args.schemes.split(",") if part != ""]
+    # Each row is one (scheme, d_k, layernorm) setting, so a repeat would be a duplicate row.
+    for flag, items in (("--dk-grid", grid), ("--schemes", [scheme_label(s) for s in schemes])):
+        if not items or len(set(items)) < len(items):
+            raise ValueError(f"{flag} must be a non-empty list without repeats, got {items}")
     rng = generator(args.seed, 0xDD)
     x = FeatureSequence(args.row_scale * rng.standard_normal((args.t_len, args.dim)))
     # One call per (d_k, layernorm) setting, each returning a report per scheme.
@@ -328,11 +310,8 @@ def _cmd_logit_stats(args) -> int:
         fh.write("scheme,d_k,with_layernorm,empirical_mean,empirical_std,"
                  "analytic_std,frac_within_eps,trials\n")
         for r in rows:
-            fh.write(
-                f"{r['scheme_label']},{r['d_k']},{r['with_layernorm']},"
-                f"{r['empirical_mean']!r},{r['empirical_std']!r},"
-                f"{r['analytic_std']!r},{r['frac_within_eps']!r},{r['trials']}\n"
-            )
+            cells = (float_cell(v) if isinstance(v, float) else str(v) for v in r.values())
+            fh.write(",".join(cells) + "\n")
     print(f"wrote {len(rows)} rows to {out / 'logit_stats.csv'}")
     return 0
 

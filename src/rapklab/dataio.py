@@ -39,7 +39,7 @@ from .synthgen import Subject, SynthConfig, SynthDataset
 
 __all__ = [
     "DatasetError", "save_dataset", "load_dataset", "read_label_csv",
-    "read_json_object", "read_csv_rows", "number_cell",
+    "read_json_object", "read_csv_rows", "number_cell", "float_cell",
 ]
 
 _MANIFEST = "manifest.json"
@@ -144,6 +144,12 @@ def number_cell(cell: str, kind: type = float):
     if kind is float and not math.isfinite(value):
         raise ValueError("contains a non-finite cell")
     return value
+
+
+def float_cell(value) -> str:
+    """The cell a score is written as in a result CSV: its ``repr`` as a
+    float, or empty for ``None``; ``number_cell`` reads it back losslessly."""
+    return "" if value is None else repr(float(value))
 
 
 def _scan_rows(fh, path: Path, expected_header: list[str], parse_row: Callable) -> list:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import EncoderConfig, build_encoder_weights
-from .dataio import DatasetError, load_dataset, number_cell, read_csv_rows
+from .dataio import DatasetError, float_cell, load_dataset, number_cell, read_csv_rows
 from .initializers import parse_scheme, scheme_label
 from .metrics import (
     EvalReport,
@@ -64,45 +64,34 @@ SMOOTHERS = ("none", "moving_average", "median", "fixed_attention", "random_tran
 
 SWEEP_AXES = ("window", "d_k", "init", "heads_layers", "components")
 
+_USE_FLAGS = tuple(f.name for f in fields(EncoderConfig) if f.name.startswith("use_"))
+
+
+def _bundle(*on: str) -> dict[str, bool]:
+    # Every use_* flag of EncoderConfig, true exactly for the components named.
+    if not {f"use_{name}" for name in on} <= set(_USE_FLAGS):
+        raise ValueError(f"unknown encoder component in {on}")
+    return {flag: flag.removeprefix("use_") in on for flag in _USE_FLAGS}
+
+
 # Named component bundles for the ablation sweep. Bundles that drop the
 # output linear also drop the residual, so the attention output may keep its
 # own width d_k without a shape clash.
 COMPONENT_BUNDLES: dict[str, dict[str, bool]] = {
-    "none": dict(
-        use_attention=False, use_output_linear=False, use_ffn=False,
-        use_layernorm=False, use_residual=False, use_positional=False,
-    ),
-    "ffn": dict(
-        use_attention=False, use_output_linear=False, use_ffn=True,
-        use_layernorm=False, use_residual=True, use_positional=False,
-    ),
-    "layernorm": dict(
-        use_attention=False, use_output_linear=False, use_ffn=False,
-        use_layernorm=True, use_residual=False, use_positional=False,
-    ),
-    "attention_no_linear": dict(
-        use_attention=True, use_output_linear=False, use_ffn=False,
-        use_layernorm=False, use_residual=False, use_positional=False,
-    ),
-    "attention": dict(
-        use_attention=True, use_output_linear=True, use_ffn=False,
-        use_layernorm=False, use_residual=True, use_positional=False,
-    ),
-    "attention_ffn": dict(
-        use_attention=True, use_output_linear=True, use_ffn=True,
-        use_layernorm=False, use_residual=True, use_positional=False,
-    ),
-    "attention_layernorm": dict(
-        use_attention=True, use_output_linear=True, use_ffn=False,
-        use_layernorm=True, use_residual=True, use_positional=False,
-    ),
-    "full": dict(
-        use_attention=True, use_output_linear=True, use_ffn=True,
-        use_layernorm=True, use_residual=True, use_positional=False,
-    ),
+    "none": _bundle(),
+    "ffn": _bundle("ffn", "residual"),
+    "layernorm": _bundle("layernorm"),
+    "attention_no_linear": _bundle("attention"),
+    "attention": _bundle("attention", "output_linear", "residual"),
+    "attention_ffn": _bundle("attention", "output_linear", "ffn", "residual"),
+    "attention_layernorm": _bundle("attention", "output_linear", "layernorm", "residual"),
+    "full": _bundle("attention", "output_linear", "ffn", "layernorm", "residual"),
 }
 
 DEFAULT_SEEDS = (111, 222, 333, 444, 555)
+
+# The EvalReport scores that are aggregated over seeds and written as columns.
+_SCORES = ("accuracy", "weighted_f1", "wte", "lsii")
 
 
 @dataclass(frozen=True)
@@ -140,19 +129,8 @@ class RunConfig:
 def _encoder_dict(enc: EncoderConfig) -> dict:
     # The encoder seed is overridden per run seed, so it stays out of the
     # resolved config (and the digest).
-    return {
-        "n_heads": enc.n_heads,
-        "n_layers": enc.n_layers,
-        "d_k": enc.d_k,
-        "use_attention": enc.use_attention,
-        "use_output_linear": enc.use_output_linear,
-        "use_ffn": enc.use_ffn,
-        "use_layernorm": enc.use_layernorm,
-        "use_residual": enc.use_residual,
-        "use_positional": enc.use_positional,
-        "window_w": enc.window_w,
-        "init": scheme_label(enc.init),
-    }
+    out = {f.name: getattr(enc, f.name) for f in fields(enc) if f.name != "seed"}
+    return {**out, "init": scheme_label(enc.init)}
 
 
 def run_config_dict(cfg: RunConfig) -> dict:
@@ -212,7 +190,7 @@ def _encoder_from_dict(entry: dict) -> EncoderConfig:
 
 
 _RUN_CONFIG_KEYS = frozenset({
-    "synth", "dataset", "dataset_path", "smoother", "encoder",
+    "synth", "dataset", "smoother", "encoder",
     "metric_window", "seeds", "integer_median",
 })
 
@@ -234,11 +212,10 @@ def load_run_config(entry: dict) -> RunConfig:
             synth = SynthConfig(**check_section_types(entry["synth"], SynthConfig, "synth"))
         except TypeError as exc:
             raise ValueError(f"bad synth config: {exc}") from None
-    dataset = entry.get("dataset", entry.get("dataset_path"))
     seeds = _typed(entry.get("seeds", list(DEFAULT_SEEDS)), list, "seeds")
     return RunConfig(
         synth=synth,
-        dataset_path=_typed(dataset, str, "dataset", none_ok=True),
+        dataset_path=_typed(entry.get("dataset"), str, "dataset", none_ok=True),
         smoother=entry.get("smoother", "random_transformer"),
         encoder=_encoder_from_dict(entry.get("encoder", {})),
         metric_window=_typed(entry.get("metric_window"), int, "metric_window", none_ok=True),
@@ -387,23 +364,14 @@ def _evaluate(cfg: RunConfig, dataset: SynthDataset) -> PipelineResult:
 
 
 def _aggregate(reports: list[EvalReport]) -> dict:
-    def mean_std(values: list[float]) -> tuple[float, float]:
-        arr = np.asarray(values, dtype=np.float64)
-        return float(arr.mean()), float(arr.std())  # population std
-
+    # Mean and population std over the seeds that have a value; None when no
+    # seed has one, as for the LSII of the identity smoother.
     out: dict = {"n_seeds": len(reports)}
-    for name in ("accuracy", "weighted_f1", "wte"):
-        m, s = mean_std([getattr(r, name) for r in reports])
-        out[f"mean_{name}"] = m
-        out[f"std_{name}"] = s
-    lsii_vals = [r.lsii for r in reports if r.lsii is not None]
-    if lsii_vals:
-        m, s = mean_std(lsii_vals)
-        out["mean_lsii"] = m
-        out["std_lsii"] = s
-    else:
-        out["mean_lsii"] = None
-        out["std_lsii"] = None
+    for name in _SCORES:
+        values = [getattr(r, name) for r in reports]
+        arr = np.asarray([v for v in values if v is not None], dtype=np.float64)
+        out[f"mean_{name}"] = float(arr.mean()) if arr.size else None
+        out[f"std_{name}"] = float(arr.std()) if arr.size else None
     return out
 
 
@@ -487,23 +455,16 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                     "axis": spec.axis,
                     "value": value,
                     "seed": report.seed,
-                    "accuracy": report.accuracy,
-                    "weighted_f1": report.weighted_f1,
-                    "wte": report.wte,
-                    "lsii": report.lsii,
+                    **{name: getattr(report, name) for name in _SCORES},
                 }
             )
-        agg = result.aggregate
         for tag in ("mean", "std"):
             rows.append(
                 {
                     "axis": spec.axis,
                     "value": value,
                     "seed": tag,
-                    "accuracy": agg[f"{tag}_accuracy"],
-                    "weighted_f1": agg[f"{tag}_weighted_f1"],
-                    "wte": agg[f"{tag}_wte"],
-                    "lsii": agg[f"{tag}_lsii"],
+                    **{name: result.aggregate[f"{tag}_{name}"] for name in _SCORES},
                 }
             )
     rows.sort(key=lambda r: (_value_sort_key(r["value"]), _seed_sort_key(r["seed"])))
@@ -541,7 +502,7 @@ def write_report_json(result: PipelineResult, path: str | Path) -> None:
     payload = {
         "config": result.config,
         "config_digest": result.digest,
-        "per_seed": [r.to_dict() for r in result.per_seed],
+        "per_seed": [asdict(r) for r in result.per_seed],
         "aggregate": result.aggregate,
     }
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
@@ -549,8 +510,7 @@ def write_report_json(result: PipelineResult, path: str | Path) -> None:
 
 
 _RUNS_HEADER = [
-    "config_digest", "seed", "smoother", "window_w", "d_k", "init",
-    "accuracy", "weighted_f1", "wte", "lsii",
+    "config_digest", "seed", "smoother", "window_w", "d_k", "init", *_SCORES,
 ]
 
 
@@ -572,15 +532,12 @@ def append_runs_csv(result: PipelineResult, path: str | Path) -> None:
                     enc["window_w"],
                     enc["d_k"],
                     enc["init"],
-                    repr(report.accuracy),
-                    repr(report.weighted_f1),
-                    repr(report.wte),
-                    "" if report.lsii is None else repr(report.lsii),
+                    *(float_cell(getattr(report, name)) for name in _SCORES),
                 ]
             )
 
 
-_SWEEP_HEADER = ["axis", "value", "seed", "accuracy", "weighted_f1", "wte", "lsii"]
+_SWEEP_HEADER = ["axis", "value", "seed", *_SCORES]
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
@@ -593,10 +550,7 @@ def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
                     r["axis"],
                     r["value"],
                     r["seed"],
-                    repr(float(r["accuracy"])),
-                    repr(float(r["weighted_f1"])),
-                    repr(float(r["wte"])),
-                    "" if r["lsii"] is None else repr(float(r["lsii"])),
+                    *(float_cell(r[name]) for name in _SCORES),
                 ]
             )
 

@@ -203,14 +203,3 @@ class EvalReport:
             raise ValueError(f"wte must be finite and >= 0, got {self.wte}")
         if self.lsii is not None and not 0.0 <= self.lsii <= 1.0:
             raise ValueError(f"lsii must lie in [0, 1], got {self.lsii}")
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "weighted_f1": self.weighted_f1,
-            "wte": self.wte,
-            "lsii": self.lsii,
-            "per_class_f1": list(self.per_class_f1),
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-        }

@@ -1,16 +1,20 @@
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from rapklab import cli, dataio
+from rapklab.attention import EncoderConfig
 from rapklab.cli import main
 from rapklab.dataio import DatasetError, load_dataset
 from rapklab.harness import read_sweep_csv, write_sweep_csv
 from rapklab.initializers import InitScheme, analytic_variance
 from rapklab.montecarlo import centered_unit_sequence, monte_carlo_kernel
 from rapklab.seeding import mix_seed
+from rapklab.synthgen import SynthConfig
 
 SYNTH = {
     "n_classes": 3, "t_len": 60, "n_subjects": 4, "feat_dim": 4,
@@ -108,7 +112,7 @@ def test_smooth_eval_with_config_file(run_config, tmp_path, capsys):
     assert len(report["per_seed"]) == 1
 
 
-def test_smooth_eval_flag_overrides(run_config, capsys):
+def test_smooth_eval_flag_overrides(run_config, tmp_path, capsys):
     code = main([
         "smooth-eval", "--config", str(run_config),
         "--smoother", "none", "--seed", "111,222",
@@ -117,6 +121,35 @@ def test_smooth_eval_flag_overrides(run_config, capsys):
     text = capsys.readouterr().out
     assert text.startswith("none: acc ")
     assert "lsii n/a" in text
+    # Every encoder flag reaches the resolved config in report.json.
+    out = tmp_path / "run"
+    assert main([
+        "smooth-eval", "--config", str(run_config), "--smoother", "random_transformer",
+        "--window", "4", "--dk", "6", "--heads", "3", "--layers", "2",
+        "--init", "normal_0.02", "--no-use-ffn", "--out", str(out),
+    ]) == 0
+    encoder = json.loads((out / "report.json").read_text())["config"]["encoder"]
+    assert {k: encoder[k] for k in ("window_w", "d_k", "n_heads", "n_layers", "init")} == {
+        "window_w": 4, "d_k": 6, "n_heads": 3, "n_layers": 2, "init": "normal_0.02",
+    }
+    assert encoder["use_ffn"] is False and encoder["use_layernorm"] is True
+
+
+def test_every_config_flag_sets_a_field_or_a_run_config_key():
+    # A flag whose dest names no field would be parsed and then silently ignored.
+    run_keys = {"dataset", "smoother", "seeds", "metric_window", "integer_median"}
+    command_keys = {"help", "config", "out", "axis", "grid"}
+    enc_fields = {f.name for f in fields(EncoderConfig)} - {"seed"}  # set by each run seed
+    allowed = {
+        "simulate": {f.name for f in fields(SynthConfig)},
+        "smooth-eval": enc_fields | run_keys,
+        "sweep": enc_fields | run_keys,
+    }
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, keys in allowed.items():
+        dests = {a.dest for a in sub.choices[command]._actions} - command_keys
+        assert dests <= keys, (command, dests - keys)
 
 
 def test_smooth_eval_missing_config_file(tmp_path, capsys):
@@ -139,6 +172,10 @@ def test_smooth_eval_unknown_config_key(tmp_path, capsys):
     path.write_text(json.dumps({"synth": SYNTH, "smother": "none"}))
     assert main(["smooth-eval", "--config", str(path)]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+    # "dataset" is the only key that names a dataset directory.
+    path.write_text(json.dumps({"dataset": str(tmp_path), "dataset_path": "b"}))
+    assert main(["smooth-eval", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: ['dataset_path']\n"
 
 
 def test_smooth_eval_rejects_encoder_seed(tmp_path, capsys):
@@ -288,6 +325,11 @@ def test_kernel_validate_rejects_bad_args(tmp_path, capsys):
     (["--schemes", "xavier_uniform,normal_x"], "bad numeric suffix"),
     (["--dk-grid", "32,128,0"], "--dk-grid values must be >= 1"),
     (["--dk-grid", "32,-4"], "--dk-grid values must be >= 1"),
+    (["--dk-grid", "8,8"], "--dk-grid must be a non-empty list without repeats"),
+    (["--dk-grid", ","], "--dk-grid must be a non-empty list without repeats"),
+    (["--schemes", ","], "--schemes must be a non-empty list without repeats"),
+    (["--schemes", "orthogonal,xavier_uniform,orthogonal"], "--schemes must be a non-empty"),
+    (["--schemes", "normal_0.02,normal_0.020"], "--schemes must be a non-empty"),
 ])
 def test_logit_stats_checks_every_argument_before_drawing(flags, fragment, tmp_path,
                                                           monkeypatch, capsys):

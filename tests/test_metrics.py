@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -221,7 +223,7 @@ def test_eval_report_validation_and_dict():
         accuracy=0.9, weighted_f1=0.88, wte=0.3, lsii=None,
         per_class_f1=(0.9, 0.86), config_digest="abc123", seed=7,
     )
-    d = rep.to_dict()
+    d = json.loads(json.dumps(asdict(rep)))
     assert d["lsii"] is None and d["per_class_f1"] == [0.9, 0.86]
     assert d["config_digest"] == "abc123" and d["seed"] == 7
     with pytest.raises(ValueError, match="accuracy"):
