@@ -215,19 +215,34 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
     return EncoderWeights(positional=positional, layers=tuple(layers), d_in=d)
 
 
-def _window_attention(h: np.ndarray, ps: ProjectionSet, w: int) -> np.ndarray:
-    # One head over non-overlapping windows of w rows: the whole windows as
-    # one (n_win, w, d_h) batch, then the ragged tail as a batch of one.
+def _window_attention(h: np.ndarray, ps: ProjectionSet, w: int, out: np.ndarray) -> None:
+    # One head over non-overlapping windows of w rows, written into out: whole
+    # windows as one (n_win, w, d_h) batch, the ragged tail as a batch of one.
     q, k, v = h @ ps.w_q, h @ ps.w_k, h @ ps.w_v
     t_len = h.shape[0]
     full = t_len - t_len % w
-    out = np.empty_like(v)
     for lo, hi, width in ((0, full, w), (full, t_len, t_len - full)):
         if hi > lo:
             qb, kb, vb = (m[lo:hi].reshape(-1, width, m.shape[1]) for m in (q, k, v))
             s = (qb @ kb.transpose(0, 2, 1)) / math.sqrt(ps.d_k)
             out[lo:hi] = (_softmax(s) @ vb).reshape(hi - lo, -1)
-    return out
+
+
+def _attention_block(h: np.ndarray, lw: LayerWeights, cfg: EncoderConfig) -> np.ndarray:
+    # Multi-head attention and its residual add. The heads fill one buffer: side
+    # by side in the (T, d_k) layout the output linear reads, or stacked.
+    n_heads, d_h = len(lw.heads), lw.heads[0].d_k
+    if cfg.use_output_linear:
+        heads = np.empty((len(h), n_heads, d_h))
+        for i, ps in enumerate(lw.heads):
+            _window_attention(h, ps, cfg.window_w, heads[:, i])
+        att = heads.reshape(len(h), -1) @ lw.w_out
+    else:
+        heads = np.empty((n_heads, len(h), d_h))
+        for i, ps in enumerate(lw.heads):
+            _window_attention(h, ps, cfg.window_w, heads[i])
+        att = heads.mean(axis=0)
+    return h + att if cfg.use_residual else att
 
 
 def encoder_forward(
@@ -246,27 +261,18 @@ def encoder_forward(
     elif weights.d_in != x.dim:
         raise ValueError(f"weights were built for d={weights.d_in}, sequence has d={x.dim}")
 
-    w = cfg.window_w
     h = x.data
     if cfg.use_positional:
-        h = h + weights.positional[np.arange(x.t_len) % w]
+        h = h + weights.positional[np.arange(x.t_len) % cfg.window_w]
     for lw in weights.layers:
         if cfg.use_attention:
-            outs = [_window_attention(h, ps, w) for ps in lw.heads]
-            if cfg.use_output_linear:
-                att = np.concatenate(outs, axis=1) @ lw.w_out
-            else:
-                att = np.mean(outs, axis=0)
-            if cfg.use_residual:
-                att = h + att
-            h = att
+            h = _attention_block(h, lw, cfg)
         if cfg.use_layernorm:
             h = layer_norm_rows(h)
         if cfg.use_ffn:
-            f = np.maximum(h @ lw.w_ff1, 0.0) @ lw.w_ff2
-            if cfg.use_residual:
-                f = h + f
-            h = f
+            f = h @ lw.w_ff1
+            f = np.maximum(f, 0.0, out=f) @ lw.w_ff2
+            h = h + f if cfg.use_residual else f
             if cfg.use_layernorm:
                 h = layer_norm_rows(h)
     return FeatureSequence(h)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .metrics import (
     weighted_f1,
     wte_pooled,
 )
-from .sequences import FeatureSequence, ProbSequence, StageSequence
+from .sequences import ProbSequence, StageSequence
 from .smoothers import (
     classify,
     fit_centroids,
@@ -118,6 +117,9 @@ class RunConfig:
             raise ValueError(f"unknown smoother {self.smoother!r}; expected one of {SMOOTHERS}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        for i, seed in enumerate(self.seeds):
+            if seed in self.seeds[:i]:
+                raise ValueError(f"seeds repeat {seed}")
         if self.metric_window is not None and self.metric_window < 2:
             raise ValueError(f"metric_window must be >= 2, got {self.metric_window}")
 
@@ -234,22 +236,6 @@ class PipelineResult:
     aggregate: dict
 
 
-def _concat_features(
-    subjects: list[Subject], features: Callable[[Subject], FeatureSequence]
-) -> FeatureSequence:
-    # Filled subject by subject, so at most one subject's (possibly freshly
-    # smoothed) features are alive beside the result.
-    out = None
-    start = 0
-    for sub in subjects:
-        part = features(sub).data
-        if out is None:
-            out = np.empty((sum(s.stages.t_len for s in subjects), part.shape[1]), part.dtype)
-        out[start:start + len(part)] = part
-        start += len(part)
-    return FeatureSequence(out)
-
-
 def _concat_labels(parts: list[StageSequence], n_classes: int) -> StageSequence:
     return StageSequence(np.concatenate([p.labels for p in parts]), n_classes)
 
@@ -296,10 +282,9 @@ def _smoothed_predictions(
     else:  # pragma: no cover - guarded by RunConfig validation
         raise ValueError(f"unknown smoother {kind!r}")
     # The classifier head is fitted on training features passed through the
-    # same smoother, mirroring a head trained on the frozen model's outputs.
-    train_feats = _concat_features(train, smooth)
-    train_labels = _concat_labels([sub.stages for sub in train], n_classes)
-    clf = fit_centroids(train_feats, train_labels, n_classes)
+    # same smoother, mirroring a head trained on the frozen model's outputs,
+    # one subject at a time.
+    clf = fit_centroids(((smooth(sub), sub.stages) for sub in train), n_classes)
     return [classify(smooth(sub), clf) for sub in test]
 
 
@@ -329,11 +314,7 @@ def _evaluate(cfg: RunConfig, dataset: SynthDataset) -> PipelineResult:
     train = dataset.split("train")
     test = dataset.split("test")
 
-    base_clf = fit_centroids(
-        _concat_features(train, lambda sub: sub.features),
-        _concat_labels([sub.stages for sub in train], n_classes),
-        n_classes,
-    )
+    base_clf = fit_centroids(((sub.features, sub.stages) for sub in train), n_classes)
     none_preds = [classify(sub.features, base_clf) for sub in test]
     truth = [sub.stages for sub in test]
     truth_all = _concat_labels(truth, n_classes)
@@ -388,16 +369,20 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}; expected one of {SWEEP_AXES}")
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
+        # Specialize every grid point now, so a bad value fails before any run.
+        configs = [apply_axis(self.base, self.axis, value) for value in self.grid]
+        for i, cfg in enumerate(configs):
+            if cfg in configs[:i]:
+                raise ValueError(f"sweep grid for {self.axis} repeats {self.grid[i]!r}")
 
 
 def _parse_heads_layers(value) -> tuple[int, int]:
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        return int(value[0]), int(value[1])
-    text = str(value)
-    parts = text.split("x")
-    if len(parts) != 2:
-        raise ValueError(f"heads_layers value must look like '1x8', got {value!r}")
-    return int(parts[0]), int(parts[1])
+    parts = value if isinstance(value, (tuple, list)) else str(value).split("x")
+    try:
+        layers, heads = (int(part) for part in parts)
+    except ValueError:
+        raise ValueError(f"heads_layers value must look like '1x8', got {value!r}") from None
+    return layers, heads
 
 
 def apply_axis(base: RunConfig, axis: str, value) -> RunConfig:
@@ -442,13 +427,11 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     One row per (grid value, seed), plus ``mean`` and ``std`` aggregate rows
     per grid value; rows are sorted by (axis value, seed).
     """
-    # Every grid point is specialized before any runs, so a bad value fails fast.
-    configs = [(value, apply_axis(spec.base, spec.axis, value)) for value in spec.grid]
     # No axis changes the data source, so every grid point shares one load.
     dataset = _load_data(spec.base)
     rows: list[dict] = []
-    for value, cfg in configs:
-        result = _evaluate(cfg, dataset)
+    for value in spec.grid:
+        result = _evaluate(apply_axis(spec.base, spec.axis, value), dataset)
         for report in result.per_seed:
             rows.append(
                 {

@@ -20,6 +20,7 @@ Feature-space smoothers are paired with a nearest-centroid classifier
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,23 +128,33 @@ class CentroidClassifier:
         return self.centroids.shape[0]
 
 
-def fit_centroids(x_train: FeatureSequence, y_train: StageSequence, n_classes: int) -> CentroidClassifier:
-    """Mean feature vector per class. Every class must appear in ``y_train``."""
-    if x_train.t_len != y_train.t_len:
-        raise ValueError(
-            f"features ({x_train.t_len}) and labels ({y_train.t_len}) differ in length"
-        )
-    if n_classes < y_train.n_classes:
-        raise ValueError(
-            f"n_classes={n_classes} below label space {y_train.n_classes}"
-        )
-    centroids = np.empty((n_classes, x_train.dim))
-    for c in range(n_classes):
-        mask = y_train.labels == c
-        if not mask.any():
+def fit_centroids(
+    parts: Iterable[tuple[FeatureSequence, StageSequence]], n_classes: int
+) -> CentroidClassifier:
+    """Mean feature vector per class over ``(features, labels)`` parts, read one
+    at a time. Every class must appear in some part. Each class sum continues
+    in row order across parts, so the centroids equal a fit on the concatenated
+    parts bit for bit.
+    """
+    sums: list[np.ndarray | None] = [None] * n_classes
+    counts = [0] * n_classes
+    for x, y in parts:
+        if x.t_len != y.t_len:
+            raise ValueError(f"features ({x.t_len}) and labels ({y.t_len}) differ in length")
+        if n_classes < y.n_classes:
+            raise ValueError(f"n_classes={n_classes} below label space {y.n_classes}")
+        for c in range(n_classes):
+            rows = x.data[y.labels == c]
+            counts[c] += len(rows)
+            if sums[c] is not None:  # continue the sum in row order
+                rows = np.concatenate([sums[c][np.newaxis], rows])
+            if len(rows):
+                sums[c] = rows.sum(axis=0)
+        del x, y, rows  # free this part before the next one is made
+    for c, n in enumerate(counts):
+        if not n:
             raise ValueError(f"class {c} has no training examples; cannot place a centroid")
-        centroids[c] = x_train.data[mask].mean(axis=0)
-    return CentroidClassifier(centroids=centroids)
+    return CentroidClassifier(centroids=np.array([s / n for s, n in zip(sums, counts)]))
 
 
 def classify(x: FeatureSequence, clf: CentroidClassifier) -> StageSequence:

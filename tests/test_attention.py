@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_acceptance import ACC_ENCODER
 
 from rapklab.attention import (
     AttentionMatrix,
@@ -264,3 +266,18 @@ def test_encoder_forward_matches_per_window_oracle(t_len, overrides):
     weights = build_encoder_weights(cfg, 8)
     got = encoder_forward(x, cfg, weights).data
     np.testing.assert_allclose(got, per_window_encoder(x, cfg, weights), rtol=0, atol=1e-12)
+
+
+def test_encoder_forward_transient_memory():
+    # The reference encoder on one 1000 x 256 subject, with its weights built
+    # beforehand as the pipeline does. The heads share one buffer, freed with
+    # the attention block, and the FFN's ReLU runs in place.
+    x = FeatureSequence(generator(10, 0x15).standard_normal((1000, 256)))
+    weights = build_encoder_weights(ACC_ENCODER, 256)
+    tracemalloc.start()
+    try:
+        encoder_forward(x, ACC_ENCODER, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * 10**6

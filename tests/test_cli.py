@@ -253,6 +253,31 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
     assert "required: --out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--axis", "window", "--grid", "3,3"], "sweep grid for window repeats 3"),
+    (["sweep", "--axis", "heads", "--grid", "1x1,1x1"],
+     "sweep grid for heads_layers repeats '1x1'"),
+    (["sweep", "--axis", "heads", "--grid", "2x"],
+     "heads_layers value must look like '1x8', got '2x'"),
+    (["sweep", "--axis", "heads", "--grid", "1x1,x8"],
+     "heads_layers value must look like '1x8', got 'x8'"),
+    (["sweep", "--axis", "heads", "--grid", "ax2"],
+     "heads_layers value must look like '1x8', got 'ax2'"),
+    (["smooth-eval", "--seed", "1,1"], "seeds repeat 1"),
+])
+def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tmp_path, capsys):
+    assert main([*argv, "--config", str(run_config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_seeds_in_the_config_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": SYNTH, "seeds": [7, 8, 7]}))
+    assert main(["smooth-eval", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: seeds repeat 7\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--config", "CONFIG", "--axis", "window", "--grid", "2,3"],
     ["kernel-validate", "--trials", "10"],

@@ -65,6 +65,8 @@ def test_run_config_validation():
         small_run(smoother="kalman")
     with pytest.raises(ValueError, match="seeds"):
         small_run(seeds=())
+    with pytest.raises(ValueError, match="seeds repeat 222"):
+        small_run(seeds=(222, 111, 222))
     with pytest.raises(ValueError, match="metric_window"):
         small_run(metric_window=1)
 
@@ -138,8 +140,8 @@ def test_pipeline_none_smoother_matches_manual_head():
     ds = make_dataset(cfg.synth)
     train, test = ds.split("train"), ds.split("test")
     clf = fit_centroids(
-        _concat([s.features.data for s in train], axis=0),
-        StageSequence(np.concatenate([s.stages.labels for s in train]), 3),
+        [(_concat([s.features.data for s in train], axis=0),
+          StageSequence(np.concatenate([s.stages.labels for s in train]), 3))],
         3,
     )
     preds = np.concatenate([classify(s.features, clf).labels for s in test])
@@ -243,8 +245,9 @@ def test_apply_axis_other_axes():
     assert comp.encoder.use_layernorm and not comp.encoder.use_attention
     with pytest.raises(ValueError, match="unknown component bundle"):
         apply_axis(base, "components", "everything")
-    with pytest.raises(ValueError, match="heads_layers"):
-        apply_axis(base, "heads_layers", "2x4x8")
+    for bad in ("2x4x8", "2x", "x8", "ax2"):
+        with pytest.raises(ValueError, match=f"must look like '1x8', got '{bad}'"):
+            apply_axis(base, "heads_layers", bad)
     with pytest.raises(ValueError, match="unknown sweep axis"):
         apply_axis(base, "temperature", 1)
 
@@ -261,6 +264,11 @@ def test_sweep_spec_validation():
         SweepSpec(axis="gamma", grid=(1,), base=small_run())
     with pytest.raises(ValueError, match="non-empty"):
         SweepSpec(axis="window", grid=(), base=small_run())
+    # Values repeat once parsed: " 1x2" and "1x2" give one config.
+    with pytest.raises(ValueError, match="window repeats 3"):
+        SweepSpec(axis="window", grid=(3, 2, 3), base=small_run())
+    with pytest.raises(ValueError, match="heads_layers repeats ' 1x2'"):
+        SweepSpec(axis="heads_layers", grid=("1x2", " 1x2"), base=small_run())
 
 
 def test_run_sweep_rows_and_ordering():

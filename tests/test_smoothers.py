@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_acceptance import ACC_ENCODER, ACC_SYNTH
 
-from rapklab.attention import EncoderConfig
+from rapklab.attention import EncoderConfig, build_encoder_weights
 from rapklab.seeding import generator
 from rapklab.sequences import FeatureSequence, ProbSequence, StageSequence
 from rapklab.smoothers import (
@@ -13,6 +16,7 @@ from rapklab.smoothers import (
     random_transformer_smooth,
     window_partition,
 )
+from rapklab.synthgen import make_dataset
 
 
 def test_window_partition_fixtures():
@@ -174,7 +178,7 @@ def test_random_transformer_ragged_tail_window():
 def test_fit_centroids_and_classify():
     x = FeatureSequence(np.array([[0.0, 0.0], [0.2, 0.0], [1.0, 1.0], [0.8, 1.0]]))
     y = StageSequence(np.array([0, 0, 1, 1]), 2)
-    clf = fit_centroids(x, y, 2)
+    clf = fit_centroids([(x, y)], 2)
     np.testing.assert_allclose(clf.centroids, [[0.1, 0.0], [0.9, 1.0]])
     assert clf.n_classes == 2
     pred = classify(FeatureSequence(np.array([[0.15, 0.1], [1.0, 0.9]])), clf)
@@ -184,8 +188,8 @@ def test_fit_centroids_and_classify():
 def test_classify_interpolated_point_fixture():
     cents = np.eye(3)
     clf = fit_centroids(
-        FeatureSequence(cents.repeat(2, axis=0)),
-        StageSequence(np.array([0, 0, 1, 1, 2, 2]), 3),
+        [(FeatureSequence(cents.repeat(2, axis=0)),
+          StageSequence(np.array([0, 0, 1, 1, 2, 2]), 3))],
         3,
     )
     probe = 0.9 * cents[2] + 0.1 * cents[0]
@@ -195,8 +199,8 @@ def test_classify_interpolated_point_fixture():
 
 def test_classify_tie_goes_to_smallest_class():
     clf = fit_centroids(
-        FeatureSequence(np.array([[-1.0, 0.0], [1.0, 0.0]])),
-        StageSequence(np.array([0, 1]), 2),
+        [(FeatureSequence(np.array([[-1.0, 0.0], [1.0, 0.0]])),
+          StageSequence(np.array([0, 1]), 2))],
         2,
     )
     pred = classify(FeatureSequence(np.array([[0.0, 5.0]])), clf)
@@ -207,16 +211,66 @@ def test_fit_centroids_errors():
     x = FeatureSequence(np.zeros((3, 2)))
     y = StageSequence(np.array([0, 0, 2]), 3)
     with pytest.raises(ValueError, match="class 1"):
-        fit_centroids(x, y, 3)
+        fit_centroids([(x, y)], 3)
     with pytest.raises(ValueError, match="length"):
-        fit_centroids(x, StageSequence(np.array([0, 1]), 2), 2)
+        fit_centroids([(x, StageSequence(np.array([0, 1]), 2))], 2)
     with pytest.raises(ValueError, match="n_classes"):
-        fit_centroids(x, y, 2)
+        fit_centroids([(x, y)], 2)
+    # Over several parts: a class absent from every part, and a later part
+    # whose features and labels differ in length.
+    with pytest.raises(ValueError, match="class 1"):
+        fit_centroids([(x, y), (x, StageSequence(np.array([2, 0, 0]), 3))], 3)
+    with pytest.raises(ValueError, match="length"):
+        fit_centroids([(x, y), (x, StageSequence(np.array([0, 1]), 3))], 3)
+
+
+def test_fit_centroids_over_parts_equals_one_fit_of_their_concatenation():
+    # The reference cohort's train subjects, raw and through the reference
+    # encoder, cut at uneven boundaries that ignore the subjects.
+    train = make_dataset(ACC_SYNTH).split("train")
+    n = ACC_SYNTH.n_classes
+    labels = np.concatenate([sub.stages.labels for sub in train])
+    weights = build_encoder_weights(ACC_ENCODER, ACC_SYNTH.feat_dim)
+    raw = np.concatenate([sub.features.data for sub in train])
+    smoothed = np.concatenate(
+        [random_transformer_smooth(sub.features, ACC_ENCODER, weights).data for sub in train]
+    )
+    # A run of one stage is a part that lacks every other class.
+    run = next(t for t in range(5003, len(labels)) if len(set(labels[t:t + 7])) == 1)
+    cuts = sorted({1, 997, 5003, run, run + 7, 12345})
+    for feats in (raw, smoothed):
+        parts = [
+            (FeatureSequence(f), StageSequence(y, n))
+            for f, y in zip(np.split(feats, cuts), np.split(labels, cuts))
+        ]
+        assert any(len(np.unique(y.labels)) < n for _, y in parts)
+        whole = fit_centroids([(FeatureSequence(feats), StageSequence(labels, n))], n).centroids
+        assert fit_centroids(parts, n).centroids.tobytes() == whole.tobytes()
+        class_means = np.array([feats[labels == c].mean(axis=0) for c in range(n)])
+        assert whole.tobytes() == class_means.tobytes()
+
+
+def test_fit_centroids_holds_one_part_at_a_time():
+    n_parts, t_len, dim = 8, 1000, 256
+
+    def parts():
+        for i in range(n_parts):
+            rng = generator(i, 0x5A)
+            yield (FeatureSequence(rng.standard_normal((t_len, dim))),
+                   StageSequence(rng.integers(0, 5, t_len), 5))
+
+    tracemalloc.start()
+    try:
+        fit_centroids(parts(), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * t_len * dim * 8
 
 
 def test_classify_dimension_mismatch():
     clf = fit_centroids(
-        FeatureSequence(np.zeros((2, 3))), StageSequence(np.array([0, 1]), 2), 2
+        [(FeatureSequence(np.zeros((2, 3))), StageSequence(np.array([0, 1]), 2))], 2
     )
     with pytest.raises(ValueError, match="d=3"):
         classify(FeatureSequence(np.zeros((1, 4))), clf)

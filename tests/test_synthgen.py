@@ -104,7 +104,7 @@ def test_centroid_head_recovers_well_separated_classes():
     c = cfg(t_len=4000, n_classes=5, class_sep=2.0, noise_std=0.5)
     labels = gen_hypnogram(c, 0)
     x = gen_features(labels, c, 0)
-    clf = fit_centroids(x, labels, 5)
+    clf = fit_centroids([(x, labels)], 5)
     pred = classify(x, clf)
     assert float(np.mean(pred.labels == labels.labels)) > 0.95
 
