@@ -17,7 +17,7 @@ from .attention import (
     layer_norm_rows,
     softmax_rows,
 )
-from .dataio import DatasetError, load_dataset, save_dataset
+from .dataio import DatasetError, load_dataset, open_dataset, save_dataset
 from .harness import (
     COMPONENT_BUNDLES,
     SMOOTHERS,
@@ -59,6 +59,7 @@ from .seeding import generator, mix_seed, splitmix64
 from .sequences import FeatureSequence, ProbSequence, StageSequence
 from .smoothers import (
     CentroidClassifier,
+    CentroidSums,
     classify,
     fit_centroids,
     fixed_attention_smooth,
@@ -67,13 +68,14 @@ from .smoothers import (
     random_transformer_smooth,
     window_partition,
 )
-from .synthgen import SynthConfig, SynthDataset, make_dataset
+from .synthgen import SynthConfig, SynthDataset, iter_subjects, make_dataset
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttentionMatrix",
     "CentroidClassifier",
+    "CentroidSums",
     "COMPONENT_BUNDLES",
     "DatasetError",
     "EncoderConfig",
@@ -107,6 +109,7 @@ __all__ = [
     "generator",
     "init_matrix",
     "init_matrices",
+    "iter_subjects",
     "kernel_mse",
     "layer_norm_rows",
     "linearized_softmax",
@@ -121,6 +124,7 @@ __all__ = [
     "mix_seed",
     "monte_carlo_kernel",
     "moving_average_smooth",
+    "open_dataset",
     "parse_scheme",
     "pearson",
     "random_transformer_smooth",

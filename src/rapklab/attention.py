@@ -229,8 +229,10 @@ def _window_attention(h: np.ndarray, ps: ProjectionSet, w: int, out: np.ndarray)
 
 
 def _attention_block(h: np.ndarray, lw: LayerWeights, cfg: EncoderConfig) -> np.ndarray:
-    # Multi-head attention and its residual add. The heads fill one buffer: side
-    # by side in the (T, d_k) layout the output linear reads, or stacked.
+    # Multi-head attention and its residual add. With the output linear the
+    # heads fill one buffer side by side, in the (T, d_k) layout it reads;
+    # without it they are averaged by a running sum in head order, so only
+    # two full-width (T, d_k) arrays are alive.
     n_heads, d_h = len(lw.heads), lw.heads[0].d_k
     if cfg.use_output_linear:
         heads = np.empty((len(h), n_heads, d_h))
@@ -238,10 +240,13 @@ def _attention_block(h: np.ndarray, lw: LayerWeights, cfg: EncoderConfig) -> np.
             _window_attention(h, ps, cfg.window_w, heads[:, i])
         att = heads.reshape(len(h), -1) @ lw.w_out
     else:
-        heads = np.empty((n_heads, len(h), d_h))
-        for i, ps in enumerate(lw.heads):
-            _window_attention(h, ps, cfg.window_w, heads[i])
-        att = heads.mean(axis=0)
+        att = np.empty((len(h), d_h))
+        _window_attention(h, lw.heads[0], cfg.window_w, att)
+        head = np.empty_like(att)
+        for ps in lw.heads[1:]:
+            _window_attention(h, ps, cfg.window_w, head)
+            att += head
+        att /= n_heads
     return h + att if cfg.use_residual else att
 
 

@@ -17,7 +17,9 @@ parsed in one ``numpy.loadtxt`` call, with a row-by-row scan as the fallback
 that decides what is rejected. Loading validates headers, numeric and finite
 cells, label ranges, and row counts, and raises ``DatasetError`` naming the
 offending file and row; ``probs.csv`` may be absent, in which case the
-subject loads with probabilities missing.
+subject loads with probabilities missing. ``open_dataset`` checks the
+manifest up front and reads each subject's files only when that subject is
+reached, so a run holds one subject at a time; ``load_dataset`` reads them all.
 
 Config files (``read_json_object``) and sweep CSVs (``read_csv_rows``, the
 same row scan) are read here too, so every read fault is a ``DatasetError``.
@@ -28,18 +30,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Callable
-from dataclasses import asdict
+from collections.abc import Callable, Iterator
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .sequences import FeatureSequence, ProbSequence, StageSequence
-from .synthgen import Subject, SynthConfig, SynthDataset
+from .synthgen import SPLITS, Subject, SynthConfig, SynthDataset
 
 __all__ = [
-    "DatasetError", "save_dataset", "load_dataset", "read_label_csv",
-    "read_json_object", "read_csv_rows", "number_cell", "float_cell",
+    "DatasetError", "DatasetDir", "save_dataset", "open_dataset", "load_dataset",
+    "read_label_csv", "read_json_object", "read_csv_rows", "number_cell", "float_cell",
 ]
 
 _MANIFEST = "manifest.json"
@@ -235,20 +237,27 @@ def read_label_csv(path: str | Path, n_classes: int | None = None) -> np.ndarray
     return labels.astype(np.int64)
 
 
-def _load_subject(root: Path, entry: dict, n_classes: int, feat_dim: int) -> Subject:
-    manifest_path = root / _MANIFEST
+def _check_entry(manifest_path: Path, entry) -> None:
+    # A manifest subject entry: an object with a plain directory name as its
+    # id (nothing may escape the root) and a known split.
     if not isinstance(entry, dict):
         raise DatasetError(f"{manifest_path}: subject entry {entry!r} is not an object")
     for key in ("id", "split"):
         if key not in entry:
             raise DatasetError(f"{manifest_path}: subject entry {entry!r} has no {key!r}")
     sub_id = entry["id"]
-    # The id names a directory directly under the root; nothing may escape it.
     if not isinstance(sub_id, str) or sub_id in (".", "..") or Path(sub_id).parts != (sub_id,):
         raise DatasetError(
             f"{manifest_path}: subject id {sub_id!r} is not a plain directory name"
         )
-    sub_dir = root / sub_id
+    if entry["split"] not in SPLITS:
+        raise DatasetError(
+            f"{manifest_path}: subject {sub_id!r} has unknown split {entry['split']!r}"
+        )
+
+
+def _load_subject(root: Path, entry: dict, n_classes: int, feat_dim: int) -> Subject:
+    sub_dir = root / entry["id"]
     feats = _read_table(sub_dir / "features.csv", [f"f{j}" for j in range(feat_dim)])
     labels = read_label_csv(sub_dir / "labels.csv", n_classes)
     if feats.shape[0] != labels.shape[0]:
@@ -276,7 +285,7 @@ def _load_subject(root: Path, entry: dict, n_classes: int, feat_dim: int) -> Sub
         )
     try:
         return Subject(
-            subject_id=sub_id,
+            subject_id=entry["id"],
             split=entry["split"],
             features=FeatureSequence(feats),
             stages=StageSequence(labels, n_classes),
@@ -286,8 +295,28 @@ def _load_subject(root: Path, entry: dict, n_classes: int, feat_dim: int) -> Sub
         raise DatasetError(f"{sub_dir}: {exc}") from None
 
 
-def load_dataset(path: str | Path) -> SynthDataset:
-    """Load a dataset directory; fails atomically with a descriptive error."""
+@dataclass(frozen=True)
+class DatasetDir:
+    """A dataset directory whose manifest has been read and checked; its
+    subjects' files are read only by ``iter_subjects``."""
+
+    root: Path
+    n_classes: int
+    feat_dim: int
+    config: SynthConfig | None
+    entries: tuple[dict, ...]
+
+    def iter_subjects(self, split: str | None = None) -> Iterator[Subject]:
+        """Load the subjects in manifest order, one at a time, each when it is
+        reached; with ``split``, only the subjects of that split are read."""
+        for entry in self.entries:
+            if split is None or entry["split"] == split:
+                yield _load_subject(self.root, entry, self.n_classes, self.feat_dim)
+
+
+def open_dataset(path: str | Path) -> DatasetDir:
+    """Read and check a dataset directory's manifest, every subject entry
+    included, without reading any subject file."""
     root = Path(path)
     manifest_path = root / _MANIFEST
     if not manifest_path.is_file():
@@ -306,20 +335,33 @@ def load_dataset(path: str | Path) -> SynthDataset:
             )
     if not isinstance(manifest["subjects"], list):
         raise DatasetError(f"{manifest_path}: subjects is not a list")
-    n_classes = manifest["n_classes"]
-    feat_dim = manifest["feat_dim"]
+    for entry in manifest["subjects"]:
+        _check_entry(manifest_path, entry)
     config = None
     if manifest.get("synth_config") is not None:
         try:
             config = SynthConfig(**manifest["synth_config"])
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"{manifest_path}: bad synth_config ({exc})") from None
-    subjects = tuple(
-        _load_subject(root, entry, n_classes, feat_dim) for entry in manifest["subjects"]
+    return DatasetDir(
+        root=root,
+        n_classes=manifest["n_classes"],
+        feat_dim=manifest["feat_dim"],
+        config=config,
+        entries=tuple(manifest["subjects"]),
     )
+
+
+def load_dataset(path: str | Path) -> SynthDataset:
+    """Load a whole dataset directory (``open_dataset``, then every subject);
+    fails atomically with a descriptive error."""
+    data = open_dataset(path)
     try:
         return SynthDataset(
-            subjects=subjects, n_classes=n_classes, feat_dim=feat_dim, config=config
+            subjects=tuple(data.iter_subjects()),
+            n_classes=data.n_classes,
+            feat_dim=data.feat_dim,
+            config=data.config,
         )
     except ValueError as exc:
-        raise DatasetError(f"{root}: {exc}") from None
+        raise DatasetError(f"{data.root}: {exc}") from None

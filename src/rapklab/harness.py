@@ -10,13 +10,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .attention import EncoderConfig, build_encoder_weights
-from .dataio import DatasetError, float_cell, load_dataset, number_cell, read_csv_rows
+from .dataio import DatasetError, float_cell, load_dataset, number_cell, open_dataset, read_csv_rows
 from .initializers import parse_scheme, scheme_label
 from .metrics import (
     EvalReport,
@@ -29,14 +31,14 @@ from .metrics import (
 )
 from .sequences import ProbSequence, StageSequence
 from .smoothers import (
+    CentroidSums,
     classify,
-    fit_centroids,
     fixed_attention_smooth,
     majority_filter_smooth,
     moving_average_smooth,
     random_transformer_smooth,
 )
-from .synthgen import Subject, SynthConfig, SynthDataset, make_dataset
+from .synthgen import Subject, SynthConfig, SynthDataset, iter_subjects, make_dataset
 
 __all__ = [
     "SMOOTHERS",
@@ -240,52 +242,54 @@ def _concat_labels(parts: list[StageSequence], n_classes: int) -> StageSequence:
     return StageSequence(np.concatenate([p.labels for p in parts]), n_classes)
 
 
+def _require_splits(path: str, tags: Iterable[str]) -> None:
+    if not {"train", "test"} <= set(tags):
+        raise DatasetError(f"{path}: dataset needs non-empty train and test splits")
+
+
+def _open_data(cfg: RunConfig) -> tuple[int, int, Callable[[str], Iterable[Subject]]]:
+    """The run's label space, feature width, and a source of each split's
+    subjects that makes or reads each subject only when it is reached."""
+    if cfg.synth is not None:  # its splits are never empty
+        return cfg.synth.n_classes, cfg.synth.feat_dim, partial(iter_subjects, cfg.synth)
+    data = open_dataset(cfg.dataset_path)
+    _require_splits(cfg.dataset_path, (entry["split"] for entry in data.entries))
+    return data.n_classes, data.feat_dim, data.iter_subjects
+
+
 def _load_data(cfg: RunConfig) -> SynthDataset:
     if cfg.synth is not None:
-        return make_dataset(cfg.synth)  # its splits are never empty
+        return make_dataset(cfg.synth)
     dataset = load_dataset(cfg.dataset_path)
-    if not dataset.split("train") or not dataset.split("test"):
-        raise DatasetError(f"{cfg.dataset_path}: dataset needs non-empty train and test splits")
+    _require_splits(cfg.dataset_path, (sub.split for sub in dataset.subjects))
     return dataset
 
 
-def _smoothed_predictions(
-    cfg: RunConfig,
-    train: list[Subject],
-    test: list[Subject],
-    n_classes: int,
-    seed: int,
-    none_preds: list[StageSequence],
-) -> list[StageSequence]:
-    kind = cfg.smoother
+def _feature_smoothers(cfg: RunConfig, feat_dim: int) -> list[Callable]:
+    """The feature-space smoother of each distinct smoothed head: one per run
+    seed for the random transformer, with every seed's weights built now; one
+    for the seed-free window mean; none for the label-space smoothers."""
+    if cfg.smoother == "fixed_attention":
+        return [partial(fixed_attention_smooth, w=cfg.encoder.window_w)]
+    if cfg.smoother != "random_transformer":
+        return []
+    encoders = [replace(cfg.encoder, seed=seed) for seed in cfg.seeds]
+    return [
+        partial(random_transformer_smooth, cfg=enc, weights=build_encoder_weights(enc, feat_dim))
+        for enc in encoders
+    ]
+
+
+def _label_smoothed(cfg: RunConfig, sub: Subject, none_pred: StageSequence) -> StageSequence:
+    # The prediction of a smoother that works on labels or probabilities.
     w = cfg.encoder.window_w
-    if kind == "none":
-        return list(none_preds)
-    if kind == "moving_average":
-        return [
-            moving_average_smooth(_require_probs(sub, kind), w) for sub in test
-        ]
-    if kind == "median":
-        probs = [_require_probs(sub, kind) for sub in test]
-        return [
-            majority_filter_smooth(
-                StageSequence(np.argmax(p.probs, axis=1), p.n_classes), w, cfg.integer_median
-            )
-            for p in probs
-        ]
-    if kind == "fixed_attention":
-        smooth = lambda sub: fixed_attention_smooth(sub.features, w)  # noqa: E731
-    elif kind == "random_transformer":
-        enc = replace(cfg.encoder, seed=seed)
-        weights = build_encoder_weights(enc, train[0].features.dim)
-        smooth = lambda sub: random_transformer_smooth(sub.features, enc, weights)  # noqa: E731
-    else:  # pragma: no cover - guarded by RunConfig validation
-        raise ValueError(f"unknown smoother {kind!r}")
-    # The classifier head is fitted on training features passed through the
-    # same smoother, mirroring a head trained on the frozen model's outputs,
-    # one subject at a time.
-    clf = fit_centroids(((smooth(sub), sub.stages) for sub in train), n_classes)
-    return [classify(smooth(sub), clf) for sub in test]
+    if cfg.smoother == "none":
+        return none_pred
+    probs = _require_probs(sub, cfg.smoother)
+    if cfg.smoother == "moving_average":
+        return moving_average_smooth(probs, w)
+    labels = StageSequence(np.argmax(probs.probs, axis=1), probs.n_classes)
+    return majority_filter_smooth(labels, w, cfg.integer_median)
 
 
 def _require_probs(sub: Subject, smoother: str) -> ProbSequence:
@@ -304,38 +308,64 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     smoother works in feature space, and score accuracy, weighted F1,
     transition entropy of the predictions, and LSII against the unsmoothed
     baseline predictions. Metrics pool across test subjects without crossing
-    subject boundaries.
+    subject boundaries. Subjects are made or read one at a time, and only
+    those of the train and test splits.
     """
-    return _evaluate(cfg, _load_data(cfg))
+    return _evaluate(cfg, *_open_data(cfg))
 
 
-def _evaluate(cfg: RunConfig, dataset: SynthDataset) -> PipelineResult:
-    n_classes = dataset.n_classes
-    train = dataset.split("train")
-    test = dataset.split("test")
+def _evaluate(cfg: RunConfig, n_classes: int, feat_dim: int,
+              subjects: Callable[[str], Iterable[Subject]]) -> PipelineResult:
+    """One pass over ``subjects("train")``, then one over ``subjects("test")``,
+    for every seed at once, so the run holds one subject at a time."""
+    smoothers = _feature_smoothers(cfg, feat_dim)
+    # The base head sees raw features; each smoothed head sees its smoother's
+    # outputs, mirroring a head trained on the frozen model's outputs.
+    base = CentroidSums(n_classes)
+    heads = [CentroidSums(n_classes) for _ in smoothers]
+    for sub in subjects("train"):
+        base.add(sub.features, sub.stages)
+        for smooth, head in zip(smoothers, heads):
+            head.add(smooth(sub.features), sub.stages)
+        del sub  # free this subject before the next one is made or read
+    base_clf = base.classifier()
+    clfs = [head.classifier() for head in heads]
 
-    base_clf = fit_centroids(((sub.features, sub.stages) for sub in train), n_classes)
-    none_preds = [classify(sub.features, base_clf) for sub in test]
-    truth = [sub.stages for sub in test]
+    # One prediction list per smoothed head, or one for a label-space
+    # smoother; a seed-free smoother's list serves every seed.
+    truth: list[StageSequence] = []
+    none_preds: list[StageSequence] = []
+    preds: list[list[StageSequence]] = [[] for _ in range(max(len(smoothers), 1))]
+    for sub in subjects("test"):
+        truth.append(sub.stages)
+        none_preds.append(classify(sub.features, base_clf))
+        if smoothers:
+            for smooth, clf, out in zip(smoothers, clfs, preds):
+                out.append(classify(smooth(sub.features), clf))
+        else:
+            preds[0].append(_label_smoothed(cfg, sub, none_preds[-1]))
+        del sub
+    if len(preds) == 1:
+        preds *= len(cfg.seeds)
+
     truth_all = _concat_labels(truth, n_classes)
     resolved = run_config_dict(cfg)
     digest = config_digest(resolved)
     metric_w = cfg.resolved_metric_window
 
-    def eval_seed(seed: int) -> EvalReport:
-        preds = _smoothed_predictions(cfg, train, test, n_classes, seed, none_preds)
-        preds_all = _concat_labels(preds, n_classes)
+    def score(seed: int, seed_preds: list[StageSequence]) -> EvalReport:
+        preds_all = _concat_labels(seed_preds, n_classes)
         return EvalReport(
             accuracy=accuracy(preds_all, truth_all),
             weighted_f1=weighted_f1(preds_all, truth_all, n_classes),
-            wte=wte_pooled(preds),
-            lsii=lsii_pooled(none_preds, preds, metric_w),
+            wte=wte_pooled(seed_preds),
+            lsii=lsii_pooled(none_preds, seed_preds, metric_w),
             per_class_f1=tuple(float(v) for v in per_class_f1(preds_all, truth_all, n_classes)),
             config_digest=digest,
             seed=seed,
         )
 
-    reports = [eval_seed(seed) for seed in cfg.seeds]
+    reports = [score(seed, seed_preds) for seed, seed_preds in zip(cfg.seeds, preds)]
     return PipelineResult(
         config=resolved,
         digest=digest,
@@ -431,7 +461,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     dataset = _load_data(spec.base)
     rows: list[dict] = []
     for value in spec.grid:
-        result = _evaluate(apply_axis(spec.base, spec.axis, value), dataset)
+        cfg = apply_axis(spec.base, spec.axis, value)
+        result = _evaluate(cfg, dataset.n_classes, dataset.feat_dim, dataset.split)
         for report in result.per_seed:
             rows.append(
                 {

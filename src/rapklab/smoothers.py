@@ -15,7 +15,8 @@ temporally coherent hypnogram.
   weights everywhere.
 
 Feature-space smoothers are paired with a nearest-centroid classifier
-(``fit_centroids`` / ``classify``) fitted on smoothed training features.
+(``CentroidSums`` or ``fit_centroids``, then ``classify``) fitted on smoothed
+training features.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "fixed_attention_smooth",
     "random_transformer_smooth",
     "CentroidClassifier",
+    "CentroidSums",
     "fit_centroids",
     "classify",
 ]
@@ -128,33 +130,55 @@ class CentroidClassifier:
         return self.centroids.shape[0]
 
 
+class CentroidSums:
+    """Running per-class feature sums for a nearest-centroid head, fed one
+    ``(features, labels)`` part at a time with ``add``.
+
+    Each class sum continues in row order across parts, so ``classifier()``
+    equals a fit on the concatenated parts bit for bit. A part need not hold
+    every class, but every class must appear in some part.
+    """
+
+    def __init__(self, n_classes: int):
+        self.n_classes = n_classes
+        self._sums: list[np.ndarray | None] = [None] * n_classes
+        self._counts = [0] * n_classes
+
+    def add(self, x: FeatureSequence, y: StageSequence) -> None:
+        """Add the rows of ``x`` to the sums of their classes in ``y``."""
+        if x.t_len != y.t_len:
+            raise ValueError(f"features ({x.t_len}) and labels ({y.t_len}) differ in length")
+        if self.n_classes < y.n_classes:
+            raise ValueError(f"n_classes={self.n_classes} below label space {y.n_classes}")
+        for c in range(self.n_classes):
+            rows = x.data[y.labels == c]
+            self._counts[c] += len(rows)
+            if self._sums[c] is not None:  # continue the sum in row order
+                rows = np.concatenate([self._sums[c][np.newaxis], rows])
+            if len(rows):
+                self._sums[c] = rows.sum(axis=0)
+
+    def classifier(self) -> CentroidClassifier:
+        """The class means of every row added so far."""
+        for c, n in enumerate(self._counts):
+            if not n:
+                raise ValueError(f"class {c} has no training examples; cannot place a centroid")
+        return CentroidClassifier(
+            centroids=np.array([s / n for s, n in zip(self._sums, self._counts)])
+        )
+
+
 def fit_centroids(
     parts: Iterable[tuple[FeatureSequence, StageSequence]], n_classes: int
 ) -> CentroidClassifier:
-    """Mean feature vector per class over ``(features, labels)`` parts, read one
-    at a time. Every class must appear in some part. Each class sum continues
-    in row order across parts, so the centroids equal a fit on the concatenated
-    parts bit for bit.
-    """
-    sums: list[np.ndarray | None] = [None] * n_classes
-    counts = [0] * n_classes
-    for x, y in parts:
-        if x.t_len != y.t_len:
-            raise ValueError(f"features ({x.t_len}) and labels ({y.t_len}) differ in length")
-        if n_classes < y.n_classes:
-            raise ValueError(f"n_classes={n_classes} below label space {y.n_classes}")
-        for c in range(n_classes):
-            rows = x.data[y.labels == c]
-            counts[c] += len(rows)
-            if sums[c] is not None:  # continue the sum in row order
-                rows = np.concatenate([sums[c][np.newaxis], rows])
-            if len(rows):
-                sums[c] = rows.sum(axis=0)
-        del x, y, rows  # free this part before the next one is made
-    for c, n in enumerate(counts):
-        if not n:
-            raise ValueError(f"class {c} has no training examples; cannot place a centroid")
-    return CentroidClassifier(centroids=np.array([s / n for s, n in zip(sums, counts)]))
+    """Mean feature vector per class over ``(features, labels)`` parts: a
+    ``CentroidSums`` fed one part at a time, each part freed before the next
+    is made."""
+    sums = CentroidSums(n_classes)
+    for part in parts:
+        sums.add(*part)
+        del part
+    return sums.classifier()
 
 
 def classify(x: FeatureSequence, clf: CentroidClassifier) -> StageSequence:

@@ -11,6 +11,7 @@ the clean Markov sequence is kept as ground truth.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,14 @@ __all__ = [
     "gen_features",
     "gen_noisy_probs",
     "split_subjects",
+    "iter_subjects",
     "make_dataset",
+    "SPLITS",
     "SPLIT_RATIOS",
 ]
 
-# Subject-level train/val/test proportions used by ``make_dataset``.
+# The split tags, and the subject-level proportions ``iter_subjects`` uses.
+SPLITS = ("train", "val", "test")
 SPLIT_RATIOS = (0.8, 0.1, 0.1)
 
 # Probability mass the simulated epoch encoder puts on its predicted class.
@@ -122,9 +126,17 @@ def gen_features(labels: StageSequence, cfg: SynthConfig, subject_seed: int) -> 
     rng = generator(cfg.seed, _ROLE_FEAT, subject_seed)
     means = np.zeros((labels.n_classes, cfg.feat_dim))
     means[np.arange(labels.n_classes), np.arange(labels.n_classes)] = cfg.class_sep
-    data = means[labels.labels]
-    if cfg.noise_std > 0.0:
-        data = data + cfg.noise_std * rng.standard_normal((labels.t_len, cfg.feat_dim))
+    if cfg.noise_std == 0.0:
+        return FeatureSequence(means[labels.labels])
+    # Scaled and offset in place: the same sums as means + noise_std * z,
+    # without two full-size temporaries. The offset is made before the draw,
+    # so the freed offset lies below the features in the heap rather than
+    # above them, where it would join the encoder's scratch space and make
+    # the allocator hand that space back to the system after every pass.
+    offset = means[labels.labels]
+    data = rng.standard_normal((labels.t_len, cfg.feat_dim))
+    data *= cfg.noise_std
+    data += offset
     return FeatureSequence(data)
 
 
@@ -206,7 +218,7 @@ class Subject:
                 f"{self.subject_id}: probs ({self.probs.t_len}) and stages "
                 f"({self.stages.t_len}) differ in length"
             )
-        if self.split not in ("train", "val", "test"):
+        if self.split not in SPLITS:
             raise ValueError(f"{self.subject_id}: unknown split {self.split!r}")
 
 
@@ -234,34 +246,38 @@ class SynthDataset:
         return [s for s in self.subjects if s.split == tag]
 
 
-def make_dataset(cfg: SynthConfig) -> SynthDataset:
-    """Generate the full synthetic cohort.
+def iter_subjects(cfg: SynthConfig, split: str | None = None) -> Iterator[Subject]:
+    """Generate the cohort's subjects one at a time, in index order; with
+    ``split``, only the subjects of that split are drawn.
 
     Per subject: a clean Markov hypnogram, noisy encoder probabilities on top
     of it, and features centred on the class means of the *noisy* argmax
     stream, so feature noise and probability noise are consistent with each
-    other and with a single simulated encoder.
+    other and with a single simulated encoder. Each subject has its own
+    streams, so it does not depend on which others are drawn.
     """
     tags = split_subjects(cfg.n_subjects, SPLIT_RATIOS, cfg.seed)
-    subjects = []
-    for i in range(cfg.n_subjects):
+    for i, tag in enumerate(tags):
+        if split is not None and tag != split:
+            continue
         stages = gen_hypnogram(cfg, i)
         probs = gen_noisy_probs(
             stages, cfg.label_noise, cfg.n_classes, mix_seed(cfg.seed, _ROLE_PROBS, i)
         )
         noisy = StageSequence(np.argmax(probs.probs, axis=1), cfg.n_classes)
-        features = gen_features(noisy, cfg, i)
-        subjects.append(
-            Subject(
-                subject_id=f"subject_{i:03d}",
-                split=tags[i],
-                features=features,
-                stages=stages,
-                probs=probs,
-            )
+        yield Subject(
+            subject_id=f"subject_{i:03d}",
+            split=tag,
+            features=gen_features(noisy, cfg, i),
+            stages=stages,
+            probs=probs,
         )
+
+
+def make_dataset(cfg: SynthConfig) -> SynthDataset:
+    """Generate the full synthetic cohort (see ``iter_subjects``)."""
     return SynthDataset(
-        subjects=tuple(subjects),
+        subjects=tuple(iter_subjects(cfg)),
         n_classes=cfg.n_classes,
         feat_dim=cfg.feat_dim,
         config=cfg,

@@ -16,6 +16,7 @@ from rapklab.attention import (
     layer_norm_rows,
     softmax_rows,
 )
+from rapklab.harness import COMPONENT_BUNDLES
 from rapklab.initializers import InitScheme, ProjectionSet
 from rapklab.seeding import generator
 from rapklab.sequences import FeatureSequence
@@ -257,6 +258,11 @@ def per_window_encoder(x: FeatureSequence, cfg: EncoderConfig, weights) -> np.nd
     pytest.param(9, dict(window_w=3, use_layernorm=False, use_ffn=False), id="residual"),
     pytest.param(10, dict(window_w=4, use_output_linear=False, use_residual=False, d_k=6),
                  id="heads_averaged"),
+    # One cell per head: numpy's mean sums these 11 heads pairwise, the
+    # encoder's running sum adds them in order, so they agree to rounding.
+    pytest.param(1, dict(window_w=1, n_heads=11, d_k=1, use_output_linear=False,
+                         use_residual=False, use_layernorm=False, use_ffn=False),
+                 id="heads_averaged_single_cell"),
 ])
 def test_encoder_forward_matches_per_window_oracle(t_len, overrides):
     # Batching the windows reorders floating-point sums in the matmuls, so
@@ -281,3 +287,20 @@ def test_encoder_forward_transient_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 15 * 10**6
+
+
+def test_head_mean_holds_two_head_buffers():
+    # Without the output linear every head has the full width d_k = 512; the
+    # heads are averaged by a running sum instead of an (H, T, d_k) stack
+    # (49.3 MB traced with the stack, 24.7 MB with the running sum).
+    bundle = COMPONENT_BUNDLES["attention_no_linear"]
+    cfg = EncoderConfig(n_heads=8, d_k=512, window_w=10, **bundle)
+    x = FeatureSequence(generator(10, 0x15).standard_normal((1000, 256)))
+    weights = build_encoder_weights(cfg, 256)
+    tracemalloc.start()
+    try:
+        encoder_forward(x, cfg, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 10**6

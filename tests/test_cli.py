@@ -554,6 +554,61 @@ def test_dataset_with_an_empty_split_is_a_dataset_error(missing, tmp_path, capsy
         assert err == f"error: {root}: dataset needs non-empty train and test splits\n"
 
 
+@pytest.mark.parametrize("case", ["empty_test_split", "last_id_escapes", "last_split_unknown"])
+def test_streamed_dataset_faults_before_any_subject_file_is_read(case, tmp_path, monkeypatch,
+                                                                 capsys):
+    root = tmp_path / "ds"
+    assert main([
+        "simulate", "--out", str(root), "--classes", "3", "--t-len", "20",
+        "--subjects", "10", "--feat-dim", "4", "--seed", "1",
+    ]) == 0
+    manifest = json.loads((root / "manifest.json").read_text())
+    last = manifest["subjects"][-1]
+    if case == "empty_test_split":
+        for entry in manifest["subjects"]:
+            if entry["split"] == "test":
+                entry["split"] = "train"
+        fragment = f"{root}: dataset needs non-empty train and test splits"
+    elif case == "last_id_escapes":
+        last["id"] = "../outside"
+        fragment = "manifest.json: subject id '../outside' is not a plain directory name"
+    else:
+        last["split"] = "holdout"
+        fragment = f"manifest.json: subject '{last['id']}' has unknown split 'holdout'"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    read = []
+    monkeypatch.setattr(dataio, "_read_table", lambda path, header: read.append(path))
+    capsys.readouterr()
+    assert main(["smooth-eval", "--dataset", str(root), "--smoother", "none"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+    assert read == []
+
+
+def test_corrupt_last_test_subject_fails_cleanly_without_a_report(tmp_path, capsys):
+    # The fault is met only after every train subject has been read.
+    root = tmp_path / "ds"
+    assert main([
+        "simulate", "--out", str(root), "--classes", "3", "--t-len", "20",
+        "--subjects", "10", "--feat-dim", "4", "--seed", "1",
+    ]) == 0
+    manifest = json.loads((root / "manifest.json").read_text())
+    sub_id = [e["id"] for e in manifest["subjects"] if e["split"] == "test"][-1]
+    path = root / sub_id / "features.csv"
+    lines = path.read_text().split("\n")
+    lines[2] = "nan" + lines[2][lines[2].index(","):]
+    path.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["smooth-eval", "--dataset", str(root), "--smoother", "random_transformer",
+                 "--heads", "2", "--dk", "8", "--seed", "1,2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    _assert_one_line_error(code, captured.err, path, "row 3 contains a non-finite cell")
+    assert not (out / "report.json").exists()
+
+
 def _rows(edit):
     """Apply ``edit(lines, col, num)`` to the lines of a CSV text and rejoin
     them with CRLF endings."""
@@ -567,12 +622,13 @@ def _cell(lines, row, col, value):
     return [*lines[:row], ",".join(cells), *lines[row + 1:]]
 
 
-# Malformed (or merely unusual) CSVs: (file in subject_000 and the column that
-# a cell edit targets there, edit of a CSV text given a column and a number to
-# write, the error after "<file>: " or None where the file must load as the row
-# scan loads it). The dataset leg writes "0.5" into the listed column; the
-# other input paths write "1" into their own numeric column. Every file has 20
-# data rows, so its last line is 21; {width} is its number of columns.
+# Malformed (or merely unusual) CSVs: (file in a training subject and the
+# column that a cell edit targets there, edit of a CSV text given a column and
+# a number to write, the error after "<file>: " or None where the file must
+# load as the row scan loads it). The dataset leg writes "0.5" into the listed
+# column; the other input paths write "1" into their own numeric column. Every
+# file has 20 data rows, so its last line is 21; {width} is its number of
+# columns.
 _MALFORMED_CSV = {
     "blank_line_mid_file": (
         "features.csv", None, _rows(lambda ls, c, n: [*ls[:3], "", *ls[3:]]), "row 4 has 0 cells"),
@@ -636,7 +692,10 @@ def test_malformed_csv_loads_as_the_row_scan_does_or_fails_cleanly(case, tmp_pat
     ]) == 0
     name, col = _MALFORMED_CSV[case][:2]
     header = ["stage"] if name == "labels.csv" else [f"f{j}" for j in range(4)]
-    path = root / "subject_000" / name
+    # A training subject: smooth-eval reads only the train and test splits.
+    manifest = json.loads((root / "manifest.json").read_text())
+    sub_id = next(e["id"] for e in manifest["subjects"] if e["split"] == "train")
+    path = root / sub_id / name
     fragment = _apply_case(case, path, col, "0.5")
     capsys.readouterr()
     code = main(["smooth-eval", "--dataset", str(root), "--smoother", "none"])
@@ -660,7 +719,8 @@ def test_malformed_csv_loads_as_the_row_scan_does_or_fails_cleanly(case, tmp_pat
 
     if fragment is None:
         assert code == 0 and err == ""
-        loaded = load_dataset(root).subjects[0].features.data
+        loaded = next(s for s in load_dataset(root).subjects if s.subject_id == sub_id)
+        loaded = loaded.features.data
         np.testing.assert_array_equal(loaded.view(np.uint64), scanned.view(np.uint64))
     else:
         _assert_one_line_error(code, err, path, fragment)

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rapklab.dataio import DatasetError, load_dataset, read_label_csv, save_dataset
+from rapklab.dataio import (
+    DatasetError,
+    load_dataset,
+    open_dataset,
+    read_label_csv,
+    save_dataset,
+)
 from rapklab.sequences import FeatureSequence, ProbSequence
 from rapklab.synthgen import SynthConfig, SynthDataset, make_dataset
 
@@ -27,6 +33,23 @@ def test_round_trip_is_lossless(small_dataset, tmp_path):
         np.testing.assert_array_equal(a.features.data, b.features.data)
         np.testing.assert_array_equal(a.stages.labels, b.stages.labels)
         np.testing.assert_array_equal(a.probs.probs, b.probs.probs)
+
+
+def test_open_dataset_reads_a_subject_only_when_it_is_reached(small_dataset, tmp_path):
+    root = save_dataset(small_dataset, tmp_path / "ds")
+    data = open_dataset(root)
+    assert (data.n_classes, data.feat_dim) == (small_dataset.n_classes, small_dataset.feat_dim)
+    assert data.config == small_dataset.config
+    for split in ("train", "val", "test"):
+        assert [s.subject_id for s in data.iter_subjects(split)] == [
+            s.subject_id for s in small_dataset.split(split)
+        ]
+    val_id = small_dataset.split("val")[0].subject_id
+    (root / val_id / "features.csv").unlink()
+    data = open_dataset(root)  # the manifest alone is read here
+    assert len(list(data.iter_subjects("train"))) == len(small_dataset.split("train"))
+    with pytest.raises(DatasetError, match="missing file"):
+        list(data.iter_subjects("val"))
 
 
 def test_layout_on_disk(small_dataset, tmp_path):

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_acceptance import ACC_ENCODER, ACC_SYNTH, SEEDS, acc_pipeline
 
-from rapklab import harness
+from rapklab import dataio, harness, synthgen
 from rapklab.attention import EncoderConfig
 from rapklab.dataio import DatasetError, save_dataset
 from rapklab.harness import (
@@ -181,14 +185,14 @@ def test_pipeline_aggregate_uses_population_std():
 def test_pipeline_from_saved_dataset_matches_in_memory(tmp_path):
     synth = small_synth()
     root = save_dataset(make_dataset(synth), tmp_path / "ds")
-    mem = run_pipeline(small_run())
-    disk = run_pipeline(small_run(synth=None, dataset_path=str(root)))
-    # Different config digests (different data source spec), same numbers.
-    assert mem.digest != disk.digest
-    for a, b in zip(mem.per_seed, disk.per_seed):
-        assert a.accuracy == b.accuracy
-        assert a.wte == b.wte
-        assert a.lsii == b.lsii
+    for smoother in SMOOTHERS:
+        mem = run_pipeline(small_run(smoother=smoother))
+        disk = run_pipeline(small_run(synth=None, dataset_path=str(root), smoother=smoother))
+        # Different config digests (different data source spec), same scores.
+        assert mem.digest != disk.digest
+        assert [replace(r, config_digest="") for r in mem.per_seed] == [
+            replace(r, config_digest="") for r in disk.per_seed
+        ]
 
 
 def test_pipeline_probs_smoother_needs_probs(tmp_path):
@@ -200,6 +204,89 @@ def test_pipeline_probs_smoother_needs_probs(tmp_path):
         run_pipeline(cfg)
     # Feature-space smoothing is unaffected.
     run_pipeline(small_run(synth=None, dataset_path=str(root)))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("source", ["synth", "dataset"])
+def test_pipeline_memory_does_not_grow_with_the_cohort(source, tmp_path):
+    # Subjects are made or read one at a time, so a cohort three times larger
+    # may add a few label arrays but not one more subject's features.
+    t_len, feat_dim = 200, 256
+
+    def config(n_subjects: int) -> RunConfig:
+        synth = small_synth(n_subjects=n_subjects, t_len=t_len, feat_dim=feat_dim)
+        if source == "synth":
+            return small_run(synth=synth, smoother="fixed_attention")
+        root = save_dataset(make_dataset(synth), tmp_path / f"ds{n_subjects}")
+        return small_run(synth=None, dataset_path=str(root), smoother="fixed_attention")
+
+    small, large = config(6), config(18)
+    run_pipeline(small)  # first-call allocations are not the cohort's
+    grown = _traced_peak(lambda: run_pipeline(large)) - _traced_peak(lambda: run_pipeline(small))
+    assert grown < t_len * feat_dim * 8
+
+
+def test_pipeline_reads_each_train_and_test_subject_once_and_no_val(tmp_path, monkeypatch):
+    synth = small_synth(n_subjects=10)
+    splits = {s.subject_id: s.split for s in make_dataset(synth).subjects}
+    expected = sorted(i for i, split in splits.items() if split != "val")
+    assert len(expected) < len(splits)
+
+    made = []
+    real_gen = synthgen.gen_features
+
+    def gen_features(labels, cfg, i):
+        made.append(f"subject_{i:03d}")
+        return real_gen(labels, cfg, i)
+
+    monkeypatch.setattr(synthgen, "gen_features", gen_features)
+    run_pipeline(small_run(synth=synth))  # two seeds, one pass
+    assert sorted(made) == expected
+
+    root = save_dataset(make_dataset(synth), tmp_path / "ds")
+    read = []
+    real_read = dataio._read_table
+    monkeypatch.setattr(dataio, "_read_table",
+                        lambda path, header: read.append(path) or real_read(path, header))
+    run_pipeline(small_run(synth=None, dataset_path=str(root)))
+    assert sorted(path.parent.name for path in read if path.name == "features.csv") == expected
+    assert all(splits[path.parent.name] != "val" for path in read)
+
+
+# sha256 of report.json at the reference point for every smoother, at the
+# first run seed and at all five, as written before the pipeline streamed its
+# subjects. The encoder's bytes depend on the BLAS build, so a different
+# numpy/OpenBLAS may need these taken afresh.
+_REFERENCE_REPORTS = {
+    ("none", 1): "5f9aa2308d9c6db4ba12b1582a128772164153c46d81528e3bce156609de4996",
+    ("none", 5): "1eef8bb1ecfc1fb623b9ee63be8df0c1d1bc803135bd418d70e114cbf210aa86",
+    ("moving_average", 1): "b69a291fe4e2b1caa9928d38ae4caa30f26ba21d1d29016eff1f1c2d4b0471f5",
+    ("moving_average", 5): "549aa0f2fb986705e6be90d0c707a4aeccca6ec7a2274c0b753185f68226c041",
+    ("median", 1): "70d49a903846a4cf2fffb67f85253ee0977558fe2ddb8c0db6a66f8f62e118ca",
+    ("median", 5): "47c1bed311289d8f1c383ed5904e2f6141d3ada8f63ad3d1b1414b952f1a32fc",
+    ("fixed_attention", 1): "4a2ce879b65f95cb9e33171575282016f1e4a24fbe7b235024e0cdd1708621c2",
+    ("fixed_attention", 5): "0efa89b8d4ffd5c200e4d3b642bf42b550d81e3976fc931bab148cf062144bf4",
+    ("random_transformer", 1): "df7d3e37065ba157677a0b23bb15c3e89a4a8efa153488100078b67793708704",
+    ("random_transformer", 5): "0d634239c08bb6718bbc9f00e823be94d2676171e6c46857da91a366ff8aed42",
+}
+
+
+@pytest.mark.parametrize("smoother", SMOOTHERS)
+def test_reference_reports_keep_their_bytes(smoother, tmp_path):
+    one_seed = RunConfig(synth=ACC_SYNTH, smoother=smoother, encoder=ACC_ENCODER, seeds=SEEDS[:1])
+    for n_seeds, result in ((1, run_pipeline(one_seed)), (5, acc_pipeline(smoother))):
+        path = tmp_path / f"report_{n_seeds}.json"
+        write_report_json(result, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == _REFERENCE_REPORTS[smoother, n_seeds], n_seeds
 
 
 def test_report_json_and_runs_csv_are_byte_stable(tmp_path):

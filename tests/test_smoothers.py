@@ -8,6 +8,7 @@ from rapklab.attention import EncoderConfig, build_encoder_weights
 from rapklab.seeding import generator
 from rapklab.sequences import FeatureSequence, ProbSequence, StageSequence
 from rapklab.smoothers import (
+    CentroidSums,
     classify,
     fit_centroids,
     fixed_attention_smooth,
@@ -246,8 +247,28 @@ def test_fit_centroids_over_parts_equals_one_fit_of_their_concatenation():
         assert any(len(np.unique(y.labels)) < n for _, y in parts)
         whole = fit_centroids([(FeatureSequence(feats), StageSequence(labels, n))], n).centroids
         assert fit_centroids(parts, n).centroids.tobytes() == whole.tobytes()
+        sums = CentroidSums(n)
+        for x, y in parts:
+            sums.add(x, y)
+        assert sums.classifier().centroids.tobytes() == whole.tobytes()
         class_means = np.array([feats[labels == c].mean(axis=0) for c in range(n)])
         assert whole.tobytes() == class_means.tobytes()
+
+
+def test_centroid_sums_push_one_part_at_a_time():
+    x = FeatureSequence(np.array([[0.0, 0.0], [0.2, 0.0], [1.0, 1.0], [0.8, 1.0]]))
+    sums = CentroidSums(3)
+    sums.add(x, StageSequence(np.array([0, 0, 1, 1]), 2))
+    with pytest.raises(ValueError, match="class 2"):
+        sums.classifier()
+    sums.add(FeatureSequence(np.array([[4.0, 2.0]])), StageSequence(np.array([2]), 3))
+    np.testing.assert_array_equal(
+        sums.classifier().centroids, [[0.1, 0.0], [0.9, 1.0], [4.0, 2.0]]
+    )
+    with pytest.raises(ValueError, match="length"):
+        sums.add(x, StageSequence(np.array([0, 1]), 2))
+    with pytest.raises(ValueError, match="n_classes"):
+        sums.add(x, StageSequence(np.array([0, 1, 2, 3]), 4))
 
 
 def test_fit_centroids_holds_one_part_at_a_time():

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from rapklab.metrics import wte
+from rapklab.seeding import generator
 from rapklab.sequences import StageSequence
 from rapklab.smoothers import classify, fit_centroids
 from rapklab.synthgen import (
+    _ROLE_FEAT,
     SPLIT_RATIOS,
     SynthConfig,
     SynthDataset,
     gen_features,
     gen_hypnogram,
     gen_noisy_probs,
+    iter_subjects,
     make_dataset,
     split_subjects,
 )
@@ -88,6 +91,21 @@ def test_features_exact_without_noise():
     np.testing.assert_array_equal(x.data, means[labels.labels])
 
 
+@pytest.mark.parametrize("noise_std", [0.0, 0.1, 1.0, 2.5])
+def test_features_scaled_in_place_equal_the_plain_formula(noise_std):
+    # The noise is scaled and offset in place; the bytes are those of
+    # means + noise_std * z on the same draw.
+    c = cfg(t_len=300, feat_dim=16, noise_std=noise_std, class_sep=0.4)
+    labels = gen_hypnogram(c, 3)
+    means = np.zeros((c.n_classes, c.feat_dim))
+    means[np.arange(c.n_classes), np.arange(c.n_classes)] = c.class_sep
+    expected = means[labels.labels]
+    if noise_std > 0.0:
+        z = generator(c.seed, _ROLE_FEAT, 3).standard_normal((c.t_len, c.feat_dim))
+        expected = expected + noise_std * z
+    assert gen_features(labels, c, 3).data.tobytes() == expected.tobytes()
+
+
 def test_features_conditioned_on_given_labels():
     c = cfg(t_len=5000, noise_std=0.5, class_sep=3.0)
     labels = gen_hypnogram(c, 0)
@@ -157,6 +175,20 @@ def test_make_dataset_contract():
     for sub in ds.subjects:
         assert sub.features.t_len == sub.stages.t_len == sub.probs.t_len == 120
     assert len(ds.split("train")) + len(ds.split("val")) + len(ds.split("test")) == 6
+
+
+def test_iter_subjects_draws_one_split_as_the_whole_cohort_has_it():
+    c = cfg(n_subjects=10, t_len=80)
+    whole = make_dataset(c).subjects
+    assert [s.subject_id for s in iter_subjects(c)] == [s.subject_id for s in whole]
+    for split in ("train", "val", "test"):
+        got = list(iter_subjects(c, split))
+        want = [s for s in whole if s.split == split]
+        assert [s.subject_id for s in got] == [s.subject_id for s in want]
+        for a, b in zip(got, want):
+            assert a.features.data.tobytes() == b.features.data.tobytes()
+            assert a.probs.probs.tobytes() == b.probs.probs.tobytes()
+            np.testing.assert_array_equal(a.stages.labels, b.stages.labels)
 
 
 def test_make_dataset_deterministic():
