@@ -61,7 +61,6 @@ from .smoothers import (
     CentroidClassifier,
     CentroidSums,
     classify,
-    fit_centroids,
     fixed_attention_smooth,
     majority_filter_smooth,
     moving_average_smooth,
@@ -104,7 +103,6 @@ __all__ = [
     "correlation_study",
     "empirical_kernel",
     "encoder_forward",
-    "fit_centroids",
     "fixed_attention_smooth",
     "generator",
     "init_matrix",

@@ -43,7 +43,7 @@ from .metrics import lsii, wte
 from .montecarlo import centered_unit_sequence, dk_sweep_detail, logit_concentration
 from .seeding import generator, mix_seed
 from .sequences import FeatureSequence, StageSequence
-from .synthgen import SynthConfig, make_dataset
+from .synthgen import SynthConfig, iter_subjects
 
 __all__ = ["main"]
 
@@ -202,7 +202,7 @@ def _cmd_simulate(args) -> int:
     except TypeError as exc:
         raise ValueError(f"bad synth config: {exc}") from None
     out = _ensure_out(args)
-    save_dataset(make_dataset(cfg), out)
+    save_dataset(iter_subjects(cfg), out, cfg)
     print(f"wrote {cfg.n_subjects} subjects x {cfg.t_len} epochs to {out}")
     return 0
 

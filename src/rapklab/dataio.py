@@ -20,6 +20,7 @@ offending file and row; ``probs.csv`` may be absent, in which case the
 subject loads with probabilities missing. ``open_dataset`` checks the
 manifest up front and reads each subject's files only when that subject is
 reached, so a run holds one subject at a time; ``load_dataset`` reads them all.
+``save_dataset`` writes subjects as they arrive and the manifest last.
 
 Config files (``read_json_object``) and sweep CSVs (``read_csv_rows``, the
 same row scan) are read here too, so every read fault is a ``DatasetError``.
@@ -30,14 +31,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .sequences import FeatureSequence, ProbSequence, StageSequence
-from .synthgen import SPLITS, Subject, SynthConfig, SynthDataset
+from .synthgen import SPLITS, Subject, SynthConfig, SynthDataset, check_subject
 
 __all__ = [
     "DatasetError", "DatasetDir", "save_dataset", "open_dataset", "load_dataset",
@@ -62,25 +63,24 @@ def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
             fh.write(repr(row.tolist())[1:-1].replace(", ", ",") + "\r\n")
 
 
-def save_dataset(dataset: SynthDataset, out_dir: str | Path) -> Path:
-    """Write ``dataset`` under ``out_dir`` (created if needed)."""
+def save_dataset(
+    subjects: Iterable[Subject], out_dir: str | Path, config: SynthConfig | None = None
+) -> Path:
+    """Write ``subjects`` under ``out_dir`` (created if needed), each as it
+    arrives, then a manifest naming them and ``config``. Any old manifest goes
+    first, so a write that fails part way leaves none. Every subject must share
+    the first's label space and feature width, and no subject id may repeat."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format": _FORMAT,
-        "version": 1,
-        "n_classes": dataset.n_classes,
-        "feat_dim": dataset.feat_dim,
-        "synth_config": asdict(dataset.config) if dataset.config is not None else None,
-        "subjects": [
-            {"id": sub.subject_id, "split": sub.split, "t_len": sub.stages.t_len}
-            for sub in dataset.subjects
-        ],
-    }
-    with (root / _MANIFEST).open("w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for sub in dataset.subjects:
+    (root / _MANIFEST).unlink(missing_ok=True)
+    entries: list[dict] = []
+    for sub in subjects:
+        if not entries:
+            n_classes, feat_dim = sub.stages.n_classes, sub.features.dim
+        check_subject(sub, n_classes, feat_dim)
+        if any(entry["id"] == sub.subject_id for entry in entries):
+            raise ValueError(f"{sub.subject_id}: subject id repeats")
+        entries.append({"id": sub.subject_id, "split": sub.split, "t_len": sub.stages.t_len})
         sub_dir = root / sub.subject_id
         sub_dir.mkdir(exist_ok=True)
         _write_table(
@@ -95,6 +95,20 @@ def save_dataset(dataset: SynthDataset, out_dir: str | Path) -> Path:
                 [f"p{j}" for j in range(sub.probs.n_classes)],
                 sub.probs.probs,
             )
+        del sub  # free this subject before the next one is made
+    if not entries:
+        raise ValueError("dataset must contain at least one subject")
+    manifest = {
+        "format": _FORMAT,
+        "version": 1,
+        "n_classes": n_classes,
+        "feat_dim": feat_dim,
+        "synth_config": asdict(config) if config is not None else None,
+        "subjects": entries,
+    }
+    with (root / _MANIFEST).open("w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return root
 
 
@@ -335,8 +349,12 @@ def open_dataset(path: str | Path) -> DatasetDir:
             )
     if not isinstance(manifest["subjects"], list):
         raise DatasetError(f"{manifest_path}: subjects is not a list")
+    ids: set[str] = set()
     for entry in manifest["subjects"]:
         _check_entry(manifest_path, entry)
+        if entry["id"] in ids:
+            raise DatasetError(f"{manifest_path}: subject id {entry['id']!r} is listed twice")
+        ids.add(entry["id"])
     config = None
     if manifest.get("synth_config") is not None:
         try:

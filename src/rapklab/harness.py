@@ -1,8 +1,9 @@
 """Experiment harness: resolved configs, evaluation pipeline, sweeps, reports.
 
 A run is a pure function of its resolved configuration, so reports are
-byte-identical across repeats. Seeds and grid points are evaluated one after
-another, in the order they are given.
+byte-identical across repeats. Every run streams its subjects: one pass over
+the train split, then one over the test split, with every seed (and every
+grid point that shares encoder weights) handled inside each pass.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import EncoderConfig, build_encoder_weights
-from .dataio import DatasetError, float_cell, load_dataset, number_cell, open_dataset, read_csv_rows
+from .dataio import DatasetError, float_cell, number_cell, open_dataset, read_csv_rows
 from .initializers import parse_scheme, scheme_label
 from .metrics import (
     EvalReport,
@@ -38,7 +39,7 @@ from .smoothers import (
     moving_average_smooth,
     random_transformer_smooth,
 )
-from .synthgen import Subject, SynthConfig, SynthDataset, iter_subjects, make_dataset
+from .synthgen import Subject, SynthConfig, iter_subjects
 
 __all__ = [
     "SMOOTHERS",
@@ -242,41 +243,37 @@ def _concat_labels(parts: list[StageSequence], n_classes: int) -> StageSequence:
     return StageSequence(np.concatenate([p.labels for p in parts]), n_classes)
 
 
-def _require_splits(path: str, tags: Iterable[str]) -> None:
-    if not {"train", "test"} <= set(tags):
-        raise DatasetError(f"{path}: dataset needs non-empty train and test splits")
-
-
 def _open_data(cfg: RunConfig) -> tuple[int, int, Callable[[str], Iterable[Subject]]]:
     """The run's label space, feature width, and a source of each split's
     subjects that makes or reads each subject only when it is reached."""
     if cfg.synth is not None:  # its splits are never empty
         return cfg.synth.n_classes, cfg.synth.feat_dim, partial(iter_subjects, cfg.synth)
     data = open_dataset(cfg.dataset_path)
-    _require_splits(cfg.dataset_path, (entry["split"] for entry in data.entries))
+    if not {"train", "test"} <= {entry["split"] for entry in data.entries}:
+        raise DatasetError(f"{cfg.dataset_path}: dataset needs non-empty train and test splits")
     return data.n_classes, data.feat_dim, data.iter_subjects
 
 
-def _load_data(cfg: RunConfig) -> SynthDataset:
-    if cfg.synth is not None:
-        return make_dataset(cfg.synth)
-    dataset = load_dataset(cfg.dataset_path)
-    _require_splits(cfg.dataset_path, (sub.split for sub in dataset.subjects))
-    return dataset
+def _weights_key(cfg: RunConfig) -> EncoderConfig | None:
+    """Grid points with one key share a pass over the data and their encoder
+    weights: the encoder without its window, which only the positional rows
+    depend on, or None for the smoothers that use no weights."""
+    if cfg.smoother != "random_transformer":
+        return None
+    return cfg.encoder if cfg.encoder.use_positional else replace(cfg.encoder, window_w=1)
 
 
-def _feature_smoothers(cfg: RunConfig, feat_dim: int) -> list[Callable]:
+def _feature_smoothers(cfg: RunConfig, weights: list) -> list[Callable]:
     """The feature-space smoother of each distinct smoothed head: one per run
-    seed for the random transformer, with every seed's weights built now; one
-    for the seed-free window mean; none for the label-space smoothers."""
+    seed for the random transformer, with that seed's ``weights``; one for the
+    seed-free window mean; none for the label-space smoothers."""
     if cfg.smoother == "fixed_attention":
         return [partial(fixed_attention_smooth, w=cfg.encoder.window_w)]
     if cfg.smoother != "random_transformer":
         return []
-    encoders = [replace(cfg.encoder, seed=seed) for seed in cfg.seeds]
     return [
-        partial(random_transformer_smooth, cfg=enc, weights=build_encoder_weights(enc, feat_dim))
-        for enc in encoders
+        partial(random_transformer_smooth, cfg=replace(cfg.encoder, seed=seed), weights=w)
+        for seed, w in zip(cfg.seeds, weights)
     ]
 
 
@@ -311,44 +308,55 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     subject boundaries. Subjects are made or read one at a time, and only
     those of the train and test splits.
     """
-    return _evaluate(cfg, *_open_data(cfg))
+    return _evaluate([cfg], *_open_data(cfg))[0]
 
 
-def _evaluate(cfg: RunConfig, n_classes: int, feat_dim: int,
-              subjects: Callable[[str], Iterable[Subject]]) -> PipelineResult:
+def _evaluate(cfgs: list[RunConfig], n_classes: int, feat_dim: int,
+              subjects: Callable[[str], Iterable[Subject]]) -> list[PipelineResult]:
     """One pass over ``subjects("train")``, then one over ``subjects("test")``,
-    for every seed at once, so the run holds one subject at a time."""
-    smoothers = _feature_smoothers(cfg, feat_dim)
+    for every config and seed at once, so the run holds one subject at a time.
+    The configs share one ``_weights_key``, their seeds and one base head."""
+    lead = cfgs[0]
+    weights = [] if lead.smoother != "random_transformer" else [
+        build_encoder_weights(replace(lead.encoder, seed=seed), feat_dim) for seed in lead.seeds
+    ]
+    smoothers = [_feature_smoothers(cfg, weights) for cfg in cfgs]
+    # Per config, one prediction list per smoothed head, or one for a
+    # label-space smoother; a seed-free smoother's list serves every seed.
+    preds = [[[] for _ in range(max(len(row), 1))] for row in smoothers]
     # The base head sees raw features; each smoothed head sees its smoother's
     # outputs, mirroring a head trained on the frozen model's outputs.
     base = CentroidSums(n_classes)
-    heads = [CentroidSums(n_classes) for _ in smoothers]
+    heads = [(smooth, CentroidSums(n_classes), out)
+             for row, outs in zip(smoothers, preds) for smooth, out in zip(row, outs)]
+    labelled = [(cfg, outs[0]) for cfg, row, outs in zip(cfgs, smoothers, preds) if not row]
     for sub in subjects("train"):
         base.add(sub.features, sub.stages)
-        for smooth, head in zip(smoothers, heads):
+        for smooth, head, _ in heads:
             head.add(smooth(sub.features), sub.stages)
         del sub  # free this subject before the next one is made or read
     base_clf = base.classifier()
-    clfs = [head.classifier() for head in heads]
+    clfs = [(smooth, head.classifier(), out) for smooth, head, out in heads]
 
-    # One prediction list per smoothed head, or one for a label-space
-    # smoother; a seed-free smoother's list serves every seed.
     truth: list[StageSequence] = []
     none_preds: list[StageSequence] = []
-    preds: list[list[StageSequence]] = [[] for _ in range(max(len(smoothers), 1))]
     for sub in subjects("test"):
         truth.append(sub.stages)
         none_preds.append(classify(sub.features, base_clf))
-        if smoothers:
-            for smooth, clf, out in zip(smoothers, clfs, preds):
-                out.append(classify(smooth(sub.features), clf))
-        else:
-            preds[0].append(_label_smoothed(cfg, sub, none_preds[-1]))
+        for smooth, clf, out in clfs:
+            out.append(classify(smooth(sub.features), clf))
+        for cfg, out in labelled:
+            out.append(_label_smoothed(cfg, sub, none_preds[-1]))
         del sub
-    if len(preds) == 1:
-        preds *= len(cfg.seeds)
-
     truth_all = _concat_labels(truth, n_classes)
+    return [_score(cfg, n_classes, truth_all, none_preds, outs) for cfg, outs in zip(cfgs, preds)]
+
+
+def _score(cfg: RunConfig, n_classes: int, truth_all: StageSequence,
+           none_preds: list[StageSequence], preds: list[list[StageSequence]]) -> PipelineResult:
+    # The result of one config from its per-seed (or seed-free) predictions.
+    if len(preds) == 1:
+        preds = preds * len(cfg.seeds)
     resolved = run_config_dict(cfg)
     digest = config_digest(resolved)
     metric_w = cfg.resolved_metric_window
@@ -452,35 +460,29 @@ def _seed_sort_key(seed):
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate every grid point in turn and return flat result rows.
+    """Evaluate every grid point and return flat result rows.
 
+    Grid points that share encoder weights (see ``_weights_key``) share one
+    pass over the data, so a window sweep makes or reads each subject once.
     One row per (grid value, seed), plus ``mean`` and ``std`` aggregate rows
     per grid value; rows are sorted by (axis value, seed).
     """
-    # No axis changes the data source, so every grid point shares one load.
-    dataset = _load_data(spec.base)
-    rows: list[dict] = []
+    groups: dict = {}
     for value in spec.grid:
         cfg = apply_axis(spec.base, spec.axis, value)
-        result = _evaluate(cfg, dataset.n_classes, dataset.feat_dim, dataset.split)
-        for report in result.per_seed:
-            rows.append(
-                {
-                    "axis": spec.axis,
-                    "value": value,
-                    "seed": report.seed,
-                    **{name: getattr(report, name) for name in _SCORES},
-                }
-            )
-        for tag in ("mean", "std"):
-            rows.append(
-                {
-                    "axis": spec.axis,
-                    "value": value,
-                    "seed": tag,
-                    **{name: result.aggregate[f"{tag}_{name}"] for name in _SCORES},
-                }
-            )
+        groups.setdefault(_weights_key(cfg), []).append((value, cfg))
+    # No axis changes the data source, so every group reads the same one.
+    data = _open_data(spec.base)
+    rows: list[dict] = []
+    for group in groups.values():
+        values, cfgs = zip(*group)
+        for value, result in zip(values, _evaluate(list(cfgs), *data)):
+            scores = [(r.seed, {name: getattr(r, name) for name in _SCORES})
+                      for r in result.per_seed]
+            scores += [(tag, {name: result.aggregate[f"{tag}_{name}"] for name in _SCORES})
+                       for tag in ("mean", "std")]
+            rows += [{"axis": spec.axis, "value": value, "seed": seed, **row}
+                     for seed, row in scores]
     rows.sort(key=lambda r: (_value_sort_key(r["value"]), _seed_sort_key(r["seed"])))
     return rows
 

@@ -15,13 +15,11 @@ temporally coherent hypnogram.
   weights everywhere.
 
 Feature-space smoothers are paired with a nearest-centroid classifier
-(``CentroidSums`` or ``fit_centroids``, then ``classify``) fitted on smoothed
-training features.
+(``CentroidSums``, then ``classify``) fitted on smoothed training features.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +35,6 @@ __all__ = [
     "random_transformer_smooth",
     "CentroidClassifier",
     "CentroidSums",
-    "fit_centroids",
     "classify",
 ]
 
@@ -166,19 +163,6 @@ class CentroidSums:
         return CentroidClassifier(
             centroids=np.array([s / n for s, n in zip(self._sums, self._counts)])
         )
-
-
-def fit_centroids(
-    parts: Iterable[tuple[FeatureSequence, StageSequence]], n_classes: int
-) -> CentroidClassifier:
-    """Mean feature vector per class over ``(features, labels)`` parts: a
-    ``CentroidSums`` fed one part at a time, each part freed before the next
-    is made."""
-    sums = CentroidSums(n_classes)
-    for part in parts:
-        sums.add(*part)
-        del part
-    return sums.classifier()
 
 
 def classify(x: FeatureSequence, clf: CentroidClassifier) -> StageSequence:

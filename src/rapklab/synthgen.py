@@ -23,6 +23,7 @@ __all__ = [
     "SynthConfig",
     "Subject",
     "SynthDataset",
+    "check_subject",
     "gen_hypnogram",
     "gen_features",
     "gen_noisy_probs",
@@ -222,6 +223,17 @@ class Subject:
             raise ValueError(f"{self.subject_id}: unknown split {self.split!r}")
 
 
+def check_subject(sub: Subject, n_classes: int, feat_dim: int) -> None:
+    """Raise ValueError unless ``sub`` fits a cohort with ``n_classes`` stages
+    and ``feat_dim`` features."""
+    if sub.stages.n_classes != n_classes:
+        raise ValueError(f"{sub.subject_id}: label space differs from dataset")
+    if sub.features.dim != feat_dim:
+        raise ValueError(f"{sub.subject_id}: feature width differs from dataset")
+    if sub.probs is not None and sub.probs.n_classes != n_classes:
+        raise ValueError(f"{sub.subject_id}: probability width differs from dataset")
+
+
 @dataclass(frozen=True)
 class SynthDataset:
     """A cohort of subjects with a shared label space and feature width."""
@@ -235,12 +247,7 @@ class SynthDataset:
         if not self.subjects:
             raise ValueError("dataset must contain at least one subject")
         for sub in self.subjects:
-            if sub.stages.n_classes != self.n_classes:
-                raise ValueError(f"{sub.subject_id}: label space differs from dataset")
-            if sub.features.dim != self.feat_dim:
-                raise ValueError(f"{sub.subject_id}: feature width differs from dataset")
-            if sub.probs is not None and sub.probs.n_classes != self.n_classes:
-                raise ValueError(f"{sub.subject_id}: probability width differs from dataset")
+            check_subject(sub, self.n_classes, self.feat_dim)
 
     def split(self, tag: str) -> list[Subject]:
         return [s for s in self.subjects if s.split == tag]

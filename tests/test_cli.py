@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 from dataclasses import fields
 
@@ -44,6 +45,41 @@ def run_config(tmp_path):
         "seeds": [111],
     }))
     return path
+
+
+# sha256 of every file simulate writes for a 5-subject cohort, as written
+# when the whole cohort was generated before the first file.
+_SIMULATE_FILES = {
+    "manifest.json": "caaf68b7cdf073f4a6c142d4054870bc20ae2c7cafe3ddad94f5efd4a371149d",
+    "subject_000/features.csv": "9524dca6271d9cec6f8dfd5b2ff655b4dceda2a383545c918605ec97fc2d57ce",
+    "subject_000/labels.csv": "ff96458542c750ac281fbb09ebe34530755535b4b905e3f445bc4b53061abda8",
+    "subject_000/probs.csv": "ce6e0c7df8eb617e5e2abf498850c63097617b9f95f5da88423231514ad570b6",
+    "subject_001/features.csv": "e5f3f85bb9bd3d573db007d8f4415f8db8341bd895b11779fe19a0472b603392",
+    "subject_001/labels.csv": "3b1ef134745d6c750e07a49406bc744a20ae5092a6cb653ea4130266748dad8d",
+    "subject_001/probs.csv": "75206928eead4d1f7973936e01402d174b71a5cea68e99d4580eb6f6cdf4e4c5",
+    "subject_002/features.csv": "dcb50c7a2d89394fe494c2a10075eceac082797d297bb8bc00439196b625973f",
+    "subject_002/labels.csv": "f3d8627cb5db8bb4d04ee143c082b8717c1587888c0dcc74dad65663a6fe8d22",
+    "subject_002/probs.csv": "75a4c7a7c1d290f239f3cbcc008919f149634179c77dad7b5a38eaeda333fa6c",
+    "subject_003/features.csv": "a50f3fb56a6831162102ad7471001c1c9259f628b7a2d9a565a621be8b1caa64",
+    "subject_003/labels.csv": "24efd0cac41336c04f31423364cec3411428ea1e3f9b2db0e351300236f4a36f",
+    "subject_003/probs.csv": "a0849c5102d66fa42fe752526bc456dfb1b208ef0d84844b543d6460e5c93aa3",
+    "subject_004/features.csv": "f60931fbf38188fc3cae5e870201d6f288bbe235e76557b274bf9cd34ef924c1",
+    "subject_004/labels.csv": "cda7d485219b8e20fe22e2a2a284b11f82c80ed749f162d68c9d10cefdba969d",
+    "subject_004/probs.csv": "72164f19b1d563d87dc4571e6d24d753dc60f6314f66cb087ba0e6b7dbecc819",
+}
+
+
+def test_simulate_keeps_its_bytes(tmp_path):
+    out = tmp_path / "ds"
+    assert main([
+        "simulate", "--out", str(out), "--classes", "3", "--t-len", "40",
+        "--subjects", "5", "--feat-dim", "4", "--seed", "7",
+    ]) == 0
+    written = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*") if path.is_file()
+    }
+    assert written == _SIMULATE_FILES
 
 
 def test_simulate_writes_loadable_dataset(tmp_path, capsys):
@@ -498,7 +534,7 @@ _BAD_MANIFEST_FIELDS = {
 
 @pytest.mark.parametrize("case", [
     "missing_id", "missing_split", "int_id", "parent_id", "absolute_id", "nested_id",
-    "dot_id", "empty_id", "string_entry", *_BAD_MANIFEST_FIELDS,
+    "dot_id", "empty_id", "string_entry", "repeated_id", *_BAD_MANIFEST_FIELDS,
 ])
 def test_malformed_manifest_subject_is_a_dataset_error(case, tmp_path, capsys):
     root = tmp_path / "ds"
@@ -521,6 +557,9 @@ def test_malformed_manifest_subject_is_a_dataset_error(case, tmp_path, capsys):
         del entry["split"]
     elif case == "string_entry":
         manifest["subjects"][0] = "subject_000"
+    elif case == "repeated_id":  # one directory as two subjects, e.g. train and test
+        manifest["subjects"][1]["id"] = entry["id"]
+        fragment = "subject id 'subject_000' is listed twice"
     else:
         entry["id"] = {
             "int_id": 7, "parent_id": "../subject_000", "absolute_id": str(root / "subject_000"),

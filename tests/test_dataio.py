@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from rapklab.dataio import (
     save_dataset,
 )
 from rapklab.sequences import FeatureSequence, ProbSequence
-from rapklab.synthgen import SynthConfig, SynthDataset, make_dataset
+from rapklab.synthgen import SynthConfig, SynthDataset, iter_subjects, make_dataset
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ def small_dataset():
 
 
 def test_round_trip_is_lossless(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     loaded = load_dataset(root)
     assert loaded.n_classes == small_dataset.n_classes
     assert loaded.feat_dim == small_dataset.feat_dim
@@ -36,7 +37,7 @@ def test_round_trip_is_lossless(small_dataset, tmp_path):
 
 
 def test_open_dataset_reads_a_subject_only_when_it_is_reached(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     data = open_dataset(root)
     assert (data.n_classes, data.feat_dim) == (small_dataset.n_classes, small_dataset.feat_dim)
     assert data.config == small_dataset.config
@@ -53,7 +54,7 @@ def test_open_dataset_reads_a_subject_only_when_it_is_reached(small_dataset, tmp
 
 
 def test_layout_on_disk(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     manifest = json.loads((root / "manifest.json").read_text())
     assert manifest["format"] == "rapklab-dataset"
     assert manifest["version"] == 1
@@ -72,7 +73,7 @@ def test_missing_manifest(tmp_path):
 
 
 def test_corrupt_manifest(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     (root / "manifest.json").write_text("{not json")
     with pytest.raises(DatasetError, match="invalid JSON"):
         load_dataset(root)
@@ -85,7 +86,7 @@ def test_corrupt_manifest(small_dataset, tmp_path):
 
 
 def test_label_out_of_range_names_row(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     path = root / "subject_001" / "labels.csv"
     lines = path.read_text().splitlines()
     lines[3] = "9"
@@ -95,7 +96,7 @@ def test_label_out_of_range_names_row(small_dataset, tmp_path):
 
 
 def test_non_numeric_cell_names_row(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     path = root / "subject_000" / "features.csv"
     lines = path.read_text().splitlines()
     cells = lines[2].split(",")
@@ -107,7 +108,7 @@ def test_non_numeric_cell_names_row(small_dataset, tmp_path):
 
 
 def test_fractional_label_rejected(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     path = root / "subject_000" / "labels.csv"
     lines = path.read_text().splitlines()
     lines[1] = "0.5"
@@ -117,7 +118,7 @@ def test_fractional_label_rejected(small_dataset, tmp_path):
 
 
 def test_row_count_mismatch(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     path = root / "subject_002" / "labels.csv"
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")
@@ -127,7 +128,7 @@ def test_row_count_mismatch(small_dataset, tmp_path):
 
 def test_manifest_length_mismatch(small_dataset, tmp_path):
     # Consistently truncated files still clash with the manifest's t_len.
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     for name in ("features.csv", "labels.csv", "probs.csv"):
         path = root / "subject_002" / name
         lines = path.read_text().splitlines()
@@ -137,7 +138,7 @@ def test_manifest_length_mismatch(small_dataset, tmp_path):
 
 
 def test_header_mismatch(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     path = root / "subject_000" / "probs.csv"
     lines = path.read_text().splitlines()
     lines[0] = "q0,q1,q2"
@@ -147,7 +148,7 @@ def test_header_mismatch(small_dataset, tmp_path):
 
 
 def test_missing_probs_loads_as_none(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     (root / "subject_000" / "probs.csv").unlink()
     loaded = load_dataset(root)
     assert loaded.subjects[0].probs is None
@@ -155,7 +156,7 @@ def test_missing_probs_loads_as_none(small_dataset, tmp_path):
 
 
 def test_missing_features_file(small_dataset, tmp_path):
-    root = save_dataset(small_dataset, tmp_path / "ds")
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
     (root / "subject_001" / "features.csv").unlink()
     with pytest.raises(DatasetError, match="missing file"):
         load_dataset(root)
@@ -176,10 +177,58 @@ def test_read_label_csv(tmp_path):
 
 
 def test_save_is_deterministic(small_dataset, tmp_path):
-    a = save_dataset(small_dataset, tmp_path / "a")
-    b = save_dataset(small_dataset, tmp_path / "b")
+    a = save_dataset(small_dataset.subjects, tmp_path / "a", small_dataset.config)
+    b = save_dataset(small_dataset.subjects, tmp_path / "b", small_dataset.config)
     for rel in ("manifest.json", "subject_000/features.csv", "subject_002/probs.csv"):
         assert (Path(a) / rel).read_bytes() == (Path(b) / rel).read_bytes()
+
+
+def test_save_dataset_checks_the_cohort(small_dataset, tmp_path):
+    first, second = small_dataset.subjects[:2]
+    with pytest.raises(ValueError, match="subject_000: subject id repeats"):
+        save_dataset([first, second, first], tmp_path / "ds")
+    wide = replace(second, features=FeatureSequence(np.zeros((second.stages.t_len, 5))))
+    with pytest.raises(ValueError, match="subject_001: feature width differs"):
+        save_dataset([first, wide], tmp_path / "ds")
+    with pytest.raises(ValueError, match="at least one subject"):
+        save_dataset([], tmp_path / "ds")
+
+
+def test_save_dataset_leaves_no_manifest_when_a_subject_fails(small_dataset, tmp_path):
+    # The old manifest goes first and the new one is written last, so a
+    # directory whose subjects were not all written cannot be opened.
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
+
+    def failing():
+        yield small_dataset.subjects[0]
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        save_dataset(failing(), root)
+    assert (root / "subject_000" / "features.csv").is_file()
+    assert not (root / "manifest.json").exists()
+    with pytest.raises(DatasetError, match="missing manifest"):
+        open_dataset(root)
+
+
+def test_save_dataset_memory_does_not_grow_with_the_cohort(tmp_path):
+    # Each subject is written as it is drawn and freed before the next.
+    t_len, feat_dim = 50, 64
+
+    def save(n_subjects: int) -> None:
+        cfg = SynthConfig(n_subjects=n_subjects, t_len=t_len, feat_dim=feat_dim)
+        save_dataset(iter_subjects(cfg), tmp_path / f"ds{n_subjects}", cfg)
+
+    def peak(n_subjects: int) -> int:
+        tracemalloc.start()
+        try:
+            save(n_subjects)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    save(6)  # first-call allocations are not the cohort's
+    assert peak(18) - peak(6) < t_len * feat_dim * 8
 
 
 def _reference_write(path, header, rows):
@@ -222,7 +271,7 @@ def test_files_match_the_reference_writer_byte_for_byte(small_dataset, tmp_path)
         feat_dim=small_dataset.feat_dim,
         config=small_dataset.config,
     )
-    root = save_dataset(dataset, tmp_path / "ds")
+    root = save_dataset(dataset.subjects, tmp_path / "ds", dataset.config)
     ref = tmp_path / "ref"
     ref.mkdir()
     for sub in dataset.subjects:

@@ -1,8 +1,12 @@
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import rapklab
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_exported_names_resolve_and_the_package_exports_what_it_imports():
@@ -19,3 +23,23 @@ def test_exported_names_resolve_and_the_package_exports_what_it_imports():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert imported == set(rapklab.__all__)
+
+
+def test_every_rapklab_import_of_the_benchmark_resolves():
+    # The benchmark's checks import library names inside functions, and a
+    # crashed check reads as wrong outputs; so every such import, read from
+    # the source without running it, must name something that exists.
+    files = sorted(PERFBENCH.glob("*.py"))
+    assert files
+    unresolved = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rapklab":
+                mod = importlib.import_module(node.module)
+                unresolved += [(path.name, node.module, alias.name) for alias in node.names
+                               if not hasattr(mod, alias.name)]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "rapklab":
+                        importlib.import_module(alias.name)  # raises if the module is gone
+    assert not unresolved

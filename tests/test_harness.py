@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from test_acceptance import ACC_ENCODER, ACC_SYNTH, SEEDS, acc_pipeline
 
-from rapklab import dataio, harness, synthgen
+from rapklab import dataio, synthgen
 from rapklab.attention import EncoderConfig
 from rapklab.dataio import DatasetError, save_dataset
 from rapklab.harness import (
@@ -30,8 +30,8 @@ from rapklab.harness import (
 from rapklab.initializers import InitScheme
 from rapklab.metrics import accuracy
 from rapklab.sequences import StageSequence
-from rapklab.smoothers import classify, fit_centroids
-from rapklab.synthgen import SynthConfig, make_dataset
+from rapklab.smoothers import CentroidSums, classify
+from rapklab.synthgen import SynthConfig, iter_subjects, make_dataset
 
 
 def small_synth(**overrides) -> SynthConfig:
@@ -143,12 +143,10 @@ def test_pipeline_none_smoother_matches_manual_head():
 
     ds = make_dataset(cfg.synth)
     train, test = ds.split("train"), ds.split("test")
-    clf = fit_centroids(
-        [(_concat([s.features.data for s in train], axis=0),
-          StageSequence(np.concatenate([s.stages.labels for s in train]), 3))],
-        3,
-    )
-    preds = np.concatenate([classify(s.features, clf).labels for s in test])
+    sums = CentroidSums(3)
+    sums.add(_concat([s.features.data for s in train], axis=0),
+             StageSequence(np.concatenate([s.stages.labels for s in train]), 3))
+    preds = np.concatenate([classify(s.features, sums.classifier()).labels for s in test])
     truth = np.concatenate([s.stages.labels for s in test])
     want = accuracy(StageSequence(preds, 3), StageSequence(truth, 3))
     assert result.per_seed[0].accuracy == want
@@ -184,7 +182,7 @@ def test_pipeline_aggregate_uses_population_std():
 
 def test_pipeline_from_saved_dataset_matches_in_memory(tmp_path):
     synth = small_synth()
-    root = save_dataset(make_dataset(synth), tmp_path / "ds")
+    root = save_dataset(iter_subjects(synth), tmp_path / "ds")
     for smoother in SMOOTHERS:
         mem = run_pipeline(small_run(smoother=smoother))
         disk = run_pipeline(small_run(synth=None, dataset_path=str(root), smoother=smoother))
@@ -196,7 +194,7 @@ def test_pipeline_from_saved_dataset_matches_in_memory(tmp_path):
 
 
 def test_pipeline_probs_smoother_needs_probs(tmp_path):
-    root = save_dataset(make_dataset(small_synth()), tmp_path / "ds")
+    root = save_dataset(iter_subjects(small_synth()), tmp_path / "ds")
     for probs in root.glob("subject_*/probs.csv"):
         probs.unlink()
     cfg = small_run(synth=None, dataset_path=str(root), smoother="median")
@@ -225,7 +223,7 @@ def test_pipeline_memory_does_not_grow_with_the_cohort(source, tmp_path):
         synth = small_synth(n_subjects=n_subjects, t_len=t_len, feat_dim=feat_dim)
         if source == "synth":
             return small_run(synth=synth, smoother="fixed_attention")
-        root = save_dataset(make_dataset(synth), tmp_path / f"ds{n_subjects}")
+        root = save_dataset(iter_subjects(synth), tmp_path / f"ds{n_subjects}")
         return small_run(synth=None, dataset_path=str(root), smoother="fixed_attention")
 
     small, large = config(6), config(18)
@@ -251,7 +249,7 @@ def test_pipeline_reads_each_train_and_test_subject_once_and_no_val(tmp_path, mo
     run_pipeline(small_run(synth=synth))  # two seeds, one pass
     assert sorted(made) == expected
 
-    root = save_dataset(make_dataset(synth), tmp_path / "ds")
+    root = save_dataset(iter_subjects(synth), tmp_path / "ds")
     read = []
     real_read = dataio._read_table
     monkeypatch.setattr(dataio, "_read_table",
@@ -373,18 +371,67 @@ def test_run_sweep_rows_and_ordering():
     assert rows == run_sweep(spec)
 
 
-def test_run_sweep_loads_the_dataset_once(tmp_path, monkeypatch):
-    root = save_dataset(make_dataset(small_synth()), tmp_path / "ds")
-    base = small_run(synth=None, dataset_path=str(root), smoother="median")
-    spec = SweepSpec(axis="window", grid=(3, 5, 7), base=base)
+def _sweep_base(source: str, synth: SynthConfig, root, **overrides) -> RunConfig:
+    if source == "synth":
+        return small_run(synth=synth, **overrides)
+    save_dataset(iter_subjects(synth), root)
+    return small_run(synth=None, dataset_path=str(root), **overrides)
+
+
+@pytest.mark.parametrize("source", ["synth", "dataset"])
+def test_sweep_memory_does_not_grow_with_the_cohort(source, tmp_path):
+    # Each pass holds one subject at a time, as run_pipeline does.
+    t_len, feat_dim = 100, 256
+
+    def spec(n_subjects: int) -> SweepSpec:
+        synth = small_synth(n_subjects=n_subjects, t_len=t_len, feat_dim=feat_dim)
+        base = _sweep_base(source, synth, tmp_path / f"ds{n_subjects}")
+        return SweepSpec(axis="window", grid=(3, 5), base=base)
+
+    small, large = spec(6), spec(18)
+    run_sweep(small)  # first-call allocations are not the cohort's
+    grown = _traced_peak(lambda: run_sweep(large)) - _traced_peak(lambda: run_sweep(small))
+    assert grown < t_len * feat_dim * 8
+
+
+@pytest.mark.parametrize("source", ["synth", "dataset"])
+@pytest.mark.parametrize("smoother, axis, grid, passes", [
+    ("median", "window", (3, 5, 7), 1),
+    ("random_transformer", "window", (3, 5, 7), 1),
+    ("random_transformer", "d_k", (4, 8, 16), 3),
+])
+def test_sweep_takes_one_pass_per_weights_group_and_skips_val(
+    source, smoother, axis, grid, passes, tmp_path, monkeypatch
+):
+    # Grid points that share encoder weights share a pass: a window sweep
+    # makes or reads every train and test subject once, a d_k sweep once per
+    # grid point; no pass touches a val subject. The rows are those of one
+    # run_pipeline per grid point.
+    synth = small_synth(n_subjects=10)
+    splits = {s.subject_id: s.split for s in iter_subjects(synth)}
+    once = [i for i, split in splits.items() if split != "val"]
+    assert len(once) < len(splits)
+    spec = SweepSpec(axis=axis, grid=grid,
+                     base=_sweep_base(source, synth, tmp_path / "ds", smoother=smoother))
     expected = {
-        value: run_pipeline(apply_axis(base, "window", value)).per_seed for value in spec.grid
+        value: run_pipeline(apply_axis(spec.base, axis, value)).per_seed for value in grid
     }
-    loads = []
-    real_load = harness.load_dataset
-    monkeypatch.setattr(harness, "load_dataset", lambda path: loads.append(path) or real_load(path))
+
+    seen = []
+    if source == "synth":
+        real_gen = synthgen.gen_features
+        monkeypatch.setattr(synthgen, "gen_features",
+                            lambda labels, cfg, i: seen.append(f"subject_{i:03d}")
+                            or real_gen(labels, cfg, i))
+    else:
+        real_read = dataio._read_table
+        monkeypatch.setattr(dataio, "_read_table",
+                            lambda path, header: (path.name == "features.csv"
+                                                  and seen.append(path.parent.name))
+                            or real_read(path, header))
     rows = run_sweep(spec)
-    assert loads == [str(root)]
+    assert sorted(seen) == sorted(once * passes)
+
     got = {}
     for r in rows:
         if isinstance(r["seed"], int):
@@ -393,6 +440,71 @@ def test_run_sweep_loads_the_dataset_once(tmp_path, monkeypatch):
         value: [(e.seed, e.accuracy, e.wte, e.lsii) for e in reports]
         for value, reports in expected.items()
     }
+
+
+# sha256 of sweep.csv for small sweeps on a 5-subject cohort at two run
+# seeds, as written when each grid point took its own pass over a cohort
+# held in memory: every axis with the random transformer, the window axis
+# for every other smoother and with positional rows, and a dataset
+# directory as the source.
+_WINDOWS = (3, 5, 8)
+_REFERENCE_SWEEPS = {
+    "window": (
+        "random_transformer", "window", _WINDOWS, {},
+        "fcbec7c82551ecdc79180f4c677a3a031c231d42ec6b126db6f75037ac99b3a1",
+    ),
+    "d_k": (
+        "random_transformer", "d_k", (4, 8, 16), {},
+        "772a0d78c16234fe53fbbc2d0e190de2049ac9d65bc41b68ef1f83075da7bc17",
+    ),
+    "init": (
+        "random_transformer", "init", ("xavier_uniform", "orthogonal", "normal_0.02"), {},
+        "9757dde91e0310c881fc654903b46ebccc5a92036474f7df514a8dc089803f22",
+    ),
+    "heads_layers": (
+        "random_transformer", "heads_layers", ("1x1", "1x2", "2x2"), {},
+        "0ce92bf0ff40866f2a78b5c265063f3faf7d9fde98f559d8035eabe1c1293a56",
+    ),
+    "components": (
+        "random_transformer", "components", tuple(COMPONENT_BUNDLES), {},
+        "231803b9c33e01f72e71dd6fe2eed2116cb85318c74d0073279c07206daa6106",
+    ),
+    "window-none": (
+        "none", "window", _WINDOWS, {},
+        "00b83e352d3a3e583fd3960bb44ece7b6fd36cf257b42a6849c1883fc2c9b29e",
+    ),
+    "window-moving_average": (
+        "moving_average", "window", _WINDOWS, {},
+        "b1779f2c5ced2193d70f98f1d90f04f3ef79acc20cd1db55a8d86a85eb165497",
+    ),
+    "window-median": (
+        "median", "window", _WINDOWS, {},
+        "3dfc13ed9256eb186bddceb80e028a23f757fd92ece11d5449a9a737c81167b9",
+    ),
+    "window-fixed_attention": (
+        "fixed_attention", "window", _WINDOWS, {},
+        "784d2e97468d77208b7301a09a2f5e58be126dcb9b313e5075be6a4e4b49ccb9",
+    ),
+    "window-positional": (
+        "random_transformer", "window", _WINDOWS, {"use_positional": True},
+        "a6b0c2cd4b1d2a27e26c959f3a7a6279727adde08314a0599200978bfdf6e13a",
+    ),
+    "window-dataset": (
+        "random_transformer", "window", _WINDOWS, {},
+        "fcbec7c82551ecdc79180f4c677a3a031c231d42ec6b126db6f75037ac99b3a1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _REFERENCE_SWEEPS)
+def test_reference_sweeps_keep_their_bytes(case, tmp_path):
+    smoother, axis, grid, encoder, digest = _REFERENCE_SWEEPS[case]
+    source = "dataset" if case == "window-dataset" else "synth"
+    base = _sweep_base(source, small_synth(n_subjects=5), tmp_path / "ds",
+                       smoother=smoother, encoder=small_encoder(**encoder))
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(run_sweep(SweepSpec(axis=axis, grid=grid, base=base)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_correlation_study_filters_rows():

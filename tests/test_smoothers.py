@@ -10,7 +10,6 @@ from rapklab.sequences import FeatureSequence, ProbSequence, StageSequence
 from rapklab.smoothers import (
     CentroidSums,
     classify,
-    fit_centroids,
     fixed_attention_smooth,
     majority_filter_smooth,
     moving_average_smooth,
@@ -176,10 +175,20 @@ def test_random_transformer_ragged_tail_window():
     assert out.t_len == 7
 
 
+def _fit_centroids(parts, n_classes):
+    # A nearest-centroid head over (features, labels) parts: CentroidSums fed
+    # one part at a time, each part freed before the next is made.
+    sums = CentroidSums(n_classes)
+    for part in parts:
+        sums.add(*part)
+        del part
+    return sums.classifier()
+
+
 def test_fit_centroids_and_classify():
     x = FeatureSequence(np.array([[0.0, 0.0], [0.2, 0.0], [1.0, 1.0], [0.8, 1.0]]))
     y = StageSequence(np.array([0, 0, 1, 1]), 2)
-    clf = fit_centroids([(x, y)], 2)
+    clf = _fit_centroids([(x, y)], 2)
     np.testing.assert_allclose(clf.centroids, [[0.1, 0.0], [0.9, 1.0]])
     assert clf.n_classes == 2
     pred = classify(FeatureSequence(np.array([[0.15, 0.1], [1.0, 0.9]])), clf)
@@ -188,7 +197,7 @@ def test_fit_centroids_and_classify():
 
 def test_classify_interpolated_point_fixture():
     cents = np.eye(3)
-    clf = fit_centroids(
+    clf = _fit_centroids(
         [(FeatureSequence(cents.repeat(2, axis=0)),
           StageSequence(np.array([0, 0, 1, 1, 2, 2]), 3))],
         3,
@@ -199,7 +208,7 @@ def test_classify_interpolated_point_fixture():
 
 
 def test_classify_tie_goes_to_smallest_class():
-    clf = fit_centroids(
+    clf = _fit_centroids(
         [(FeatureSequence(np.array([[-1.0, 0.0], [1.0, 0.0]])),
           StageSequence(np.array([0, 1]), 2))],
         2,
@@ -212,17 +221,17 @@ def test_fit_centroids_errors():
     x = FeatureSequence(np.zeros((3, 2)))
     y = StageSequence(np.array([0, 0, 2]), 3)
     with pytest.raises(ValueError, match="class 1"):
-        fit_centroids([(x, y)], 3)
+        _fit_centroids([(x, y)], 3)
     with pytest.raises(ValueError, match="length"):
-        fit_centroids([(x, StageSequence(np.array([0, 1]), 2))], 2)
+        _fit_centroids([(x, StageSequence(np.array([0, 1]), 2))], 2)
     with pytest.raises(ValueError, match="n_classes"):
-        fit_centroids([(x, y)], 2)
+        _fit_centroids([(x, y)], 2)
     # Over several parts: a class absent from every part, and a later part
     # whose features and labels differ in length.
     with pytest.raises(ValueError, match="class 1"):
-        fit_centroids([(x, y), (x, StageSequence(np.array([2, 0, 0]), 3))], 3)
+        _fit_centroids([(x, y), (x, StageSequence(np.array([2, 0, 0]), 3))], 3)
     with pytest.raises(ValueError, match="length"):
-        fit_centroids([(x, y), (x, StageSequence(np.array([0, 1]), 3))], 3)
+        _fit_centroids([(x, y), (x, StageSequence(np.array([0, 1]), 3))], 3)
 
 
 def test_fit_centroids_over_parts_equals_one_fit_of_their_concatenation():
@@ -245,12 +254,8 @@ def test_fit_centroids_over_parts_equals_one_fit_of_their_concatenation():
             for f, y in zip(np.split(feats, cuts), np.split(labels, cuts))
         ]
         assert any(len(np.unique(y.labels)) < n for _, y in parts)
-        whole = fit_centroids([(FeatureSequence(feats), StageSequence(labels, n))], n).centroids
-        assert fit_centroids(parts, n).centroids.tobytes() == whole.tobytes()
-        sums = CentroidSums(n)
-        for x, y in parts:
-            sums.add(x, y)
-        assert sums.classifier().centroids.tobytes() == whole.tobytes()
+        whole = _fit_centroids([(FeatureSequence(feats), StageSequence(labels, n))], n).centroids
+        assert _fit_centroids(parts, n).centroids.tobytes() == whole.tobytes()
         class_means = np.array([feats[labels == c].mean(axis=0) for c in range(n)])
         assert whole.tobytes() == class_means.tobytes()
 
@@ -282,7 +287,7 @@ def test_fit_centroids_holds_one_part_at_a_time():
 
     tracemalloc.start()
     try:
-        fit_centroids(parts(), 5)
+        _fit_centroids(parts(), 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,7 +295,7 @@ def test_fit_centroids_holds_one_part_at_a_time():
 
 
 def test_classify_dimension_mismatch():
-    clf = fit_centroids(
+    clf = _fit_centroids(
         [(FeatureSequence(np.zeros((2, 3))), StageSequence(np.array([0, 1]), 2))], 2
     )
     with pytest.raises(ValueError, match="d=3"):

@@ -4,7 +4,7 @@ import pytest
 from rapklab.metrics import wte
 from rapklab.seeding import generator
 from rapklab.sequences import StageSequence
-from rapklab.smoothers import classify, fit_centroids
+from rapklab.smoothers import CentroidSums, classify
 from rapklab.synthgen import (
     _ROLE_FEAT,
     SPLIT_RATIOS,
@@ -122,8 +122,9 @@ def test_centroid_head_recovers_well_separated_classes():
     c = cfg(t_len=4000, n_classes=5, class_sep=2.0, noise_std=0.5)
     labels = gen_hypnogram(c, 0)
     x = gen_features(labels, c, 0)
-    clf = fit_centroids([(x, labels)], 5)
-    pred = classify(x, clf)
+    sums = CentroidSums(5)
+    sums.add(x, labels)
+    pred = classify(x, sums.classifier())
     assert float(np.mean(pred.labels == labels.labels)) > 0.95
 
 
