@@ -6,6 +6,8 @@ and a synthetic hypnogram test-bed tied together by a reproducible
 experiment harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .attention import (
     AttentionMatrix,
     EncoderConfig,
@@ -16,6 +18,7 @@ from .attention import (
     encoder_forward,
     layer_norm_rows,
     softmax_rows,
+    window_blocks,
 )
 from .dataio import DatasetError, load_dataset, open_dataset, save_dataset
 from .harness import (
@@ -65,78 +68,13 @@ from .smoothers import (
     majority_filter_smooth,
     moving_average_smooth,
     random_transformer_smooth,
-    window_partition,
 )
 from .synthgen import SynthConfig, SynthDataset, iter_subjects, make_dataset
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttentionMatrix",
-    "CentroidClassifier",
-    "CentroidSums",
-    "COMPONENT_BUNDLES",
-    "DatasetError",
-    "EncoderConfig",
-    "EvalReport",
-    "FeatureSequence",
-    "InitScheme",
-    "KernelValidationReport",
-    "LogitConcentrationReport",
-    "PipelineResult",
-    "ProbSequence",
-    "ProjectionSet",
-    "RunConfig",
-    "SMOOTHERS",
-    "StageSequence",
-    "SweepSpec",
-    "SynthConfig",
-    "SynthDataset",
-    "accuracy",
-    "analytic_variance",
-    "attention_apply",
-    "attention_scores",
-    "build_encoder_weights",
-    "centered_unit_sequence",
-    "classify",
-    "config_digest",
-    "correlation_study",
-    "empirical_kernel",
-    "encoder_forward",
-    "fixed_attention_smooth",
-    "generator",
-    "init_matrix",
-    "init_matrices",
-    "iter_subjects",
-    "kernel_mse",
-    "layer_norm_rows",
-    "linearized_softmax",
-    "load_dataset",
-    "load_run_config",
-    "logit_concentration",
-    "lsii",
-    "lsii_pooled",
-    "majority_filter_smooth",
-    "make_dataset",
-    "make_projection_set",
-    "mix_seed",
-    "monte_carlo_kernel",
-    "moving_average_smooth",
-    "open_dataset",
-    "parse_scheme",
-    "pearson",
-    "random_transformer_smooth",
-    "rapk_c1_centered",
-    "rapk_coefficients",
-    "rapk_kernel",
-    "run_pipeline",
-    "run_sweep",
-    "save_dataset",
-    "scheme_label",
-    "softmax_rows",
-    "splitmix64",
-    "weighted_f1",
-    "window_partition",
-    "wte",
-    "wte_pooled",
-]
+# Every public name imported above, and none of the submodules.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -31,6 +31,7 @@ __all__ = [
     "layer_norm_rows",
     "build_encoder_weights",
     "encoder_forward",
+    "window_blocks",
 ]
 
 LAYERNORM_EPS = 1e-5
@@ -215,17 +216,25 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
     return EncoderWeights(positional=positional, layers=tuple(layers), d_in=d)
 
 
+def window_blocks(t_len: int, w: int) -> list[tuple[int, int, int]]:
+    """The non-overlapping windows of ``w`` rows that cover [0, t_len), as at
+    most two ``(lo, hi, width)`` blocks: the whole windows, then the shorter
+    tail. Rows ``lo:hi`` of a block reshape to a batch ``(-1, width, ...)``."""
+    if w < 1:
+        raise ValueError(f"window width must be >= 1, got {w}")
+    full = t_len - t_len % w
+    return [(lo, hi, width) for lo, hi, width in ((0, full, w), (full, t_len, t_len - full))
+            if hi > lo]
+
+
 def _window_attention(h: np.ndarray, ps: ProjectionSet, w: int, out: np.ndarray) -> None:
     # One head over non-overlapping windows of w rows, written into out: whole
     # windows as one (n_win, w, d_h) batch, the ragged tail as a batch of one.
     q, k, v = h @ ps.w_q, h @ ps.w_k, h @ ps.w_v
-    t_len = h.shape[0]
-    full = t_len - t_len % w
-    for lo, hi, width in ((0, full, w), (full, t_len, t_len - full)):
-        if hi > lo:
-            qb, kb, vb = (m[lo:hi].reshape(-1, width, m.shape[1]) for m in (q, k, v))
-            s = (qb @ kb.transpose(0, 2, 1)) / math.sqrt(ps.d_k)
-            out[lo:hi] = (_softmax(s) @ vb).reshape(hi - lo, -1)
+    for lo, hi, width in window_blocks(h.shape[0], w):
+        qb, kb, vb = (m[lo:hi].reshape(-1, width, m.shape[1]) for m in (q, k, v))
+        s = (qb @ kb.transpose(0, 2, 1)) / math.sqrt(ps.d_k)
+        out[lo:hi] = (_softmax(s) @ vb).reshape(hi - lo, -1)
 
 
 def _attention_block(h: np.ndarray, lw: LayerWeights, cfg: EncoderConfig) -> np.ndarray:

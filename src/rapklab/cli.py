@@ -29,7 +29,7 @@ from .harness import (
     SweepSpec,
     append_runs_csv,
     check_config_keys,
-    check_section_types,
+    config_section,
     correlation_study,
     load_run_config,
     read_sweep_csv,
@@ -196,11 +196,7 @@ def _overrides(args, cls: type) -> dict:
 def _cmd_simulate(args) -> int:
     # Keys of a run config other than "synth" are allowed and ignored here.
     entry = check_config_keys(_load_config_file(args.config)).get("synth", {})
-    entry = {**check_section_types(entry, SynthConfig, "synth"), **_overrides(args, SynthConfig)}
-    try:
-        cfg = SynthConfig(**entry)
-    except TypeError as exc:
-        raise ValueError(f"bad synth config: {exc}") from None
+    cfg = config_section(SynthConfig, entry, "synth", _overrides(args, SynthConfig))
     out = _ensure_out(args)
     save_dataset(iter_subjects(cfg), out, cfg)
     print(f"wrote {cfg.n_subjects} subjects x {cfg.t_len} epochs to {out}")
@@ -328,7 +324,11 @@ def _stage_sequences(paths: list[Path], n_classes: int | None) -> list[StageSequ
 def _cmd_metrics(args) -> int:
     out: dict = {}
     if args.labels is not None:
-        out["wte"] = wte(*_stage_sequences([args.labels], args.classes))
+        labels = _stage_sequences([args.labels], args.classes)
+        try:  # what wte rejects, as too few rows, is the label file
+            out["wte"] = wte(*labels)
+        except ValueError as exc:
+            raise DatasetError(f"{args.labels}: {exc}") from None
     if (args.none is None) != (args.corr is None):
         raise ValueError("LSII needs both --none and --corr")
     if args.none is not None:

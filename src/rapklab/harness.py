@@ -52,7 +52,7 @@ __all__ = [
     "config_digest",
     "load_run_config",
     "check_config_keys",
-    "check_section_types",
+    "config_section",
     "run_pipeline",
     "run_sweep",
     "correlation_study",
@@ -123,8 +123,8 @@ class RunConfig:
         for i, seed in enumerate(self.seeds):
             if seed in self.seeds[:i]:
                 raise ValueError(f"seeds repeat {seed}")
-        if self.metric_window is not None and self.metric_window < 2:
-            raise ValueError(f"metric_window must be >= 2, got {self.metric_window}")
+        if self.resolved_metric_window < 2:  # unset, it is the window
+            raise ValueError(f"metric_window must be >= 2, got {self.resolved_metric_window}")
 
     @property
     def resolved_metric_window(self) -> int:
@@ -168,30 +168,24 @@ def _typed(value, kind: type, key: str, none_ok: bool = False):
     raise ValueError(f"config key {key} must be of type {kind.__name__}, got {value!r}")
 
 
-def check_section_types(entry, cls: type, section: str, **kinds: type) -> dict:
-    """Return config section ``entry`` after checking that it is an object and
-    that each field of dataclass ``cls`` in it has the type of the field's
-    default; ``kinds`` gives the JSON type of a field that is parsed first."""
+def config_section(cls: type, entry, section: str, overrides: dict | None = None,
+                   **parsers: Callable[[str], object]):
+    """Build dataclass ``cls`` from config section ``entry``, then ``overrides``,
+    once ``entry`` is an object whose fields have the types of their defaults
+    in ``cls``, or are strings that ``parsers`` turn into field values.
+    Whatever ``cls`` rejects, an unknown key included, is a ``ValueError``."""
     _typed(entry, dict, section)
-    defaults = cls()
+    defaults, kwargs = cls(), dict(entry)
     for f in fields(cls):
         if f.name in entry:  # an unknown key fails when cls is built
-            kind = kinds.get(f.name, type(getattr(defaults, f.name)))
-            _typed(entry[f.name], kind, f"{section}.{f.name}")
-    return entry
-
-
-def _encoder_from_dict(entry: dict) -> EncoderConfig:
-    check_section_types(entry, EncoderConfig, "encoder", init=str)
-    if "seed" in entry:
-        raise ValueError("encoder.seed is not a config key: each run seed in 'seeds' sets it")
-    kwargs = dict(entry)
-    if "init" in kwargs:
-        kwargs["init"] = parse_scheme(kwargs["init"])
+            parse = parsers.get(f.name)
+            kind = str if parse else type(getattr(defaults, f.name))
+            value = _typed(entry[f.name], kind, f"{section}.{f.name}")
+            kwargs[f.name] = parse(value) if parse else value
     try:
-        return EncoderConfig(**kwargs)
+        return cls(**{**kwargs, **(overrides or {})})
     except TypeError as exc:
-        raise ValueError(f"bad encoder config: {exc}") from None
+        raise ValueError(f"bad {section} config: {exc}") from None
 
 
 _RUN_CONFIG_KEYS = frozenset({
@@ -213,16 +207,16 @@ def load_run_config(entry: dict) -> RunConfig:
     check_config_keys(entry)
     synth = None
     if entry.get("synth") is not None:
-        try:
-            synth = SynthConfig(**check_section_types(entry["synth"], SynthConfig, "synth"))
-        except TypeError as exc:
-            raise ValueError(f"bad synth config: {exc}") from None
+        synth = config_section(SynthConfig, entry["synth"], "synth")
+    encoder = config_section(EncoderConfig, entry.get("encoder", {}), "encoder", init=parse_scheme)
+    if "seed" in entry.get("encoder", {}):
+        raise ValueError("encoder.seed is not a config key: each run seed in 'seeds' sets it")
     seeds = _typed(entry.get("seeds", list(DEFAULT_SEEDS)), list, "seeds")
     return RunConfig(
         synth=synth,
         dataset_path=_typed(entry.get("dataset"), str, "dataset", none_ok=True),
         smoother=entry.get("smoother", "random_transformer"),
-        encoder=_encoder_from_dict(entry.get("encoder", {})),
+        encoder=encoder,
         metric_window=_typed(entry.get("metric_window"), int, "metric_window", none_ok=True),
         seeds=tuple(_typed(s, int, f"seeds[{i}]") for i, s in enumerate(seeds)),
         integer_median=_typed(entry.get("integer_median", False), bool, "integer_median"),
@@ -252,15 +246,6 @@ def _open_data(cfg: RunConfig) -> tuple[int, int, Callable[[str], Iterable[Subje
     if not {"train", "test"} <= {entry["split"] for entry in data.entries}:
         raise DatasetError(f"{cfg.dataset_path}: dataset needs non-empty train and test splits")
     return data.n_classes, data.feat_dim, data.iter_subjects
-
-
-def _weights_key(cfg: RunConfig) -> EncoderConfig | None:
-    """Grid points with one key share a pass over the data and their encoder
-    weights: the encoder without its window, which only the positional rows
-    depend on, or None for the smoothers that use no weights."""
-    if cfg.smoother != "random_transformer":
-        return None
-    return cfg.encoder if cfg.encoder.use_positional else replace(cfg.encoder, window_w=1)
 
 
 def _feature_smoothers(cfg: RunConfig, weights: list) -> list[Callable]:
@@ -315,7 +300,7 @@ def _evaluate(cfgs: list[RunConfig], n_classes: int, feat_dim: int,
               subjects: Callable[[str], Iterable[Subject]]) -> list[PipelineResult]:
     """One pass over ``subjects("train")``, then one over ``subjects("test")``,
     for every config and seed at once, so the run holds one subject at a time.
-    The configs share one ``_weights_key``, their seeds and one base head."""
+    The configs share their encoder weights, their seeds and one base head."""
     lead = cfgs[0]
     weights = [] if lead.smoother != "random_transformer" else [
         build_encoder_weights(replace(lead.encoder, seed=seed), feat_dim) for seed in lead.seeds
@@ -412,6 +397,11 @@ class SweepSpec:
         for i, cfg in enumerate(configs):
             if cfg in configs[:i]:
                 raise ValueError(f"sweep grid for {self.axis} repeats {self.grid[i]!r}")
+        # Every other axis changes only the encoder weights, which such a
+        # smoother never reads: each row would repeat one result.
+        if self.axis != "window" and self.base.smoother != "random_transformer":
+            raise ValueError(f"smoother {self.base.smoother!r} uses no encoder weights, "
+                             f"so it sweeps only the window axis, not {self.axis}")
 
 
 def _parse_heads_layers(value) -> tuple[int, int]:
@@ -462,19 +452,21 @@ def _seed_sort_key(seed):
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate every grid point and return flat result rows.
 
-    Grid points that share encoder weights (see ``_weights_key``) share one
-    pass over the data, so a window sweep makes or reads each subject once.
-    One row per (grid value, seed), plus ``mean`` and ``std`` aggregate rows
-    per grid value; rows are sorted by (axis value, seed).
+    A window sweep takes one pass over the data, so it makes or reads each
+    subject once, unless it runs the random transformer with positional rows,
+    which the window sizes; then, as on every other axis, each grid point has
+    its own encoder weights and its own pass. One row per (grid value, seed),
+    plus ``mean`` and ``std`` aggregate rows per grid value; rows are sorted
+    by (axis value, seed).
     """
-    groups: dict = {}
-    for value in spec.grid:
-        cfg = apply_axis(spec.base, spec.axis, value)
-        groups.setdefault(_weights_key(cfg), []).append((value, cfg))
-    # No axis changes the data source, so every group reads the same one.
-    data = _open_data(spec.base)
+    base = spec.base
+    points = [(value, apply_axis(base, spec.axis, value)) for value in spec.grid]
+    one_pass = spec.axis == "window" and not (
+        base.smoother == "random_transformer" and base.encoder.use_positional)
+    # No axis changes the data source, so every pass reads the same one.
+    data = _open_data(base)
     rows: list[dict] = []
-    for group in groups.values():
+    for group in [points] if one_pass else [[point] for point in points]:
         values, cfgs = zip(*group)
         for value, result in zip(values, _evaluate(list(cfgs), *data)):
             scores = [(r.seed, {name: getattr(r, name) for name in _SCORES})

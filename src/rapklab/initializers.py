@@ -34,18 +34,20 @@ __all__ = [
     "scheme_label",
 ]
 
-SCHEME_KINDS = frozenset(
-    {
-        "xavier_uniform",
-        "xavier_normal",
-        "kaiming_uniform",
-        "kaiming_normal",
-        "orthogonal",
-        "uniform_bounded",
-        "normal_std",
-        "trunc_normal_std",
-    }
-)
+# The CLI label of each kind. A scaled kind's label is this prefix followed
+# by its scale_param (e.g. ``uniform_0.1``).
+_LABELS = {
+    "xavier_uniform": "xavier_uniform",
+    "xavier_normal": "xavier_normal",
+    "kaiming_uniform": "kaiming_uniform_relu",
+    "kaiming_normal": "kaiming_normal_relu",
+    "orthogonal": "orthogonal",
+    "uniform_bounded": "uniform_",
+    "normal_std": "normal_",
+    "trunc_normal_std": "trunc_normal_",
+}
+
+SCHEME_KINDS = frozenset(_LABELS)
 
 # Kinds whose scale_param is the scheme's single free parameter.
 _SCALED_KINDS = frozenset({"uniform_bounded", "normal_std", "trunc_normal_std"})
@@ -68,8 +70,8 @@ class InitScheme:
     """An initialization rule: a kind plus an optional scale parameter.
 
     ``scale_param`` is the half-width for ``uniform_bounded`` and the target
-    standard deviation for ``normal_std`` / ``trunc_normal_std``; it is
-    ignored by the fan-based and orthogonal kinds.
+    standard deviation for ``normal_std`` / ``trunc_normal_std``; the
+    fan-based and orthogonal kinds have none, so it must stay 0 for them.
     """
 
     kind: str
@@ -82,6 +84,8 @@ class InitScheme:
             )
         if self.kind in _SCALED_KINDS and not self.scale_param > 0.0:
             raise ValueError(f"{self.kind} requires scale_param > 0, got {self.scale_param}")
+        if self.kind not in _SCALED_KINDS and self.scale_param != 0.0:
+            raise ValueError(f"{self.kind} takes no scale_param, got {self.scale_param}")
 
 
 @dataclass(frozen=True)
@@ -253,26 +257,13 @@ def parse_scheme(label: str) -> InitScheme:
     ``normal_0.02``, ``trunc_normal_0.02``).
     """
     text = label.strip()
-    plain = {
-        "xavier_uniform": "xavier_uniform",
-        "xavier_normal": "xavier_normal",
-        "kaiming_uniform": "kaiming_uniform",
-        "kaiming_uniform_relu": "kaiming_uniform",
-        "kaiming_normal": "kaiming_normal",
-        "kaiming_normal_relu": "kaiming_normal",
-        "orthogonal": "orthogonal",
-    }
-    if text in plain:
-        return InitScheme(plain[text])
-    for prefix, kind in (
-        ("trunc_normal_", "trunc_normal_std"),
-        ("normal_", "normal_std"),
-        ("uniform_", "uniform_bounded"),
-    ):
-        if text.startswith(prefix):
-            suffix = text[len(prefix):]
+    for kind, name in _LABELS.items():
+        if kind not in _SCALED_KINDS:
+            if text in (name, kind):
+                return InitScheme(kind)
+        elif text.startswith(name):
             try:
-                value = float(suffix)
+                value = float(text[len(name):])
             except ValueError:
                 raise ValueError(f"bad numeric suffix in scheme label {label!r}") from None
             return InitScheme(kind, value)
@@ -281,15 +272,5 @@ def parse_scheme(label: str) -> InitScheme:
 
 def scheme_label(scheme: InitScheme) -> str:
     """Canonical CLI label for ``scheme`` (inverse of ``parse_scheme``)."""
-    kind = scheme.kind
-    if kind == "kaiming_uniform":
-        return "kaiming_uniform_relu"
-    if kind == "kaiming_normal":
-        return "kaiming_normal_relu"
-    if kind == "uniform_bounded":
-        return f"uniform_{scheme.scale_param:g}"
-    if kind == "normal_std":
-        return f"normal_{scheme.scale_param:g}"
-    if kind == "trunc_normal_std":
-        return f"trunc_normal_{scheme.scale_param:g}"
-    return kind
+    name = _LABELS[scheme.kind]
+    return f"{name}{scheme.scale_param:g}" if scheme.kind in _SCALED_KINDS else name

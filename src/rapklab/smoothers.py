@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import EncoderConfig, EncoderWeights, encoder_forward
+from .attention import EncoderConfig, EncoderWeights, encoder_forward, window_blocks
 from .sequences import FeatureSequence, ProbSequence, StageSequence
 
 __all__ = [
-    "window_partition",
     "moving_average_smooth",
     "majority_filter_smooth",
     "fixed_attention_smooth",
@@ -37,18 +36,6 @@ __all__ = [
     "CentroidSums",
     "classify",
 ]
-
-
-def window_partition(t_len: int, w: int) -> list[tuple[int, int]]:
-    """Non-overlapping [start, stop) windows of width ``w`` covering [0, t_len).
-
-    The final window is shorter when ``w`` does not divide ``t_len``.
-    """
-    if w < 1:
-        raise ValueError(f"window width must be >= 1, got {w}")
-    if t_len < 0:
-        raise ValueError(f"t_len must be >= 0, got {t_len}")
-    return [(start, min(start + w, t_len)) for start in range(0, t_len, w)]
 
 
 def _window_sums(values: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +87,9 @@ def majority_filter_smooth(
 def fixed_attention_smooth(x: FeatureSequence, w: int) -> FeatureSequence:
     """Replace each feature row by its non-overlapping window mean."""
     out = np.empty_like(x.data)
-    for start, stop in window_partition(x.t_len, w):
-        out[start:stop] = x.data[start:stop].mean(axis=0)
+    for lo, hi, width in window_blocks(x.t_len, w):
+        means = x.data[lo:hi].reshape(-1, width, x.dim).mean(axis=1)
+        out[lo:hi] = np.repeat(means, width, axis=0)
     return FeatureSequence(out)
 
 

@@ -15,12 +15,12 @@ from rapklab.attention import (
     encoder_forward,
     layer_norm_rows,
     softmax_rows,
+    window_blocks,
 )
 from rapklab.harness import COMPONENT_BUNDLES
 from rapklab.initializers import InitScheme, ProjectionSet
 from rapklab.seeding import generator
 from rapklab.sequences import FeatureSequence
-from rapklab.smoothers import window_partition
 
 
 def identity_projection(d: int) -> ProjectionSet:
@@ -220,13 +220,31 @@ def test_encoder_heads_averaged_without_output_linear():
     np.testing.assert_allclose(encoder_forward(x, cfg, weights).data, expected, atol=1e-12)
 
 
+def test_window_blocks_fixtures():
+    assert window_blocks(10, 5) == [(0, 10, 5)]
+    assert window_blocks(7, 3) == [(0, 6, 3), (6, 7, 1)]
+    assert window_blocks(4, 10) == [(0, 4, 4)]
+    assert window_blocks(0, 3) == []
+    # Each block's rows, cut into runs of its width, are the windows.
+    for t_len in range(12):
+        for w in range(1, 6):
+            runs = [(lo + i, lo + i + width) for lo, hi, width in window_blocks(t_len, w)
+                    for i in range(0, hi - lo, width)]
+            assert runs == [(s, min(s + w, t_len)) for s in range(0, t_len, w)]
+
+
+def test_window_blocks_validation():
+    with pytest.raises(ValueError, match="window width must be >= 1"):
+        window_blocks(10, 0)
+
+
 def per_window_encoder(x: FeatureSequence, cfg: EncoderConfig, weights) -> np.ndarray:
     """Reference encoder: each window on its own, built from the primitives."""
     parts = []
-    for start, stop in window_partition(x.t_len, cfg.window_w):
-        h = x.data[start:stop]
+    for start in range(0, x.t_len, cfg.window_w):
+        h = x.data[start:start + cfg.window_w]
         if cfg.use_positional:
-            h = h + weights.positional[: stop - start]
+            h = h + weights.positional[: len(h)]
         for lw in weights.layers:
             if cfg.use_attention:
                 seq = FeatureSequence(h)

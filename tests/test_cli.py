@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rapklab import cli, dataio
+from rapklab import cli, dataio, synthgen
 from rapklab.attention import EncoderConfig
 from rapklab.cli import main
 from rapklab.dataio import DatasetError, load_dataset
@@ -300,8 +300,16 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
     (["sweep", "--axis", "heads", "--grid", "ax2"],
      "heads_layers value must look like '1x8', got 'ax2'"),
     (["smooth-eval", "--seed", "1,1"], "seeds repeat 1"),
+    (["smooth-eval", "--window", "1"], "metric_window must be >= 2, got 1"),
+    (["sweep", "--smoother", "median", "--axis", "dk"],
+     "smoother 'median' uses no encoder weights, so it sweeps only the window axis, not d_k"),
 ])
-def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tmp_path, capsys):
+def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tmp_path,
+                                                   monkeypatch, capsys):
+    def made(*args):
+        raise AssertionError("a subject was made before the values were checked")
+
+    monkeypatch.setattr(synthgen, "gen_features", made)
     assert main([*argv, "--config", str(run_config), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -472,6 +480,14 @@ def test_metrics_argument_errors(tmp_path, capsys):
     assert main(["metrics", "--labels", str(tmp_path / "ghost.csv")]) == 2
     assert main(["metrics", "--labels", str(none_p), "--classes", "0"]) == 1
     assert "--classes must be >= 1" in capsys.readouterr().err
+
+
+def test_metrics_label_file_too_short_for_transitions_is_a_dataset_error(tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("stage\n0\n")
+    assert main(["metrics", "--labels", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {labels}: transition statistics need at least 2 epochs, got 1\n"
 
 
 def test_metrics_lsii_files_of_different_lengths(tmp_path, capsys):

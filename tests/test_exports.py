@@ -1,7 +1,6 @@
 import ast
 import importlib
 import pkgutil
-import types
 from pathlib import Path
 
 import rapklab
@@ -9,7 +8,7 @@ import rapklab
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_exported_names_resolve_and_the_package_exports_what_it_imports():
+def test_exported_names_resolve_and_each_is_in_its_modules_all():
     modules = [rapklab] + [
         importlib.import_module(f"rapklab.{info.name}")
         for info in pkgutil.iter_modules(rapklab.__path__)
@@ -18,11 +17,15 @@ def test_exported_names_resolve_and_the_package_exports_what_it_imports():
         assert len(set(mod.__all__)) == len(mod.__all__), mod.__name__
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, (mod.__name__, missing)
-    imported = {
-        name for name, value in vars(rapklab).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert imported == set(rapklab.__all__)
+    # The package exports what it imports; each name must come from a module
+    # that lists it as public.
+    tree = ast.parse(Path(rapklab.__file__).read_text())
+    source = {alias.asname or alias.name: node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    assert set(rapklab.__all__) <= set(source)
+    unlisted = [name for name in rapklab.__all__
+                if name not in importlib.import_module(f"rapklab.{source[name]}").__all__]
+    assert not unlisted
 
 
 def test_every_rapklab_import_of_the_benchmark_resolves():

@@ -73,6 +73,10 @@ def test_run_config_validation():
         small_run(seeds=(222, 111, 222))
     with pytest.raises(ValueError, match="metric_window"):
         small_run(metric_window=1)
+    # Unset, the metric window is the smoothing window, checked the same way.
+    with pytest.raises(ValueError, match="metric_window must be >= 2, got 1"):
+        small_run(encoder=small_encoder(window_w=1))
+    assert small_run(encoder=small_encoder(window_w=1), metric_window=2).encoder.window_w == 1
 
 
 def test_resolved_metric_window_defaults_to_encoder_window():
@@ -354,6 +358,14 @@ def test_sweep_spec_validation():
         SweepSpec(axis="window", grid=(3, 2, 3), base=small_run())
     with pytest.raises(ValueError, match="heads_layers repeats ' 1x2'"):
         SweepSpec(axis="heads_layers", grid=("1x2", " 1x2"), base=small_run())
+    # A smoother without encoder weights would repeat one result on any
+    # other axis.
+    for smoother in ("none", "moving_average", "median", "fixed_attention"):
+        for axis, grid in (("d_k", (4, 8)), ("init", ("orthogonal",)),
+                           ("heads_layers", ("1x2",)), ("components", ("full",))):
+            with pytest.raises(ValueError, match=f"sweeps only the window axis, not {axis}"):
+                SweepSpec(axis=axis, grid=grid, base=small_run(smoother=smoother))
+        SweepSpec(axis="window", grid=(3, 4), base=small_run(smoother=smoother))
 
 
 def test_run_sweep_rows_and_ordering():
@@ -395,24 +407,28 @@ def test_sweep_memory_does_not_grow_with_the_cohort(source, tmp_path):
 
 
 @pytest.mark.parametrize("source", ["synth", "dataset"])
-@pytest.mark.parametrize("smoother, axis, grid, passes", [
-    ("median", "window", (3, 5, 7), 1),
-    ("random_transformer", "window", (3, 5, 7), 1),
-    ("random_transformer", "d_k", (4, 8, 16), 3),
+@pytest.mark.parametrize("smoother, axis, grid, passes, positional", [
+    ("median", "window", (3, 5, 7), 1, False),
+    ("random_transformer", "window", (3, 5, 7), 1, False),
+    ("random_transformer", "d_k", (4, 8, 16), 3, False),
+    ("random_transformer", "window", (3, 5, 7), 3, True),
+    ("median", "window", (3, 5, 7), 1, True),
 ])
 def test_sweep_takes_one_pass_per_weights_group_and_skips_val(
-    source, smoother, axis, grid, passes, tmp_path, monkeypatch
+    source, smoother, axis, grid, passes, positional, tmp_path, monkeypatch
 ):
     # Grid points that share encoder weights share a pass: a window sweep
-    # makes or reads every train and test subject once, a d_k sweep once per
-    # grid point; no pass touches a val subject. The rows are those of one
-    # run_pipeline per grid point.
+    # makes or reads every train and test subject once, unless the random
+    # transformer's positional rows (sized by the window) differ per point; a
+    # d_k sweep takes one pass per grid point; no pass touches a val subject.
+    # The rows are those of one run_pipeline per grid point.
     synth = small_synth(n_subjects=10)
     splits = {s.subject_id: s.split for s in iter_subjects(synth)}
     once = [i for i, split in splits.items() if split != "val"]
     assert len(once) < len(splits)
-    spec = SweepSpec(axis=axis, grid=grid,
-                     base=_sweep_base(source, synth, tmp_path / "ds", smoother=smoother))
+    base = _sweep_base(source, synth, tmp_path / "ds", smoother=smoother,
+                       encoder=small_encoder(use_positional=positional))
+    spec = SweepSpec(axis=axis, grid=grid, base=base)
     expected = {
         value: run_pipeline(apply_axis(spec.base, axis, value)).per_seed for value in grid
     }

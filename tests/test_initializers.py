@@ -193,6 +193,10 @@ def test_scheme_requires_positive_scale_where_used():
         InitScheme(kind="normal_std", scale_param=-1.0)
     with pytest.raises(ValueError):
         InitScheme(kind="spectral", scale_param=1.0)
+    # The fan-based and orthogonal kinds draw no scale, so none is accepted.
+    for kind in ("xavier_uniform", "kaiming_normal", "orthogonal"):
+        with pytest.raises(ValueError, match=f"{kind} takes no scale_param, got 0.5"):
+            InitScheme(kind=kind, scale_param=0.5)
 
 
 def test_make_projection_set_contract():

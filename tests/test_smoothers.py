@@ -14,23 +14,8 @@ from rapklab.smoothers import (
     majority_filter_smooth,
     moving_average_smooth,
     random_transformer_smooth,
-    window_partition,
 )
 from rapklab.synthgen import make_dataset
-
-
-def test_window_partition_fixtures():
-    assert window_partition(10, 5) == [(0, 5), (5, 10)]
-    assert window_partition(7, 3) == [(0, 3), (3, 6), (6, 7)]
-    assert window_partition(4, 10) == [(0, 4)]
-    assert window_partition(0, 3) == []
-
-
-def test_window_partition_validation():
-    with pytest.raises(ValueError):
-        window_partition(10, 0)
-    with pytest.raises(ValueError):
-        window_partition(-1, 2)
 
 
 def test_moving_average_fixture():
@@ -140,6 +125,17 @@ def test_fixed_attention_ragged_tail():
     out = fixed_attention_smooth(x, 3)
     np.testing.assert_allclose(out.data[:3], np.tile(x.data[:3].mean(axis=0), (3, 1)))
     np.testing.assert_allclose(out.data[3:], np.tile(x.data[3:].mean(axis=0), (2, 1)))
+
+
+@pytest.mark.parametrize("t_len, dim, w", [(1, 3, 4), (10, 1, 3), (37, 16, 5), (100, 64, 10),
+                                           (257, 7, 50), (12, 5, 12)])
+def test_fixed_attention_matches_a_per_window_loop_bit_for_bit(t_len, dim, w):
+    x = generator(t_len, dim, w).standard_normal((t_len, dim)) * 1e3
+    expected = np.empty_like(x)
+    for start in range(0, t_len, w):
+        expected[start:start + w] = x[start:start + w].mean(axis=0)
+    got = fixed_attention_smooth(FeatureSequence(x), w).data
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_fixed_attention_within_window_permutation_invariant():
