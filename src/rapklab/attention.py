@@ -3,9 +3,18 @@
 The primitives (scores, row softmax, value mixing, empirical Gram kernel)
 are kept separate so the Monte Carlo kernel experiments can drive exactly
 the pipeline the closed-form theory describes: scores -> softmax -> apply.
-``encoder_forward`` uses the same arithmetic, batched per attention window, in
-a post-norm encoder whose components can be switched off one by one; disabled
-components are identity maps, so with every flag false the encoder is the identity.
+``encoder_forward`` uses the same arithmetic in a post-norm encoder whose
+components can be switched off one by one; disabled components are identity
+maps, so with every flag false the encoder is the identity.
+
+Every layer of the encoder is window-local: attention stays inside
+non-overlapping windows and everything else works row by row. So the encoder
+runs the whole layer stack over one tile at a time, a block of whole windows
+sized so that its Q/K/V block stays near ``_TILE_BYTES``, and writes each
+tile's result into one output array; no intermediate is ever held at full
+length. Inside a tile one GEMM against a per-layer ``(d, 3*H*d_h)`` matrix
+gives every head's Q, K and V, and each head's ``ProjectionSet`` is a column
+view of that matrix.
 """
 
 from __future__ import annotations
@@ -38,6 +47,10 @@ LAYERNORM_EPS = 1e-5
 
 # Row sums of a softmax output may drift this far from 1 before we reject.
 ROW_SUM_TOL = 1e-9
+
+# encoder_forward sizes its row tiles so that one tile's fused Q/K/V block
+# stays near this many bytes: 250 rows at the reference encoder (d_k = 512).
+_TILE_BYTES = 3 * 2**20
 
 # Stream tags for the encoder's weight draws.
 _ROLE_HEAD = 0x11
@@ -117,9 +130,15 @@ def empirical_kernel(o: np.ndarray) -> np.ndarray:
 
 def layer_norm_rows(h: np.ndarray, eps: float = LAYERNORM_EPS) -> np.ndarray:
     """Per-row layer normalization with unit affine (gamma=1, beta=0)."""
-    mean = h.mean(axis=1, keepdims=True)
-    var = h.var(axis=1, keepdims=True)
-    return (h - mean) / np.sqrt(var + eps)
+    # The variance is numpy's own arithmetic (square the centred rows, sum,
+    # divide by the count), so the result equals (h - mean) / sqrt(var + eps)
+    # bit for bit with h - mean computed once.
+    centred = h - h.mean(axis=1, keepdims=True)
+    var = np.square(centred).sum(axis=1, keepdims=True)
+    var /= h.shape[1]
+    var += eps
+    centred /= np.sqrt(var, out=var)
+    return centred
 
 
 @dataclass(frozen=True)
@@ -160,6 +179,11 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class LayerWeights:
+    """One layer's weights. ``w_qkv`` is ``(width, 3 * H * d_h)``: the Q, then
+    the K, then the V columns of every head in head order; ``heads[i]`` holds
+    column views of head ``i``'s three blocks."""
+
+    w_qkv: np.ndarray | None
     heads: tuple[ProjectionSet, ...] | None
     w_out: np.ndarray | None
     w_ff1: np.ndarray | None
@@ -184,12 +208,19 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
     width = d
     layers: list[LayerWeights] = []
     for li in range(cfg.n_layers):
+        w_qkv: np.ndarray | None = None
         heads: tuple[ProjectionSet, ...] | None = None
         w_out: np.ndarray | None = None
         if cfg.use_attention:
             head_width = cfg.d_k // cfg.n_heads if cfg.use_output_linear else cfg.d_k
+            qkv = np.empty((width, 3, cfg.n_heads, head_width))
+            for h in range(cfg.n_heads):
+                ps = make_projection_set(width, head_width, cfg.init,
+                                         mix_seed(cfg.seed, _ROLE_HEAD, li, h))
+                qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h] = ps.w_q, ps.w_k, ps.w_v
+            w_qkv = qkv.reshape(width, -1)
             heads = tuple(
-                make_projection_set(width, head_width, cfg.init, mix_seed(cfg.seed, _ROLE_HEAD, li, h))
+                ProjectionSet(qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h], width, head_width)
                 for h in range(cfg.n_heads)
             )
             if cfg.use_output_linear:
@@ -208,7 +239,7 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
         if cfg.use_ffn:
             w_ff1 = init_matrix(new_width, 4 * new_width, cfg.init, mix_seed(cfg.seed, _ROLE_FF1, li))
             w_ff2 = init_matrix(4 * new_width, new_width, cfg.init, mix_seed(cfg.seed, _ROLE_FF2, li))
-        layers.append(LayerWeights(heads=heads, w_out=w_out, w_ff1=w_ff1, w_ff2=w_ff2))
+        layers.append(LayerWeights(w_qkv=w_qkv, heads=heads, w_out=w_out, w_ff1=w_ff1, w_ff2=w_ff2))
         width = new_width
     positional = None
     if cfg.use_positional:
@@ -227,57 +258,35 @@ def window_blocks(t_len: int, w: int) -> list[tuple[int, int, int]]:
             if hi > lo]
 
 
-def _window_attention(h: np.ndarray, ps: ProjectionSet, w: int, out: np.ndarray) -> None:
-    # One head over non-overlapping windows of w rows, written into out: whole
-    # windows as one (n_win, w, d_h) batch, the ragged tail as a batch of one.
-    q, k, v = h @ ps.w_q, h @ ps.w_k, h @ ps.w_v
-    for lo, hi, width in window_blocks(h.shape[0], w):
-        qb, kb, vb = (m[lo:hi].reshape(-1, width, m.shape[1]) for m in (q, k, v))
-        s = (qb @ kb.transpose(0, 2, 1)) / math.sqrt(ps.d_k)
-        out[lo:hi] = (_softmax(s) @ vb).reshape(hi - lo, -1)
-
-
 def _attention_block(h: np.ndarray, lw: LayerWeights, cfg: EncoderConfig) -> np.ndarray:
-    # Multi-head attention and its residual add. With the output linear the
-    # heads fill one buffer side by side, in the (T, d_k) layout it reads;
-    # without it they are averaged by a running sum in head order, so only
-    # two full-width (T, d_k) arrays are alive.
-    n_heads, d_h = len(lw.heads), lw.heads[0].d_k
+    # Multi-head attention over the windows of a tile, and its residual add.
+    # One GEMM gives every head's Q, K and V; each window block is then one
+    # (n_win, H, width, d_h) batch, whose output lands in place in ``heads``.
+    # With the output linear the heads sit side by side in the (rows, H * d_h)
+    # layout it reads; without it they are averaged by a running sum in head
+    # order.
+    rows, n_heads, d_h = len(h), len(lw.heads), lw.heads[0].d_k
+    qkv = (h @ lw.w_qkv).reshape(rows, 3, n_heads, d_h)
+    heads = np.empty((rows, n_heads, d_h))
+    for lo, hi, width in window_blocks(rows, cfg.window_w):
+        q, k, v = qkv[lo:hi].reshape(-1, width, 3, n_heads, d_h).transpose(2, 0, 3, 1, 4)
+        s = (q @ k.transpose(0, 1, 3, 2)) / math.sqrt(d_h)
+        out = heads[lo:hi].reshape(-1, width, n_heads, d_h).transpose(0, 2, 1, 3)
+        np.matmul(_softmax(s), v, out=out)
     if cfg.use_output_linear:
-        heads = np.empty((len(h), n_heads, d_h))
-        for i, ps in enumerate(lw.heads):
-            _window_attention(h, ps, cfg.window_w, heads[:, i])
-        att = heads.reshape(len(h), -1) @ lw.w_out
+        att = heads.reshape(rows, -1) @ lw.w_out
     else:
-        att = np.empty((len(h), d_h))
-        _window_attention(h, lw.heads[0], cfg.window_w, att)
-        head = np.empty_like(att)
-        for ps in lw.heads[1:]:
-            _window_attention(h, ps, cfg.window_w, head)
-            att += head
+        att = heads[:, 0].copy()
+        for i in range(1, n_heads):
+            att += heads[:, i]
         att /= n_heads
     return h + att if cfg.use_residual else att
 
 
-def encoder_forward(
-    x: FeatureSequence, cfg: EncoderConfig, weights: EncoderWeights | None = None
-) -> FeatureSequence:
-    """Run the frozen random encoder over a sequence of any length.
-
-    Attention stays inside non-overlapping windows of ``cfg.window_w`` rows
-    (the last may be shorter); every other layer works row by row. Per layer,
-    in order and gated by its flag: multi-head attention, output linear,
-    residual add, layer norm, then an FFN block (width -> 4x -> width, ReLU)
-    with its own residual and norm.
-    """
-    if weights is None:
-        weights = build_encoder_weights(cfg, x.dim)
-    elif weights.d_in != x.dim:
-        raise ValueError(f"weights were built for d={weights.d_in}, sequence has d={x.dim}")
-
-    h = x.data
+def _encode_tile(h: np.ndarray, cfg: EncoderConfig, weights: EncoderWeights) -> np.ndarray:
+    # Every layer over one tile whose first row starts a window.
     if cfg.use_positional:
-        h = h + weights.positional[np.arange(x.t_len) % cfg.window_w]
+        h = h + weights.positional[np.arange(len(h)) % cfg.window_w]
     for lw in weights.layers:
         if cfg.use_attention:
             h = _attention_block(h, lw, cfg)
@@ -289,4 +298,43 @@ def encoder_forward(
             h = h + f if cfg.use_residual else f
             if cfg.use_layernorm:
                 h = layer_norm_rows(h)
-    return FeatureSequence(h)
+    return h
+
+
+def _tile_rows(cfg: EncoderConfig, weights: EncoderWeights) -> int:
+    # Whole windows, at least one, whose widest float64 Q/K/V block (or
+    # input, with no attention) fits in _TILE_BYTES.
+    cols = max((lw.w_qkv.shape[1] for lw in weights.layers if lw.w_qkv is not None),
+               default=weights.d_in)
+    return max(1, _TILE_BYTES // (8 * cols) // cfg.window_w) * cfg.window_w
+
+
+def encoder_forward(
+    x: FeatureSequence, cfg: EncoderConfig, weights: EncoderWeights | None = None
+) -> FeatureSequence:
+    """Run the frozen random encoder over a sequence of any length.
+
+    Attention stays inside non-overlapping windows of ``cfg.window_w`` rows
+    (the last may be shorter); every other layer works row by row. Per layer,
+    in order and gated by its flag: multi-head attention, output linear,
+    residual add, layer norm, then an FFN block (width -> 4x -> width, ReLU)
+    with its own residual and norm. The rows run in tiles of whole windows
+    (``_tile_rows``). The last tile also takes the rows after the last whole
+    tile: a tile of one row would send its GEMMs to gemv, which rounds
+    differently, and a row's bits would then depend on where the tiles fall.
+    """
+    if weights is None:
+        weights = build_encoder_weights(cfg, x.dim)
+    elif weights.d_in != x.dim:
+        raise ValueError(f"weights were built for d={weights.d_in}, sequence has d={x.dim}")
+
+    rows = _tile_rows(cfg, weights)
+    n_tiles = max(1, x.t_len // rows)
+    out = None
+    for i in range(n_tiles):
+        lo, hi = i * rows, (i + 1) * rows if i < n_tiles - 1 else x.t_len
+        h = _encode_tile(x.data[lo:hi], cfg, weights)
+        if out is None:
+            out = np.empty((x.t_len, h.shape[1]))
+        out[lo:hi] = h
+    return FeatureSequence(out)

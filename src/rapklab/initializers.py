@@ -52,6 +52,10 @@ SCHEME_KINDS = frozenset(_LABELS)
 # Kinds whose scale_param is the scheme's single free parameter.
 _SCALED_KINDS = frozenset({"uniform_bounded", "normal_std", "trunc_normal_std"})
 
+# A scaled kind's scale_param must stay below this, so that its variance
+# (scale_param**2) and every draw are finite.
+_MAX_SCALE = 1e154
+
 # Kinds drawn from the uniform stream; the others transform standard normals.
 _UNIFORM_KINDS = frozenset({"xavier_uniform", "kaiming_uniform", "uniform_bounded"})
 
@@ -70,8 +74,9 @@ class InitScheme:
     """An initialization rule: a kind plus an optional scale parameter.
 
     ``scale_param`` is the half-width for ``uniform_bounded`` and the target
-    standard deviation for ``normal_std`` / ``trunc_normal_std``; the
-    fan-based and orthogonal kinds have none, so it must stay 0 for them.
+    standard deviation for ``normal_std`` / ``trunc_normal_std``, in
+    (0, 1e154) so that its variance is finite; the fan-based and orthogonal
+    kinds have none, so it must stay 0 for them.
     """
 
     kind: str
@@ -84,6 +89,11 @@ class InitScheme:
             )
         if self.kind in _SCALED_KINDS and not self.scale_param > 0.0:
             raise ValueError(f"{self.kind} requires scale_param > 0, got {self.scale_param}")
+        if self.kind in _SCALED_KINDS and not self.scale_param < _MAX_SCALE:
+            raise ValueError(
+                f"{self.kind} requires scale_param < {_MAX_SCALE:g} so that its variance "
+                f"is finite, got {self.scale_param}"
+            )
         if self.kind not in _SCALED_KINDS and self.scale_param != 0.0:
             raise ValueError(f"{self.kind} takes no scale_param, got {self.scale_param}")
 
@@ -266,7 +276,10 @@ def parse_scheme(label: str) -> InitScheme:
                 value = float(text[len(name):])
             except ValueError:
                 raise ValueError(f"bad numeric suffix in scheme label {label!r}") from None
-            return InitScheme(kind, value)
+            try:
+                return InitScheme(kind, value)
+            except ValueError as exc:
+                raise ValueError(f"init scheme {label!r}: {exc}") from None
     raise ValueError(f"unknown init scheme label {label!r}")
 
 

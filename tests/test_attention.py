@@ -1,13 +1,16 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from test_acceptance import ACC_ENCODER
 
 from rapklab.attention import (
+    _ROLE_HEAD,
     AttentionMatrix,
     EncoderConfig,
+    _tile_rows,
     attention_apply,
     attention_scores,
     build_encoder_weights,
@@ -18,8 +21,8 @@ from rapklab.attention import (
     window_blocks,
 )
 from rapklab.harness import COMPONENT_BUNDLES
-from rapklab.initializers import InitScheme, ProjectionSet
-from rapklab.seeding import generator
+from rapklab.initializers import InitScheme, ProjectionSet, make_projection_set
+from rapklab.seeding import generator, mix_seed
 from rapklab.sequences import FeatureSequence
 
 
@@ -294,8 +297,9 @@ def test_encoder_forward_matches_per_window_oracle(t_len, overrides):
 
 def test_encoder_forward_transient_memory():
     # The reference encoder on one 1000 x 256 subject, with its weights built
-    # beforehand as the pipeline does. The heads share one buffer, freed with
-    # the attention block, and the FFN's ReLU runs in place.
+    # beforehand as the pipeline does. Only the 2.0 MB output is full length;
+    # the rest is one 250-row tile's intermediates (8.0 MB traced in all, 12.3
+    # MB when every layer ran at full length).
     x = FeatureSequence(generator(10, 0x15).standard_normal((1000, 256)))
     weights = build_encoder_weights(ACC_ENCODER, 256)
     tracemalloc.start()
@@ -304,13 +308,14 @@ def test_encoder_forward_transient_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 15 * 10**6
+    assert peak <= 9 * 10**6
 
 
 def test_head_mean_holds_two_head_buffers():
     # Without the output linear every head has the full width d_k = 512; the
     # heads are averaged by a running sum instead of an (H, T, d_k) stack
-    # (49.3 MB traced with the stack, 24.7 MB with the running sum).
+    # (49.3 MB traced with the stack, 24.7 MB with the running sum over the
+    # whole sequence, 10.8 MB with it over 30-row tiles).
     bundle = COMPONENT_BUNDLES["attention_no_linear"]
     cfg = EncoderConfig(n_heads=8, d_k=512, window_w=10, **bundle)
     x = FeatureSequence(generator(10, 0x15).standard_normal((1000, 256)))
@@ -321,4 +326,71 @@ def test_head_mean_holds_two_head_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30 * 10**6
+    assert peak <= 12 * 10**6
+
+
+def _window_locality_cases():
+    # (config, t_len) pairs around the reference encoder's row tile.
+    ref = ACC_ENCODER
+    tile = 250  # _tile_rows at the reference encoder, checked below
+    no_linear = replace(ref, **COMPONENT_BUNDLES["attention_no_linear"])
+    return [
+        pytest.param(ref, 1, id="t_len_1"),
+        pytest.param(ref, tile - 3 * ref.window_w - 3, id="below_one_tile"),
+        pytest.param(ref, tile - ref.window_w, id="tile_minus_w"),
+        pytest.param(ref, tile + ref.window_w, id="tile_plus_w"),
+        pytest.param(ref, 3 * tile + 2 * ref.window_w + 7, id="ragged_tail"),
+        pytest.param(ref, 2 * tile + 1, id="one_row_past_a_tile"),
+        pytest.param(replace(ref, n_layers=2), 2 * tile + 13, id="two_layers"),
+        pytest.param(replace(ref, use_positional=True), 2 * tile + 13, id="positional"),
+        pytest.param(replace(ref, use_residual=True), 2 * tile + 13, id="residual"),
+        pytest.param(no_linear, 137, id="attention_no_linear"),
+        # The head mean's tile is 30 rows; a 50-row window is wider.
+        pytest.param(replace(no_linear, window_w=50), 3 * 50 + 7, id="window_wider_than_tile"),
+    ]
+
+
+@pytest.mark.parametrize("cfg, t_len", _window_locality_cases())
+def test_encoder_rows_depend_only_on_their_own_windows(cfg, t_len):
+    # Every layer is window-local, so encoding a window-aligned cut on its own
+    # gives the same bits as the same rows of the whole sequence, whichever
+    # tiles the rows fall in. Each cut holds at least one whole window: a
+    # single row would send the GEMMs to gemv, which rounds differently. For
+    # the same reason the encoder merges a short last tile into the one before.
+    weights = build_encoder_weights(cfg, 256)
+    w, tile = cfg.window_w, _tile_rows(cfg, weights)
+    assert tile == {10: 250 if cfg.use_output_linear else 30, 50: 50}[w]
+    x = generator(11, 0x16).standard_normal((t_len, 256))
+    whole = encoder_forward(FeatureSequence(x), cfg, weights).data
+    last = max(0, (t_len - 1) // w * w - w)  # the last two windows start here
+    cuts = {(lo, hi) for lo in (0, w, tile, last) for hi in (lo + w, lo + tile, t_len)
+            if min(w, t_len) <= hi - lo and hi <= t_len}
+    for lo, hi in sorted(cuts):
+        part = encoder_forward(FeatureSequence(x[lo:hi]), cfg, weights).data
+        np.testing.assert_array_equal(part, whole[lo:hi], err_msg=f"rows {lo}:{hi}")
+
+
+def test_heads_are_views_of_the_fused_qkv_matrix():
+    # Each head's W_Q, W_K and W_V are column blocks of its layer's fused
+    # (d, 3 * H * d_h) matrix, drawn as make_projection_set draws them, so the
+    # reference weight set holds no second copy: 8.4 MB, as the README states.
+    tracemalloc.start()
+    try:
+        weights = build_encoder_weights(ACC_ENCODER, 256)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    lw = weights.layers[0]
+    assert lw.w_qkv.shape == (256, 3 * 512)
+    for h, ps in enumerate(lw.heads):
+        for role, m in enumerate((ps.w_q, ps.w_k, ps.w_v)):
+            assert np.shares_memory(m, lw.w_qkv)
+            np.testing.assert_array_equal(m, lw.w_qkv[:, (role * 8 + h) * 64:][:, :64])
+    drawn = make_projection_set(256, 64, ACC_ENCODER.init,
+                                mix_seed(ACC_ENCODER.seed, _ROLE_HEAD, 0, 3))
+    for got, want in zip((lw.heads[3].w_q, lw.heads[3].w_k, lw.heads[3].w_v),
+                         (drawn.w_q, drawn.w_k, drawn.w_v)):
+        np.testing.assert_array_equal(got, want)
+    arrays = (lw.w_qkv, lw.w_out, lw.w_ff1, lw.w_ff2)
+    assert sum(a.nbytes for a in arrays) == 8_388_608
+    assert held < 8_388_608 + 100_000

@@ -2,12 +2,13 @@ import argparse
 import csv
 import hashlib
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rapklab import cli, dataio, synthgen
+from rapklab import cli, dataio, initializers, synthgen
 from rapklab.attention import EncoderConfig
 from rapklab.cli import main
 from rapklab.dataio import DatasetError, load_dataset
@@ -303,6 +304,12 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
     (["smooth-eval", "--window", "1"], "metric_window must be >= 2, got 1"),
     (["sweep", "--smoother", "median", "--axis", "dk"],
      "smoother 'median' uses no encoder weights, so it sweeps only the window axis, not d_k"),
+    (["smooth-eval", "--init", "normal_inf"],
+     "init scheme 'normal_inf': normal_std requires scale_param < 1e+154 so that its "
+     "variance is finite, got inf"),
+    (["sweep", "--axis", "init", "--grid", "xavier_uniform,uniform_1e200"],
+     "init scheme 'uniform_1e200': uniform_bounded requires scale_param < 1e+154 so that "
+     "its variance is finite, got 1e+200"),
 ])
 def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tmp_path,
                                                    monkeypatch, capsys):
@@ -399,6 +406,8 @@ def test_kernel_validate_rejects_bad_args(tmp_path, capsys):
     (["--schemes", ","], "--schemes must be a non-empty list without repeats"),
     (["--schemes", "orthogonal,xavier_uniform,orthogonal"], "--schemes must be a non-empty"),
     (["--schemes", "normal_0.02,normal_0.020"], "--schemes must be a non-empty"),
+    (["--schemes", "xavier_uniform,trunc_normal_inf"],
+     "init scheme 'trunc_normal_inf': trunc_normal_std requires scale_param < 1e+154"),
 ])
 def test_logit_stats_checks_every_argument_before_drawing(flags, fragment, tmp_path,
                                                           monkeypatch, capsys):
@@ -410,6 +419,22 @@ def test_logit_stats_checks_every_argument_before_drawing(flags, fragment, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
     assert not (tmp_path / "ls").exists()
+
+
+@pytest.mark.parametrize("label", ["normal_1e308", "uniform_inf"])
+def test_kernel_validate_rejects_an_overflowing_scale_before_any_draw(label, tmp_path,
+                                                                       monkeypatch, capsys):
+    def draw(*args, **kwargs):
+        raise AssertionError("a matrix was drawn before the scheme was checked")
+
+    monkeypatch.setattr(initializers, "_rng", draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kernel-validate", "--scheme", label, "--out", str(tmp_path / "kv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: init scheme '{label}': ") and err.count("\n") == 1
+    assert "so that its variance is finite" in err
+    assert not (tmp_path / "kv").exists()
 
 
 def test_logit_stats_rows_follow_scheme_then_dk_then_layernorm(tmp_path):

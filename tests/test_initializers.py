@@ -199,6 +199,18 @@ def test_scheme_requires_positive_scale_where_used():
             InitScheme(kind=kind, scale_param=0.5)
 
 
+@pytest.mark.parametrize("kind", ["uniform_bounded", "normal_std", "trunc_normal_std"])
+def test_scaled_scheme_keeps_its_variance_and_draws_finite(kind):
+    # Just below the bound the variance and the draws are finite; the bound
+    # itself, 1e308 and infinity are rejected.
+    for value in (1e154, 1e308, math.inf):
+        with pytest.raises(ValueError, match=f"{kind} requires scale_param < 1e\\+154"):
+            InitScheme(kind, value)
+    scheme = InitScheme(kind, 9.9e153)
+    assert math.isfinite(analytic_variance(scheme, 4, 4))
+    assert np.all(np.isfinite(init_matrix(4, 4, scheme, seed=3)))
+
+
 def test_make_projection_set_contract():
     scheme = parse_scheme("xavier_uniform")
     proj = make_projection_set(8, 6, scheme, seed=21)
