@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .initializers import InitScheme, ProjectionSet, init_matrix, make_projection_set
+from .initializers import InitScheme, ProjectionSet, init_matrix, make_projection_set, scheme_label
 from .seeding import mix_seed
 from .sequences import FeatureSequence
 
@@ -133,8 +133,12 @@ def layer_norm_rows(h: np.ndarray, eps: float = LAYERNORM_EPS) -> np.ndarray:
     # The variance is numpy's own arithmetic (square the centred rows, sum,
     # divide by the count), so the result equals (h - mean) / sqrt(var + eps)
     # bit for bit with h - mean computed once.
-    centred = h - h.mean(axis=1, keepdims=True)
-    var = np.square(centred).sum(axis=1, keepdims=True)
+    # Values too large to square are an error, not a warning and NaN rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = h - h.mean(axis=1, keepdims=True)
+        var = np.square(centred).sum(axis=1, keepdims=True)
+    if not np.isfinite(var).all():
+        raise FloatingPointError("values overflowed in a layer norm")
     var /= h.shape[1]
     var += eps
     centred /= np.sqrt(var, out=var)
@@ -333,7 +337,10 @@ def encoder_forward(
     out = None
     for i in range(n_tiles):
         lo, hi = i * rows, (i + 1) * rows if i < n_tiles - 1 else x.t_len
-        h = _encode_tile(x.data[lo:hi], cfg, weights)
+        try:
+            h = _encode_tile(x.data[lo:hi], cfg, weights)
+        except FloatingPointError as exc:
+            raise ValueError(f"init scheme {scheme_label(cfg.init)!r}: {exc}") from None
         if out is None:
             out = np.empty((x.t_len, h.shape[1]))
         out[lo:hi] = h

@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     except (DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

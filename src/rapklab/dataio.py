@@ -11,8 +11,11 @@ Layout::
       subject_001/
         ...
 
-Cells are written with ``repr``, one CRLF-terminated line per row (the bytes
-``csv.writer`` gives), so every file parses back losslessly. Each table is
+Cells are ``repr``'s bytes, one CRLF-terminated line per row (the bytes
+``csv.writer`` gives), so every file parses back losslessly. Float tables
+are written in blocks of rows by exact integer arithmetic that gives those
+bytes (``_format_rows``); a row with a value outside its range, such as
+|x| < 1e-10, is written with ``repr`` itself. Each table is
 parsed in one ``numpy.loadtxt`` call, with a row-by-row scan as the fallback
 that decides what is rejected. Loading validates headers, numeric and finite
 cells, label ranges, and row counts, and raises ``DatasetError`` naming the
@@ -29,6 +32,7 @@ same row scan) are read here too, so every read fault is a ``DatasetError``.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from collections.abc import Callable, Iterable, Iterator
@@ -53,14 +57,194 @@ class DatasetError(Exception):
     """A dataset directory is missing pieces or malformed."""
 
 
+# Float tables are written a block of cells at a time by ``_format_rows``,
+# which gives each cell the bytes ``repr`` gives it: the fewest digits that
+# read back to the same double, of those the closest to it (a tie goes to an
+# even last digit), positional for 1e-4 <= |x| < 1e16 and d.ddde-XX below. Its
+# arithmetic is exact in uint64 words (after Steele & White 1990 and Adams
+# 2018, "Ryu") for 0 and 1e-10 <= |x| < 2**52; a row holding any other value
+# is written with ``repr``.
+_BLOCK_CELLS = 1 << 13  # keeps a block's working arrays near 2 MB
+_E_MIN = -10  # floor(log10(1e-10))
+_POW5 = np.array([5**i for i in range(28)], dtype=np.uint64)
+_POW10 = np.array([10**i for i in range(19)], dtype=np.uint64)
+
+
+def _decade(i: int) -> float:
+    """The smallest double >= 10**i."""
+    d = float(f"1e{i}")
+    num, den = d.as_integer_ratio()
+    return d if num * 10 ** max(-i, 0) >= den * 10 ** max(i, 0) else math.nextafter(d, math.inf)
+
+
+_DECADES = np.array([_decade(i) for i in range(_E_MIN, 17)])
+
+
+@functools.cache  # built on first use, so a command that writes no dataset skips it
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four ASCII digits of 0..9999, each as one little-endian word, and
+    the layouts. A cell's text fills 32 bytes (zeros where it has none) and
+    depends on its digits only through the key (exponent, significant digits,
+    sign). Per key: masks of the digit bytes kept before the point and, with
+    the digits moved one byte on, after it (3 words each); the other bytes,
+    as sign, point, exponent and comma (4 words); and the comma's offset."""
+    quads = sum((np.arange(10000, dtype=np.uint64) // 10 ** (3 - i) % 10 + ord("0")) << 8 * i
+                for i in range(4))
+    e = np.arange(_E_MIN, 16)[:, None, None, None]
+    nsig = np.arange(1, 19)[:, None, None]
+    neg = np.array([False, True])[:, None]
+    col = np.arange(32)
+    # Text byte c is digit byte c before the point and c - 1 after it; digit
+    # byte 6 is D's first digit, and the point follows it in d.ddde-XX.
+    sci = e < -4
+    point = np.where(sci, 7, 7 + e)
+    start = np.where(sci, 6, 6 + np.minimum(e, 0))
+    end = np.where(sci, 6 + nsig + (nsig > 1), np.maximum(7 + nsig, point + 2))
+    comma = end + 4 * sci
+    shown = (col >= start) & (col < end)
+    fixed = np.select(
+        [shown & (col == point), neg & (col == start - 1), sci & (col == end),
+         sci & (col == end + 1), sci & (col == end + 2), sci & (col == end + 3), col == comma],
+        [ord("."), ord("-"), ord("e"), ord("-"), ord("0") + (-e) // 10, ord("0") + (-e) % 10, ord(",")],
+    )
+
+    def words(byte_values):
+        full = np.broadcast_to(byte_values, fixed.shape).astype(np.uint8)
+        return full.reshape(-1, 32).view("<u8")
+
+    ff = np.uint64(0xFF)
+    table = np.hstack([words(shown & (col < point))[:, :3] * ff,
+                       words(shown & (col > point))[:, :3] * ff, words(fixed)])
+    return quads, table.astype(np.uint64), np.broadcast_to(comma, fixed.shape[:3] + (1,)).ravel()
+
+
+def _shift_right(hi: np.ndarray, lo: np.ndarray, s: np.ndarray):
+    """floor((hi, lo) / 2**s) for s in 1..63 when it fits one word, and
+    whether it is exact."""
+    return (lo >> s) | (hi << (64 - s)), (lo << (64 - s)) == 0
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For doubles that are 0 or 1e-10 <= |x| < 2**52: integers D < 10**18
+    whose first ``nsig`` of 18 digits are the digits of ``repr(abs(x))``, and
+    the exponents E with that repr read as D * 10**(E - 17)."""
+    bits = x.view(np.uint64)
+    zero = (bits << 1) == 0
+    bits = np.where(zero, np.float64(1.0).view(np.uint64), bits)  # zeros are set at the end
+    bexp = ((bits >> 52) & 0x7FF).astype(np.int64)
+    frac = bits & (2**52 - 1)
+    m = frac | 2**52  # abs(x) = m * 2**(bexp - 1075)
+    # E = floor(log10(abs(x))): that of the power of two below, or one more.
+    e10 = ((bexp - 1023) * 78913) >> 18
+    e10 += np.abs(bits.view(np.float64)) >= _DECADES[e10 + 1 - _E_MIN]
+    # abs(x) * 10**k = 4m * 5**k / 2**s lies in [1e17, 1e18), and the ends of
+    # its rounding interval are (4m + 2) and (4m - 2) times the same scale,
+    # or (4m - 1) when m is a power of two and the gap below is half as wide.
+    k = 17 - e10
+    s = (1077 - bexp - k).astype(np.uint64)
+    p5 = _POW5[k]
+    # The exact product 4m * 5**k as (hi, lo) words, from 32-bit halves.
+    m32 = np.uint64(0xFFFFFFFF)
+    a0, a1, b0, b1 = (m << 2) & m32, (m << 2) >> 32, p5 & m32, p5 >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & m32) + (p10 & m32)
+    hi, lo = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), (mid << 32) | (p00 & m32)
+    v, v_exact = _shift_right(hi, lo, s)
+    up = lo + (p5 << 1)
+    upper, upper_exact = _shift_right(hi + (up < lo), up, s)
+    down = lo - np.where(frac == 0, p5, p5 << 1)
+    lower, lower_exact = _shift_right(hi - (down > lo), down, s)
+    # The integers that read back as x; the ends do only when m is even.
+    even = (m & 1) == 0
+    first, last = lower + 1 - (lower_exact & even), upper - (upper_exact & ~even)
+    # The largest power of ten with a multiple among them: 10 always has one,
+    # as the interval is wider than 11, and few cells get past 100.
+    j = 1 + (last // 100 * 100 >= first)
+    live = np.flatnonzero(last // 1000 * 1000 >= first)
+    for p in _POW10[4:]:
+        if not live.size:
+            break
+        j[live] += 1
+        live = live[last[live] // p * p >= first[live]]
+    j[live] += 1
+    # Of its two multiples either side of v, the one nearer v that is among
+    # them; a tie goes to the even one.
+    p = _POW10[j]
+    q = v // p
+    below = q * p
+    rest, half = v - below, p >> 1
+    nearer_up = (rest > half) | ((rest == half) & (~v_exact | ((q & 1) == 1)))
+    d = np.where((below < first) | ((below + p <= last) & nearer_up), below + p, below)
+    top = d == _POW10[18]  # rounded up to 10**(E + 1)
+    d[top] = _POW10[17]
+    e10 += top
+    nsig = 18 - j + top
+    d[zero], e10[zero], nsig[zero] = 0, 0, 1
+    return d, e10, nsig
+
+
+def _digit_word(y: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """The eight ASCII digits of each y < 10**8 as one little-endian word."""
+    h = y // 10000
+    return np.take(quads, h) | (np.take(quads, y - h * 10000) << 32)
+
+
+def _format_rows(block: np.ndarray) -> np.ndarray:
+    """The CSV rows, as ``repr`` writes them, of a float table whose cells
+    are all 0 or 1e-10 <= |x| < 2**52, as one uint8 array."""
+    width = block.shape[1]
+    x = block.ravel()
+    d, e10, nsig = _shortest(x)
+    quads, layouts, commas = _tables()
+    # A cell's 24 digit bytes, six '0's then D's 18 digits, as three words.
+    hi8 = d // 10**8
+    lead = hi8 // 10**8
+    digits = [_digit_word(y, quads) for y in (lead, hi8 - lead * 10**8, d - hi8 * 10**8)]
+    key = ((e10 - _E_MIN) * 18 + nsig - 1) * 2 + np.signbit(x)
+    layout = np.take(layouts, key, axis=0)
+    text = np.empty((x.size, 4), "<u8")
+    for i, word in enumerate(digits):
+        moved = (word << 8) | (digits[i - 1] >> 56 if i else 0)
+        text[:, i] = (word & layout[:, i]) | (moved & layout[:, 3 + i]) | layout[:, 6 + i]
+    text[:, 3] = layout[:, 9]
+    # A row's last comma becomes "\r\n", and the text is every byte but zeros.
+    flat = text.view(np.uint8).ravel()
+    ends = np.arange(width - 1, x.size, width) * 32 + commas[key[width - 1::width]]
+    flat[ends] = ord("\r")
+    flat[ends + 1] = ord("\n")
+    return flat[flat != 0]
+
+
+def _covered_rows(block: np.ndarray) -> np.ndarray:
+    """Which rows of a table ``_format_rows`` writes."""
+    if block.dtype != np.float64:
+        return np.zeros(len(block), bool)
+    a = np.abs(block)
+    return ((a == 0) | ((a >= 1e-10) & (a < 2.0**52))).all(axis=1)
+
+
 def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
-    # The bytes csv.writer gives for rows of ``repr`` cells: a list's repr
-    # joins its items' reprs with ", ", and no number needs quoting. Rows are
-    # written one at a time so the file text is never held whole.
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in table:
-            fh.write(repr(row.tolist())[1:-1].replace(", ", ",") + "\r\n")
+    # The bytes csv.writer gives for rows of ``repr`` cells, written a block
+    # of rows at a time so the file text is never held whole. A row that
+    # ``_format_rows`` does not cover is a list's repr, which joins its items'
+    # reprs with ", " (no number needs quoting).
+    with path.open("wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        step = max(1, _BLOCK_CELLS // table.shape[1])
+        for lo in range(0, len(table), step):
+            block = table[lo:lo + step]
+            covered = _covered_rows(block)
+            if covered.all():
+                fh.write(_format_rows(block))
+                continue
+            lines = [(repr(row)[1:-1].replace(", ", ",") + "\r\n").encode()
+                     for row in block.tolist()]
+            if covered.any():  # cut from one text, with zeros in the other rows
+                text = _format_rows(np.where(covered[:, None], block, 0.0))
+                ends = np.flatnonzero(text == ord("\n")) + 1
+                for i in np.flatnonzero(covered):
+                    lines[i] = text[ends[i - 1] if i else 0:ends[i]]
+            fh.writelines(lines)
 
 
 def save_dataset(

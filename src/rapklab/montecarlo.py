@@ -227,7 +227,10 @@ def dk_sweep_detail(
         block_pearson: dict[int, list[float]] = {}
         for si, x in enumerate(x_set):
             var = analytic_variance(scheme, x.dim, d_k)
-            theory = rapk_kernel(x, *rapk_coefficients(x, d_k, var, var, var))
+            try:
+                theory = rapk_kernel(x, *rapk_coefficients(x, d_k, var, var, var))
+            except FloatingPointError as exc:
+                raise ValueError(f"init scheme {scheme_label(scheme)!r}: {exc}") from None
             sub_seed = mix_seed(seed, di, si)
             total = np.zeros((x.t_len, x.t_len))
             for bi, (size, mean) in enumerate(

@@ -20,6 +20,8 @@ Monte Carlo cross-checks live in ``montecarlo``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .sequences import FeatureSequence
@@ -107,6 +109,8 @@ def rapk_coefficients(
     centered = rows - rows.mean(axis=0)
     gram_c = centered @ centered.T
     c1 = d_k * sigma_v2 * sigma_q2 * sigma_k2 * float(np.sum(gram_c * gram)) / t**2
+    if not (math.isfinite(c0) and math.isfinite(c1)):
+        raise FloatingPointError("the closed-form kernel coefficients overflowed")
     return c0, c1
 
 

@@ -437,6 +437,24 @@ def test_kernel_validate_rejects_an_overflowing_scale_before_any_draw(label, tmp
     assert not (tmp_path / "kv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["smooth-eval", "--smoother", "random_transformer", "--init", "normal_1e100"],
+     "values overflowed in a layer norm"),
+    (["kernel-validate", "--scheme", "normal_1e100"],
+     "the closed-form kernel coefficients overflowed"),
+])
+def test_an_init_whose_values_overflow_is_one_error_line(argv, message, run_config, tmp_path,
+                                                         capsys):
+    # normal_1e100 passes the scale bound, but the encoder's layer norm and the
+    # closed-form kernel (C1 grows as the variance cubed) cannot hold its values.
+    config = ["--config", str(run_config)] if argv[0] == "smooth-eval" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, *config, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: init scheme 'normal_1e+100': {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_logit_stats_rows_follow_scheme_then_dk_then_layernorm(tmp_path):
     out = tmp_path / "ls"
     assert main([

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rapklab import dataio
 from rapklab.dataio import (
     DatasetError,
     load_dataset,
@@ -292,3 +293,76 @@ def test_files_match_the_reference_writer_byte_for_byte(small_dataset, tmp_path)
             assert x.shape == y.shape
             np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
         np.testing.assert_array_equal(a.stages.labels, b.stages.labels)
+
+
+def _stress_values() -> np.ndarray:
+    # About 1.1 million seeded doubles of both signs: zeros; log-uniform
+    # decades from 1e-12 to 1e18; random finite bit patterns, of any exponent and with
+    # 1.2e-10 <= |x| < 2**52; 64 ulps either side of 1e-10, 1e-5, 1e-4, 1e15,
+    # 1e16, 2**52 and 2**53; powers of two (whose rounding interval is half as
+    # wide below) and their neighbours; short decimals n / 10**p; and
+    # integral floats.
+    rng = np.random.default_rng(14)
+    n = 270_000
+
+    def signed(v):
+        return v * rng.choice([-1.0, 1.0], v.size)
+
+    ulps = np.arange(-64, 65)
+    edges = [np.float64(c).view(np.int64) + ulps
+             for c in (1e-10, 1e-5, 1e-4, 1e15, 1e16, 2.0**52, 2.0**53)]
+    powers = np.ldexp(1.0, np.arange(-40, 60)).view(np.int64)
+    values = np.concatenate([
+        signed(np.zeros(64)),
+        signed(10.0 ** rng.uniform(-12, 18, n)),
+        rng.integers(0, 2**64, n // 4, dtype=np.uint64).view(np.float64),
+        signed(rng.integers(990 << 52, 1075 << 52, n, dtype=np.int64).view(np.float64)),
+        signed(np.concatenate(edges).view(np.float64)),
+        signed(np.concatenate([powers - 1, powers, powers + 1]).view(np.float64)),
+        signed(rng.integers(1, 10**6, n) / 10.0 ** rng.integers(0, 11, n)),
+        signed(rng.integers(0, 2**52, n).astype(np.float64)),
+    ])
+    return values[np.isfinite(values)]
+
+
+def test_block_formatter_writes_repr_for_a_million_values(tmp_path):
+    column = _stress_values()[:, None]
+    covered = dataio._covered_rows(column)
+    assert covered.sum() >= 10**6
+    table = column[covered][: covered.sum() // 8 * 8].reshape(-1, 8)
+    path = tmp_path / "t.csv"
+    dataio._write_table(path, [f"c{j}" for j in range(8)], table)
+    lines = path.read_bytes().decode().split("\r\n")
+    assert lines == [",".join(f"c{j}" for j in range(8)),
+                     *(",".join(map(repr, row)) for row in table.tolist()), ""]
+    # The covered range: 0 and 1e-10 <= |x| < 2**52.
+    ends = np.array([[0.0], [-0.0], [1e-10], [-np.nextafter(2.0**52, 0)],
+                     [np.nextafter(1e-10, 0)], [2.0**52], [5e-324]])
+    assert dataio._covered_rows(ends).tolist() == [True] * 4 + [False] * 3
+
+
+def test_rows_the_formatter_does_not_cover_keep_their_repr_lines(tmp_path):
+    values = _stress_values()[::20]
+    table = values[: values.size // 4 * 4].reshape(-1, 4)
+    covered = dataio._covered_rows(table)
+    assert np.count_nonzero(covered[1:] != covered[:-1]) > 1000  # runs of each kind
+    header = [f"c{j}" for j in range(4)]
+    dataio._write_table(tmp_path / "got.csv", header, table)
+    _reference_write(tmp_path / "ref.csv", header,
+                     ([repr(v) for v in row] for row in table.tolist()))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_writing_a_subject_holds_one_block_of_arrays(tmp_path):
+    # The formatter's arrays are made per block of rows, so a 1000 x 256
+    # subject is written in about 2 MB, whatever its length.
+    cfg = SynthConfig(n_classes=5, t_len=1000, n_subjects=3, feat_dim=256, seed=3)
+    subject = next(iter_subjects(cfg))
+    save_dataset([subject], tmp_path / "first")  # first-call allocations are not the write's
+    tracemalloc.start()
+    try:
+        save_dataset([subject], tmp_path / "ds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
