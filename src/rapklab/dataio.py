@@ -14,8 +14,8 @@ Layout::
 Cells are ``repr``'s bytes, one CRLF-terminated line per row (the bytes
 ``csv.writer`` gives), so every file parses back losslessly. Float tables
 are written in blocks of rows by exact integer arithmetic that gives those
-bytes (``_format_rows``); a row with a value outside its range, such as
-|x| < 1e-10, is written with ``repr`` itself. Each table is
+bytes (``_format_rows``); a block holding a value outside its range, such
+as |x| < 1e-10, is written row by row with ``repr`` itself. Each table is
 parsed in one ``numpy.loadtxt`` call, with a row-by-row scan as the fallback
 that decides what is rejected. Loading validates headers, numeric and finite
 cells, label ranges, and row counts, and raises ``DatasetError`` naming the
@@ -62,8 +62,8 @@ class DatasetError(Exception):
 # read back to the same double, of those the closest to it (a tie goes to an
 # even last digit), positional for 1e-4 <= |x| < 1e16 and d.ddde-XX below. Its
 # arithmetic is exact in uint64 words (after Steele & White 1990 and Adams
-# 2018, "Ryu") for 0 and 1e-10 <= |x| < 2**52; a row holding any other value
-# is written with ``repr``.
+# 2018, "Ryu") for 0 and 1e-10 <= |x| < 2**52; a block of rows holding any
+# other value is written with ``repr``.
 _BLOCK_CELLS = 1 << 13  # keeps a block's working arrays near 2 MB
 _E_MIN = -10  # floor(log10(1e-10))
 _POW5 = np.array([5**i for i in range(28)], dtype=np.uint64)
@@ -225,26 +225,19 @@ def _covered_rows(block: np.ndarray) -> np.ndarray:
 
 def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
     # The bytes csv.writer gives for rows of ``repr`` cells, written a block
-    # of rows at a time so the file text is never held whole. A row that
-    # ``_format_rows`` does not cover is a list's repr, which joins its items'
-    # reprs with ", " (no number needs quoting).
+    # of rows at a time so the file text is never held whole. A block with a
+    # row that ``_format_rows`` does not cover is written as each row's list
+    # repr, which joins its items' reprs with ", " (no number needs quoting).
     with path.open("wb") as fh:
         fh.write(",".join(header).encode() + b"\r\n")
         step = max(1, _BLOCK_CELLS // table.shape[1])
         for lo in range(0, len(table), step):
             block = table[lo:lo + step]
-            covered = _covered_rows(block)
-            if covered.all():
+            if _covered_rows(block).all():
                 fh.write(_format_rows(block))
-                continue
-            lines = [(repr(row)[1:-1].replace(", ", ",") + "\r\n").encode()
-                     for row in block.tolist()]
-            if covered.any():  # cut from one text, with zeros in the other rows
-                text = _format_rows(np.where(covered[:, None], block, 0.0))
-                ends = np.flatnonzero(text == ord("\n")) + 1
-                for i in np.flatnonzero(covered):
-                    lines[i] = text[ends[i - 1] if i else 0:ends[i]]
-            fh.writelines(lines)
+            else:
+                fh.writelines((repr(row)[1:-1].replace(", ", ",") + "\r\n").encode()
+                              for row in block.tolist())
 
 
 def save_dataset(
