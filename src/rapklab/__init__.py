@@ -11,8 +11,6 @@ from types import ModuleType as _ModuleType
 from .attention import (
     AttentionMatrix,
     EncoderConfig,
-    attention_apply,
-    attention_scores,
     build_encoder_weights,
     empirical_kernel,
     encoder_forward,

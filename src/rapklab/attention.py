@@ -1,11 +1,10 @@
-"""Single-layer attention primitives and a configurable random encoder.
+"""The attention step, the empirical kernel and a configurable random encoder.
 
-The primitives (scores, row softmax, value mixing, empirical Gram kernel)
-are kept separate so the Monte Carlo kernel experiments can drive exactly
-the pipeline the closed-form theory describes: scores -> softmax -> apply.
-``encoder_forward`` uses the same arithmetic in a post-norm encoder whose
-components can be switched off one by one; disabled components are identity
-maps, so with every flag false the encoder is the identity.
+``_attend`` is the one attention step, softmax(Q K^T / sqrt(d)) V over the
+last two axes. The encoder's window batches and the Monte Carlo kernel trials
+run it, and the logit statistics run its ``_scores``. ``encoder_forward`` is a
+post-norm encoder whose components can be switched off one by one; disabled
+components are identity maps, so with every flag false it is the identity.
 
 Every layer of the encoder is window-local: attention stays inside
 non-overlapping windows and everything else works row by row. So the encoder
@@ -33,9 +32,7 @@ __all__ = [
     "EncoderConfig",
     "EncoderWeights",
     "LayerWeights",
-    "attention_scores",
     "softmax_rows",
-    "attention_apply",
     "empirical_kernel",
     "layer_norm_rows",
     "build_encoder_weights",
@@ -77,19 +74,6 @@ class AttentionMatrix:
             raise ValueError(f"attention rows must sum to 1 within {ROW_SUM_TOL}")
         object.__setattr__(self, "rows", arr)
 
-    @property
-    def t_len(self) -> int:
-        return self.rows.shape[0]
-
-
-def attention_scores(x: FeatureSequence, proj: ProjectionSet) -> np.ndarray:
-    """Scaled dot-product logits S = (X W_Q)(X W_K)^T / sqrt(d_k)."""
-    if proj.d != x.dim:
-        raise ValueError(f"projection expects d={proj.d} features, sequence has d={x.dim}")
-    q = x.data @ proj.w_q
-    k = x.data @ proj.w_k
-    return (q @ k.T) / math.sqrt(proj.d_k)
-
 
 def _softmax(s: np.ndarray) -> np.ndarray:
     # Softmax over the last axis, shifted by each row's max for stability.
@@ -108,15 +92,15 @@ def softmax_rows(s: np.ndarray) -> AttentionMatrix:
     return AttentionMatrix(_softmax(arr))
 
 
-def attention_apply(a: AttentionMatrix, x: FeatureSequence, w_v: np.ndarray) -> np.ndarray:
-    """Mix projected values: O = A (X W_V)."""
-    if a.rows.shape != (x.t_len, x.t_len):
-        raise ValueError(
-            f"attention matrix shape {a.rows.shape} does not match sequence length {x.t_len}"
-        )
-    if w_v.shape[0] != x.dim:
-        raise ValueError(f"w_v expects {w_v.shape[0]} input features, sequence has {x.dim}")
-    return a.rows @ (x.data @ w_v)
+def _scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Scaled dot-product logits Q K^T / sqrt(d) over the last two axes."""
+    return (q @ k.swapaxes(-1, -2)) / math.sqrt(q.shape[-1])
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """One attention step, softmax(Q K^T / sqrt(d)) V, over the last two axes."""
+    return np.matmul(_softmax(_scores(q, k)), v, out=out)
 
 
 def empirical_kernel(o: np.ndarray) -> np.ndarray:
@@ -274,9 +258,8 @@ def _attention_block(h: np.ndarray, lw: LayerWeights, cfg: EncoderConfig) -> np.
     heads = np.empty((rows, n_heads, d_h))
     for lo, hi, width in window_blocks(rows, cfg.window_w):
         q, k, v = qkv[lo:hi].reshape(-1, width, 3, n_heads, d_h).transpose(2, 0, 3, 1, 4)
-        s = (q @ k.transpose(0, 1, 3, 2)) / math.sqrt(d_h)
         out = heads[lo:hi].reshape(-1, width, n_heads, d_h).transpose(0, 2, 1, 3)
-        np.matmul(_softmax(s), v, out=out)
+        _attend(q, k, v, out=out)
     if cfg.use_output_linear:
         att = heads.reshape(rows, -1) @ lw.w_out
     else:

@@ -291,7 +291,8 @@ def _cmd_logit_stats(args) -> int:
         if not items or len(set(items)) < len(items):
             raise ValueError(f"{flag} must be a non-empty list without repeats, got {items}")
     rng = generator(args.seed, 0xDD)
-    x = FeatureSequence(args.row_scale * rng.standard_normal((args.t_len, args.dim)))
+    with np.errstate(over="ignore"):  # rows that overflow fail in FeatureSequence
+        x = FeatureSequence(args.row_scale * rng.standard_normal((args.t_len, args.dim)))
     # One call per (d_k, layernorm) setting, each returning a report per scheme.
     settings = [
         logit_concentration(x, schemes, d_k, with_ln, args.trials,

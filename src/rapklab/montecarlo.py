@@ -1,10 +1,11 @@
 """Monte Carlo validation of the closed-form attention kernel.
 
 Estimates E[O O^T] by averaging empirical kernels over freshly drawn
-projection sets, using the true softmax (not the linearization), and compares
-the estimate against the closed-form prediction as the projection width d_k
-grows. Also measures logit concentration: how tightly the attention logits
-cluster around zero for a set of schemes at a given width.
+projection sets, each trial running the encoder's own attention step (the
+true softmax, not the linearization), and compares the estimate against the
+closed-form prediction as the projection width d_k grows. Also measures logit
+concentration: how tightly the attention logits cluster around zero for a set
+of schemes at a given width.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import attention_apply, attention_scores, empirical_kernel, layer_norm_rows, softmax_rows
+from .attention import _attend, _scores, empirical_kernel, layer_norm_rows
 from .initializers import (
     InitScheme,
     analytic_variance,
@@ -50,22 +51,22 @@ _ROLE_K = 1
 _ROLE_SEQ = 0x5E9
 
 
-def _trial_kernel(x: FeatureSequence, scheme: InitScheme, d_k: int, seed: int, trial: int) -> np.ndarray:
-    proj = make_projection_set(x.dim, d_k, scheme, mix_seed(seed, trial))
-    a = softmax_rows(attention_scores(x, proj))
-    return empirical_kernel(attention_apply(a, x, proj.w_v))
-
-
-def _block_mean_kernels(
+def _block_means(
     x: FeatureSequence, scheme: InitScheme, d_k: int, trials: int, seed: int
-):
-    """Yield (block_size, block_mean_kernel) over fixed index blocks."""
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The mean kernel of each fixed index block of trials, and of all trials."""
+    means = []
+    total = np.zeros((x.t_len, x.t_len))
     for start in range(0, trials, _BLOCK):
-        stop = min(start + _BLOCK, trials)
+        size = min(_BLOCK, trials - start)
         acc = np.zeros((x.t_len, x.t_len))
-        for trial in range(start, stop):
-            acc += _trial_kernel(x, scheme, d_k, seed, trial)
-        yield stop - start, acc / (stop - start)
+        for trial in range(start, start + size):
+            proj = make_projection_set(x.dim, d_k, scheme, mix_seed(seed, trial))
+            q, k, v = (x.data @ w for w in (proj.w_q, proj.w_k, proj.w_v))
+            acc += empirical_kernel(_attend(q, k, v))
+        means.append(acc / size)
+        total += size * means[-1]
+    return means, total / trials
 
 
 def monte_carlo_kernel(
@@ -81,10 +82,7 @@ def monte_carlo_kernel(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if d_k < 1:
         raise ValueError(f"d_k must be >= 1, got {d_k}")
-    total = np.zeros((x.t_len, x.t_len))
-    for size, mean in _block_mean_kernels(x, scheme, d_k, trials, seed):
-        total += size * mean
-    return total / trials
+    return _block_means(x, scheme, d_k, trials, seed)[1]
 
 
 def kernel_mse(k_a: np.ndarray, k_b: np.ndarray) -> float:
@@ -130,43 +128,48 @@ def logit_concentration(
     The schemes share their random numbers: the role-``r`` matrices of trial
     ``t`` all come from ``init_matrices`` at ``mix_seed(seed, t, r)``, so
     each report is bit for bit that of a one-scheme call. Only the T x d_k
-    projections of a trial are kept, one role at a time.
+    projections of a trial are kept, one role at a time. Logits whose squares
+    overflow float64 raise ``ValueError`` naming the first such scheme.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100 for stable statistics, got {trials}")
     if d_k < 1:
         raise ValueError(f"d_k must be >= 1, got {d_k}")
     rows = layer_norm_rows(x.data) if with_layernorm else x.data
-    seq = FeatureSequence(rows)
 
     total = [0.0] * len(schemes)
     total_sq = [0.0] * len(schemes)
     within = [0] * len(schemes)
-    for trial in range(trials):
-        q, k = (
-            [seq.data @ w for w in init_matrices(x.dim, d_k, schemes, sub_seed)]
-            for sub_seed in (mix_seed(seed, trial, _ROLE_Q), mix_seed(seed, trial, _ROLE_K))
-        )
-        for i in range(len(schemes)):
-            s = q[i] @ k[i].T / np.sqrt(d_k)
-            total[i] += float(s.sum())
-            total_sq[i] += float(np.sum(s * s))
-            within[i] += int(np.count_nonzero(np.abs(s) < LOGIT_EPS))
-    count = trials * seq.t_len**2
+    # Logits too large to square are an error below, not a warning here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for trial in range(trials):
+            q, k = (
+                [rows @ w for w in init_matrices(x.dim, d_k, schemes, sub_seed)]
+                for sub_seed in (mix_seed(seed, trial, _ROLE_Q), mix_seed(seed, trial, _ROLE_K))
+            )
+            for i in range(len(schemes)):
+                s = _scores(q[i], k[i])
+                total[i] += float(s.sum())
+                total_sq[i] += float(np.sum(s * s))
+                within[i] += int(np.count_nonzero(np.abs(s) < LOGIT_EPS))
+        mean_norm_sq = np.sum(rows**2, axis=1).mean()
+    count = trials * len(rows) ** 2
 
-    norms_sq = np.sum(seq.data**2, axis=1)
     reports = []
     for i, scheme in enumerate(schemes):
+        var = analytic_variance(scheme, x.dim, d_k)
+        analytic_std = float(np.sqrt(var * var) * mean_norm_sq)
+        if not np.isfinite([total_sq[i], analytic_std]).all():
+            raise ValueError(f"init scheme {scheme_label(scheme)!r}: logits overflowed at d_k={d_k}")
         mean = total[i] / count
         variance = max(total_sq[i] / count - mean**2, 0.0)
-        var = analytic_variance(scheme, x.dim, d_k)
         reports.append(LogitConcentrationReport(
             scheme_label=scheme_label(scheme),
             d_k=d_k,
             with_layernorm=with_layernorm,
             empirical_mean=mean,
             empirical_std=float(np.sqrt(variance)),
-            analytic_std=float(np.sqrt(var * var) * norms_sq.mean()),
+            analytic_std=analytic_std,
             frac_within_eps=within[i] / count,
             trials=trials,
         ))
@@ -213,6 +216,8 @@ def dk_sweep_detail(
         raise ValueError("d_k grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"d_k grid must be sorted ascending without repeats, got {grid}")
+    if grid[0] < 1:
+        raise ValueError(f"d_k grid values must be >= 1, got {grid}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
@@ -221,34 +226,23 @@ def dk_sweep_detail(
     blocks: list[tuple[int, int, float, float]] = []
     kernels: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     for di, d_k in enumerate(grid):
-        seq_mse: list[float] = []
-        seq_pearson: list[float] = []
-        block_mse: dict[int, list[float]] = {}
-        block_pearson: dict[int, list[float]] = {}
+        scores = []  # per sequence: (mse, pearson) of each block's mean, then of all trials
         for si, x in enumerate(x_set):
             var = analytic_variance(scheme, x.dim, d_k)
             try:
                 theory = rapk_kernel(x, *rapk_coefficients(x, d_k, var, var, var))
             except FloatingPointError as exc:
                 raise ValueError(f"init scheme {scheme_label(scheme)!r}: {exc}") from None
-            sub_seed = mix_seed(seed, di, si)
-            total = np.zeros((x.t_len, x.t_len))
-            for bi, (size, mean) in enumerate(
-                _block_mean_kernels(x, scheme, d_k, trials, sub_seed)
-            ):
-                block_mse.setdefault(bi, []).append(kernel_mse(mean, theory))
-                block_pearson.setdefault(bi, []).append(pearson(mean, theory))
-                total += size * mean
-            full = total / trials
+            means, full = _block_means(x, scheme, d_k, trials, mix_seed(seed, di, si))
             kernels.append((d_k, si, full, theory))
-            seq_mse.append(kernel_mse(full, theory))
-            seq_pearson.append(pearson(full, theory))
-        mse_per_dk.append(float(np.mean(seq_mse)))
-        pearson_per_dk.append(float(np.mean(seq_pearson)))
-        for bi in sorted(block_mse):
-            blocks.append(
-                (d_k, bi, float(np.mean(block_mse[bi])), float(np.mean(block_pearson[bi])))
-            )
+            scores.append([(kernel_mse(k, theory), pearson(k, theory)) for k in (*means, full)])
+        # Each score is averaged over the sequences as np.mean of a 1-D list;
+        # np.mean(axis=0) of a 2-D array would sum in another order.
+        *per_block, (mse, r) = [[float(np.mean(v)) for v in zip(*per_seq)]
+                                for per_seq in zip(*scores)]
+        mse_per_dk.append(mse)
+        pearson_per_dk.append(r)
+        blocks += [(d_k, bi, m, p) for bi, (m, p) in enumerate(per_block)]
     report = KernelValidationReport(
         d_k_grid=grid,
         mse_per_dk=tuple(mse_per_dk),

@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from .attention import empirical_kernel
 from .sequences import FeatureSequence
 
 __all__ = [
@@ -129,7 +130,5 @@ def rapk_c1_centered(
 
 def rapk_kernel(x: FeatureSequence, c0: float, c1: float) -> np.ndarray:
     """Assemble the T x T expected kernel C0 * 1 1^T + C1 * X X^T (symmetric)."""
-    gram = x.data @ x.data.T
-    gram = 0.5 * (gram + gram.T)
-    return c0 + c1 * gram
+    return c0 + c1 * empirical_kernel(x.data)
 

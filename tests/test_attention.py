@@ -10,9 +10,9 @@ from rapklab.attention import (
     _ROLE_HEAD,
     AttentionMatrix,
     EncoderConfig,
+    _attend,
+    _scores,
     _tile_rows,
-    attention_apply,
-    attention_scores,
     build_encoder_weights,
     empirical_kernel,
     encoder_forward,
@@ -26,25 +26,26 @@ from rapklab.seeding import generator, mix_seed
 from rapklab.sequences import FeatureSequence
 
 
-def identity_projection(d: int) -> ProjectionSet:
-    eye = np.eye(d)
-    return ProjectionSet(w_q=eye, w_k=eye, w_v=eye, d=d, d_k=d)
+def head_output(h: np.ndarray, ps: ProjectionSet) -> np.ndarray:
+    """One head, softmax(Q K^T / sqrt(d_k)) V, from plain numpy and softmax_rows."""
+    q, k, v = h @ ps.w_q, h @ ps.w_k, h @ ps.w_v
+    return softmax_rows(q @ k.T / math.sqrt(ps.d_k)).rows @ v
 
 
 def test_attention_scores_identity_projection():
-    x = FeatureSequence(np.eye(2))
-    s = attention_scores(x, identity_projection(2))
-    np.testing.assert_allclose(s, np.eye(2) / math.sqrt(2.0), atol=1e-15)
+    # With identity projections Q = K = X.
+    x = np.eye(2)
+    np.testing.assert_allclose(_scores(x, x), np.eye(2) / math.sqrt(2.0), atol=1e-15)
 
 
 def test_attention_scores_zero_input():
-    x = FeatureSequence(np.zeros((3, 2)))
-    np.testing.assert_array_equal(attention_scores(x, identity_projection(2)), np.zeros((3, 3)))
+    x = np.zeros((3, 2))
+    np.testing.assert_array_equal(_scores(x, x), np.zeros((3, 3)))
 
 
 def test_attention_scores_single_epoch():
-    x = FeatureSequence(np.array([[1.0, 2.0]]))
-    assert attention_scores(x, identity_projection(2)).shape == (1, 1)
+    x = np.array([[1.0, 2.0]])
+    assert _scores(x, x).shape == (1, 1)
 
 
 def test_softmax_rows_uniform_on_zero_scores():
@@ -78,18 +79,23 @@ def test_attention_matrix_rejects_bad_rows():
 
 
 def test_attention_apply_identity_and_uniform():
-    x = FeatureSequence(np.array([[1.0, 0.0], [3.0, 0.0]]))
-    w_v = np.eye(2)
-    ident = AttentionMatrix(np.eye(2))
-    np.testing.assert_array_equal(attention_apply(ident, x, w_v), x.data)
-    uniform = AttentionMatrix(np.full((2, 2), 0.5))
-    np.testing.assert_allclose(attention_apply(uniform, x, w_v), [[2.0, 0.0], [2.0, 0.0]])
+    v = np.array([[1.0, 0.0], [3.0, 0.0]])
+    # Logits of 7e5 on the diagonal make each softmax row exactly one-hot.
+    big = 1e3 * np.eye(2)
+    np.testing.assert_array_equal(_attend(big, big, v), v)
+    # Zero logits attend uniformly: every row is the mean value row.
+    zero = np.zeros((2, 2))
+    np.testing.assert_allclose(_attend(zero, zero, v), [[2.0, 0.0], [2.0, 0.0]])
 
 
 def test_attention_apply_matrix_product_fixture():
-    x = FeatureSequence(np.eye(2))
-    a = AttentionMatrix(np.array([[0.6, 0.4], [0.4, 0.6]]))
-    np.testing.assert_allclose(attention_apply(a, x, np.eye(2)), a.rows, atol=1e-15)
+    # Logits ln 1.5 on the diagonal give the rows (0.6, 0.4) and (0.4, 0.6);
+    # with V = I the step returns them. The step runs over the last two axes,
+    # so a batch of two also gives the uniform rows of zero logits.
+    c = math.sqrt(math.log(1.5) * math.sqrt(2.0))
+    q = np.stack([c * np.eye(2), np.zeros((2, 2))])
+    want = np.stack([[[0.6, 0.4], [0.4, 0.6]], np.full((2, 2), 0.5)])
+    np.testing.assert_allclose(_attend(q, q, np.eye(2)), want, atol=1e-15)
 
 
 def test_empirical_kernel_fixtures():
@@ -215,10 +221,7 @@ def test_encoder_heads_averaged_without_output_linear():
     cfg = all_off(use_attention=True, n_heads=2, d_k=4)
     x = FeatureSequence(generator(8, 0x13).standard_normal((3, 4)))
     weights = build_encoder_weights(cfg, 4)
-    outs = []
-    for ps in weights.layers[0].heads:
-        a = softmax_rows(attention_scores(x, ps))
-        outs.append(attention_apply(a, x, ps.w_v))
+    outs = [head_output(x.data, ps) for ps in weights.layers[0].heads]
     expected = (outs[0] + outs[1]) / 2.0
     np.testing.assert_allclose(encoder_forward(x, cfg, weights).data, expected, atol=1e-12)
 
@@ -242,7 +245,7 @@ def test_window_blocks_validation():
 
 
 def per_window_encoder(x: FeatureSequence, cfg: EncoderConfig, weights) -> np.ndarray:
-    """Reference encoder: each window on its own, built from the primitives."""
+    """Reference encoder: each window on its own, each head from ``head_output``."""
     parts = []
     for start in range(0, x.t_len, cfg.window_w):
         h = x.data[start:start + cfg.window_w]
@@ -250,11 +253,7 @@ def per_window_encoder(x: FeatureSequence, cfg: EncoderConfig, weights) -> np.nd
             h = h + weights.positional[: len(h)]
         for lw in weights.layers:
             if cfg.use_attention:
-                seq = FeatureSequence(h)
-                outs = [
-                    attention_apply(softmax_rows(attention_scores(seq, ps)), seq, ps.w_v)
-                    for ps in lw.heads
-                ]
+                outs = [head_output(h, ps) for ps in lw.heads]
                 if cfg.use_output_linear:
                     att = np.concatenate(outs, axis=1) @ lw.w_out
                 else:

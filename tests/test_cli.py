@@ -83,6 +83,69 @@ def test_simulate_keeps_its_bytes(tmp_path):
     assert written == _SIMULATE_FILES
 
 
+# sha256 of every file of a small kernel-validate --dump-kernels run (nine
+# sequences, so the per-block means over sequences are pairwise sums, and two
+# trial blocks) and a small logit-stats run, under 1 and 2 BLAS threads alike.
+_KERNEL_FILES = {
+    "kv/kernel_emp_dk4_seq0.csv": "2cffb7dc395070f3ca8e9b1e413f435f633299c429a03b71c54eb292b3f81565",
+    "kv/kernel_emp_dk4_seq1.csv": "107574800bb3a3aab68b0f72a743206f653e2c7917058cd2447e7dc4ac9f8ceb",
+    "kv/kernel_emp_dk4_seq2.csv": "14d635a7eabb553b2afc53abc0656549f6fad695b2d50df44b58eaeefa07fc32",
+    "kv/kernel_emp_dk4_seq3.csv": "d407a77900cf241b0a5420501b20c37adb857ece1a7e8ec054c0c18a266646c6",
+    "kv/kernel_emp_dk4_seq4.csv": "6b355d370d14b6b8ebe260ba43a8ac9de06de8e336ab1c67da3efd32e2a253e2",
+    "kv/kernel_emp_dk4_seq5.csv": "db943763bd276e2d8d743022c6c2003384527f200cc77a4e8d3a7e5dcbb9db00",
+    "kv/kernel_emp_dk4_seq6.csv": "b8ecb00665707887c6a4447c6026174382583d099d61087bf9e720eec06d0e17",
+    "kv/kernel_emp_dk4_seq7.csv": "1ed8c1657f042838e91e53e725acd8dd35f717798a2003a6e73c305bae0e32b6",
+    "kv/kernel_emp_dk4_seq8.csv": "abcf311ce8fc2dbbff1a9bbd38bdccf30fdae6e717f1ac5d4fcbbfdb71232b30",
+    "kv/kernel_emp_dk8_seq0.csv": "c4d6cf2a987583586de32736765da524624ec4f79507a60707f6ad8c51f5b551",
+    "kv/kernel_emp_dk8_seq1.csv": "d0135c971d648f399d414a668b4c4c88f2382be4c92c7e1a0691c3a0faf5217d",
+    "kv/kernel_emp_dk8_seq2.csv": "f2ecb61e407788bc817e35d43fce2489e2b21548f7c617f28a7b023446aa409f",
+    "kv/kernel_emp_dk8_seq3.csv": "c10d893c98810f38d65bd4df03cc9277cd602dca2d72cb5f75671dac9117c5ae",
+    "kv/kernel_emp_dk8_seq4.csv": "03ff81dfef8917c71ac1f4370e82f28e9a588b90ff3438303110c145dc621565",
+    "kv/kernel_emp_dk8_seq5.csv": "4d5f7dda1393703170ea1e0470e8019d315f4eaf354648d3005f680cc544d51b",
+    "kv/kernel_emp_dk8_seq6.csv": "9334b62d1949de7e83c51fa7c0769f2c100c72b2653d9dc7a651da30919bbd77",
+    "kv/kernel_emp_dk8_seq7.csv": "e59c3b91cb4171652a51eca14778fbd89c809e9bdc6f6dac2ebaee5939be88d2",
+    "kv/kernel_emp_dk8_seq8.csv": "c8c9014bd5bc51618883a1e8d1ac4260833f11d9c5f0c09be39c436c87e36dc5",
+    "kv/kernel_theory_dk4_seq0.csv": "08c302c130db1771c71dd0b2b991e7b2aaa3f416dc794c2a5ff8de4254d8306b",
+    "kv/kernel_theory_dk4_seq1.csv": "0115a0ee5b8cac9a52cdcb4c72f8ef4007cbf3a11a8f468187efa647f7a282de",
+    "kv/kernel_theory_dk4_seq2.csv": "77eb4a7aa03eec5806ec418bd3aacfa73b0b3d22fa58d4adcbc382bf2c48cb17",
+    "kv/kernel_theory_dk4_seq3.csv": "6e3074d979bba3ff4b4659df3c23bce7ea9a776876cb0e67561ac9c5cd6c4003",
+    "kv/kernel_theory_dk4_seq4.csv": "b9c649eb43ba88853f60a5d9d551e228d4f78c1241e40142cea974e3a56ed383",
+    "kv/kernel_theory_dk4_seq5.csv": "26a5dfe026f3c3d23d890e31e499618983c0a77e9a68f510cc942a847670736b",
+    "kv/kernel_theory_dk4_seq6.csv": "57bacb0a154d386fd84e36b8a8699d463cee50ef87ef1c290b5e126d40ea0394",
+    "kv/kernel_theory_dk4_seq7.csv": "24912a843ed0bdcd7686f5d28a8ae666d0ca0b795e7cc5fa6dcef7e2247f9385",
+    "kv/kernel_theory_dk4_seq8.csv": "ca0720ceb17ccc831fc6e74ca3b4e4334b0003ca614c1a7e7f5144e2c30fa32e",
+    "kv/kernel_theory_dk8_seq0.csv": "8365799f828c5c3eec89acd2826a2aea2d406e8cbf73c648b6946aba6c305ac2",
+    "kv/kernel_theory_dk8_seq1.csv": "0d6121699de8fed79da1507a3e2364d70b2412de15129917a9f97687c96979dd",
+    "kv/kernel_theory_dk8_seq2.csv": "e41cb75569c24f22b1615a57ff43cc4525715317ea77425aaae2b3fd660eda51",
+    "kv/kernel_theory_dk8_seq3.csv": "6752b0dd772bbdd0e496d6780bad9eff98b4b4cdd3623b680b3458b49143d3ce",
+    "kv/kernel_theory_dk8_seq4.csv": "9eb6da9069fb1f0e39c41835858be1517ab84f2a92badd0b6d40e96785d3144a",
+    "kv/kernel_theory_dk8_seq5.csv": "9cb4eabf4a991d664df37489eed71d01c3c259d7f69344dbebe8e3acbb533480",
+    "kv/kernel_theory_dk8_seq6.csv": "2074961f134518b7d4dd25bd6d7054fe6ef06d96b1a80f8b4cea51ab55881c8e",
+    "kv/kernel_theory_dk8_seq7.csv": "3d301648d004811d50dd6fbbf8f32692f563d7846f45ef0da3bded749ffe3261",
+    "kv/kernel_theory_dk8_seq8.csv": "81aa7ac161113e42239fd0939f3dfb4ccb8140294aeffd53275f6da7ad12ac1d",
+    "kv/kernel_validation.csv": "bbf062112945206e221eeae6766ae06d09ffe337cc653714d4b7f7b66921c66a",
+    "kv/kernel_validation.json": "834e1bfd3df9b85d3a9e77f6f31829c8eaec9b1c3401a92a20ee1e6e18c2b0d9",
+    "ls/logit_stats.csv": "1a36822a07fbd2f400e4ed0e4e6070dc5a7d9620e4bf6bf1f00d17a0ac4dfd44",
+    "ls/logit_stats.json": "c71d0f20fad2a730f9ef7e099ad45ecf932d81ae3d136dfb6ca72e674fa65b20",
+}
+
+
+def test_kernel_validate_and_logit_stats_keep_their_bytes(tmp_path):
+    assert main([
+        "kernel-validate", "--dump-kernels", "--t-len", "4", "--dim", "3", "--sequences", "9",
+        "--trials", "150", "--dk-grid", "4,8", "--seed", "3", "--out", str(tmp_path / "kv"),
+    ]) == 0
+    assert main([
+        "logit-stats", "--t-len", "4", "--dim", "8", "--trials", "100", "--dk-grid", "4,16",
+        "--seed", "2", "--out", str(tmp_path / "ls"),
+    ]) == 0
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*") if path.is_file()
+    }
+    assert written == _KERNEL_FILES
+
+
 def test_simulate_writes_loadable_dataset(tmp_path, capsys):
     out = tmp_path / "ds"
     code = main([
@@ -310,14 +373,26 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
     (["sweep", "--axis", "init", "--grid", "xavier_uniform,uniform_1e200"],
      "init scheme 'uniform_1e200': uniform_bounded requires scale_param < 1e+154 so that "
      "its variance is finite, got 1e+200"),
+    (["kernel-validate", "--dk-grid", "0,16"], "d_k grid values must be >= 1, got (0, 16)"),
+    # Rows this large square past float64 in the logits or the analytic spread;
+    # numpy's warnings fail these cases (pyproject's filterwarnings).
+    *(pytest.param(["logit-stats", "--row-scale", scale],
+                   "init scheme 'xavier_uniform': logits overflowed at d_k=32",
+                   id=f"logit_stats_row_scale_{scale}")
+      for scale in ("1e80", "1e100", "1e150", "1e200")),
+    pytest.param(["logit-stats", "--row-scale", "1e308"],
+                 "feature data contains non-finite values", id="logit_stats_row_scale_1e308"),
 ])
 def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tmp_path,
                                                    monkeypatch, capsys):
     def made(*args):
-        raise AssertionError("a subject was made before the values were checked")
+        raise AssertionError("a subject or a matrix was made before the values were checked")
 
     monkeypatch.setattr(synthgen, "gen_features", made)
-    assert main([*argv, "--config", str(run_config), "--out", str(tmp_path / "out")]) == 1
+    if argv[0] != "logit-stats":  # its overflow shows only in the logits it draws
+        monkeypatch.setattr(initializers, "_rng", made)
+    config = ["--config", str(run_config)] if argv[0] in ("smooth-eval", "sweep") else []
+    assert main([*argv, *config, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 

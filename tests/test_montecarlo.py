@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from rapklab.attention import attention_apply, attention_scores, empirical_kernel, softmax_rows
+from rapklab.attention import (
+    EncoderConfig,
+    EncoderWeights,
+    LayerWeights,
+    encoder_forward,
+    softmax_rows,
+)
 from rapklab.initializers import InitScheme, analytic_variance, make_projection_set, parse_scheme
 from rapklab.montecarlo import (
     centered_unit_sequence,
@@ -17,10 +23,17 @@ from rapklab.sequences import FeatureSequence
 XAVIER = InitScheme("xavier_uniform")
 
 
+def symmetrised_gram(o: np.ndarray) -> np.ndarray:
+    gram = o @ o.T
+    return 0.5 * (gram + gram.T)
+
+
 def manual_trial_kernel(x: FeatureSequence, scheme: InitScheme, d_k: int, sub_seed: int):
+    # softmax(Q K^T / sqrt(d_k)) X W_V and its Gram, written out apart from
+    # the attention module's own step.
     proj = make_projection_set(x.dim, d_k, scheme, sub_seed)
-    a = softmax_rows(attention_scores(x, proj))
-    return empirical_kernel(attention_apply(a, x, proj.w_v))
+    q, k, v = (x.data @ w for w in (proj.w_q, proj.w_k, proj.w_v))
+    return symmetrised_gram(softmax_rows(q @ k.T / np.sqrt(d_k)).rows @ v)
 
 
 def closed_form_kernel(x: FeatureSequence, d_k: int, var: float) -> np.ndarray:
@@ -45,6 +58,30 @@ def test_single_trial_matches_manual_pipeline():
     got = monte_carlo_kernel(x, XAVIER, d_k=8, trials=1, seed=5)
     want = manual_trial_kernel(x, XAVIER, 8, mix_seed(5, 0))
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("t_len, dim, d_k, label", [
+    (4, 3, 8, "xavier_uniform"),
+    (10, 16, 64, "xavier_uniform"),
+    (7, 5, 2, "normal_0.02"),
+    (12, 8, 256, "orthogonal"),
+])
+def test_one_trial_is_the_gram_of_a_single_head_encoder(t_len, dim, d_k, label):
+    # The Monte Carlo validates the attention the encoder runs: the trial's
+    # projections, as the only head of an attention-only encoder whose window
+    # is the whole sequence, give the same output and so the same Gram. Heads
+    # are at least 2 wide: a 1-wide x @ W_Q is a matrix-vector product, which
+    # rounds differently from the encoder's fused Q/K/V GEMM.
+    scheme = parse_scheme(label)
+    x = FeatureSequence(generator(t_len, 0x35).standard_normal((t_len, dim)))
+    proj = make_projection_set(dim, d_k, scheme, mix_seed(6, 0))
+    cfg = EncoderConfig(n_heads=1, d_k=d_k, window_w=t_len, use_output_linear=False,
+                        use_residual=False, use_layernorm=False, use_ffn=False)
+    layer = LayerWeights(w_qkv=np.hstack([proj.w_q, proj.w_k, proj.w_v]), heads=(proj,),
+                         w_out=None, w_ff1=None, w_ff2=None)
+    o = encoder_forward(x, cfg, EncoderWeights(positional=None, layers=(layer,), d_in=dim)).data
+    got = monte_carlo_kernel(x, scheme, d_k, trials=1, seed=6)
+    np.testing.assert_array_equal(got, symmetrised_gram(o))
 
 
 def test_mean_kernel_matches_serial_average():
