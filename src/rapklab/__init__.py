@@ -33,7 +33,6 @@ from .harness import (
 )
 from .initializers import (
     InitScheme,
-    ProjectionSet,
     analytic_variance,
     init_matrices,
     init_matrix,
@@ -46,9 +45,9 @@ from .montecarlo import (
     KernelValidationReport,
     LogitConcentrationReport,
     centered_unit_sequence,
+    dk_sweep_detail,
     kernel_mse,
     logit_concentration,
-    monte_carlo_kernel,
 )
 from .rapk import (
     linearized_softmax,

@@ -12,8 +12,7 @@ runs the whole layer stack over one tile at a time, a block of whole windows
 sized so that its Q/K/V block stays near ``_TILE_BYTES``, and writes each
 tile's result into one output array; no intermediate is ever held at full
 length. Inside a tile one GEMM against a per-layer ``(d, 3*H*d_h)`` matrix
-gives every head's Q, K and V, and each head's ``ProjectionSet`` is a column
-view of that matrix.
+gives every head's Q, K and V; that matrix is the only copy of those weights.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .initializers import InitScheme, ProjectionSet, init_matrix, make_projection_set, scheme_label
+from .initializers import InitScheme, init_matrix, make_projection_set, scheme_label
 from .seeding import mix_seed
 from .sequences import FeatureSequence
 
@@ -112,10 +111,10 @@ def empirical_kernel(o: np.ndarray) -> np.ndarray:
     return 0.5 * (k + k.T)
 
 
-def layer_norm_rows(h: np.ndarray, eps: float = LAYERNORM_EPS) -> np.ndarray:
+def layer_norm_rows(h: np.ndarray) -> np.ndarray:
     """Per-row layer normalization with unit affine (gamma=1, beta=0)."""
     # The variance is numpy's own arithmetic (square the centred rows, sum,
-    # divide by the count), so the result equals (h - mean) / sqrt(var + eps)
+    # divide by the count), so the result equals (h - mean) / sqrt(var + LAYERNORM_EPS)
     # bit for bit with h - mean computed once.
     # Values too large to square are an error, not a warning and NaN rows.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -124,7 +123,7 @@ def layer_norm_rows(h: np.ndarray, eps: float = LAYERNORM_EPS) -> np.ndarray:
     if not np.isfinite(var).all():
         raise FloatingPointError("values overflowed in a layer norm")
     var /= h.shape[1]
-    var += eps
+    var += LAYERNORM_EPS
     centred /= np.sqrt(var, out=var)
     return centred
 
@@ -168,11 +167,9 @@ class EncoderConfig:
 @dataclass(frozen=True)
 class LayerWeights:
     """One layer's weights. ``w_qkv`` is ``(width, 3 * H * d_h)``: the Q, then
-    the K, then the V columns of every head in head order; ``heads[i]`` holds
-    column views of head ``i``'s three blocks."""
+    the K, then the V columns of every head in head order."""
 
     w_qkv: np.ndarray | None
-    heads: tuple[ProjectionSet, ...] | None
     w_out: np.ndarray | None
     w_ff1: np.ndarray | None
     w_ff2: np.ndarray | None
@@ -197,20 +194,14 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
     layers: list[LayerWeights] = []
     for li in range(cfg.n_layers):
         w_qkv: np.ndarray | None = None
-        heads: tuple[ProjectionSet, ...] | None = None
         w_out: np.ndarray | None = None
         if cfg.use_attention:
             head_width = cfg.d_k // cfg.n_heads if cfg.use_output_linear else cfg.d_k
             qkv = np.empty((width, 3, cfg.n_heads, head_width))
             for h in range(cfg.n_heads):
-                ps = make_projection_set(width, head_width, cfg.init,
-                                         mix_seed(cfg.seed, _ROLE_HEAD, li, h))
-                qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h] = ps.w_q, ps.w_k, ps.w_v
+                qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h] = make_projection_set(
+                    width, head_width, cfg.init, mix_seed(cfg.seed, _ROLE_HEAD, li, h))
             w_qkv = qkv.reshape(width, -1)
-            heads = tuple(
-                ProjectionSet(qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h], width, head_width)
-                for h in range(cfg.n_heads)
-            )
             if cfg.use_output_linear:
                 w_out = init_matrix(cfg.d_k, width, cfg.init, mix_seed(cfg.seed, _ROLE_OUT, li))
                 new_width = width
@@ -227,7 +218,7 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
         if cfg.use_ffn:
             w_ff1 = init_matrix(new_width, 4 * new_width, cfg.init, mix_seed(cfg.seed, _ROLE_FF1, li))
             w_ff2 = init_matrix(4 * new_width, new_width, cfg.init, mix_seed(cfg.seed, _ROLE_FF2, li))
-        layers.append(LayerWeights(w_qkv=w_qkv, heads=heads, w_out=w_out, w_ff1=w_ff1, w_ff2=w_ff2))
+        layers.append(LayerWeights(w_qkv=w_qkv, w_out=w_out, w_ff1=w_ff1, w_ff2=w_ff2))
         width = new_width
     positional = None
     if cfg.use_positional:
@@ -253,7 +244,7 @@ def _attention_block(h: np.ndarray, lw: LayerWeights, cfg: EncoderConfig) -> np.
     # With the output linear the heads sit side by side in the (rows, H * d_h)
     # layout it reads; without it they are averaged by a running sum in head
     # order.
-    rows, n_heads, d_h = len(h), len(lw.heads), lw.heads[0].d_k
+    rows, n_heads, d_h = len(h), cfg.n_heads, lw.w_qkv.shape[1] // (3 * cfg.n_heads)
     qkv = (h @ lw.w_qkv).reshape(rows, 3, n_heads, d_h)
     heads = np.empty((rows, n_heads, d_h))
     for lo, hi, width in window_blocks(rows, cfg.window_w):

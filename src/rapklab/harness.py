@@ -30,6 +30,7 @@ from .metrics import (
     weighted_f1,
     wte_pooled,
 )
+from .seeding import check_seed
 from .sequences import ProbSequence, StageSequence
 from .smoothers import (
     CentroidSums,
@@ -121,6 +122,7 @@ class RunConfig:
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         for i, seed in enumerate(self.seeds):
+            check_seed(seed)
             if seed in self.seeds[:i]:
                 raise ValueError(f"seeds repeat {seed}")
         if self.resolved_metric_window < 2:  # unset, it is the window

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import mix_seed
+from .seeding import check_seed, mix_seed
 
 __all__ = [
     "SCHEME_KINDS",
     "InitScheme",
-    "ProjectionSet",
     "init_matrix",
     "init_matrices",
     "analytic_variance",
@@ -98,25 +97,8 @@ class InitScheme:
             raise ValueError(f"{self.kind} takes no scale_param, got {self.scale_param}")
 
 
-@dataclass(frozen=True)
-class ProjectionSet:
-    """Frozen query/key/value projections (each d x d_k) for one attention head."""
-
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    d: int
-    d_k: int
-
-    def __post_init__(self) -> None:
-        for name in ("w_q", "w_k", "w_v"):
-            w = getattr(self, name)
-            if w.shape != (self.d, self.d_k):
-                raise ValueError(f"{name} must have shape ({self.d}, {self.d_k}), got {w.shape}")
-
-
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed & ((1 << 64) - 1)))
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))
 
 
 def _orthogonal(rows: int, cols: int, seed: int, z: np.ndarray) -> np.ndarray:
@@ -245,15 +227,12 @@ def analytic_variance(scheme: InitScheme, rows: int, cols: int) -> float:
     raise AssertionError(f"unhandled scheme kind {kind!r}")
 
 
-def make_projection_set(d: int, d_k: int, scheme: InitScheme, seed: int) -> ProjectionSet:
-    """Draw W_Q, W_K, W_V (each d x d_k) from decorrelated sub-seeds of ``seed``."""
-    return ProjectionSet(
-        w_q=init_matrix(d, d_k, scheme, mix_seed(seed, 0)),
-        w_k=init_matrix(d, d_k, scheme, mix_seed(seed, 1)),
-        w_v=init_matrix(d, d_k, scheme, mix_seed(seed, 2)),
-        d=d,
-        d_k=d_k,
-    )
+def make_projection_set(
+    d: int, d_k: int, scheme: InitScheme, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One head's ``(w_q, w_k, w_v)``, each d x d_k, drawn from decorrelated
+    sub-seeds of ``seed``."""
+    return tuple(init_matrix(d, d_k, scheme, mix_seed(seed, role)) for role in range(3))
 
 
 def parse_scheme(label: str) -> InitScheme:

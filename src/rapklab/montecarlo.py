@@ -32,7 +32,6 @@ __all__ = [
     "LOGIT_EPS",
     "LogitConcentrationReport",
     "KernelValidationReport",
-    "monte_carlo_kernel",
     "kernel_mse",
     "logit_concentration",
     "dk_sweep_detail",
@@ -61,28 +60,11 @@ def _block_means(
         size = min(_BLOCK, trials - start)
         acc = np.zeros((x.t_len, x.t_len))
         for trial in range(start, start + size):
-            proj = make_projection_set(x.dim, d_k, scheme, mix_seed(seed, trial))
-            q, k, v = (x.data @ w for w in (proj.w_q, proj.w_k, proj.w_v))
-            acc += empirical_kernel(_attend(q, k, v))
+            w_q, w_k, w_v = make_projection_set(x.dim, d_k, scheme, mix_seed(seed, trial))
+            acc += empirical_kernel(_attend(x.data @ w_q, x.data @ w_k, x.data @ w_v))
         means.append(acc / size)
         total += size * means[-1]
     return means, total / trials
-
-
-def monte_carlo_kernel(
-    x: FeatureSequence, scheme: InitScheme, d_k: int, trials: int, seed: int
-) -> np.ndarray:
-    """Mean empirical kernel over ``trials`` independent projection draws.
-
-    Trial ``t`` draws its projections from the sub-seed ``mix_seed(seed, t)``,
-    so the trial set is a pure function of (x, scheme, d_k, trials, seed) and
-    the mean is invariant (to rounding) under any evaluation order.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if d_k < 1:
-        raise ValueError(f"d_k must be >= 1, got {d_k}")
-    return _block_means(x, scheme, d_k, trials, seed)[1]
 
 
 def kernel_mse(k_a: np.ndarray, k_b: np.ndarray) -> float:
@@ -204,10 +186,12 @@ def dk_sweep_detail(
     ``(d_k, block_index, mse, pearson)`` per trial block, averaged over the
     sequence set. ``kernels`` holds one row
     ``(d_k, sequence_index, empirical, theory)`` per grid point ``di`` and
-    sequence ``si``: the all-trials mean kernel, bit for bit
-    ``monte_carlo_kernel(x, scheme, d_k, trials, mix_seed(seed, di, si))``,
-    and the closed-form kernel. The aggregate report scores the all-trials
-    mean kernels.
+    sequence ``si``: the all-trials mean kernel and the closed-form kernel.
+    Trial ``t`` of that point draws its projections at
+    ``mix_seed(mix_seed(seed, di, si), t)``, so each mean is a pure function
+    of the inputs, and the trials are summed in fixed index blocks, so it
+    does not depend on evaluation order. The aggregate report scores the
+    all-trials mean kernels.
     """
     if not x_set:
         raise ValueError("sequence set must be non-empty")

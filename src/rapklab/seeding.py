@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MASK64", "splitmix64", "mix_seed", "generator"]
+__all__ = ["MASK64", "check_seed", "splitmix64", "mix_seed", "generator"]
 
 MASK64 = (1 << 64) - 1
 
@@ -27,13 +27,20 @@ def splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if it is in [0, 2**64); a seed outside would alias one inside."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def mix_seed(seed: int, *streams: int) -> int:
     """Derive a decorrelated 64-bit sub-seed from ``seed`` and stream keys.
 
     The base seed is finalized once, then each stream key is folded in with
     a further splitmix64 step. Nearby seeds and keys land far apart.
     """
-    out = splitmix64(seed & MASK64)
+    out = splitmix64(check_seed(seed))
     for key in streams:
         out = splitmix64(out ^ (key & MASK64))
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import generator, mix_seed
+from .seeding import check_seed, generator, mix_seed
 from .sequences import FeatureSequence, ProbSequence, StageSequence
 
 __all__ = [
@@ -71,6 +71,7 @@ class SynthConfig:
     seed: int = 97531
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.t_len < 2:

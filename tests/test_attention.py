@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -21,15 +24,23 @@ from rapklab.attention import (
     window_blocks,
 )
 from rapklab.harness import COMPONENT_BUNDLES
-from rapklab.initializers import InitScheme, ProjectionSet, make_projection_set
+from rapklab.initializers import InitScheme, make_projection_set
 from rapklab.seeding import generator, mix_seed
 from rapklab.sequences import FeatureSequence
 
 
-def head_output(h: np.ndarray, ps: ProjectionSet) -> np.ndarray:
+def head_weights(w_qkv: np.ndarray, n_heads: int) -> list[tuple[np.ndarray, ...]]:
+    """Each head's (W_Q, W_K, W_V): its column blocks of a layer's fused matrix,
+    which holds the Q, then the K, then the V columns of every head in order."""
+    d_h = w_qkv.shape[1] // (3 * n_heads)
+    return [tuple(w_qkv[:, (role * n_heads + h) * d_h:][:, :d_h] for role in range(3))
+            for h in range(n_heads)]
+
+
+def head_output(h: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray) -> np.ndarray:
     """One head, softmax(Q K^T / sqrt(d_k)) V, from plain numpy and softmax_rows."""
-    q, k, v = h @ ps.w_q, h @ ps.w_k, h @ ps.w_v
-    return softmax_rows(q @ k.T / math.sqrt(ps.d_k)).rows @ v
+    q, k, v = h @ w_q, h @ w_k, h @ w_v
+    return softmax_rows(q @ k.T / math.sqrt(w_q.shape[1])).rows @ v
 
 
 def test_attention_scores_identity_projection():
@@ -155,7 +166,8 @@ def test_encoder_uniform_attention_limit_matches_mean_oracle():
     x = FeatureSequence(generator(4, 0xE).standard_normal((6, 4)))
     weights = build_encoder_weights(cfg, 4)
     out = encoder_forward(x, cfg, weights)
-    expected_row = x.data.mean(axis=0) @ weights.layers[0].heads[0].w_v
+    (_, _, w_v), = head_weights(weights.layers[0].w_qkv, 1)
+    expected_row = x.data.mean(axis=0) @ w_v
     np.testing.assert_allclose(out.data, np.tile(expected_row, (6, 1)), atol=1e-12)
 
 
@@ -221,7 +233,7 @@ def test_encoder_heads_averaged_without_output_linear():
     cfg = all_off(use_attention=True, n_heads=2, d_k=4)
     x = FeatureSequence(generator(8, 0x13).standard_normal((3, 4)))
     weights = build_encoder_weights(cfg, 4)
-    outs = [head_output(x.data, ps) for ps in weights.layers[0].heads]
+    outs = [head_output(x.data, *ws) for ws in head_weights(weights.layers[0].w_qkv, 2)]
     expected = (outs[0] + outs[1]) / 2.0
     np.testing.assert_allclose(encoder_forward(x, cfg, weights).data, expected, atol=1e-12)
 
@@ -245,7 +257,8 @@ def test_window_blocks_validation():
 
 
 def per_window_encoder(x: FeatureSequence, cfg: EncoderConfig, weights) -> np.ndarray:
-    """Reference encoder: each window on its own, each head from ``head_output``."""
+    """Reference encoder: each window on its own, each head from ``head_output``
+    on its column blocks of the fused Q/K/V matrix."""
     parts = []
     for start in range(0, x.t_len, cfg.window_w):
         h = x.data[start:start + cfg.window_w]
@@ -253,7 +266,7 @@ def per_window_encoder(x: FeatureSequence, cfg: EncoderConfig, weights) -> np.nd
             h = h + weights.positional[: len(h)]
         for lw in weights.layers:
             if cfg.use_attention:
-                outs = [head_output(h, ps) for ps in lw.heads]
+                outs = [head_output(h, *ws) for ws in head_weights(lw.w_qkv, cfg.n_heads)]
                 if cfg.use_output_linear:
                     att = np.concatenate(outs, axis=1) @ lw.w_out
                 else:
@@ -371,8 +384,9 @@ def test_encoder_rows_depend_only_on_their_own_windows(cfg, t_len):
 
 def test_heads_are_views_of_the_fused_qkv_matrix():
     # Each head's W_Q, W_K and W_V are column blocks of its layer's fused
-    # (d, 3 * H * d_h) matrix, drawn as make_projection_set draws them, so the
-    # reference weight set holds no second copy: 8.4 MB, as the README states.
+    # (d, 3 * H * d_h) matrix, drawn as make_projection_set draws them, and
+    # the reference weight set holds no second copy: 8.4 MB, as the README
+    # states.
     tracemalloc.start()
     try:
         weights = build_encoder_weights(ACC_ENCODER, 256)
@@ -381,15 +395,42 @@ def test_heads_are_views_of_the_fused_qkv_matrix():
         tracemalloc.stop()
     lw = weights.layers[0]
     assert lw.w_qkv.shape == (256, 3 * 512)
-    for h, ps in enumerate(lw.heads):
-        for role, m in enumerate((ps.w_q, ps.w_k, ps.w_v)):
-            assert np.shares_memory(m, lw.w_qkv)
-            np.testing.assert_array_equal(m, lw.w_qkv[:, (role * 8 + h) * 64:][:, :64])
-    drawn = make_projection_set(256, 64, ACC_ENCODER.init,
-                                mix_seed(ACC_ENCODER.seed, _ROLE_HEAD, 0, 3))
-    for got, want in zip((lw.heads[3].w_q, lw.heads[3].w_k, lw.heads[3].w_v),
-                         (drawn.w_q, drawn.w_k, drawn.w_v)):
-        np.testing.assert_array_equal(got, want)
+    for h, got in enumerate(head_weights(lw.w_qkv, 8)):
+        drawn = make_projection_set(256, 64, ACC_ENCODER.init,
+                                    mix_seed(ACC_ENCODER.seed, _ROLE_HEAD, 0, h))
+        for m, want in zip(got, drawn, strict=True):
+            np.testing.assert_array_equal(m, want)
     arrays = (lw.w_qkv, lw.w_out, lw.w_ff1, lw.w_ff2)
     assert sum(a.nbytes for a in arrays) == 8_388_608
     assert held < 8_388_608 + 100_000
+
+
+_THREAD_HASHES = f"""
+import hashlib
+from dataclasses import replace
+from rapklab.attention import EncoderConfig, encoder_forward
+from rapklab.initializers import InitScheme
+from rapklab.seeding import generator
+from rapklab.sequences import FeatureSequence
+x = FeatureSequence(generator(12, 0x17).standard_normal((1000, 256)))
+for w in (10, 35, 50):
+    out = encoder_forward(x, replace({ACC_ENCODER!r}, window_w=w)).data
+    print(w, hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_reference_encoder_bits_do_not_depend_on_blas_threads():
+    # The reference encoder on one 1000 x 256 input at the windows up to the
+    # default sweep grid's widest, under one and two OpenBLAS threads. Each
+    # count runs in a fresh process: OpenBLAS reads it when it loads. Wider
+    # windows (w * w * d_h above 262,144) can round the scores differently.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    hashes = [
+        subprocess.run([sys.executable, "-c", _THREAD_HASHES], capture_output=True, text=True,
+                       check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                        "PYTHONPATH": path}).stdout
+        for threads in ("1", "2")
+    ]
+    assert hashes[0].count("\n") == 3
+    assert hashes[0] == hashes[1]

@@ -14,7 +14,7 @@ from rapklab.cli import main
 from rapklab.dataio import DatasetError, load_dataset
 from rapklab.harness import read_sweep_csv, write_sweep_csv
 from rapklab.initializers import InitScheme, analytic_variance
-from rapklab.montecarlo import centered_unit_sequence, monte_carlo_kernel
+from rapklab.montecarlo import centered_unit_sequence, dk_sweep_detail
 from rapklab.seeding import mix_seed
 from rapklab.synthgen import SynthConfig
 
@@ -382,6 +382,14 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
       for scale in ("1e80", "1e100", "1e150", "1e200")),
     pytest.param(["logit-stats", "--row-scale", "1e308"],
                  "feature data contains non-finite values", id="logit_stats_row_scale_1e308"),
+    # A seed outside [0, 2**64) would alias one inside: 2**64 drew as 0, -1
+    # as 2**64 - 1, and a seed list could hold one draw twice.
+    *(pytest.param([command, f"--seed={seed}"], f"seed must be in [0, 2**64), got {seed}",
+                   id=f"{command}_seed_{seed}")
+      for command in ("simulate", "kernel-validate", "logit-stats")
+      for seed in (-1, 2**64)),
+    pytest.param(["smooth-eval", "--seed", f"0,{2**64}"],
+                 f"seed must be in [0, 2**64), got {2**64}", id="smooth-eval_seed_list_2**64"),
 ])
 def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tmp_path,
                                                    monkeypatch, capsys):
@@ -444,15 +452,16 @@ def test_kernel_validate_dump_kernels(tmp_path):
         "--sequences", "2", "--trials", "120", "--dk-grid", "4,8", "--dump-kernels",
     ])
     assert code == 0
-    # Each dumped kernel parses back to a standalone estimate for its sub-seed
-    # and to the closed form.
+    # Each dumped kernel parses back to dk_sweep_detail's estimate for its
+    # (d_k, sequence) point, and to the closed form.
     scheme = InitScheme("xavier_uniform")
-    for di, d_k in enumerate((4, 8)):
-        for si in range(2):
-            x = centered_unit_sequence(4, 3, mix_seed(5, si))
+    xs = [centered_unit_sequence(4, 3, mix_seed(5, si)) for si in range(2)]
+    kernels = dk_sweep_detail(xs, scheme, (4, 8), 120, 5)[2]
+    estimates = {(d_k, si): emp for d_k, si, emp, _ in kernels}
+    for d_k in (4, 8):
+        for si, x in enumerate(xs):
             emp = np.loadtxt(out / f"kernel_emp_dk{d_k}_seq{si}.csv", delimiter=",")
-            want = monte_carlo_kernel(x, scheme, d_k, 120, mix_seed(5, di, si))
-            np.testing.assert_array_equal(emp, want)
+            np.testing.assert_array_equal(emp, estimates[d_k, si])
             theory = np.loadtxt(out / f"kernel_theory_dk{d_k}_seq{si}.csv", delimiter=",")
             var = analytic_variance(scheme, 3, d_k)
             np.testing.assert_allclose(theory, closed_form_kernel(x.data, d_k, var), rtol=1e-12)

@@ -14,6 +14,7 @@ from rapklab.initializers import (
     parse_scheme,
     scheme_label,
 )
+from rapklab.seeding import mix_seed
 
 ALL_LABELS = [
     "xavier_uniform",
@@ -213,10 +214,12 @@ def test_scaled_scheme_keeps_its_variance_and_draws_finite(kind):
 
 def test_make_projection_set_contract():
     scheme = parse_scheme("xavier_uniform")
-    proj = make_projection_set(8, 6, scheme, seed=21)
-    assert proj.w_q.shape == proj.w_k.shape == proj.w_v.shape == (8, 6)
-    assert not np.array_equal(proj.w_q, proj.w_k)
-    assert not np.array_equal(proj.w_k, proj.w_v)
-    again = make_projection_set(8, 6, scheme, seed=21)
-    np.testing.assert_array_equal(proj.w_q, again.w_q)
-    np.testing.assert_array_equal(proj.w_v, again.w_v)
+    w_q, w_k, w_v = make_projection_set(8, 6, scheme, seed=21)
+    assert w_q.shape == w_k.shape == w_v.shape == (8, 6)
+    assert not np.array_equal(w_q, w_k)
+    assert not np.array_equal(w_k, w_v)
+    # Role r is the one init_matrix draw at mix_seed(seed, r).
+    for role, w in enumerate((w_q, w_k, w_v)):
+        np.testing.assert_array_equal(w, init_matrix(8, 6, scheme, mix_seed(21, role)))
+    for w, again in zip((w_q, w_k, w_v), make_projection_set(8, 6, scheme, seed=21), strict=True):
+        np.testing.assert_array_equal(w, again)

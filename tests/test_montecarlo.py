@@ -14,7 +14,6 @@ from rapklab.montecarlo import (
     dk_sweep_detail,
     kernel_mse,
     logit_concentration,
-    monte_carlo_kernel,
 )
 from rapklab.metrics import pearson
 from rapklab.seeding import generator, mix_seed
@@ -31,9 +30,29 @@ def symmetrised_gram(o: np.ndarray) -> np.ndarray:
 def manual_trial_kernel(x: FeatureSequence, scheme: InitScheme, d_k: int, sub_seed: int):
     # softmax(Q K^T / sqrt(d_k)) X W_V and its Gram, written out apart from
     # the attention module's own step.
-    proj = make_projection_set(x.dim, d_k, scheme, sub_seed)
-    q, k, v = (x.data @ w for w in (proj.w_q, proj.w_k, proj.w_v))
+    q, k, v = (x.data @ w for w in make_projection_set(x.dim, d_k, scheme, sub_seed))
     return symmetrised_gram(softmax_rows(q @ k.T / np.sqrt(d_k)).rows @ v)
+
+
+def manual_mean_kernel(x: FeatureSequence, scheme: InitScheme, d_k: int, trials: int,
+                       point_seed: int) -> np.ndarray:
+    # Trial t at mix_seed(point_seed, t); the trials are summed in blocks of
+    # 100, each block's mean weighted by its size, as dk_sweep_detail sums them.
+    total = np.zeros((x.t_len, x.t_len))
+    for start in range(0, trials, 100):
+        size = min(100, trials - start)
+        acc = np.zeros((x.t_len, x.t_len))
+        for t in range(start, start + size):
+            acc += manual_trial_kernel(x, scheme, d_k, mix_seed(point_seed, t))
+        total += size * (acc / size)
+    return total / trials
+
+
+def mean_kernel(x: FeatureSequence, scheme: InitScheme, d_k: int, trials: int, seed: int):
+    # dk_sweep_detail's all-trials kernel for one sequence at one d_k; its
+    # trials draw from the point's sub-seed mix_seed(seed, 0, 0).
+    (_, _, kernel, _), = dk_sweep_detail([x], scheme, [d_k], trials, seed)[2]
+    return kernel
 
 
 def closed_form_kernel(x: FeatureSequence, d_k: int, var: float) -> np.ndarray:
@@ -55,8 +74,8 @@ def small_sequence(seed: int = 0) -> FeatureSequence:
 
 def test_single_trial_matches_manual_pipeline():
     x = small_sequence()
-    got = monte_carlo_kernel(x, XAVIER, d_k=8, trials=1, seed=5)
-    want = manual_trial_kernel(x, XAVIER, 8, mix_seed(5, 0))
+    got = mean_kernel(x, XAVIER, d_k=8, trials=1, seed=5)
+    want = manual_trial_kernel(x, XAVIER, 8, mix_seed(mix_seed(5, 0, 0), 0))
     np.testing.assert_array_equal(got, want)
 
 
@@ -74,32 +93,31 @@ def test_one_trial_is_the_gram_of_a_single_head_encoder(t_len, dim, d_k, label):
     # rounds differently from the encoder's fused Q/K/V GEMM.
     scheme = parse_scheme(label)
     x = FeatureSequence(generator(t_len, 0x35).standard_normal((t_len, dim)))
-    proj = make_projection_set(dim, d_k, scheme, mix_seed(6, 0))
+    proj = make_projection_set(dim, d_k, scheme, mix_seed(mix_seed(6, 0, 0), 0))
     cfg = EncoderConfig(n_heads=1, d_k=d_k, window_w=t_len, use_output_linear=False,
                         use_residual=False, use_layernorm=False, use_ffn=False)
-    layer = LayerWeights(w_qkv=np.hstack([proj.w_q, proj.w_k, proj.w_v]), heads=(proj,),
-                         w_out=None, w_ff1=None, w_ff2=None)
+    layer = LayerWeights(w_qkv=np.hstack(proj), w_out=None, w_ff1=None, w_ff2=None)
     o = encoder_forward(x, cfg, EncoderWeights(positional=None, layers=(layer,), d_in=dim)).data
-    got = monte_carlo_kernel(x, scheme, d_k, trials=1, seed=6)
+    got = mean_kernel(x, scheme, d_k, trials=1, seed=6)
     np.testing.assert_array_equal(got, symmetrised_gram(o))
 
 
 def test_mean_kernel_matches_serial_average():
     x = small_sequence(1)
     trials = 250
-    got = monte_carlo_kernel(x, XAVIER, d_k=4, trials=trials, seed=9)
+    got = mean_kernel(x, XAVIER, d_k=4, trials=trials, seed=9)
     acc = np.zeros((4, 4))
     for t in range(trials):
-        acc += manual_trial_kernel(x, XAVIER, 4, mix_seed(9, t))
+        acc += manual_trial_kernel(x, XAVIER, 4, mix_seed(mix_seed(9, 0, 0), t))
     np.testing.assert_allclose(got, acc / trials, atol=1e-12)
 
 
 def test_monte_carlo_kernel_validation():
     x = small_sequence()
-    with pytest.raises(ValueError):
-        monte_carlo_kernel(x, XAVIER, d_k=4, trials=0, seed=0)
-    with pytest.raises(ValueError):
-        monte_carlo_kernel(x, XAVIER, d_k=0, trials=10, seed=0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        mean_kernel(x, XAVIER, d_k=4, trials=0, seed=0)
+    with pytest.raises(ValueError, match="d_k grid values must be >= 1"):
+        mean_kernel(x, XAVIER, d_k=0, trials=10, seed=0)
 
 
 def test_kernel_mse_fixture():
@@ -196,13 +214,13 @@ def test_dk_sweep_detail_consistent_with_report():
     assert [(d, b) for d, b, _, _ in blocks] == [(4, 0), (4, 1), (16, 0), (16, 1)]
     assert all(m >= 0.0 for _, _, m, _ in blocks)
     # The returned kernels are the ones the report scores: bit for bit the
-    # standalone estimate for the same sub-seed, and the closed form.
+    # written-out estimate at the point's sub-seed, and the closed form.
     assert [(d, s) for d, s, _, _ in kernels] == [(4, 0), (4, 1), (16, 0), (16, 1)]
     for di, d_k in enumerate(report.d_k_grid):
         pearsons = []
         for si, x in enumerate(xs):
             _, _, emp, theory = kernels[di * len(xs) + si]
-            oracle = monte_carlo_kernel(x, XAVIER, d_k, 120, mix_seed(17, di, si))
+            oracle = manual_mean_kernel(x, XAVIER, d_k, 120, mix_seed(17, di, si))
             np.testing.assert_array_equal(emp, oracle)
             var = analytic_variance(XAVIER, x.dim, d_k)
             np.testing.assert_allclose(theory, closed_form_kernel(x, d_k, var), rtol=1e-12)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from rapklab.seeding import generator, mix_seed, splitmix64
+from rapklab.initializers import InitScheme, init_matrix
+from rapklab.seeding import check_seed, generator, mix_seed, splitmix64
 
 
 def test_splitmix64_golden_vector():
@@ -37,3 +39,17 @@ def test_generator_reproducible_per_stream():
     c = generator(5, 2).standard_normal(8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+def test_seeds_outside_64_bits_are_rejected_not_aliased(seed):
+    # Masked to 64 bits, 2**64 would draw as 0 and -1 as 2**64 - 1.
+    for draw in (mix_seed, generator, lambda s: init_matrix(2, 2, InitScheme("xavier_uniform"), s)):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+            draw(seed)
+
+
+def test_the_64_bit_range_ends_are_seeds():
+    assert check_seed(0) == 0
+    assert check_seed(2**64 - 1) == 2**64 - 1
+    assert mix_seed(2**64 - 1) == splitmix64(2**64 - 1)
