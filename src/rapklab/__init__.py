@@ -51,14 +51,12 @@ from .montecarlo import (
 )
 from .rapk import (
     linearized_softmax,
-    rapk_c1_centered,
     rapk_coefficients,
     rapk_kernel,
 )
 from .seeding import generator, mix_seed, splitmix64
 from .sequences import FeatureSequence, ProbSequence, StageSequence
 from .smoothers import (
-    CentroidClassifier,
     CentroidSums,
     classify,
     fixed_attention_smooth,

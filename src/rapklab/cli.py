@@ -264,7 +264,7 @@ def _cmd_kernel_validate(args) -> int:
     report, blocks, kernels = dk_sweep_detail(x_set, scheme, grid, args.trials, args.seed)
     out = _ensure_out(args)
     payload = asdict(report)
-    payload["scheme"] = args.scheme
+    payload["scheme"] = scheme_label(scheme)
     (out / "kernel_validation.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )

@@ -322,16 +322,16 @@ def _evaluate(cfgs: list[RunConfig], n_classes: int, feat_dim: int,
         for smooth, head, _ in heads:
             head.add(smooth(sub.features), sub.stages)
         del sub  # free this subject before the next one is made or read
-    base_clf = base.classifier()
-    clfs = [(smooth, head.classifier(), out) for smooth, head, out in heads]
+    base_centroids = base.classifier()
+    fitted = [(smooth, head.classifier(), out) for smooth, head, out in heads]
 
     truth: list[StageSequence] = []
     none_preds: list[StageSequence] = []
     for sub in subjects("test"):
         truth.append(sub.stages)
-        none_preds.append(classify(sub.features, base_clf))
-        for smooth, clf, out in clfs:
-            out.append(classify(smooth(sub.features), clf))
+        none_preds.append(classify(sub.features, base_centroids))
+        for smooth, centroids, out in fitted:
+            out.append(classify(smooth(sub.features), centroids))
         for cfg, out in labelled:
             out.append(_label_smoothed(cfg, sub, none_preds[-1]))
         del sub
@@ -438,6 +438,16 @@ def apply_axis(base: RunConfig, axis: str, value) -> RunConfig:
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
+def _grid_label(axis: str, cfg: RunConfig, value):
+    # One text per grid point's configuration: "kaiming_uniform" is written
+    # as "kaiming_uniform_relu", and "01x2" as "1x2".
+    if axis == "init":
+        return scheme_label(cfg.encoder.init)
+    if axis == "heads_layers":
+        return f"{cfg.encoder.n_layers}x{cfg.encoder.n_heads}"
+    return value
+
+
 def _value_sort_key(value):
     try:
         return (0, float(value), "")
@@ -459,10 +469,12 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     which the window sizes; then, as on every other axis, each grid point has
     its own encoder weights and its own pass. One row per (grid value, seed),
     plus ``mean`` and ``std`` aggregate rows per grid value; rows are sorted
-    by (axis value, seed).
+    by (axis value, seed). An init scheme or a heads_layers point is written
+    in its canonical spelling, whatever the grid's.
     """
     base = spec.base
-    points = [(value, apply_axis(base, spec.axis, value)) for value in spec.grid]
+    cfgs = [apply_axis(base, spec.axis, value) for value in spec.grid]
+    points = [(_grid_label(spec.axis, cfg, value), cfg) for value, cfg in zip(spec.grid, cfgs)]
     one_pass = spec.axis == "window" and not (
         base.smoother == "random_transformer" and base.encoder.use_positional)
     # No axis changes the data source, so every pass reads the same one.

@@ -20,8 +20,6 @@ Feature-space smoothers are paired with a nearest-centroid classifier
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attention import EncoderConfig, EncoderWeights, encoder_forward, window_blocks
@@ -32,7 +30,6 @@ __all__ = [
     "majority_filter_smooth",
     "fixed_attention_smooth",
     "random_transformer_smooth",
-    "CentroidClassifier",
     "CentroidSums",
     "classify",
 ]
@@ -104,17 +101,6 @@ def random_transformer_smooth(
     return encoder_forward(x, cfg, weights)
 
 
-@dataclass(frozen=True)
-class CentroidClassifier:
-    """Per-class mean feature vectors."""
-
-    centroids: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.centroids.shape[0]
-
-
 class CentroidSums:
     """Running per-class feature sums for a nearest-centroid head, fed one
     ``(features, labels)`` part at a time with ``add``.
@@ -143,24 +129,22 @@ class CentroidSums:
             if len(rows):
                 self._sums[c] = rows.sum(axis=0)
 
-    def classifier(self) -> CentroidClassifier:
-        """The class means of every row added so far."""
+    def classifier(self) -> np.ndarray:
+        """The ``(n_classes, d)`` class means of every row added so far."""
         for c, n in enumerate(self._counts):
             if not n:
                 raise ValueError(f"class {c} has no training examples; cannot place a centroid")
-        return CentroidClassifier(
-            centroids=np.array([s / n for s, n in zip(self._sums, self._counts)])
-        )
+        return np.array([s / n for s, n in zip(self._sums, self._counts)])
 
 
-def classify(x: FeatureSequence, clf: CentroidClassifier) -> StageSequence:
-    """Nearest-centroid labels (Euclidean); ties go to the smallest class index."""
-    cent = clf.centroids
-    if cent.shape[1] != x.dim:
-        raise ValueError(f"classifier expects d={cent.shape[1]} features, got d={x.dim}")
+def classify(x: FeatureSequence, centroids: np.ndarray) -> StageSequence:
+    """Nearest-centroid labels (Euclidean) for the ``(n_classes, d)`` array
+    ``centroids``; ties go to the smallest class index."""
+    if centroids.shape[1] != x.dim:
+        raise ValueError(f"classifier expects d={centroids.shape[1]} features, got d={x.dim}")
     d2 = (
         np.sum(x.data**2, axis=1, keepdims=True)
-        - 2.0 * (x.data @ cent.T)
-        + np.sum(cent**2, axis=1)[np.newaxis, :]
+        - 2.0 * (x.data @ centroids.T)
+        + np.sum(centroids**2, axis=1)[np.newaxis, :]
     )
-    return StageSequence(np.argmin(d2, axis=1), clf.n_classes)
+    return StageSequence(np.argmin(d2, axis=1), len(centroids))

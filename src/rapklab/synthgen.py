@@ -76,8 +76,8 @@ class SynthConfig:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.t_len < 2:
             raise ValueError(f"t_len must be >= 2, got {self.t_len}")
-        if self.n_subjects < 1:
-            raise ValueError(f"n_subjects must be >= 1, got {self.n_subjects}")
+        if self.n_subjects < 3:  # one subject for each split
+            raise ValueError(f"n_subjects must be >= 3, got {self.n_subjects}")
         if not 0.0 <= self.self_prob <= 1.0:
             raise ValueError(f"self_prob must lie in [0, 1], got {self.self_prob}")
         if self.off_diag != "uniform":
@@ -128,13 +128,13 @@ def gen_features(labels: StageSequence, cfg: SynthConfig, subject_seed: int) -> 
     rng = generator(cfg.seed, _ROLE_FEAT, subject_seed)
     means = np.zeros((labels.n_classes, cfg.feat_dim))
     means[np.arange(labels.n_classes), np.arange(labels.n_classes)] = cfg.class_sep
-    if cfg.noise_std == 0.0:
-        return FeatureSequence(means[labels.labels])
     # Scaled and offset in place: the same sums as means + noise_std * z,
-    # without two full-size temporaries. The offset is made before the draw,
-    # so the freed offset lies below the features in the heap rather than
-    # above them, where it would join the encoder's scratch space and make
-    # the allocator hand that space back to the system after every pass.
+    # without two full-size temporaries; at noise_std 0 they are the means
+    # exactly (z * 0 is +-0, and +-0 + m is m). The offset is made before
+    # the draw, so the freed offset lies below the features in the heap
+    # rather than above them, where it would join the encoder's scratch
+    # space and make the allocator hand that space back to the system after
+    # every pass.
     offset = means[labels.labels]
     data = rng.standard_normal((labels.t_len, cfg.feat_dim))
     data *= cfg.noise_std
@@ -142,53 +142,39 @@ def gen_features(labels: StageSequence, cfg: SynthConfig, subject_seed: int) -> 
     return FeatureSequence(data)
 
 
-def gen_noisy_probs(
-    labels: StageSequence, label_noise: float, n_classes: int, subject_seed: int
-) -> ProbSequence:
+def gen_noisy_probs(labels: StageSequence, cfg: SynthConfig, subject_seed: int) -> ProbSequence:
     """Simulated epoch-encoder probabilities.
 
     Each epoch's row puts ``PEAK_PROB`` on the true stage and spreads the
     rest uniformly; with probability ``label_noise`` the peak lands on a
     uniformly drawn wrong stage instead.
     """
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-    if labels.n_classes > n_classes:
+    if labels.n_classes > cfg.n_classes:
         raise ValueError(
-            f"labels span {labels.n_classes} classes, more than n_classes={n_classes}"
+            f"labels span {labels.n_classes} classes, more than n_classes={cfg.n_classes}"
         )
-    if not 0.0 <= label_noise <= 1.0:
-        raise ValueError(f"label_noise must lie in [0, 1], got {label_noise}")
-    rng = generator(subject_seed)
+    rng = generator(mix_seed(cfg.seed, _ROLE_PROBS, subject_seed))
     t_len = labels.t_len
-    corrupt = rng.random(t_len) < label_noise
-    wrong = rng.integers(0, n_classes - 1, size=t_len)
+    corrupt = rng.random(t_len) < cfg.label_noise
+    wrong = rng.integers(0, cfg.n_classes - 1, size=t_len)
     wrong = np.where(wrong < labels.labels, wrong, wrong + 1)
     peak = np.where(corrupt, wrong, labels.labels)
-    probs = np.full((t_len, n_classes), (1.0 - PEAK_PROB) / (n_classes - 1))
+    probs = np.full((t_len, cfg.n_classes), (1.0 - PEAK_PROB) / (cfg.n_classes - 1))
     probs[np.arange(t_len), peak] = PEAK_PROB
     return ProbSequence(probs)
 
 
-def split_subjects(n_subjects: int, ratios: tuple[float, float, float], seed: int) -> list[str]:
-    """Assign subjects to train/val/test by a seeded shuffle.
+def split_subjects(cfg: SynthConfig) -> list[str]:
+    """Assign the cohort's subjects to train/val/test by a seeded shuffle.
 
-    Counts are rounded so that every split is non-empty; the returned list
-    maps subject index -> split tag.
+    Counts follow ``SPLIT_RATIOS``, rounded so that every split is non-empty;
+    the returned list maps subject index -> split tag.
     """
-    if n_subjects < 3:
-        raise ValueError(f"need at least 3 subjects to fill every split, got {n_subjects}")
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"ratios must be 3 positive numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    n_val = max(1, round(ratios[1] * n_subjects))
-    n_test = max(1, round(ratios[2] * n_subjects))
-    n_train = n_subjects - n_val - n_test
-    if n_train < 1:
-        raise ValueError(f"split of {n_subjects} subjects leaves no training subjects")
-    order = generator(seed, _ROLE_SPLIT).permutation(n_subjects)
-    tags = [""] * n_subjects
+    n_val = max(1, round(SPLIT_RATIOS[1] * cfg.n_subjects))
+    n_test = max(1, round(SPLIT_RATIOS[2] * cfg.n_subjects))
+    n_train = cfg.n_subjects - n_val - n_test
+    order = generator(cfg.seed, _ROLE_SPLIT).permutation(cfg.n_subjects)
+    tags = [""] * cfg.n_subjects
     for pos, idx in enumerate(order):
         if pos < n_train:
             tags[idx] = "train"
@@ -264,14 +250,12 @@ def iter_subjects(cfg: SynthConfig, split: str | None = None) -> Iterator[Subjec
     other and with a single simulated encoder. Each subject has its own
     streams, so it does not depend on which others are drawn.
     """
-    tags = split_subjects(cfg.n_subjects, SPLIT_RATIOS, cfg.seed)
+    tags = split_subjects(cfg)
     for i, tag in enumerate(tags):
         if split is not None and tag != split:
             continue
         stages = gen_hypnogram(cfg, i)
-        probs = gen_noisy_probs(
-            stages, cfg.label_noise, cfg.n_classes, mix_seed(cfg.seed, _ROLE_PROBS, i)
-        )
+        probs = gen_noisy_probs(stages, cfg, i)
         noisy = StageSequence(np.argmax(probs.probs, axis=1), cfg.n_classes)
         yield Subject(
             subject_id=f"subject_{i:03d}",

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_rapk import rapk_c1_centered
 
 from rapklab.attention import EncoderConfig, build_encoder_weights, encoder_forward, softmax_rows
 from rapklab.harness import (
@@ -27,7 +28,7 @@ from rapklab.harness import (
 from rapklab.initializers import InitScheme
 from rapklab.metrics import lsii, wte
 from rapklab.montecarlo import centered_unit_sequence, dk_sweep_detail, logit_concentration
-from rapklab.rapk import linearized_softmax, rapk_c1_centered, rapk_coefficients, rapk_kernel
+from rapklab.rapk import linearized_softmax, rapk_coefficients, rapk_kernel
 from rapklab.seeding import generator, mix_seed
 from rapklab.sequences import FeatureSequence, StageSequence
 from rapklab.synthgen import SynthConfig

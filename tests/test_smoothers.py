@@ -184,32 +184,33 @@ def _fit_centroids(parts, n_classes):
 def test_fit_centroids_and_classify():
     x = FeatureSequence(np.array([[0.0, 0.0], [0.2, 0.0], [1.0, 1.0], [0.8, 1.0]]))
     y = StageSequence(np.array([0, 0, 1, 1]), 2)
-    clf = _fit_centroids([(x, y)], 2)
-    np.testing.assert_allclose(clf.centroids, [[0.1, 0.0], [0.9, 1.0]])
-    assert clf.n_classes == 2
-    pred = classify(FeatureSequence(np.array([[0.15, 0.1], [1.0, 0.9]])), clf)
+    centroids = _fit_centroids([(x, y)], 2)
+    np.testing.assert_allclose(centroids, [[0.1, 0.0], [0.9, 1.0]])
+    assert centroids.shape == (2, 2)
+    pred = classify(FeatureSequence(np.array([[0.15, 0.1], [1.0, 0.9]])), centroids)
     np.testing.assert_array_equal(pred.labels, [0, 1])
+    assert pred.n_classes == 2
 
 
 def test_classify_interpolated_point_fixture():
     cents = np.eye(3)
-    clf = _fit_centroids(
+    centroids = _fit_centroids(
         [(FeatureSequence(cents.repeat(2, axis=0)),
           StageSequence(np.array([0, 0, 1, 1, 2, 2]), 3))],
         3,
     )
     probe = 0.9 * cents[2] + 0.1 * cents[0]
-    pred = classify(FeatureSequence(probe[np.newaxis, :]), clf)
+    pred = classify(FeatureSequence(probe[np.newaxis, :]), centroids)
     assert pred.labels[0] == 2
 
 
 def test_classify_tie_goes_to_smallest_class():
-    clf = _fit_centroids(
+    centroids = _fit_centroids(
         [(FeatureSequence(np.array([[-1.0, 0.0], [1.0, 0.0]])),
           StageSequence(np.array([0, 1]), 2))],
         2,
     )
-    pred = classify(FeatureSequence(np.array([[0.0, 5.0]])), clf)
+    pred = classify(FeatureSequence(np.array([[0.0, 5.0]])), centroids)
     assert pred.labels[0] == 0
 
 
@@ -250,8 +251,8 @@ def test_fit_centroids_over_parts_equals_one_fit_of_their_concatenation():
             for f, y in zip(np.split(feats, cuts), np.split(labels, cuts))
         ]
         assert any(len(np.unique(y.labels)) < n for _, y in parts)
-        whole = _fit_centroids([(FeatureSequence(feats), StageSequence(labels, n))], n).centroids
-        assert _fit_centroids(parts, n).centroids.tobytes() == whole.tobytes()
+        whole = _fit_centroids([(FeatureSequence(feats), StageSequence(labels, n))], n)
+        assert _fit_centroids(parts, n).tobytes() == whole.tobytes()
         class_means = np.array([feats[labels == c].mean(axis=0) for c in range(n)])
         assert whole.tobytes() == class_means.tobytes()
 
@@ -264,7 +265,7 @@ def test_centroid_sums_push_one_part_at_a_time():
         sums.classifier()
     sums.add(FeatureSequence(np.array([[4.0, 2.0]])), StageSequence(np.array([2]), 3))
     np.testing.assert_array_equal(
-        sums.classifier().centroids, [[0.1, 0.0], [0.9, 1.0], [4.0, 2.0]]
+        sums.classifier(), [[0.1, 0.0], [0.9, 1.0], [4.0, 2.0]]
     )
     with pytest.raises(ValueError, match="length"):
         sums.add(x, StageSequence(np.array([0, 1]), 2))
@@ -291,8 +292,8 @@ def test_fit_centroids_holds_one_part_at_a_time():
 
 
 def test_classify_dimension_mismatch():
-    clf = _fit_centroids(
+    centroids = _fit_centroids(
         [(FeatureSequence(np.zeros((2, 3))), StageSequence(np.array([0, 1]), 2))], 2
     )
     with pytest.raises(ValueError, match="d=3"):
-        classify(FeatureSequence(np.zeros((1, 4))), clf)
+        classify(FeatureSequence(np.zeros((1, 4))), centroids)

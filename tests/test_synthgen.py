@@ -7,7 +7,6 @@ from rapklab.sequences import StageSequence
 from rapklab.smoothers import CentroidSums, classify
 from rapklab.synthgen import (
     _ROLE_FEAT,
-    SPLIT_RATIOS,
     SynthConfig,
     SynthDataset,
     gen_features,
@@ -57,7 +56,7 @@ def test_hypnogram_deterministic_per_subject():
 
 def test_noisy_probs_shape_and_peak():
     labels = gen_hypnogram(cfg(t_len=500), 0)
-    p = gen_noisy_probs(labels, 0.0, 4, subject_seed=9)
+    p = gen_noisy_probs(labels, cfg(t_len=500, label_noise=0.0), subject_seed=9)
     assert p.probs.shape == (500, 4)
     np.testing.assert_array_equal(np.argmax(p.probs, axis=1), labels.labels)
     np.testing.assert_allclose(p.probs.max(axis=1), np.full(500, 0.8))
@@ -67,7 +66,7 @@ def test_noisy_probs_shape_and_peak():
 def test_noisy_probs_corruption_rate():
     labels = gen_hypnogram(cfg(t_len=20_000), 0)
     noise = 0.3
-    p = gen_noisy_probs(labels, noise, 4, subject_seed=11)
+    p = gen_noisy_probs(labels, cfg(t_len=20_000, label_noise=noise), subject_seed=11)
     wrong = float(np.mean(np.argmax(p.probs, axis=1) != labels.labels))
     stderr = np.sqrt(noise * (1 - noise) / labels.t_len)
     assert abs(wrong - noise) < 3 * stderr
@@ -75,12 +74,8 @@ def test_noisy_probs_corruption_rate():
 
 def test_noisy_probs_validation():
     labels = StageSequence(np.array([0, 1, 2]), 3)
-    with pytest.raises(ValueError, match="label_noise"):
-        gen_noisy_probs(labels, 1.5, 3, 0)
-    with pytest.raises(ValueError, match="n_classes"):
-        gen_noisy_probs(labels, 0.1, 1, 0)
     with pytest.raises(ValueError, match="span"):
-        gen_noisy_probs(labels, 0.1, 2, 0)
+        gen_noisy_probs(labels, cfg(n_classes=2), 0)
 
 
 def test_features_exact_without_noise():
@@ -129,28 +124,22 @@ def test_centroid_head_recovers_well_separated_classes():
 
 
 def test_split_subjects_counts_and_determinism():
-    tags = split_subjects(20, SPLIT_RATIOS, seed=1)
+    tags = split_subjects(cfg(n_subjects=20, seed=1))
     assert tags.count("train") == 16
     assert tags.count("val") == 2
     assert tags.count("test") == 2
-    assert tags == split_subjects(20, SPLIT_RATIOS, seed=1)
-    assert tags != split_subjects(20, SPLIT_RATIOS, seed=2)
-    small = split_subjects(10, SPLIT_RATIOS, seed=1)
+    assert tags == split_subjects(cfg(n_subjects=20, seed=1))
+    assert tags != split_subjects(cfg(n_subjects=20, seed=2))
+    small = split_subjects(cfg(n_subjects=10, seed=1))
     assert (small.count("train"), small.count("val"), small.count("test")) == (8, 1, 1)
-    tiny = split_subjects(3, SPLIT_RATIOS, seed=1)
+    tiny = split_subjects(cfg(n_subjects=3, seed=1))
     assert sorted(tiny) == ["test", "train", "val"]
 
 
-def test_split_subjects_validation():
-    with pytest.raises(ValueError, match="at least 3"):
-        split_subjects(2, SPLIT_RATIOS, 0)
-    with pytest.raises(ValueError, match="sum to 1"):
-        split_subjects(10, (0.5, 0.2, 0.2), 0)
-    with pytest.raises(ValueError, match="positive"):
-        split_subjects(10, (1.0, 0.0, 0.0), 0)
-
-
 def test_synth_config_validation():
+    for n_subjects in (1, 2):  # too few to fill every split
+        with pytest.raises(ValueError, match=f"n_subjects must be >= 3, got {n_subjects}"):
+            cfg(n_subjects=n_subjects)
     with pytest.raises(ValueError, match="n_classes"):
         cfg(n_classes=1)
     with pytest.raises(ValueError, match="self_prob"):
