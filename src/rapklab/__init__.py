@@ -24,7 +24,6 @@ from .harness import (
     SMOOTHERS,
     PipelineResult,
     RunConfig,
-    SweepSpec,
     config_digest,
     correlation_study,
     load_run_config,

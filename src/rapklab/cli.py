@@ -26,7 +26,6 @@ from .harness import (
     COMPONENT_BUNDLES,
     SMOOTHERS,
     RunConfig,
-    SweepSpec,
     append_runs_csv,
     check_config_keys,
     config_section,
@@ -237,14 +236,12 @@ def _cmd_smooth_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _run_config_from_args(args)
-    axis = _AXIS_NAMES[args.axis]
     grid_text = args.grid if args.grid is not None else _DEFAULT_GRIDS[args.axis]
     if args.axis in ("window", "dk"):
         grid = tuple(_parse_int_list(grid_text, f"--grid for {args.axis}"))
     else:
         grid = tuple(part for part in grid_text.split(",") if part != "")
-    spec = SweepSpec(axis=axis, grid=grid, base=base)
-    rows = run_sweep(spec)
+    rows = run_sweep(base, _AXIS_NAMES[args.axis], grid)
     out = _ensure_out(args)
     path = out / "sweep.csv"
     write_sweep_csv(rows, path)

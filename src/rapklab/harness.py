@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -31,7 +31,7 @@ from .metrics import (
     wte_pooled,
 )
 from .seeding import check_seed
-from .sequences import ProbSequence, StageSequence
+from .sequences import StageSequence
 from .smoothers import (
     CentroidSums,
     classify,
@@ -47,7 +47,6 @@ __all__ = [
     "SWEEP_AXES",
     "COMPONENT_BUNDLES",
     "RunConfig",
-    "SweepSpec",
     "PipelineResult",
     "run_config_dict",
     "config_digest",
@@ -269,20 +268,15 @@ def _label_smoothed(cfg: RunConfig, sub: Subject, none_pred: StageSequence) -> S
     w = cfg.encoder.window_w
     if cfg.smoother == "none":
         return none_pred
-    probs = _require_probs(sub, cfg.smoother)
-    if cfg.smoother == "moving_average":
-        return moving_average_smooth(probs, w)
-    labels = StageSequence(np.argmax(probs.probs, axis=1), probs.n_classes)
-    return majority_filter_smooth(labels, w, cfg.integer_median)
-
-
-def _require_probs(sub: Subject, smoother: str) -> ProbSequence:
-    if sub.probs is None:
-        raise ValueError(
-            f"smoother {smoother!r} needs per-epoch probabilities, "
+    if sub.probs is None:  # a synthetic subject always has them
+        raise DatasetError(
+            f"{cfg.dataset_path}: smoother {cfg.smoother!r} needs per-epoch probabilities, "
             f"but {sub.subject_id} has none"
         )
-    return sub.probs
+    if cfg.smoother == "moving_average":
+        return moving_average_smooth(sub.probs, w)
+    labels = StageSequence(np.argmax(sub.probs.probs, axis=1), sub.probs.n_classes)
+    return majority_filter_smooth(labels, w, cfg.integer_median)
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
@@ -322,7 +316,12 @@ def _evaluate(cfgs: list[RunConfig], n_classes: int, feat_dim: int,
         for smooth, head, _ in heads:
             head.add(smooth(sub.features), sub.stages)
         del sub  # free this subject before the next one is made or read
-    base_centroids = base.classifier()
+    try:  # every head sees the same labels, so the base head fails first
+        base_centroids = base.classifier()
+    except ValueError as exc:  # a class no train subject holds
+        if lead.dataset_path is None:  # a config value of a synthetic cohort
+            raise
+        raise DatasetError(f"{lead.dataset_path}: {exc}") from None
     fitted = [(smooth, head.classifier(), out) for smooth, head, out in heads]
 
     truth: list[StageSequence] = []
@@ -381,31 +380,6 @@ def _aggregate(reports: list[EvalReport]) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A one-axis grid sweep around a base configuration."""
-
-    axis: str
-    grid: tuple
-    base: RunConfig
-
-    def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {self.axis!r}; expected one of {SWEEP_AXES}")
-        if not self.grid:
-            raise ValueError("sweep grid must be non-empty")
-        # Specialize every grid point now, so a bad value fails before any run.
-        configs = [apply_axis(self.base, self.axis, value) for value in self.grid]
-        for i, cfg in enumerate(configs):
-            if cfg in configs[:i]:
-                raise ValueError(f"sweep grid for {self.axis} repeats {self.grid[i]!r}")
-        # Every other axis changes only the encoder weights, which such a
-        # smoother never reads: each row would repeat one result.
-        if self.axis != "window" and self.base.smoother != "random_transformer":
-            raise ValueError(f"smoother {self.base.smoother!r} uses no encoder weights, "
-                             f"so it sweeps only the window axis, not {self.axis}")
-
-
 def _parse_heads_layers(value) -> tuple[int, int]:
     parts = value if isinstance(value, (tuple, list)) else str(value).split("x")
     try:
@@ -415,37 +389,32 @@ def _parse_heads_layers(value) -> tuple[int, int]:
     return layers, heads
 
 
-def apply_axis(base: RunConfig, axis: str, value) -> RunConfig:
-    """Specialize ``base`` to one grid point of ``axis``."""
+def apply_axis(base: RunConfig, axis: str, value) -> tuple[object, RunConfig]:
+    """Specialize ``base`` to one grid point of ``axis``: the point's label
+    and its config. An init scheme or a heads_layers point is labelled in its
+    canonical spelling ("kaiming_uniform" as "kaiming_uniform_relu", "01x2"
+    as "1x2"); every other value as given."""
+    enc = base.encoder
     if axis == "window":
         w = int(value)
-        return replace(base, encoder=replace(base.encoder, window_w=w), metric_window=w)
+        return value, replace(base, encoder=replace(enc, window_w=w), metric_window=w)
     if axis == "d_k":
-        return replace(base, encoder=replace(base.encoder, d_k=int(value)))
+        return value, replace(base, encoder=replace(enc, d_k=int(value)))
     if axis == "init":
         scheme = value if not isinstance(value, str) else parse_scheme(value)
-        return replace(base, encoder=replace(base.encoder, init=scheme))
+        return scheme_label(scheme), replace(base, encoder=replace(enc, init=scheme))
     if axis == "heads_layers":
         layers, heads = _parse_heads_layers(value)
-        return replace(base, encoder=replace(base.encoder, n_layers=layers, n_heads=heads))
+        cfg = replace(base, encoder=replace(enc, n_layers=layers, n_heads=heads))
+        return f"{layers}x{heads}", cfg
     if axis == "components":
         name = str(value)
         if name not in COMPONENT_BUNDLES:
             raise ValueError(
                 f"unknown component bundle {name!r}; expected one of {sorted(COMPONENT_BUNDLES)}"
             )
-        return replace(base, encoder=replace(base.encoder, **COMPONENT_BUNDLES[name]))
+        return value, replace(base, encoder=replace(enc, **COMPONENT_BUNDLES[name]))
     raise ValueError(f"unknown sweep axis {axis!r}")
-
-
-def _grid_label(axis: str, cfg: RunConfig, value):
-    # One text per grid point's configuration: "kaiming_uniform" is written
-    # as "kaiming_uniform_relu", and "01x2" as "1x2".
-    if axis == "init":
-        return scheme_label(cfg.encoder.init)
-    if axis == "heads_layers":
-        return f"{cfg.encoder.n_layers}x{cfg.encoder.n_heads}"
-    return value
 
 
 def _value_sort_key(value):
@@ -461,33 +430,45 @@ def _seed_sort_key(seed):
     return (1, 0) if seed == "mean" else (1, 1)
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate every grid point and return flat result rows.
+def run_sweep(base: RunConfig, axis: str, grid: Sequence) -> list[dict]:
+    """Evaluate ``base`` at every ``grid`` point of ``axis`` and return flat
+    result rows.
 
+    Every grid point is built and checked before any subject is made or read.
     A window sweep takes one pass over the data, so it makes or reads each
     subject once, unless it runs the random transformer with positional rows,
     which the window sizes; then, as on every other axis, each grid point has
     its own encoder weights and its own pass. One row per (grid value, seed),
     plus ``mean`` and ``std`` aggregate rows per grid value; rows are sorted
-    by (axis value, seed). An init scheme or a heads_layers point is written
-    in its canonical spelling, whatever the grid's.
+    by (axis value, seed), with each value labelled as ``apply_axis`` does.
     """
-    base = spec.base
-    cfgs = [apply_axis(base, spec.axis, value) for value in spec.grid]
-    points = [(_grid_label(spec.axis, cfg, value), cfg) for value, cfg in zip(spec.grid, cfgs)]
-    one_pass = spec.axis == "window" and not (
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if not grid:
+        raise ValueError("sweep grid must be non-empty")
+    points = [apply_axis(base, axis, value) for value in grid]
+    cfgs = [cfg for _, cfg in points]
+    for i, value in enumerate(grid):
+        if cfgs[i] in cfgs[:i]:
+            raise ValueError(f"sweep grid for {axis} repeats {value!r}")
+    # Every other axis changes only the encoder weights, which such a
+    # smoother never reads: each row would repeat one result.
+    if axis != "window" and base.smoother != "random_transformer":
+        raise ValueError(f"smoother {base.smoother!r} uses no encoder weights, "
+                         f"so it sweeps only the window axis, not {axis}")
+    one_pass = axis == "window" and not (
         base.smoother == "random_transformer" and base.encoder.use_positional)
     # No axis changes the data source, so every pass reads the same one.
     data = _open_data(base)
     rows: list[dict] = []
     for group in [points] if one_pass else [[point] for point in points]:
-        values, cfgs = zip(*group)
-        for value, result in zip(values, _evaluate(list(cfgs), *data)):
+        labels, cfgs = zip(*group)
+        for label, result in zip(labels, _evaluate(list(cfgs), *data)):
             scores = [(r.seed, {name: getattr(r, name) for name in _SCORES})
                       for r in result.per_seed]
             scores += [(tag, {name: result.aggregate[f"{tag}_{name}"] for name in _SCORES})
                        for tag in ("mean", "std")]
-            rows += [{"axis": spec.axis, "value": value, "seed": seed, **row}
+            rows += [{"axis": axis, "value": label, "seed": seed, **row}
                      for seed, row in scores]
     rows.sort(key=lambda r: (_value_sort_key(r["value"]), _seed_sort_key(r["seed"])))
     return rows

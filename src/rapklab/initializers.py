@@ -64,9 +64,6 @@ _PHI2 = math.exp(-2.0) / math.sqrt(2.0 * math.pi)
 _CDF2 = 0.5 * (1.0 + math.erf(2.0 / math.sqrt(2.0)))
 TRUNC2_VAR_FACTOR = 1.0 - (2.0 * 2.0 * _PHI2) / (2.0 * _CDF2 - 1.0)
 
-# Stream tags for orthogonal retry draws; ordinary schemes use the seed as-is.
-_ORTHO_RETRY = 0xA1170
-
 
 @dataclass(frozen=True)
 class InitScheme:
@@ -101,27 +98,20 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(check_seed(seed)))
 
 
-def _orthogonal(rows: int, cols: int, seed: int, z: np.ndarray) -> np.ndarray:
-    # QR of a Gaussian draw, sign-fixed on diag(R) so the factor is Haar and
-    # deterministic. The first attempt factors ``z``, the (rows, cols)
-    # standard normal draw of ``seed``: it is filled row-major, so its reshape
-    # is the (n, m) draw. Degenerate draws retry with a perturbed seed (3
-    # attempts).
+def _orthogonal(rows: int, cols: int, z: np.ndarray) -> np.ndarray:
+    # QR of the (rows, cols) standard normal draw ``z``, sign-fixed on diag(R)
+    # so the factor is Haar and deterministic. ``z`` is filled row-major, so
+    # its reshape is the (n, m) draw. A Gaussian draw is degenerate with
+    # probability zero.
     n, m = (rows, cols) if rows >= cols else (cols, rows)
-    for attempt in range(3):
-        if attempt == 0:
-            g = z.reshape(n, m)
-        else:
-            g = _rng(mix_seed(seed, _ORTHO_RETRY + attempt)).standard_normal((n, m))
-        q, r = np.linalg.qr(g)
-        diag = np.diag(r)
-        if np.min(np.abs(diag)) <= 1e-12 * math.sqrt(n):
-            continue
-        q = q * np.sign(diag)[np.newaxis, :]
-        return q if rows >= cols else q.T
-    raise RuntimeError(
-        f"orthogonal initialization failed for shape ({rows}, {cols}) after 3 attempts"
-    )
+    q, r = np.linalg.qr(z.reshape(n, m))
+    diag = np.diag(r)
+    if np.min(np.abs(diag)) <= 1e-12 * math.sqrt(n):
+        raise RuntimeError(
+            f"orthogonal initialization failed for shape ({rows}, {cols})"
+        )
+    q = q * np.sign(diag)[np.newaxis, :]
+    return q if rows >= cols else q.T
 
 
 def _scale(scheme: InitScheme, rows: int, cols: int) -> float:
@@ -149,12 +139,14 @@ def _normal(sd: float, z: np.ndarray) -> np.ndarray:
 
 def _trunc_normal(sd: float, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     # Resample entries outside +/- 2 sigma from ``rng``; draw order is fixed,
-    # so the result is deterministic.
+    # so the result is deterministic. Each round redraws the entries still
+    # out of range, in row-major order, and rechecks only those.
     out = _normal(sd, z)
-    bad = np.abs(out) > 2.0 * sd
-    while bad.any():
-        out[bad] = _normal(sd, rng.standard_normal(int(bad.sum())))
-        bad = np.abs(out) > 2.0 * sd
+    flat = out.reshape(-1)  # a view: ``out`` is a fresh C-ordered array
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * sd)
+    while bad.size:
+        flat[bad] = _normal(sd, rng.standard_normal(bad.size))
+        bad = bad[np.abs(flat[bad]) > 2.0 * sd]
     return out
 
 
@@ -188,7 +180,7 @@ def init_matrices(
             z = rng.standard_normal((rows, cols))
             after_z = rng.bit_generator.state
         if kind == "orthogonal":
-            yield _orthogonal(rows, cols, seed, z)
+            yield _orthogonal(rows, cols, z)
         elif kind == "trunc_normal_std":
             rng.bit_generator.state = after_z
             yield _trunc_normal(scheme.scale_param, z, rng)

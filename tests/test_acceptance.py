@@ -19,7 +19,6 @@ from test_rapk import rapk_c1_centered
 from rapklab.attention import EncoderConfig, build_encoder_weights, encoder_forward, softmax_rows
 from rapklab.harness import (
     RunConfig,
-    SweepSpec,
     correlation_study,
     run_pipeline,
     run_sweep,
@@ -299,17 +298,13 @@ def test_08_wider_projections_do_not_hurt():
 
 
 def test_09_metrics_track_accuracy_over_window_sweep():
-    spec = SweepSpec(
-        axis="window",
-        grid=(5, 10, 20, 35, 50),
-        base=RunConfig(
-            synth=CORR_SYNTH,
-            smoother="moving_average",
-            encoder=ACC_ENCODER,
-            seeds=SEEDS,
-        ),
+    base = RunConfig(
+        synth=CORR_SYNTH,
+        smoother="moving_average",
+        encoder=ACC_ENCODER,
+        seeds=SEEDS,
     )
-    rows = run_sweep(spec)
+    rows = run_sweep(base, "window", (5, 10, 20, 35, 50))
     r_lsii, r_wte = correlation_study(rows)
     assert r_lsii > 0.5
     assert r_wte < -0.5

@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rapklab import cli, dataio, initializers, synthgen
+from rapklab import cli, dataio, harness, initializers, synthgen
 from rapklab.attention import EncoderConfig
 from rapklab.cli import main
 from rapklab.dataio import DatasetError, load_dataset
@@ -425,6 +425,80 @@ def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tm
     assert main([*argv, *config, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# Faults met only part way through a run: a train split that misses a class,
+# and a test subject without probs.csv under a smoother that reads them.
+_MID_RUN_FLAGS = {
+    "train_misses_a_class": ["--subjects", "3", "--t-len", "5", "--feat-dim", "5",
+                             "--self-prob", "1", "--label-noise", "1"],
+    "test_subject_without_probs": ["--classes", "3", "--t-len", "20", "--subjects", "4",
+                                   "--feat-dim", "4", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", [["smooth-eval"],
+                                     ["sweep", "--axis", "window", "--grid", "3,5"]])
+@pytest.mark.parametrize("case, smoother", [
+    ("train_misses_a_class", "fixed_attention"),
+    ("train_misses_a_class", "none"),
+    ("test_subject_without_probs", "median"),
+    ("test_subject_without_probs", "moving_average"),
+])
+def test_dataset_faults_found_mid_run_are_one_error_line(case, smoother, command, tmp_path,
+                                                         capsys):
+    root = tmp_path / "ds"
+    assert main(["simulate", "--out", str(root), *_MID_RUN_FLAGS[case]]) == 0
+    if case == "train_misses_a_class":
+        message = f"{root}: class 0 has no training examples; cannot place a centroid"
+    else:
+        manifest = json.loads((root / "manifest.json").read_text())
+        sub_id = [e["id"] for e in manifest["subjects"] if e["split"] == "test"][-1]
+        (root / sub_id / "probs.csv").unlink()
+        message = (f"{root}: smoother {smoother!r} needs per-epoch probabilities, "
+                   f"but {sub_id} has none")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*command, "--dataset", str(root), "--smoother", smoother,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_synth_cohort_that_misses_a_class_is_a_config_value(tmp_path, capsys):
+    # The same cohort as a dataset fault above, given as a config value.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_subjects": 3, "t_len": 5, "feat_dim": 5,
+                                            "self_prob": 1.0, "label_noise": 1.0},
+                                  "smoother": "fixed_attention"}))
+    out = tmp_path / "out"
+    assert main(["smooth-eval", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: class 0 has no training examples; cannot place a centroid\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", sorted(cli._DEFAULT_GRIDS))
+def test_every_default_grid_builds_through_apply_axis(axis, run_config, tmp_path,
+                                                      monkeypatch, capsys):
+    # Each default grid point builds, and the grid passes every check, up to
+    # the point where the sweep would open its data.
+    labels, real = [], harness.apply_axis
+
+    def apply_axis(base, name, value):
+        label, cfg = real(base, name, value)
+        labels.append(label)
+        return label, cfg
+
+    def reached(cfg):
+        raise DatasetError("reached the data")
+
+    monkeypatch.setattr(harness, "apply_axis", apply_axis)
+    monkeypatch.setattr(harness, "_open_data", reached)
+    assert main(["sweep", "--config", str(run_config), "--smoother", "random_transformer",
+                 "--axis", axis, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: reached the data\n"
+    assert [str(label) for label in labels] == cli._DEFAULT_GRIDS[axis].split(",")
 
 
 def test_repeated_seeds_in_the_config_file(tmp_path, capsys):

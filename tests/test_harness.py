@@ -14,7 +14,6 @@ from rapklab.harness import (
     COMPONENT_BUNDLES,
     SMOOTHERS,
     RunConfig,
-    SweepSpec,
     append_runs_csv,
     apply_axis,
     config_digest,
@@ -202,7 +201,7 @@ def test_pipeline_probs_smoother_needs_probs(tmp_path):
     for probs in root.glob("subject_*/probs.csv"):
         probs.unlink()
     cfg = small_run(synth=None, dataset_path=str(root), smoother="median")
-    with pytest.raises(ValueError, match="smoother 'median'"):
+    with pytest.raises(DatasetError, match="smoother 'median'"):
         run_pipeline(cfg)
     # Feature-space smoothing is unaffected.
     run_pipeline(small_run(synth=None, dataset_path=str(root)))
@@ -315,7 +314,8 @@ def test_append_runs_csv_accumulates(tmp_path):
 
 
 def test_apply_axis_window_also_sets_metric_window():
-    out = apply_axis(small_run(), "window", 7)
+    label, out = apply_axis(small_run(), "window", 7)
+    assert label == 7
     assert out.encoder.window_w == 7
     assert out.metric_window == 7
     assert out.resolved_metric_window == 7
@@ -323,15 +323,21 @@ def test_apply_axis_window_also_sets_metric_window():
 
 def test_apply_axis_other_axes():
     base = small_run()
-    assert apply_axis(base, "d_k", 32).encoder.d_k == 32
-    init_cfg = apply_axis(base, "init", "normal_0.05")
+    assert apply_axis(base, "d_k", 32)[1].encoder.d_k == 32
+    label, init_cfg = apply_axis(base, "init", "normal_0.05")
     assert init_cfg.encoder.init == InitScheme("normal_std", 0.05)
-    hl = apply_axis(base, "heads_layers", "2x4")
+    assert label == "normal_0.05"
+    assert apply_axis(base, "init", " kaiming_uniform")[0] == "kaiming_uniform_relu"
+    label, hl = apply_axis(base, "heads_layers", "2x4")
     assert (hl.encoder.n_layers, hl.encoder.n_heads) == (2, 4)
-    hl2 = apply_axis(base, "heads_layers", (1, 4))
+    assert label == "2x4"
+    label, hl2 = apply_axis(base, "heads_layers", (1, 4))
     assert (hl2.encoder.n_layers, hl2.encoder.n_heads) == (1, 4)
-    comp = apply_axis(base, "components", "layernorm")
+    assert label == "1x4"
+    assert apply_axis(base, "heads_layers", "01x2")[0] == "1x2"
+    label, comp = apply_axis(base, "components", "layernorm")
     assert comp.encoder.use_layernorm and not comp.encoder.use_attention
+    assert label == "layernorm"
     with pytest.raises(ValueError, match="unknown component bundle"):
         apply_axis(base, "components", "everything")
     for bad in ("2x4x8", "2x", "x8", "ax2"):
@@ -344,33 +350,46 @@ def test_apply_axis_other_axes():
 def test_component_bundles_all_buildable():
     base = small_run()
     for name in COMPONENT_BUNDLES:
-        cfg = apply_axis(base, "components", name)
+        label, cfg = apply_axis(base, "components", name)
         assert isinstance(cfg.encoder, EncoderConfig), name
+        assert label == name
 
 
-def test_sweep_spec_validation():
-    with pytest.raises(ValueError, match="unknown sweep axis"):
-        SweepSpec(axis="gamma", grid=(1,), base=small_run())
-    with pytest.raises(ValueError, match="non-empty"):
-        SweepSpec(axis="window", grid=(), base=small_run())
-    # Values repeat once parsed: " 1x2" and "1x2" give one config.
-    with pytest.raises(ValueError, match="window repeats 3"):
-        SweepSpec(axis="window", grid=(3, 2, 3), base=small_run())
-    with pytest.raises(ValueError, match="heads_layers repeats ' 1x2'"):
-        SweepSpec(axis="heads_layers", grid=("1x2", " 1x2"), base=small_run())
-    # A smoother without encoder weights would repeat one result on any
-    # other axis.
+def test_run_sweep_rejects_bad_grids_before_any_data(tmp_path, monkeypatch):
+    def made(*args):
+        raise AssertionError("a subject was made or read before the grid was checked")
+
+    # Both sources: a synthetic cohort and a dataset directory.
+    bases = [small_run(), _sweep_base("dataset", small_synth(), tmp_path / "ds")]
+    monkeypatch.setattr(synthgen, "gen_features", made)
+    monkeypatch.setattr(dataio, "_read_table", made)
+    for base in bases:
+        with pytest.raises(ValueError, match="unknown sweep axis"):
+            run_sweep(base, "gamma", (1,))
+        with pytest.raises(ValueError, match="non-empty"):
+            run_sweep(base, "window", ())
+        # Values repeat once parsed: " 1x2" and "1x2" give one config.
+        with pytest.raises(ValueError, match="window repeats 3"):
+            run_sweep(base, "window", (3, 2, 3))
+        with pytest.raises(ValueError, match="heads_layers repeats ' 1x2'"):
+            run_sweep(base, "heads_layers", ("1x2", " 1x2"))
+        with pytest.raises(ValueError, match="unknown component bundle"):
+            run_sweep(base, "components", ("full", "everything"))
+        # A smoother without encoder weights would repeat one result on any
+        # other axis.
+        for smoother in ("none", "moving_average", "median", "fixed_attention"):
+            for axis, grid in (("d_k", (4, 8)), ("init", ("orthogonal",)),
+                               ("heads_layers", ("1x2",)), ("components", ("full",))):
+                with pytest.raises(ValueError, match=f"sweeps only the window axis, not {axis}"):
+                    run_sweep(replace(base, smoother=smoother), axis, grid)
+    monkeypatch.undo()
     for smoother in ("none", "moving_average", "median", "fixed_attention"):
-        for axis, grid in (("d_k", (4, 8)), ("init", ("orthogonal",)),
-                           ("heads_layers", ("1x2",)), ("components", ("full",))):
-            with pytest.raises(ValueError, match=f"sweeps only the window axis, not {axis}"):
-                SweepSpec(axis=axis, grid=grid, base=small_run(smoother=smoother))
-        SweepSpec(axis="window", grid=(3, 4), base=small_run(smoother=smoother))
+        assert run_sweep(small_run(smoother=smoother), "window", (3, 4))
 
 
 def test_run_sweep_rows_and_ordering():
-    spec = SweepSpec(axis="window", grid=(3, 2), base=small_run(seeds=(111, 222)))
-    rows = run_sweep(spec)
+    base = small_run(seeds=(111, 222))
+    rows = run_sweep(base, "window", (3, 2))
     # Sorted by numeric value, then seeds, then mean before std.
     assert [(r["value"], r["seed"]) for r in rows] == [
         (2, 111), (2, 222), (2, "mean"), (2, "std"),
@@ -380,7 +399,7 @@ def test_run_sweep_rows_and_ordering():
     mean_row = rows[2]
     per_seed = [r["accuracy"] for r in rows[:2]]
     assert mean_row["accuracy"] == pytest.approx(np.mean(per_seed), abs=1e-12)
-    assert rows == run_sweep(spec)
+    assert rows == run_sweep(base, "window", (3, 2))
 
 
 def _sweep_base(source: str, synth: SynthConfig, root, **overrides) -> RunConfig:
@@ -395,14 +414,14 @@ def test_sweep_memory_does_not_grow_with_the_cohort(source, tmp_path):
     # Each pass holds one subject at a time, as run_pipeline does.
     t_len, feat_dim = 100, 256
 
-    def spec(n_subjects: int) -> SweepSpec:
+    def base(n_subjects: int) -> RunConfig:
         synth = small_synth(n_subjects=n_subjects, t_len=t_len, feat_dim=feat_dim)
-        base = _sweep_base(source, synth, tmp_path / f"ds{n_subjects}")
-        return SweepSpec(axis="window", grid=(3, 5), base=base)
+        return _sweep_base(source, synth, tmp_path / f"ds{n_subjects}")
 
-    small, large = spec(6), spec(18)
-    run_sweep(small)  # first-call allocations are not the cohort's
-    grown = _traced_peak(lambda: run_sweep(large)) - _traced_peak(lambda: run_sweep(small))
+    small, large = base(6), base(18)
+    run_sweep(small, "window", (3, 5))  # first-call allocations are not the cohort's
+    grown = (_traced_peak(lambda: run_sweep(large, "window", (3, 5)))
+             - _traced_peak(lambda: run_sweep(small, "window", (3, 5))))
     assert grown < t_len * feat_dim * 8
 
 
@@ -428,9 +447,8 @@ def test_sweep_takes_one_pass_per_weights_group_and_skips_val(
     assert len(once) < len(splits)
     base = _sweep_base(source, synth, tmp_path / "ds", smoother=smoother,
                        encoder=small_encoder(use_positional=positional))
-    spec = SweepSpec(axis=axis, grid=grid, base=base)
     expected = {
-        value: run_pipeline(apply_axis(spec.base, axis, value)).per_seed for value in grid
+        value: run_pipeline(apply_axis(base, axis, value)[1]).per_seed for value in grid
     }
 
     seen = []
@@ -445,7 +463,7 @@ def test_sweep_takes_one_pass_per_weights_group_and_skips_val(
                             lambda path, header: (path.name == "features.csv"
                                                   and seen.append(path.parent.name))
                             or real_read(path, header))
-    rows = run_sweep(spec)
+    rows = run_sweep(base, axis, grid)
     assert sorted(seen) == sorted(once * passes)
 
     got = {}
@@ -519,7 +537,7 @@ def test_reference_sweeps_keep_their_bytes(case, tmp_path):
     base = _sweep_base(source, small_synth(n_subjects=5), tmp_path / "ds",
                        smoother=smoother, encoder=small_encoder(**encoder))
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(run_sweep(SweepSpec(axis=axis, grid=grid, base=base)), path)
+    write_sweep_csv(run_sweep(base, axis, grid), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -539,8 +557,7 @@ def test_correlation_study_filters_rows():
 
 
 def test_sweep_csv_round_trip(tmp_path):
-    spec = SweepSpec(axis="window", grid=(2, 3), base=small_run(seeds=(111,)))
-    rows = run_sweep(spec)
+    rows = run_sweep(small_run(seeds=(111,)), "window", (2, 3))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     back = read_sweep_csv(path)

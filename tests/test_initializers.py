@@ -175,6 +175,22 @@ def test_orthogonal_rows_orthonormal_when_wide():
     np.testing.assert_allclose(gram, np.eye(12), atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(6, 3), (3, 6)])
+def test_orthogonal_raises_on_a_degenerate_factor(shape, monkeypatch):
+    # A Gaussian draw is singular with probability zero, so only a patched
+    # factorization reaches the check.
+    real_qr = np.linalg.qr
+
+    def degenerate(a):
+        q, r = real_qr(a)
+        r[-1, -1] = 0.0
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", degenerate)
+    with pytest.raises(RuntimeError, match=rf"failed for shape \({shape[0]}, {shape[1]}\)"):
+        init_matrix(*shape, parse_scheme("orthogonal"), seed=5)
+
+
 def test_parse_scheme_round_trips_labels():
     for label in ALL_LABELS:
         assert scheme_label(parse_scheme(label)) == label
