@@ -155,8 +155,11 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_heads", "n_layers", "d_k", "window_w"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            if value >= 2**63:  # no numpy shape or index could hold it
+                raise ValueError(f"{name} must be < 2**63, got {value}")
         if self.use_attention and self.use_output_linear and self.d_k % self.n_heads != 0:
             raise ValueError(
                 f"d_k={self.d_k} must be divisible by n_heads={self.n_heads} "

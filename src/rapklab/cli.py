@@ -6,8 +6,9 @@ Subcommands: ``simulate`` (write a synthetic dataset), ``smooth-eval``
 (logit concentration across schemes), ``metrics`` (WTE/LSII on label CSVs),
 and ``correlate`` (metric-accuracy correlations over a sweep CSV).
 
-Exit codes: 0 on success, 1 on a usage error or an invalid config value, 2
-when an input file cannot be read or a dataset, label or sweep file is faulty.
+Exit codes: 0 on success, 1 on a usage error, an invalid config value or an
+allocation that fails, 2 when an input file cannot be read or a dataset, label
+or sweep file is faulty.
 """
 
 from __future__ import annotations
@@ -366,7 +367,7 @@ def main(argv=None) -> int:
     except (DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -474,16 +474,13 @@ def _load_subject(root: Path, entry: dict, n_classes: int, feat_dim: int) -> Sub
         raise DatasetError(
             f"{sub_dir}: manifest says t_len={expected_t}, files have {labels.shape[0]}"
         )
-    try:
-        return Subject(
-            subject_id=entry["id"],
-            split=entry["split"],
-            features=FeatureSequence(feats),
-            stages=StageSequence(labels, n_classes),
-            probs=probs,
-        )
-    except ValueError as exc:
-        raise DatasetError(f"{sub_dir}: {exc}") from None
+    return Subject(
+        subject_id=entry["id"],
+        split=entry["split"],
+        features=FeatureSequence(feats),
+        stages=StageSequence(labels, n_classes),
+        probs=probs,
+    )
 
 
 @dataclass(frozen=True)

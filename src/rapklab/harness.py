@@ -126,6 +126,8 @@ class RunConfig:
                 raise ValueError(f"seeds repeat {seed}")
         if self.resolved_metric_window < 2:  # unset, it is the window
             raise ValueError(f"metric_window must be >= 2, got {self.resolved_metric_window}")
+        if self.resolved_metric_window >= 2**63:
+            raise ValueError(f"metric_window must be < 2**63, got {self.resolved_metric_window}")
 
     @property
     def resolved_metric_window(self) -> int:
@@ -493,14 +495,6 @@ def correlation_study(rows: list[dict]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def write_report_json(result: PipelineResult, path: str | Path) -> None:
     payload = {
         "config": result.config,
@@ -508,7 +502,7 @@ def write_report_json(result: PipelineResult, path: str | Path) -> None:
         "per_seed": [asdict(r) for r in result.per_seed],
         "aggregate": result.aggregate,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     Path(path).write_text(text + "\n")
 
 

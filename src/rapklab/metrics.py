@@ -49,8 +49,6 @@ def transition_counts(s: StageSequence) -> np.ndarray:
 def _wte_from_counts(counts: np.ndarray) -> float:
     row_totals = counts.sum(axis=1)
     grand = row_totals.sum()
-    if grand == 0:
-        raise ValueError("no transitions observed")
     out = 0.0
     for c in np.nonzero(row_totals)[0]:
         p = counts[c] / row_totals[c]

@@ -111,7 +111,7 @@ class ProbSequence:
             row = int(np.argmax(bad))
             raise ValueError(
                 f"probability rows must sum to 1 within {PROB_ROWSUM_TOL}; "
-                f"row {row} sums to {sums[row]!r}"
+                f"row {row} sums to {float(sums[row])!r}"
             )
         object.__setattr__(self, "probs", arr)
 

@@ -72,6 +72,9 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
+        for name in ("n_classes", "t_len", "n_subjects", "feat_dim"):
+            if getattr(self, name) >= 2**63:  # no numpy shape could hold it
+                raise ValueError(f"{name} must be < 2**63, got {getattr(self, name)}")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.t_len < 2:

@@ -2,19 +2,27 @@
 
 One test per claim, ordered roughly cheap to expensive. Run with ``-s`` to
 see the measured values behind each pass line; the unit-test files cover the
-same modules at finer grain. The synthetic cohorts and encoder settings here
-are frozen: they are the reference operating point for the library.
+same modules at finer grain. The synthetic cohorts and encoder settings are
+frozen: ``ACC_SYNTH``, ``ACC_ENCODER`` and ``SEEDS`` in ``oracles.py`` are the
+reference operating point for the library.
 """
 
 import itertools
-import math
 import time
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_rapk import rapk_c1_centered
+from oracles import (
+    ACC_ENCODER,
+    ACC_SYNTH,
+    SEEDS,
+    acc_pipeline,
+    naive_lsii,
+    naive_wte,
+    rapk_c1_centered,
+    seq,
+)
 
 from rapklab.attention import EncoderConfig, build_encoder_weights, encoder_forward, softmax_rows
 from rapklab.harness import (
@@ -29,86 +37,14 @@ from rapklab.metrics import lsii, wte
 from rapklab.montecarlo import centered_unit_sequence, dk_sweep_detail, logit_concentration
 from rapklab.rapk import linearized_softmax, rapk_coefficients, rapk_kernel
 from rapklab.seeding import generator, mix_seed
-from rapklab.sequences import FeatureSequence, StageSequence
+from rapklab.sequences import FeatureSequence
 from rapklab.synthgen import SynthConfig
 
 XAVIER = InitScheme("xavier_uniform")
-SEEDS = (111, 222, 333, 444, 555)
-
-# Reference cohort for the smoother comparisons: long noisy recordings with
-# small absolute feature scale (keeps the random encoder in its near-uniform
-# attention regime) and wide features (keeps window means class-separable).
-ACC_SYNTH = SynthConfig(
-    n_classes=5,
-    t_len=1000,
-    n_subjects=20,
-    self_prob=0.92,
-    feat_dim=256,
-    class_sep=0.4,
-    noise_std=0.1,
-    label_noise=0.30,
-    seed=97531,
-)
-
-# Reference encoder: windowed attention with concatenated heads, FFN and
-# layer norm on, residual off so the smoothed context is what the head sees.
-ACC_ENCODER = EncoderConfig(
-    n_heads=8,
-    n_layers=1,
-    d_k=512,
-    window_w=10,
-    use_residual=False,
-    use_positional=False,
-)
 
 # Cohort for the metric-vs-accuracy study: longer stage runs and heavier
 # label noise, so the window sweep spans under- to over-smoothing.
 CORR_SYNTH = replace(ACC_SYNTH, self_prob=0.98, feat_dim=16, label_noise=0.35, seed=24680)
-
-_PIPELINES: dict = {}
-
-
-def acc_pipeline(smoother: str, window: int = 10, d_k: int = 512):
-    key = (smoother, window, d_k)
-    if key not in _PIPELINES:
-        enc = replace(ACC_ENCODER, window_w=window, d_k=d_k)
-        _PIPELINES[key] = run_pipeline(
-            RunConfig(synth=ACC_SYNTH, smoother=smoother, encoder=enc, seeds=SEEDS)
-        )
-    return _PIPELINES[key]
-
-
-def naive_wte(labels) -> float:
-    pairs = list(zip(labels[:-1], labels[1:]))
-    out = 0.0
-    by_source: dict = {}
-    for a, b in pairs:
-        by_source.setdefault(a, []).append(b)
-    for row in by_source.values():
-        ent = 0.0
-        for cnt in Counter(row).values():
-            p = cnt / len(row)
-            ent -= p * math.log(p)
-        out += len(row) / len(pairs) * ent
-    return out
-
-
-def naive_lsii(none_l, corr_l, w: int):
-    terms = []
-    for t in range(len(none_l)):
-        if none_l[t] == corr_l[t]:
-            continue
-        start = (t // w) * w
-        stop = min(start + w, len(none_l))
-        others = [u for u in range(start, stop) if u != t]
-        if not others:
-            continue
-        terms.append(sum(1 for u in others if corr_l[u] == corr_l[t]) / len(others))
-    return sum(terms) / len(terms) if terms else None
-
-
-def seq(labels, n_classes: int = 3) -> StageSequence:
-    return StageSequence(np.array(labels), n_classes)
 
 
 def test_01_metric_oracles_exhaustive():

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from test_acceptance import ACC_ENCODER
+from oracles import ACC_ENCODER, head_weights, per_window_encoder
 
+from rapklab import attention
 from rapklab.attention import (
     _ROLE_HEAD,
     AttentionMatrix,
@@ -23,24 +24,11 @@ from rapklab.attention import (
     softmax_rows,
     window_blocks,
 )
+from rapklab.cli import _DEFAULT_GRIDS
 from rapklab.harness import COMPONENT_BUNDLES
-from rapklab.initializers import InitScheme, make_projection_set
+from rapklab.initializers import InitScheme, make_projection_set, parse_scheme, scheme_label
 from rapklab.seeding import generator, mix_seed
 from rapklab.sequences import FeatureSequence
-
-
-def head_weights(w_qkv: np.ndarray, n_heads: int) -> list[tuple[np.ndarray, ...]]:
-    """Each head's (W_Q, W_K, W_V): its column blocks of a layer's fused matrix,
-    which holds the Q, then the K, then the V columns of every head in order."""
-    d_h = w_qkv.shape[1] // (3 * n_heads)
-    return [tuple(w_qkv[:, (role * n_heads + h) * d_h:][:, :d_h] for role in range(3))
-            for h in range(n_heads)]
-
-
-def head_output(h: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray) -> np.ndarray:
-    """One head, softmax(Q K^T / sqrt(d_k)) V, from plain numpy and softmax_rows."""
-    q, k, v = h @ w_q, h @ w_k, h @ w_v
-    return softmax_rows(q @ k.T / math.sqrt(w_q.shape[1])).rows @ v
 
 
 def test_attention_scores_identity_projection():
@@ -229,15 +217,6 @@ def test_encoder_layernorm_only_standardizes_rows():
     np.testing.assert_allclose(out.mean(axis=1), np.zeros(4), atol=1e-12)
 
 
-def test_encoder_heads_averaged_without_output_linear():
-    cfg = all_off(use_attention=True, n_heads=2, d_k=4)
-    x = FeatureSequence(generator(8, 0x13).standard_normal((3, 4)))
-    weights = build_encoder_weights(cfg, 4)
-    outs = [head_output(x.data, *ws) for ws in head_weights(weights.layers[0].w_qkv, 2)]
-    expected = (outs[0] + outs[1]) / 2.0
-    np.testing.assert_allclose(encoder_forward(x, cfg, weights).data, expected, atol=1e-12)
-
-
 def test_window_blocks_fixtures():
     assert window_blocks(10, 5) == [(0, 10, 5)]
     assert window_blocks(7, 3) == [(0, 6, 3), (6, 7, 1)]
@@ -256,55 +235,105 @@ def test_window_blocks_validation():
         window_blocks(10, 0)
 
 
-def per_window_encoder(x: FeatureSequence, cfg: EncoderConfig, weights) -> np.ndarray:
-    """Reference encoder: each window on its own, each head from ``head_output``
-    on its column blocks of the fused Q/K/V matrix."""
-    parts = []
-    for start in range(0, x.t_len, cfg.window_w):
-        h = x.data[start:start + cfg.window_w]
-        if cfg.use_positional:
-            h = h + weights.positional[: len(h)]
-        for lw in weights.layers:
-            if cfg.use_attention:
-                outs = [head_output(h, *ws) for ws in head_weights(lw.w_qkv, cfg.n_heads)]
-                if cfg.use_output_linear:
-                    att = np.concatenate(outs, axis=1) @ lw.w_out
-                else:
-                    att = np.mean(outs, axis=0)
-                h = h + att if cfg.use_residual else att
-            if cfg.use_layernorm:
-                h = layer_norm_rows(h)
-            if cfg.use_ffn:
-                f = np.maximum(h @ lw.w_ff1, 0.0) @ lw.w_ff2
-                h = h + f if cfg.use_residual else f
-                if cfg.use_layernorm:
-                    h = layer_norm_rows(h)
-        parts.append(h)
-    return np.concatenate(parts, axis=0)
+# Generated shapes for the per-window oracle check. Each case draws a
+# component bundle in turn, then heads, layers, widths, window, length,
+# positional rows and a default init scheme from one seeded stream.
+_INIT_LABELS = _DEFAULT_GRIDS["init"].split(",")
 
 
-@pytest.mark.parametrize("t_len, overrides", [
-    pytest.param(10, dict(window_w=4), id="ragged_tail"),
-    pytest.param(7, dict(window_w=4, use_positional=True), id="positional_tail"),
-    pytest.param(3, dict(window_w=6, use_positional=True), id="shorter_than_window"),
-    pytest.param(12, dict(window_w=4, n_layers=2), id="two_layers"),
-    pytest.param(9, dict(window_w=3, use_layernorm=False, use_ffn=False), id="residual"),
-    pytest.param(10, dict(window_w=4, use_output_linear=False, use_residual=False, d_k=6),
-                 id="heads_averaged"),
-    # One cell per head: numpy's mean sums these 11 heads pairwise, the
+@dataclass(frozen=True)
+class _Case:
+    cfg: EncoderConfig
+    bundle: str
+    t_len: int
+    d: int
+
+
+def _generated_cases(n: int = 240) -> list[_Case]:
+    rng = generator(13, 0x18)
+    bundles = list(COMPONENT_BUNDLES)
+    cases = []
+    for i in range(n):
+        bundle = bundles[i % len(bundles)]
+        flags = COMPONENT_BUNDLES[bundle]
+        n_heads = int(rng.choice([1, 2, 3, 4, 8, 11]))
+        concat = flags["use_attention"] and flags["use_output_linear"]
+        d_k = n_heads * int(rng.integers(1, 5)) if concat else int(rng.integers(1, 9))
+        t_len = int(rng.integers(1, 25))
+        cfg = EncoderConfig(
+            n_heads=n_heads, n_layers=int(rng.integers(1, 3)), d_k=d_k,
+            window_w=int(rng.integers(1, t_len + 4)),
+            init=parse_scheme(_INIT_LABELS[int(rng.integers(len(_INIT_LABELS)))]),
+            seed=int(rng.integers(2**63)),
+            **{**flags, "use_positional": bool(rng.random() < 0.4)},
+        )
+        cases.append(_Case(cfg, bundle, t_len, int(rng.integers(1, 9))))
+    return cases
+
+
+def _ragged(c: _Case) -> bool:
+    return c.cfg.use_attention and c.t_len > c.cfg.window_w and c.t_len % c.cfg.window_w != 0
+
+
+def _head_mean(c: _Case) -> bool:
+    return c.cfg.use_attention and not c.cfg.use_output_linear
+
+
+# The shapes the generated set must hold; those of the windows count only
+# with attention on. The first case that shows a shape not yet named is named
+# after it; the other cases are numbered.
+_SHAPES = {
+    "window_1": lambda c: c.cfg.use_attention and c.cfg.window_w == 1,
+    "shorter_than_window": lambda c: c.cfg.use_attention and c.cfg.window_w > c.t_len,
+    "t_len_1": lambda c: c.cfg.use_attention and c.t_len == 1,
+    "two_layers": lambda c: c.cfg.use_attention and c.cfg.n_layers == 2,
+    "ragged_tail": _ragged,
+    "positional_tail": lambda c: c.cfg.use_positional and _ragged(c),
+    "residual": lambda c: c.cfg.use_attention and c.cfg.use_residual,
+    "heads_averaged": lambda c: _head_mean(c) and c.cfg.n_heads >= 2,
+    # One cell per head: numpy's mean sums 8 or more heads pairwise, the
     # encoder's running sum adds them in order, so they agree to rounding.
-    pytest.param(1, dict(window_w=1, n_heads=11, d_k=1, use_output_linear=False,
-                         use_residual=False, use_layernorm=False, use_ffn=False),
-                 id="heads_averaged_single_cell"),
-])
-def test_encoder_forward_matches_per_window_oracle(t_len, overrides):
+    "heads_averaged_single_cell": lambda c: (_head_mean(c) and c.cfg.n_heads >= 8
+                                             and c.cfg.d_k == 1),
+    **{f"bundle_{name}": (lambda c, name=name: c.bundle == name) for name in COMPONENT_BUNDLES},
+    **{f"init_{label}": (lambda c, label=label: scheme_label(c.cfg.init) == label)
+       for label in _INIT_LABELS},
+}
+
+
+def _case_ids(cases: list[_Case]) -> list[str]:
+    unnamed = dict(_SHAPES)
+    ids = []
+    for i, c in enumerate(cases):
+        name = next((shape for shape, shows in unnamed.items() if shows(c)), None)
+        unnamed.pop(name, None)
+        ids.append(name or f"case_{i:03d}")
+    return ids
+
+
+_CASES = _generated_cases()
+_CASE_IDS = _case_ids(_CASES)
+
+
+def test_generated_encoder_cases_hold_every_shape():
+    assert len(_CASES) >= 200
+    assert set(_SHAPES) <= set(_CASE_IDS)
+
+
+@pytest.mark.parametrize("case", _CASES, ids=_CASE_IDS)
+def test_encoder_forward_matches_per_window_oracle(case, monkeypatch):
     # Batching the windows reorders floating-point sums in the matmuls, so
-    # agreement is to rounding (observed up to 6e-15), not bit for bit.
-    cfg = EncoderConfig(**{**dict(n_heads=2, d_k=8, seed=31), **overrides})
-    x = FeatureSequence(generator(9, 0x14).standard_normal((t_len, 8)))
-    weights = build_encoder_weights(cfg, 8)
-    got = encoder_forward(x, cfg, weights).data
-    np.testing.assert_allclose(got, per_window_encoder(x, cfg, weights), rtol=0, atol=1e-12)
+    # agreement is to rounding (observed up to 2.6e-15 of the largest
+    # magnitude), not bit for bit. It holds as the tiles fall and again with
+    # one window to a tile.
+    x = FeatureSequence(generator(9, 0x14, case.cfg.seed).standard_normal((case.t_len, case.d)))
+    weights = build_encoder_weights(case.cfg, case.d)
+    want = per_window_encoder(x, case.cfg, weights)
+    tol = 1e-12 * np.abs(want).max()
+    np.testing.assert_allclose(encoder_forward(x, case.cfg, weights).data, want, rtol=0, atol=tol)
+    monkeypatch.setattr(attention, "_TILE_BYTES", 1)
+    assert _tile_rows(case.cfg, weights) == case.cfg.window_w
+    np.testing.assert_allclose(encoder_forward(x, case.cfg, weights).data, want, rtol=0, atol=tol)
 
 
 def test_encoder_forward_transient_memory():

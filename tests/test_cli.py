@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from oracles import closed_form_kernel
 
 from rapklab import cli, dataio, harness, initializers, synthgen
 from rapklab.attention import EncoderConfig
@@ -23,17 +24,6 @@ SYNTH = {
     "class_sep": 2.0, "noise_std": 0.4, "label_noise": 0.2, "seed": 5,
 }
 ENCODER = {"n_heads": 2, "d_k": 8, "window_w": 5}
-
-
-def closed_form_kernel(rows: np.ndarray, d_k: int, var: float) -> np.ndarray:
-    # C0 11^T + C1 X X^T for equal projection variances, from the formulas in
-    # the rapk module docstring.
-    t = rows.shape[0]
-    gram = rows @ rows.T
-    centered = rows - rows.mean(axis=0)
-    c0 = d_k * var * gram.sum() / t**2
-    c1 = d_k * var**3 * np.sum((centered @ centered.T) * gram) / t**2
-    return c0 + c1 * gram
 
 
 @pytest.fixture()
@@ -412,6 +402,26 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
     *(pytest.param(["simulate", "--subjects", n], f"n_subjects must be >= 3, got {n}",
                    id=f"simulate_subjects_{n}")
       for n in ("1", "2")),
+    *(pytest.param(["smooth-eval", flag, "0"], f"{name} must be >= 1, got 0",
+                   id=f"smooth-eval_{name}_0")
+      for flag, name in (("--heads", "n_heads"), ("--layers", "n_layers"), ("--dk", "d_k"))),
+    # A size of 2**63 or more fits no numpy shape or index. It was an
+    # OverflowError traceback from the smoothers, numpy's "Maximum allowed
+    # dimension exceeded" (after simulate had made --out), or, for the random
+    # transformer's window, a report that held it.
+    *(pytest.param(["smooth-eval", "--smoother", smoother, "--window", str(2**64)],
+                   f"window_w must be < 2**63, got {2**64}",
+                   id=f"smooth-eval_{smoother}_window_2**64")
+      for smoother in ("median", "moving_average", "random_transformer")),
+    pytest.param(["sweep", "--smoother", "median", "--axis", "window", "--grid", f"3,{2**64}"],
+                 f"window_w must be < 2**63, got {2**64}", id="sweep_median_window_2**64"),
+    pytest.param(["smooth-eval", "--smoother", "random_transformer", "--metric-window",
+                  str(2**64)], f"metric_window must be < 2**63, got {2**64}",
+                 id="smooth-eval_metric_window_2**64"),
+    pytest.param(["smooth-eval", "--smoother", "random_transformer", "--dk", str(2**64)],
+                 f"d_k must be < 2**63, got {2**64}", id="smooth-eval_dk_2**64"),
+    pytest.param(["simulate", "--t-len", str(2**64)], f"t_len must be < 2**63, got {2**64}",
+                 id="simulate_t_len_2**64"),
 ])
 def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tmp_path,
                                                    monkeypatch, capsys):
@@ -428,12 +438,17 @@ def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tm
 
 
 # Faults met only part way through a run: a train split that misses a class,
-# and a test subject without probs.csv under a smoother that reads them.
+# a test subject without probs.csv under a smoother that reads them, and a
+# train subject whose probs.csv is one row short or holds a row that is not a
+# probability vector.
+_FOUR_SUBJECTS = ["--classes", "3", "--t-len", "20", "--subjects", "4", "--feat-dim", "4",
+                  "--seed", "1"]
 _MID_RUN_FLAGS = {
     "train_misses_a_class": ["--subjects", "3", "--t-len", "5", "--feat-dim", "5",
                              "--self-prob", "1", "--label-noise", "1"],
-    "test_subject_without_probs": ["--classes", "3", "--t-len", "20", "--subjects", "4",
-                                   "--feat-dim", "4", "--seed", "1"],
+    "test_subject_without_probs": _FOUR_SUBJECTS,
+    "probs_row_short": _FOUR_SUBJECTS,
+    "probs_row_not_a_distribution": _FOUR_SUBJECTS,
 }
 
 
@@ -444,23 +459,54 @@ _MID_RUN_FLAGS = {
     ("train_misses_a_class", "none"),
     ("test_subject_without_probs", "median"),
     ("test_subject_without_probs", "moving_average"),
+    ("probs_row_short", "none"),
+    ("probs_row_not_a_distribution", "median"),
 ])
 def test_dataset_faults_found_mid_run_are_one_error_line(case, smoother, command, tmp_path,
                                                          capsys):
     root = tmp_path / "ds"
     assert main(["simulate", "--out", str(root), *_MID_RUN_FLAGS[case]]) == 0
+    subjects = json.loads((root / "manifest.json").read_text())["subjects"]
     if case == "train_misses_a_class":
         message = f"{root}: class 0 has no training examples; cannot place a centroid"
-    else:
-        manifest = json.loads((root / "manifest.json").read_text())
-        sub_id = [e["id"] for e in manifest["subjects"] if e["split"] == "test"][-1]
+    elif case == "test_subject_without_probs":
+        sub_id = [e["id"] for e in subjects if e["split"] == "test"][-1]
         (root / sub_id / "probs.csv").unlink()
         message = (f"{root}: smoother {smoother!r} needs per-epoch probabilities, "
                    f"but {sub_id} has none")
+    else:
+        sub_dir = root / next(e["id"] for e in subjects if e["split"] == "train")
+        lines = (sub_dir / "probs.csv").read_text().splitlines()
+        if case == "probs_row_short":
+            lines.pop()
+            message = f"{sub_dir}: probs.csv has 19 rows but labels.csv has 20"
+        else:
+            lines[1] = "1.0,0.5,0.0"
+            message = (f"{sub_dir / 'probs.csv'}: probability rows must sum to 1 within 1e-06; "
+                       "row 0 sums to 1.5")
+        (sub_dir / "probs.csv").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     out = tmp_path / "out"
     assert main([*command, "--dataset", str(root), "--smoother", smoother,
                  "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_an_allocation_failure_is_one_error_line(run_config, tmp_path, monkeypatch, capsys):
+    # A size that passes every check yet cannot be allocated: the draw is made
+    # to fail as numpy fails, since whether a huge allocation fails at once
+    # depends on the host's overcommit policy.
+    message = ("Unable to allocate 192. TiB for an array with shape (8, 3, 2, 549755813888) "
+               "and data type float64")
+
+    def draw(cfg, d):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "build_encoder_weights", draw)
+    out = tmp_path / "out"
+    assert main(["smooth-eval", "--config", str(run_config), "--smoother", "random_transformer",
+                 "--dk", str(2**40), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -781,6 +827,10 @@ _BAD_MANIFEST_FIELDS = {
     "float_n_classes": ("n_classes", 2.5, "n_classes must be an integer >= 1"),
     "zero_feat_dim": ("feat_dim", 0, "feat_dim must be an integer >= 1"),
     "bool_feat_dim": ("feat_dim", True, "feat_dim must be an integer >= 1"),
+    "missing_subjects_key": (None, {"format": "rapklab-dataset", "n_classes": 3, "feat_dim": 4},
+                             "missing key 'subjects'"),
+    "rejected_synth_config": ("synth_config", {"n_classes": 1},
+                              "bad synth_config (n_classes must be >= 2, got 1)"),
 }
 
 

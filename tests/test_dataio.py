@@ -84,6 +84,10 @@ def test_corrupt_manifest(small_dataset, tmp_path):
     (root / "manifest.json").write_text(json.dumps({"format": "other"}))
     with pytest.raises(DatasetError, match="unrecognized format"):
         load_dataset(root)
+    (root / "manifest.json").write_text(json.dumps(
+        {"format": "rapklab-dataset", "n_classes": 3, "feat_dim": 4, "subjects": []}))
+    with pytest.raises(DatasetError, match="dataset must contain at least one subject"):
+        load_dataset(root)
 
 
 def test_label_out_of_range_names_row(small_dataset, tmp_path):

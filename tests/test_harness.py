@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_acceptance import ACC_ENCODER, ACC_SYNTH, SEEDS, acc_pipeline
+from oracles import ACC_ENCODER, ACC_SYNTH, SEEDS, acc_pipeline
 
 from rapklab import dataio, synthgen
 from rapklab.attention import EncoderConfig

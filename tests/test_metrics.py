@@ -1,11 +1,11 @@
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from oracles import naive_lsii, naive_wte, seq
 
 from rapklab.metrics import (
     EvalReport,
@@ -21,40 +21,6 @@ from rapklab.metrics import (
 )
 from rapklab.seeding import generator
 from rapklab.sequences import StageSequence
-
-
-def naive_wte(labels, n_classes: int) -> float:
-    # Dict-and-loop reimplementation, no shared code with the production path.
-    pairs = list(zip(labels[:-1], labels[1:]))
-    out = 0.0
-    for c in range(n_classes):
-        row = [b for a, b in pairs if a == c]
-        if not row:
-            continue
-        ent = 0.0
-        for cnt in Counter(row).values():
-            p = cnt / len(row)
-            ent -= p * math.log(p)
-        out += len(row) / len(pairs) * ent
-    return out
-
-
-def naive_lsii(none, corr, w: int):
-    terms = []
-    for t in range(len(none)):
-        if none[t] == corr[t]:
-            continue
-        start = (t // w) * w
-        stop = min(start + w, len(none))
-        others = [u for u in range(start, stop) if u != t]
-        if not others:
-            continue
-        terms.append(sum(1 for u in others if corr[u] == corr[t]) / len(others))
-    return sum(terms) / len(terms) if terms else None
-
-
-def seq(labels, n_classes: int) -> StageSequence:
-    return StageSequence(np.array(labels), n_classes)
 
 
 def test_transition_counts_fixture():
@@ -96,7 +62,7 @@ def test_wte_matches_naive_exhaustively():
     for t_len in range(2, 6):
         for labels in itertools.product(range(3), repeat=t_len):
             got = wte(seq(labels, 3))
-            assert got == pytest.approx(naive_wte(labels, 3), abs=1e-12), labels
+            assert got == pytest.approx(naive_wte(labels), abs=1e-12), labels
 
 
 def test_wte_pooled_does_not_cross_boundaries():
@@ -109,22 +75,8 @@ def test_wte_pooled_does_not_cross_boundaries():
 def test_wte_pooled_matches_count_merge():
     rng = generator(1, 0x51)
     seqs = [StageSequence(rng.integers(0, 3, size=25), 3) for _ in range(4)]
-    pooled = wte_pooled(seqs)
-    merged = Counter()
-    for s in seqs:
-        merged.update(zip(s.labels[:-1].tolist(), s.labels[1:].tolist()))
-    total = sum(merged.values())
-    want = 0.0
-    for c in range(3):
-        row_n = sum(v for (a, _), v in merged.items() if a == c)
-        if row_n == 0:
-            continue
-        ent = 0.0
-        for (a, _), v in merged.items():
-            if a == c:
-                ent -= v / row_n * math.log(v / row_n)
-        want += row_n / total * ent
-    assert pooled == pytest.approx(want, abs=1e-12)
+    want = naive_wte(*(s.labels.tolist() for s in seqs))
+    assert wte_pooled(seqs) == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError):
         wte_pooled([])
     with pytest.raises(ValueError, match="n_classes"):

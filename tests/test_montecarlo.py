@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
+from oracles import closed_form_kernel, head_output
 
-from rapklab.attention import (
-    EncoderConfig,
-    EncoderWeights,
-    LayerWeights,
-    encoder_forward,
-    softmax_rows,
-)
+from rapklab.attention import EncoderConfig, EncoderWeights, LayerWeights, encoder_forward
 from rapklab.initializers import InitScheme, analytic_variance, make_projection_set, parse_scheme
 from rapklab.montecarlo import (
     centered_unit_sequence,
@@ -28,10 +23,9 @@ def symmetrised_gram(o: np.ndarray) -> np.ndarray:
 
 
 def manual_trial_kernel(x: FeatureSequence, scheme: InitScheme, d_k: int, sub_seed: int):
-    # softmax(Q K^T / sqrt(d_k)) X W_V and its Gram, written out apart from
-    # the attention module's own step.
-    q, k, v = (x.data @ w for w in make_projection_set(x.dim, d_k, scheme, sub_seed))
-    return symmetrised_gram(softmax_rows(q @ k.T / np.sqrt(d_k)).rows @ v)
+    # The Gram of one trial's head, apart from the attention module's own step.
+    proj = make_projection_set(x.dim, d_k, scheme, sub_seed)
+    return symmetrised_gram(head_output(x.data, *proj))
 
 
 def manual_mean_kernel(x: FeatureSequence, scheme: InitScheme, d_k: int, trials: int,
@@ -53,19 +47,6 @@ def mean_kernel(x: FeatureSequence, scheme: InitScheme, d_k: int, trials: int, s
     # trials draw from the point's sub-seed mix_seed(seed, 0, 0).
     (_, _, kernel, _), = dk_sweep_detail([x], scheme, [d_k], trials, seed)[2]
     return kernel
-
-
-def closed_form_kernel(x: FeatureSequence, d_k: int, var: float) -> np.ndarray:
-    # C0 11^T + C1 X X^T for equal projection variances, straight from the
-    # module formulas: C0 = d_k var sum_pq x_p.x_q / T^2 and
-    # C1 = d_k var^3 sum_pq ((x_p - mu).(x_q - mu)) (x_p.x_q) / T^2.
-    rows = x.data
-    t = rows.shape[0]
-    gram = rows @ rows.T
-    centered = rows - rows.mean(axis=0)
-    c0 = d_k * var * gram.sum() / t**2
-    c1 = d_k * var**3 * np.sum((centered @ centered.T) * gram) / t**2
-    return c0 + c1 * gram
 
 
 def small_sequence(seed: int = 0) -> FeatureSequence:
@@ -223,7 +204,7 @@ def test_dk_sweep_detail_consistent_with_report():
             oracle = manual_mean_kernel(x, XAVIER, d_k, 120, mix_seed(17, di, si))
             np.testing.assert_array_equal(emp, oracle)
             var = analytic_variance(XAVIER, x.dim, d_k)
-            np.testing.assert_allclose(theory, closed_form_kernel(x, d_k, var), rtol=1e-12)
+            np.testing.assert_allclose(theory, closed_form_kernel(x.data, d_k, var), rtol=1e-12)
             pearsons.append(pearson(emp, theory))
         assert report.pearson_per_dk[di] == float(np.mean(pearsons))
 

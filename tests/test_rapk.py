@@ -1,32 +1,11 @@
 import numpy as np
 import pytest
+from oracles import brute_coefficients, rapk_c1_centered
 
 from rapklab.attention import softmax_rows
 from rapklab.rapk import linearized_softmax, rapk_coefficients, rapk_kernel
 from rapklab.seeding import generator
 from rapklab.sequences import FeatureSequence
-
-
-def brute_coefficients(rows: np.ndarray, d_k: int, sq2: float, sk2: float, sv2: float):
-    # Literal nested-loop evaluation of both double sums, kept deliberately
-    # separate from the vectorized production path.
-    t = rows.shape[0]
-    mu = rows.mean(axis=0)
-    c0 = 0.0
-    c1 = 0.0
-    for p in range(t):
-        for q in range(t):
-            dot = float(rows[p] @ rows[q])
-            c0 += dot
-            c1 += float((rows[p] - mu) @ (rows[q] - mu)) * dot
-    return d_k * sv2 * c0 / t**2, d_k * sv2 * sq2 * sk2 * c1 / t**2
-
-
-def rapk_c1_centered(x: FeatureSequence, d_k: int, sq2: float, sk2: float, sv2: float) -> float:
-    # C1 via the centered-input shortcut ||X X^T||_F^2. It assumes the mean
-    # feature row is zero; for other input it differs from the general formula.
-    gram = x.data @ x.data.T
-    return d_k * sv2 * sq2 * sk2 * float(np.sum(gram * gram)) / x.t_len**2
 
 
 def logit_second_moment(x: FeatureSequence, i, p, j, q, sq2: float, sk2: float) -> float:

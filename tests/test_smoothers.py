@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_acceptance import ACC_ENCODER, ACC_SYNTH
+from oracles import ACC_ENCODER, ACC_SYNTH
 
 from rapklab.attention import EncoderConfig, build_encoder_weights
 from rapklab.seeding import generator

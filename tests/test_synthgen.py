@@ -152,6 +152,10 @@ def test_synth_config_validation():
         cfg(class_sep=0.0)
     with pytest.raises(ValueError, match="label_noise"):
         cfg(label_noise=-0.1)
+    with pytest.raises(ValueError, match="t_len must be >= 2, got 1"):
+        cfg(t_len=1)
+    with pytest.raises(ValueError, match="noise_std must be >= 0, got -0.1"):
+        cfg(noise_std=-0.1)
 
 
 def test_make_dataset_contract():
