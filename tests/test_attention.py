@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from oracles import ACC_ENCODER, head_weights, per_window_encoder
+from oracles import ACC_ENCODER, head_output, head_weights, per_window_encoder
 
 from rapklab import attention
 from rapklab.attention import (
@@ -215,6 +215,15 @@ def test_encoder_layernorm_only_standardizes_rows():
     x = FeatureSequence(generator(7, 0x12).standard_normal((4, 6)) * 5.0)
     out = encoder_forward(x, cfg).data
     np.testing.assert_allclose(out.mean(axis=1), np.zeros(4), atol=1e-12)
+
+
+def test_encoder_heads_averaged_without_output_linear():
+    cfg = all_off(use_attention=True, n_heads=2, d_k=4)
+    x = FeatureSequence(generator(8, 0x13).standard_normal((3, 4)))
+    weights = build_encoder_weights(cfg, 4)
+    outs = [head_output(x.data, *ws) for ws in head_weights(weights.layers[0].w_qkv, 2)]
+    expected = (outs[0] + outs[1]) / 2.0
+    np.testing.assert_allclose(encoder_forward(x, cfg, weights).data, expected, atol=1e-12)
 
 
 def test_window_blocks_fixtures():
