@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .initializers import InitScheme, init_matrix, make_projection_set, scheme_label
-from .seeding import mix_seed
+from .seeding import check_size, mix_seed
 from .sequences import FeatureSequence
 
 __all__ = [
@@ -155,11 +155,8 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_heads", "n_layers", "d_k", "window_w"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            if value >= 2**63:  # no numpy shape or index could hold it
-                raise ValueError(f"{name} must be < 2**63, got {value}")
+            if check_size(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.use_attention and self.use_output_linear and self.d_k % self.n_heads != 0:
             raise ValueError(
                 f"d_k={self.d_k} must be divisible by n_heads={self.n_heads} "

@@ -368,7 +368,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, FloatingPointError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A MemoryError the interpreter raises has no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

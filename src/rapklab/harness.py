@@ -30,7 +30,7 @@ from .metrics import (
     weighted_f1,
     wte_pooled,
 )
-from .seeding import check_seed
+from .seeding import check_seed, check_size
 from .sequences import StageSequence
 from .smoothers import (
     CentroidSums,
@@ -124,10 +124,8 @@ class RunConfig:
             check_seed(seed)
             if seed in self.seeds[:i]:
                 raise ValueError(f"seeds repeat {seed}")
-        if self.resolved_metric_window < 2:  # unset, it is the window
+        if check_size("metric_window", self.resolved_metric_window) < 2:  # unset, it is the window
             raise ValueError(f"metric_window must be >= 2, got {self.resolved_metric_window}")
-        if self.resolved_metric_window >= 2**63:
-            raise ValueError(f"metric_window must be < 2**63, got {self.resolved_metric_window}")
 
     @property
     def resolved_metric_window(self) -> int:

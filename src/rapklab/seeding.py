@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MASK64", "check_seed", "splitmix64", "mix_seed", "generator"]
+__all__ = ["MASK64", "check_seed", "check_size", "splitmix64", "mix_seed", "generator"]
 
 MASK64 = (1 << 64) - 1
 
@@ -32,6 +32,13 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed
+
+
+def check_size(name: str, value: int) -> int:
+    """Return ``value`` if it is below 2**63; no numpy shape or index could hold it."""
+    if value >= 2**63:
+        raise ValueError(f"{name} must be < 2**63, got {value}")
+    return value
 
 
 def mix_seed(seed: int, *streams: int) -> int:

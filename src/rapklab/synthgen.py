@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import check_seed, generator, mix_seed
+from .seeding import check_seed, check_size, generator, mix_seed
 from .sequences import FeatureSequence, ProbSequence, StageSequence
 
 __all__ = [
@@ -73,8 +73,7 @@ class SynthConfig:
     def __post_init__(self) -> None:
         check_seed(self.seed)
         for name in ("n_classes", "t_len", "n_subjects", "feat_dim"):
-            if getattr(self, name) >= 2**63:  # no numpy shape could hold it
-                raise ValueError(f"{name} must be < 2**63, got {getattr(self, name)}")
+            check_size(name, getattr(self, name))
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.t_len < 2:

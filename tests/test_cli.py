@@ -493,21 +493,28 @@ def test_dataset_faults_found_mid_run_are_one_error_line(case, smoother, command
     assert not out.exists()
 
 
-def test_an_allocation_failure_is_one_error_line(run_config, tmp_path, monkeypatch, capsys):
+_NUMPY_ALLOCATION = ("Unable to allocate 192. TiB for an array with shape "
+                     "(8, 3, 2, 549755813888) and data type float64")
+
+
+@pytest.mark.parametrize("raised, line", [
+    pytest.param(MemoryError(_NUMPY_ALLOCATION), _NUMPY_ALLOCATION, id="numpy"),
+    # The interpreter's own MemoryError (a list or bytes allocation) has no message.
+    pytest.param(MemoryError(), "MemoryError", id="interpreter"),
+])
+def test_an_allocation_failure_is_one_error_line(run_config, tmp_path, monkeypatch, capsys,
+                                                 raised, line):
     # A size that passes every check yet cannot be allocated: the draw is made
     # to fail as numpy fails, since whether a huge allocation fails at once
     # depends on the host's overcommit policy.
-    message = ("Unable to allocate 192. TiB for an array with shape (8, 3, 2, 549755813888) "
-               "and data type float64")
-
     def draw(cfg, d):
-        raise MemoryError(message)
+        raise raised
 
     monkeypatch.setattr(harness, "build_encoder_weights", draw)
     out = tmp_path / "out"
     assert main(["smooth-eval", "--config", str(run_config), "--smoother", "random_transformer",
                  "--dk", str(2**40), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {line}\n"
     assert not out.exists()
 
 
