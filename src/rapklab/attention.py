@@ -188,8 +188,6 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
     Pure function of (cfg, d): repeated calls return identical weights, which
     is what freezes the encoder across windows and runs.
     """
-    if d < 1:
-        raise ValueError(f"input width must be >= 1, got {d}")
     width = d
     layers: list[LayerWeights] = []
     for li in range(cfg.n_layers):

@@ -41,7 +41,7 @@ from .harness import (
 from .initializers import parse_scheme, scheme_label
 from .metrics import lsii, wte
 from .montecarlo import centered_unit_sequence, dk_sweep_detail, logit_concentration
-from .seeding import generator, mix_seed
+from .seeding import check_size, generator, mix_seed
 from .sequences import FeatureSequence, StageSequence
 from .synthgen import SynthConfig, iter_subjects
 
@@ -183,6 +183,13 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValueError(f"bad {what}: {text!r}") from None
 
 
+def _check_count(flag: str, value: int, low: int = 1) -> int:
+    # A count flag is checked where the command reads it, before any draw.
+    if check_size(flag, value) < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
 def _overrides(args, cls: type) -> dict:
     """The flags given on the command line that set a field of dataclass ``cls``.
 
@@ -253,12 +260,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_kernel_validate(args) -> int:
     grid = _parse_int_list(args.dk_grid, "--dk-grid")
     scheme = parse_scheme(args.scheme)
-    if args.sequences < 1:
-        raise ValueError("--sequences must be >= 1")
-    x_set = [
+    # dk_sweep_detail checks the grid and --trials before it draws a sequence.
+    x_set = (
         centered_unit_sequence(args.t_len, args.dim, mix_seed(args.seed, i))
-        for i in range(args.sequences)
-    ]
+        for i in range(_check_count("--sequences", args.sequences))
+    )
     report, blocks, kernels = dk_sweep_detail(x_set, scheme, grid, args.trials, args.seed)
     out = _ensure_out(args)
     payload = asdict(report)
@@ -288,9 +294,11 @@ def _cmd_logit_stats(args) -> int:
     for flag, items in (("--dk-grid", grid), ("--schemes", [scheme_label(s) for s in schemes])):
         if not items or len(set(items)) < len(items):
             raise ValueError(f"{flag} must be a non-empty list without repeats, got {items}")
+    shape = (_check_count("--t-len", args.t_len), _check_count("--dim", args.dim))
+    _check_count("--trials", args.trials)
     rng = generator(args.seed, 0xDD)
     with np.errstate(over="ignore"):  # rows that overflow fail in FeatureSequence
-        x = FeatureSequence(args.row_scale * rng.standard_normal((args.t_len, args.dim)))
+        x = FeatureSequence(args.row_scale * rng.standard_normal(shape))
     # One call per (d_k, layernorm) setting, each returning a report per scheme.
     settings = [
         logit_concentration(x, schemes, d_k, with_ln, args.trials,
@@ -312,8 +320,8 @@ def _cmd_logit_stats(args) -> int:
 
 
 def _stage_sequences(paths: list[Path], n_classes: int | None) -> list[StageSequence]:
-    if n_classes is not None and n_classes < 1:
-        raise ValueError(f"--classes must be >= 1, got {n_classes}")
+    if n_classes is not None:
+        _check_count("--classes", n_classes)
     labels = [read_label_csv(path, n_classes) for path in paths]
     # Without --classes the label space is the smallest that holds every file.
     c = n_classes if n_classes is not None else max(int(a.max()) for a in labels) + 1
@@ -324,17 +332,20 @@ def _cmd_metrics(args) -> int:
     out: dict = {}
     if args.labels is not None:
         labels = _stage_sequences([args.labels], args.classes)
-        try:  # what wte rejects, as too few rows, is the label file
+        try:
             out["wte"] = wte(*labels)
         except ValueError as exc:
+            # Too few rows is the label file's fault, and so is a transition
+            # table too large to make, unless --classes set the label space.
+            if args.classes is not None and labels[0].t_len >= 2:
+                raise ValueError(f"--classes {args.classes}: {exc}") from None
             raise DatasetError(f"{args.labels}: {exc}") from None
     if (args.none is None) != (args.corr is None):
         raise ValueError("LSII needs both --none and --corr")
     if args.none is not None:
         if args.window is None:
             raise ValueError("LSII needs --window")
-        if args.window < 2:
-            raise ValueError(f"--window must be >= 2, got {args.window}")
+        _check_count("--window", args.window, 2)
         pair = _stage_sequences([args.none, args.corr], args.classes)
         try:  # with the window checked, what lsii rejects is the pair of files
             out["lsii"] = lsii(*pair, args.window)

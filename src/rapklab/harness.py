@@ -380,15 +380,6 @@ def _aggregate(reports: list[EvalReport]) -> dict:
     return out
 
 
-def _parse_heads_layers(value) -> tuple[int, int]:
-    parts = value if isinstance(value, (tuple, list)) else str(value).split("x")
-    try:
-        layers, heads = (int(part) for part in parts)
-    except ValueError:
-        raise ValueError(f"heads_layers value must look like '1x8', got {value!r}") from None
-    return layers, heads
-
-
 def apply_axis(base: RunConfig, axis: str, value) -> tuple[object, RunConfig]:
     """Specialize ``base`` to one grid point of ``axis``: the point's label
     and its config. An init scheme or a heads_layers point is labelled in its
@@ -401,10 +392,13 @@ def apply_axis(base: RunConfig, axis: str, value) -> tuple[object, RunConfig]:
     if axis == "d_k":
         return value, replace(base, encoder=replace(enc, d_k=int(value)))
     if axis == "init":
-        scheme = value if not isinstance(value, str) else parse_scheme(value)
+        scheme = parse_scheme(value)
         return scheme_label(scheme), replace(base, encoder=replace(enc, init=scheme))
     if axis == "heads_layers":
-        layers, heads = _parse_heads_layers(value)
+        try:
+            layers, heads = (int(part) for part in value.split("x"))
+        except ValueError:
+            raise ValueError(f"heads_layers value must look like '1x8', got {value!r}") from None
         cfg = replace(base, encoder=replace(enc, n_layers=layers, n_heads=heads))
         return f"{layers}x{heads}", cfg
     if axis == "components":
@@ -482,7 +476,7 @@ def correlation_study(rows: list[dict]) -> tuple[float, float]:
     """
     usable = [
         r for r in rows
-        if isinstance(r["seed"], (int, np.integer)) and r["lsii"] is not None
+        if isinstance(r["seed"], int) and r["lsii"] is not None
     ]
     if len(usable) < 3:
         raise ValueError(f"need at least 3 per-seed rows with LSII, got {len(usable)}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import check_seed, mix_seed
+from .seeding import MAX_SCALE, check_seed, mix_seed
 
 __all__ = [
     "SCHEME_KINDS",
@@ -33,30 +33,16 @@ __all__ = [
     "scheme_label",
 ]
 
-# The CLI label of each kind. A scaled kind's label is this prefix followed
-# by its scale_param (e.g. ``uniform_0.1``).
-_LABELS = {
-    "xavier_uniform": "xavier_uniform",
-    "xavier_normal": "xavier_normal",
-    "kaiming_uniform": "kaiming_uniform_relu",
-    "kaiming_normal": "kaiming_normal_relu",
-    "orthogonal": "orthogonal",
-    "uniform_bounded": "uniform_",
-    "normal_std": "normal_",
-    "trunc_normal_std": "trunc_normal_",
+# Kinds whose scale_param is the scheme's single free parameter. A scaled
+# kind's label is the kind, an underscore and its scale_param (``uniform_0.1``).
+_SCALED_KINDS = frozenset({"uniform", "normal", "trunc_normal"})
+
+SCHEME_KINDS = _SCALED_KINDS | {
+    "xavier_uniform", "xavier_normal", "kaiming_uniform_relu", "kaiming_normal_relu", "orthogonal",
 }
 
-SCHEME_KINDS = frozenset(_LABELS)
-
-# Kinds whose scale_param is the scheme's single free parameter.
-_SCALED_KINDS = frozenset({"uniform_bounded", "normal_std", "trunc_normal_std"})
-
-# A scaled kind's scale_param must stay below this, so that its variance
-# (scale_param**2) and every draw are finite.
-_MAX_SCALE = 1e154
-
 # Kinds drawn from the uniform stream; the others transform standard normals.
-_UNIFORM_KINDS = frozenset({"xavier_uniform", "kaiming_uniform", "uniform_bounded"})
+_UNIFORM_KINDS = frozenset({"xavier_uniform", "kaiming_uniform_relu", "uniform"})
 
 # Variance shrink factor of a normal truncated at +/- 2 sigma:
 # 1 - 2*alpha*phi(alpha) / (2*Phi(alpha) - 1) with alpha = 2.
@@ -69,10 +55,10 @@ TRUNC2_VAR_FACTOR = 1.0 - (2.0 * 2.0 * _PHI2) / (2.0 * _CDF2 - 1.0)
 class InitScheme:
     """An initialization rule: a kind plus an optional scale parameter.
 
-    ``scale_param`` is the half-width for ``uniform_bounded`` and the target
-    standard deviation for ``normal_std`` / ``trunc_normal_std``, in
-    (0, 1e154) so that its variance is finite; the fan-based and orthogonal
-    kinds have none, so it must stay 0 for them.
+    ``scale_param`` is the half-width for ``uniform`` and the target
+    standard deviation for ``normal`` / ``trunc_normal``, in (0, 1e154) so
+    that its variance is finite; the fan-based and orthogonal kinds have
+    none, so it must stay 0 for them.
     """
 
     kind: str
@@ -85,9 +71,9 @@ class InitScheme:
             )
         if self.kind in _SCALED_KINDS and not self.scale_param > 0.0:
             raise ValueError(f"{self.kind} requires scale_param > 0, got {self.scale_param}")
-        if self.kind in _SCALED_KINDS and not self.scale_param < _MAX_SCALE:
+        if self.kind in _SCALED_KINDS and not self.scale_param < MAX_SCALE:
             raise ValueError(
-                f"{self.kind} requires scale_param < {_MAX_SCALE:g} so that its variance "
+                f"{self.kind} requires scale_param < {MAX_SCALE:g} so that its variance "
                 f"is finite, got {self.scale_param}"
             )
         if self.kind not in _SCALED_KINDS and self.scale_param != 0.0:
@@ -123,10 +109,10 @@ def _scale(scheme: InitScheme, rows: int, cols: int) -> float:
         return math.sqrt(6.0 / (rows + cols))
     if kind == "xavier_normal":
         return math.sqrt(2.0 / (rows + cols))
-    if kind == "kaiming_uniform":
+    if kind == "kaiming_uniform_relu":
         # gain^2 = 2 (ReLU), fan-in = rows: bound sqrt(3 * 2 / rows).
         return math.sqrt(6.0 / rows)
-    if kind == "kaiming_normal":
+    if kind == "kaiming_normal_relu":
         return math.sqrt(2.0 / rows)
     raise AssertionError(f"unhandled scheme kind {kind!r}")
 
@@ -181,7 +167,7 @@ def init_matrices(
             after_z = rng.bit_generator.state
         if kind == "orthogonal":
             yield _orthogonal(rows, cols, z)
-        elif kind == "trunc_normal_std":
+        elif kind == "trunc_normal":
             rng.bit_generator.state = after_z
             yield _trunc_normal(scheme.scale_param, z, rng)
         else:
@@ -204,17 +190,17 @@ def analytic_variance(scheme: InitScheme, rows: int, cols: int) -> float:
     kind = scheme.kind
     if kind in ("xavier_uniform", "xavier_normal"):
         return 2.0 / (rows + cols)
-    if kind in ("kaiming_uniform", "kaiming_normal"):
+    if kind in ("kaiming_uniform_relu", "kaiming_normal_relu"):
         return 2.0 / rows
     if kind == "orthogonal":
         # Orthonormal columns (or rows): each unit vector spreads its norm
         # over max(rows, cols) entries.
         return 1.0 / max(rows, cols)
-    if kind == "uniform_bounded":
+    if kind == "uniform":
         return scheme.scale_param**2 / 3.0
-    if kind == "normal_std":
+    if kind == "normal":
         return scheme.scale_param**2
-    if kind == "trunc_normal_std":
+    if kind == "trunc_normal":
         return scheme.scale_param**2 * TRUNC2_VAR_FACTOR
     raise AssertionError(f"unhandled scheme kind {kind!r}")
 
@@ -238,13 +224,14 @@ def parse_scheme(label: str) -> InitScheme:
     ``normal_0.02``, ``trunc_normal_0.02``).
     """
     text = label.strip()
-    for kind, name in _LABELS.items():
-        if kind not in _SCALED_KINDS:
-            if text in (name, kind):
-                return InitScheme(kind)
-        elif text.startswith(name):
+    if text in ("kaiming_uniform", "kaiming_normal"):
+        text += "_relu"
+    if text in SCHEME_KINDS - _SCALED_KINDS:
+        return InitScheme(text)
+    for kind in _SCALED_KINDS:
+        if text.startswith(kind + "_"):
             try:
-                value = float(text[len(name):])
+                value = float(text[len(kind) + 1:])
             except ValueError:
                 raise ValueError(f"bad numeric suffix in scheme label {label!r}") from None
             try:
@@ -256,5 +243,6 @@ def parse_scheme(label: str) -> InitScheme:
 
 def scheme_label(scheme: InitScheme) -> str:
     """Canonical CLI label for ``scheme`` (inverse of ``parse_scheme``)."""
-    name = _LABELS[scheme.kind]
-    return f"{name}{scheme.scale_param:g}" if scheme.kind in _SCALED_KINDS else name
+    if scheme.kind in _SCALED_KINDS:
+        return f"{scheme.kind}_{scheme.scale_param:g}"
+    return scheme.kind

@@ -46,18 +46,6 @@ def transition_counts(s: StageSequence) -> np.ndarray:
     return counts
 
 
-def _wte_from_counts(counts: np.ndarray) -> float:
-    row_totals = counts.sum(axis=1)
-    grand = row_totals.sum()
-    out = 0.0
-    for c in np.nonzero(row_totals)[0]:
-        p = counts[c] / row_totals[c]
-        nz = p > 0
-        entropy = -float(np.sum(p[nz] * np.log(p[nz])))
-        out += (row_totals[c] / grand) * entropy
-    return float(out)
-
-
 def wte(s: StageSequence) -> float:
     """Weighted transition entropy of a stage sequence.
 
@@ -66,7 +54,7 @@ def wte(s: StageSequence) -> float:
     stage is departed. Constant sequences score 0; the upper bound is
     ln(n_classes).
     """
-    return _wte_from_counts(transition_counts(s))
+    return wte_pooled([s])
 
 
 def wte_pooled(sequences: list[StageSequence] | tuple[StageSequence, ...]) -> float:
@@ -83,7 +71,15 @@ def wte_pooled(sequences: list[StageSequence] | tuple[StageSequence, ...]) -> fl
     counts = np.zeros((c, c), dtype=np.int64)
     for s in sequences:
         counts += transition_counts(s)
-    return _wte_from_counts(counts)
+    row_totals = counts.sum(axis=1)
+    grand = row_totals.sum()
+    out = 0.0
+    for stage in np.nonzero(row_totals)[0]:
+        p = counts[stage] / row_totals[stage]
+        nz = p > 0
+        entropy = -float(np.sum(p[nz] * np.log(p[nz])))
+        out += (row_totals[stage] / grand) * entropy
+    return float(out)
 
 
 def lsii(none_preds: StageSequence, corr_preds: StageSequence, w: int) -> float | None:

@@ -10,7 +10,7 @@ of schemes at a given width.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,7 @@ from .initializers import (
 )
 from .metrics import pearson
 from .rapk import rapk_coefficients, rapk_kernel
-from .seeding import generator, mix_seed
+from .seeding import check_size, generator, mix_seed
 from .sequences import FeatureSequence
 
 __all__ = [
@@ -113,9 +113,9 @@ def logit_concentration(
     projections of a trial are kept, one role at a time. Logits whose squares
     overflow float64 raise ``ValueError`` naming the first such scheme.
     """
-    if trials < 100:
+    if check_size("trials", trials) < 100:
         raise ValueError(f"trials must be >= 100 for stable statistics, got {trials}")
-    if d_k < 1:
+    if check_size("d_k", d_k) < 1:
         raise ValueError(f"d_k must be >= 1, got {d_k}")
     rows = layer_norm_rows(x.data) if with_layernorm else x.data
 
@@ -170,7 +170,7 @@ class KernelValidationReport:
 
 
 def dk_sweep_detail(
-    x_set: list[FeatureSequence] | tuple[FeatureSequence, ...],
+    x_set: Iterable[FeatureSequence],
     scheme: InitScheme,
     d_k_grid: list[int] | tuple[int, ...],
     trials: int,
@@ -191,10 +191,9 @@ def dk_sweep_detail(
     ``mix_seed(mix_seed(seed, di, si), t)``, so each mean is a pure function
     of the inputs, and the trials are summed in fixed index blocks, so it
     does not depend on evaluation order. The aggregate report scores the
-    all-trials mean kernels.
+    all-trials mean kernels. ``x_set`` is read only once the grid and the
+    trial count pass their checks, so it may be a generator that draws.
     """
-    if not x_set:
-        raise ValueError("sequence set must be non-empty")
     grid = tuple(int(v) for v in d_k_grid)
     if not grid:
         raise ValueError("d_k grid must be non-empty")
@@ -202,8 +201,12 @@ def dk_sweep_detail(
         raise ValueError(f"d_k grid must be sorted ascending without repeats, got {grid}")
     if grid[0] < 1:
         raise ValueError(f"d_k grid values must be >= 1, got {grid}")
-    if trials < 1:
+    check_size("d_k grid value", grid[-1])
+    if check_size("trials", trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    x_set = list(x_set)
+    if not x_set:
+        raise ValueError("sequence set must be non-empty")
 
     mse_per_dk: list[float] = []
     pearson_per_dk: list[float] = []
@@ -243,8 +246,10 @@ def centered_unit_sequence(t_len: int, dim: int, seed: int) -> FeatureSequence:
     Pairs each random unit vector with its negation, so the mean row is zero
     to the last bit while every row keeps unit length. Requires even length.
     """
-    if t_len < 2 or t_len % 2 != 0:
+    if check_size("t_len", t_len) < 2 or t_len % 2 != 0:
         raise ValueError(f"t_len must be even and >= 2, got {t_len}")
+    if check_size("dim", dim) < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     rng = generator(seed, _ROLE_SEQ)
     half = rng.standard_normal((t_len // 2, dim))
     half /= np.linalg.norm(half, axis=1, keepdims=True)

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MASK64", "check_seed", "check_size", "splitmix64", "mix_seed", "generator"]
+__all__ = ["MASK64", "MAX_SCALE", "check_seed", "check_size", "splitmix64", "mix_seed",
+           "generator"]
 
 MASK64 = (1 << 64) - 1
+
+# A scale (a half-width or a standard deviation) must stay below this, so
+# that its square, a variance, is finite.
+MAX_SCALE = 1e154
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import check_seed, check_size, generator, mix_seed
+from .seeding import MAX_SCALE, check_seed, check_size, generator, mix_seed
 from .sequences import FeatureSequence, ProbSequence, StageSequence
 
 __all__ = [
@@ -89,10 +89,10 @@ class SynthConfig:
                 f"feat_dim={self.feat_dim} must be >= n_classes={self.n_classes} "
                 "(class means sit on coordinate axes)"
             )
-        if not self.class_sep > 0.0:
-            raise ValueError(f"class_sep must be > 0, got {self.class_sep}")
-        if self.noise_std < 0.0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0.0 < self.class_sep < MAX_SCALE:
+            raise ValueError(f"class_sep must lie in (0, {MAX_SCALE:g}), got {self.class_sep}")
+        if not 0.0 <= self.noise_std < MAX_SCALE:
+            raise ValueError(f"noise_std must lie in [0, {MAX_SCALE:g}), got {self.noise_std}")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ValueError(f"label_noise must lie in [0, 1], got {self.label_noise}")
 

@@ -150,7 +150,7 @@ def test_encoder_attention_only_zero_input_gives_zero():
 def test_encoder_uniform_attention_limit_matches_mean_oracle():
     # Vanishing projection scale drives every attention row to 1/T, so each
     # output row collapses to the mean value vector.
-    cfg = all_off(use_attention=True, init=InitScheme("normal_std", 1e-8))
+    cfg = all_off(use_attention=True, init=InitScheme("normal", 1e-8))
     x = FeatureSequence(generator(4, 0xE).standard_normal((6, 4)))
     weights = build_encoder_weights(cfg, 4)
     out = encoder_forward(x, cfg, weights)
@@ -224,6 +224,33 @@ def test_encoder_heads_averaged_without_output_linear():
     outs = [head_output(x.data, *ws) for ws in head_weights(weights.layers[0].w_qkv, 2)]
     expected = (outs[0] + outs[1]) / 2.0
     np.testing.assert_allclose(encoder_forward(x, cfg, weights).data, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_heads", [8, 9])
+def test_head_mean_adds_heads_in_head_order(n_heads, monkeypatch):
+    # Without the output linear the heads are added in head order, then
+    # divided by H. numpy's sum or mean over the head axis adds pairwise
+    # from 8 terms on, which gives other bits at d_h = 1 (seen at 8, 9, 16
+    # and 17 heads); the reports' bits rest on this order.
+    blocks = []
+
+    def attend(q, k, v, out):
+        blocks.append(out)  # a view of the block's rows of the heads buffer
+        return real_attend(q, k, v, out=out)
+
+    real_attend = attention._attend
+    monkeypatch.setattr(attention, "_attend", attend)
+    cfg = all_off(use_attention=True, n_heads=n_heads, d_k=1, window_w=4)
+    x = FeatureSequence(generator(n_heads, 0x14).standard_normal((10, 3)))
+    got = encoder_forward(x, cfg).data
+    heads = np.concatenate([out.transpose(0, 2, 1, 3).reshape(-1, n_heads, 1)
+                            for out in blocks])
+    want = heads[:, 0].copy()
+    for i in range(1, n_heads):
+        want += heads[:, i]
+    want /= n_heads
+    assert got.shape == (10, 1)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_window_blocks_fixtures():

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import warnings
 from dataclasses import fields
 
@@ -376,11 +377,11 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
     (["sweep", "--smoother", "median", "--axis", "dk"],
      "smoother 'median' uses no encoder weights, so it sweeps only the window axis, not d_k"),
     (["smooth-eval", "--init", "normal_inf"],
-     "init scheme 'normal_inf': normal_std requires scale_param < 1e+154 so that its "
+     "init scheme 'normal_inf': normal requires scale_param < 1e+154 so that its "
      "variance is finite, got inf"),
     (["sweep", "--axis", "init", "--grid", "xavier_uniform,uniform_1e200"],
-     "init scheme 'uniform_1e200': uniform_bounded requires scale_param < 1e+154 so that "
-     "its variance is finite, got 1e+200"),
+     "init scheme 'uniform_1e200': uniform requires scale_param < 1e+154 so that its "
+     "variance is finite, got 1e+200"),
     (["kernel-validate", "--dk-grid", "0,16"], "d_k grid values must be >= 1, got (0, 16)"),
     # Rows this large square past float64 in the logits or the analytic spread;
     # numpy's warnings fail these cases (pyproject's filterwarnings).
@@ -422,6 +423,36 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
                  f"d_k must be < 2**63, got {2**64}", id="smooth-eval_dk_2**64"),
     pytest.param(["simulate", "--t-len", str(2**64)], f"t_len must be < 2**63, got {2**64}",
                  id="simulate_t_len_2**64"),
+    # A Monte Carlo count is refused below 1 or at 2**63 or more, naming its
+    # flag or field, before any draw; otherwise --sequences or --trials of
+    # 2**64 runs until killed.
+    *(pytest.param([command, flag, str(2**64)], f"{name} must be < 2**63, got {2**64}",
+                   id=f"{command}{flag}_2**64")
+      for command, flag, name in (
+          ("kernel-validate", "--sequences", "--sequences"),
+          ("kernel-validate", "--trials", "trials"),
+          ("kernel-validate", "--t-len", "t_len"),
+          ("kernel-validate", "--dim", "dim"),
+          ("logit-stats", "--trials", "--trials"),
+          ("logit-stats", "--t-len", "--t-len"),
+          ("logit-stats", "--dim", "--dim"),
+      )),
+    pytest.param(["kernel-validate", "--dim", "0"], "dim must be >= 1, got 0",
+                 id="kernel-validate--dim_0"),
+    pytest.param(["logit-stats", "--t-len", "0"], "--t-len must be >= 1, got 0",
+                 id="logit-stats--t-len_0"),
+    pytest.param(["logit-stats", "--dim=-1"], "--dim must be >= 1, got -1",
+                 id="logit-stats--dim_-1"),
+    # A synthetic scale must stay below 1e154, so that its square is finite,
+    # and nan is refused too, before --out is made.
+    *(pytest.param(["simulate", flag, value], f"{name} must lie in {span}, got {value}",
+                   id=f"simulate{flag}_{value}")
+      for flag, name, span, value in (
+          ("--noise-std", "noise_std", "[0, 1e+154)", "nan"),
+          ("--noise-std", "noise_std", "[0, 1e+154)", "inf"),
+          ("--noise-std", "noise_std", "[0, 1e+154)", "1e+308"),
+          ("--class-sep", "class_sep", "(0, 1e+154)", "inf"),
+      )),
 ])
 def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tmp_path,
                                                    monkeypatch, capsys):
@@ -429,8 +460,8 @@ def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tm
         raise AssertionError("a subject or a matrix was made before the values were checked")
 
     monkeypatch.setattr(synthgen, "gen_features", made)
-    if argv[0] != "logit-stats":  # its overflow shows only in the logits it draws
-        monkeypatch.setattr(initializers, "_rng", made)
+    if "--row-scale" not in argv:  # its overflow shows only in the logits it draws
+        monkeypatch.setattr(np.random, "PCG64", made)  # every draw seeds a PCG64
     config = ["--config", str(run_config)] if argv[0] in ("smooth-eval", "sweep") else []
     assert main([*argv, *config, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -516,6 +547,72 @@ def test_an_allocation_failure_is_one_error_line(run_config, tmp_path, monkeypat
                  "--dk", str(2**40), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {line}\n"
     assert not out.exists()
+
+
+# Every int or float option of every command runs at each of these values.
+_EDGE_VALUES = ["-1", "0", "1", "2", str(2**63), str(2**64), "nan", "inf", "-inf", "1e-320",
+                "1e308"]
+
+
+def test_every_numeric_flag_at_edge_values_runs_or_is_one_error_line(tmp_path, monkeypatch,
+                                                                      capsys):
+    # Each run on tiny valid inputs exits 0 with nothing on stderr, or exits 1
+    # or 2 with one error line and nothing under --out; no run may warn. An
+    # int flag that fails as a usage error names itself or its field. A seed
+    # is valid up to 2**64 - 1, but any other int flag at 2**63 or more is a
+    # size no array can hold: it must fail as a usage error before any draw,
+    # so draws raise there instead of running until killed. A float flag
+    # takes 2**63 as an ordinary finite value and runs unpatched.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "synth": {"n_classes": 2, "t_len": 12, "n_subjects": 3, "feat_dim": 2, "self_prob": 0.5,
+                  "seed": 3},
+        "encoder": {"n_heads": 1, "d_k": 2, "window_w": 2}, "seeds": [1],
+    }))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("stage\n0\n1\n1\n0\n")
+    run = ["--config", str(config), "--smoother", "random_transformer"]
+    base = {
+        "simulate": ["--classes", "2", "--t-len", "4", "--subjects", "3", "--feat-dim", "2"],
+        "smooth-eval": run,
+        "sweep": [*run, "--axis", "dk", "--grid", "2"],
+        "kernel-validate": ["--t-len", "2", "--dim", "2", "--sequences", "1", "--trials", "2",
+                            "--dk-grid", "1"],
+        "logit-stats": ["--t-len", "2", "--dim", "2", "--trials", "100", "--dk-grid", "1",
+                        "--schemes", "xavier_uniform"],
+        "metrics": ["--labels", str(labels), "--none", str(labels), "--corr", str(labels),
+                    "--window", "2"],
+    }
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = [(command, action) for command, parser in sub.choices.items()
+               for action in parser._actions if action.type in (int, float)]
+    assert len(options) >= 31 and {command for command, _ in options} == set(base)
+
+    def draw(seed):
+        raise AssertionError(f"{argv} drew before failing")
+
+    for n, (command, action) in enumerate(options):
+        flag = action.option_strings[0]
+        for value in _EDGE_VALUES:
+            out = tmp_path / f"out{n}_{value}"
+            argv = [command, *base[command], f"{flag}={value}", "--out", str(out)]
+            size = action.type is int and action.dest != "seed" and value in _EDGE_VALUES[4:6]
+            with monkeypatch.context() as patch, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if size:
+                    patch.setattr(np.random, "PCG64", draw)  # every draw seeds a PCG64
+                code = main(argv)
+            err = capsys.readouterr().err
+            if code == 0 and not size:
+                assert err == "", argv
+                continue
+            assert code in (1, 2) and err.startswith("error: ") and err.count("\n") == 1, argv
+            assert not out.exists(), argv
+            if action.type is int and (code == 1 or size):
+                # The name ends there: "dim" in "dimensions" names nothing.
+                named = rf"({flag.lstrip('-')}|{action.dest})(?![\w-])"
+                assert code == 1 and re.search(named, err), (argv, err)
 
 
 def test_a_synth_cohort_that_misses_a_class_is_a_config_value(tmp_path, capsys):
@@ -653,7 +750,7 @@ def test_kernel_validate_rejects_bad_args(tmp_path, capsys):
     (["--schemes", "orthogonal,xavier_uniform,orthogonal"], "--schemes must be a non-empty"),
     (["--schemes", "normal_0.02,normal_0.020"], "--schemes must be a non-empty"),
     (["--schemes", "xavier_uniform,trunc_normal_inf"],
-     "init scheme 'trunc_normal_inf': trunc_normal_std requires scale_param < 1e+154"),
+     "init scheme 'trunc_normal_inf': trunc_normal requires scale_param < 1e+154"),
 ])
 def test_logit_stats_checks_every_argument_before_drawing(flags, fragment, tmp_path,
                                                           monkeypatch, capsys):
@@ -769,6 +866,12 @@ def test_metrics_argument_errors(tmp_path, capsys):
     assert main(["metrics", "--labels", str(tmp_path / "ghost.csv")]) == 2
     assert main(["metrics", "--labels", str(none_p), "--classes", "0"]) == 1
     assert "--classes must be >= 1" in capsys.readouterr().err
+    # A label space no array can hold is the flag's fault, not the file's.
+    assert main(["metrics", "--labels", str(none_p), "--classes", str(2**64)]) == 1
+    assert capsys.readouterr().err == f"error: --classes must be < 2**63, got {2**64}\n"
+    assert main(["metrics", "--labels", str(none_p), "--classes", str(2**62)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --classes {2**62}: ") and err.count("\n") == 1
 
 
 def test_metrics_label_file_too_short_for_transitions_is_a_dataset_error(tmp_path, capsys):

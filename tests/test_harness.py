@@ -325,13 +325,13 @@ def test_apply_axis_other_axes():
     base = small_run()
     assert apply_axis(base, "d_k", 32)[1].encoder.d_k == 32
     label, init_cfg = apply_axis(base, "init", "normal_0.05")
-    assert init_cfg.encoder.init == InitScheme("normal_std", 0.05)
+    assert init_cfg.encoder.init == InitScheme("normal", 0.05)
     assert label == "normal_0.05"
     assert apply_axis(base, "init", " kaiming_uniform")[0] == "kaiming_uniform_relu"
     label, hl = apply_axis(base, "heads_layers", "2x4")
     assert (hl.encoder.n_layers, hl.encoder.n_heads) == (2, 4)
     assert label == "2x4"
-    label, hl2 = apply_axis(base, "heads_layers", (1, 4))
+    label, hl2 = apply_axis(base, "heads_layers", "1x4")
     assert (hl2.encoder.n_layers, hl2.encoder.n_heads) == (1, 4)
     assert label == "1x4"
     assert apply_axis(base, "heads_layers", "01x2")[0] == "1x2"

@@ -43,18 +43,18 @@ def direct_draw(rows, cols, scheme, seed):
     if kind == "xavier_uniform":
         a = math.sqrt(6.0 / (rows + cols))
         return rng.uniform(-a, a, size=shape)
-    if kind == "kaiming_uniform":
+    if kind == "kaiming_uniform_relu":
         a = math.sqrt(6.0 / rows)
         return rng.uniform(-a, a, size=shape)
-    if kind == "uniform_bounded":
+    if kind == "uniform":
         return rng.uniform(-p, p, size=shape)
     if kind == "xavier_normal":
         return rng.normal(0.0, math.sqrt(2.0 / (rows + cols)), size=shape)
-    if kind == "kaiming_normal":
+    if kind == "kaiming_normal_relu":
         return rng.normal(0.0, math.sqrt(2.0 / rows), size=shape)
-    if kind == "normal_std":
+    if kind == "normal":
         return rng.normal(0.0, p, size=shape)
-    if kind == "trunc_normal_std":
+    if kind == "trunc_normal":
         out = rng.normal(0.0, p, size=shape)
         bad = np.abs(out) > 2.0 * p
         while bad.any():
@@ -194,6 +194,11 @@ def test_orthogonal_raises_on_a_degenerate_factor(shape, monkeypatch):
 def test_parse_scheme_round_trips_labels():
     for label in ALL_LABELS:
         assert scheme_label(parse_scheme(label)) == label
+    # A fixed kind is its own label; the Kaiming labels keep their short
+    # spellings as input aliases, and surrounding spaces are stripped.
+    for alias in ("kaiming_uniform", " kaiming_uniform", "kaiming_uniform_relu "):
+        assert parse_scheme(alias) == InitScheme("kaiming_uniform_relu")
+    assert parse_scheme("kaiming_normal") == InitScheme("kaiming_normal_relu")
 
 
 def test_parse_scheme_rejects_unknown():
@@ -205,18 +210,21 @@ def test_parse_scheme_rejects_unknown():
 
 def test_scheme_requires_positive_scale_where_used():
     with pytest.raises(ValueError):
-        InitScheme(kind="uniform_bounded", scale_param=0.0)
+        InitScheme(kind="uniform", scale_param=0.0)
     with pytest.raises(ValueError):
-        InitScheme(kind="normal_std", scale_param=-1.0)
+        InitScheme(kind="normal", scale_param=-1.0)
     with pytest.raises(ValueError):
         InitScheme(kind="spectral", scale_param=1.0)
+    for kind in ("uniform_bounded", "normal_std", "trunc_normal_std", "kaiming_uniform"):
+        with pytest.raises(ValueError, match=f"unknown scheme kind '{kind}'"):
+            InitScheme(kind=kind, scale_param=1.0)
     # The fan-based and orthogonal kinds draw no scale, so none is accepted.
-    for kind in ("xavier_uniform", "kaiming_normal", "orthogonal"):
+    for kind in ("xavier_uniform", "kaiming_normal_relu", "orthogonal"):
         with pytest.raises(ValueError, match=f"{kind} takes no scale_param, got 0.5"):
             InitScheme(kind=kind, scale_param=0.5)
 
 
-@pytest.mark.parametrize("kind", ["uniform_bounded", "normal_std", "trunc_normal_std"])
+@pytest.mark.parametrize("kind", ["uniform", "normal", "trunc_normal"])
 def test_scaled_scheme_keeps_its_variance_and_draws_finite(kind):
     # Just below the bound the variance and the draws are finite; the bound
     # itself, 1e308 and infinity are rejected.

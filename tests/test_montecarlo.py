@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import closed_form_kernel, head_output
 
+from rapklab import initializers, montecarlo
 from rapklab.attention import EncoderConfig, EncoderWeights, LayerWeights, encoder_forward
 from rapklab.initializers import InitScheme, analytic_variance, make_projection_set, parse_scheme
 from rapklab.montecarlo import (
@@ -15,6 +16,10 @@ from rapklab.seeding import generator, mix_seed
 from rapklab.sequences import FeatureSequence
 
 XAVIER = InitScheme("xavier_uniform")
+
+
+def _no_draw(*args):
+    raise AssertionError("a draw ran before the sizes were checked")
 
 
 def symmetrised_gram(o: np.ndarray) -> np.ndarray:
@@ -127,10 +132,15 @@ def test_kernel_pearson_near_zero_for_unrelated_matrices():
     assert abs(r) < 0.3
 
 
-def test_logit_concentration_contract():
+def test_logit_concentration_contract(monkeypatch):
     x = small_sequence(2)
     with pytest.raises(ValueError, match="trials"):
         logit_concentration(x, [XAVIER], 8, False, trials=50, seed=0)
+    with monkeypatch.context() as patch:  # a count no loop could finish fails before any draw
+        patch.setattr(initializers, "_rng", _no_draw)
+        for trials, d_k, name in ((2**64, 8, "trials"), (100, 2**64, "d_k")):
+            with pytest.raises(ValueError, match=rf"^{name} must be < 2\*\*63, got {2**64}$"):
+                logit_concentration(x, [XAVIER], d_k, False, trials=trials, seed=0)
     (rep,) = logit_concentration(x, [XAVIER], 8, False, trials=100, seed=3)
     assert rep.scheme_label == "xavier_uniform"
     assert rep.d_k == 8 and rep.trials == 100
@@ -158,7 +168,7 @@ def test_logit_concentration_matches_analytic_std():
     # Moderate size keeps the unit tier fast; the acceptance tier reruns this
     # at the full trial budget.
     x = FeatureSequence(np.asarray(generator(12, 0x33).standard_normal((6, 8))))
-    (rep,) = logit_concentration(x, [InitScheme("normal_std", 0.2)], 32, False, trials=400, seed=21)
+    (rep,) = logit_concentration(x, [InitScheme("normal", 0.2)], 32, False, trials=400, seed=21)
     assert rep.empirical_std == pytest.approx(rep.analytic_std, rel=0.1)
     assert abs(rep.empirical_mean) < 0.1 * rep.analytic_std + 1e-3
 
@@ -173,7 +183,7 @@ def test_logit_concentration_layernorm_bounds_scale():
     assert rep_big.empirical_std == pytest.approx(rep_small.empirical_std, rel=1e-4)
 
 
-def test_dk_sweep_grid_validation():
+def test_dk_sweep_grid_validation(monkeypatch):
     x = [small_sequence()]
     with pytest.raises(ValueError, match="sorted"):
         dk_sweep_detail(x, XAVIER, [16, 8], trials=1, seed=0)
@@ -185,6 +195,12 @@ def test_dk_sweep_grid_validation():
         dk_sweep_detail(x, XAVIER, [], trials=1, seed=0)
     with pytest.raises(ValueError, match="trials"):
         dk_sweep_detail(x, XAVIER, [8], trials=0, seed=0)
+    with monkeypatch.context() as patch:  # a count no loop could finish fails before any draw
+        patch.setattr(initializers, "_rng", _no_draw)
+        with pytest.raises(ValueError, match=rf"^trials must be < 2\*\*63, got {2**64}$"):
+            dk_sweep_detail(x, XAVIER, [8], trials=2**64, seed=0)
+        with pytest.raises(ValueError, match=rf"^d_k grid value must be < 2\*\*63, got {2**64}$"):
+            dk_sweep_detail(x, XAVIER, [8, 2**64], trials=1, seed=0)
 
 
 def test_dk_sweep_detail_consistent_with_report():
@@ -216,7 +232,7 @@ def test_dk_sweep_error_shrinks_with_width():
     assert report.pearson_per_dk[1] > 0.8
 
 
-def test_centered_unit_sequence_contract():
+def test_centered_unit_sequence_contract(monkeypatch):
     x = centered_unit_sequence(8, 5, seed=3)
     assert x.data.shape == (8, 5)
     # Rows come in exact +/- pairs, so centering holds to the last bit per pair.
@@ -229,3 +245,9 @@ def test_centered_unit_sequence_contract():
         centered_unit_sequence(7, 5, seed=0)
     with pytest.raises(ValueError, match="even"):
         centered_unit_sequence(0, 5, seed=0)
+    monkeypatch.setattr(montecarlo, "generator", _no_draw)
+    with pytest.raises(ValueError, match="^dim must be >= 1, got 0$"):
+        centered_unit_sequence(8, 0, seed=0)
+    for t_len, dim, name in ((2**64, 5, "t_len"), (8, 2**64, "dim")):
+        with pytest.raises(ValueError, match=rf"^{name} must be < 2\*\*63, got {2**64}$"):
+            centered_unit_sequence(t_len, dim, seed=0)

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -154,8 +157,17 @@ def test_synth_config_validation():
         cfg(label_noise=-0.1)
     with pytest.raises(ValueError, match="t_len must be >= 2, got 1"):
         cfg(t_len=1)
-    with pytest.raises(ValueError, match="noise_std must be >= 0, got -0.1"):
-        cfg(noise_std=-0.1)
+    # A scale must stay below 1e154, so that its square is finite; nan fails
+    # every comparison, so it is out of range too.
+    for value in (-0.1, math.nan, 1e154, 1e308, math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"noise_std must lie in [0, 1e+154), got {value}")):
+            cfg(noise_std=value)
+    for value in (-1.0, math.nan, 1e154, math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"class_sep must lie in (0, 1e+154), got {value}")):
+            cfg(class_sep=value)
+    assert cfg(noise_std=0.0, class_sep=9.9e153).class_sep == 9.9e153
 
 
 def test_make_dataset_contract():
