@@ -18,6 +18,7 @@ gives every head's Q, K and V; that matrix is the only copy of those weights.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,8 +156,7 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_heads", "n_layers", "d_k", "window_w"):
-            if check_size(name, getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_size(name, getattr(self, name), 1)
         if self.use_attention and self.use_output_linear and self.d_k % self.n_heads != 0:
             raise ValueError(
                 f"d_k={self.d_k} must be divisible by n_heads={self.n_heads} "
@@ -182,11 +182,21 @@ class EncoderWeights:
     d_in: int
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    names = getattr(os, "sysconf_names", {})
+    if "SC_PAGE_SIZE" not in names or "SC_PHYS_PAGES" not in names:
+        return None
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
     """Draw every weight of the encoder for input width ``d``.
 
     Pure function of (cfg, d): repeated calls return identical weights, which
-    is what freezes the encoder across windows and runs.
+    is what freezes the encoder across windows and runs. Once layer 0 is
+    drawn, a stack of ``n_layers`` layers its size that would not fit in
+    physical memory raises ``MemoryError`` before layer 1 is drawn.
     """
     width = d
     layers: list[LayerWeights] = []
@@ -218,6 +228,14 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
             w_ff2 = init_matrix(4 * new_width, new_width, cfg.init, mix_seed(cfg.seed, _ROLE_FF2, li))
         layers.append(LayerWeights(w_qkv=w_qkv, w_out=w_out, w_ff1=w_ff1, w_ff2=w_ff2))
         width = new_width
+        if li == 0 and cfg.n_layers > 1:
+            layer_bytes = sum(w.nbytes for w in (w_qkv, w_out, w_ff1, w_ff2) if w is not None)
+            memory = _physical_memory()
+            if memory is not None and cfg.n_layers * layer_bytes > memory:
+                raise MemoryError(
+                    f"n_layers={cfg.n_layers} layers of {layer_bytes} bytes each need "
+                    f"{cfg.n_layers * layer_bytes} bytes, more than the {memory} bytes "
+                    "of physical memory")
     positional = None
     if cfg.use_positional:
         positional = init_matrix(cfg.window_w, d, cfg.init, mix_seed(cfg.seed, _ROLE_POS))

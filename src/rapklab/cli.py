@@ -26,6 +26,7 @@ from .dataio import DatasetError, float_cell, read_json_object, read_label_csv, 
 from .harness import (
     COMPONENT_BUNDLES,
     SMOOTHERS,
+    SWEEP_AXES,
     RunConfig,
     append_runs_csv,
     check_config_keys,
@@ -53,22 +54,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-_AXIS_NAMES = {
-    "window": "window",
-    "dk": "d_k",
-    "init": "init",
-    "heads": "heads_layers",
-    "components": "components",
-}
+# Shorter spellings that --axis also takes for two of the SWEEP_AXES.
+_AXIS_ALIASES = {"dk": "d_k", "heads": "heads_layers"}
 
 _DEFAULT_GRIDS = {
     "window": "5,10,20,35,50",
-    "dk": "16,64,256,1024",
+    "d_k": "16,64,256,1024",
     "init": (
         "xavier_uniform,xavier_normal,kaiming_uniform_relu,kaiming_normal_relu,"
         "orthogonal,uniform_0.1,normal_0.02,trunc_normal_0.02"
     ),
-    "heads": "1x1,1x4,1x8,2x8",
+    "heads_layers": "1x1,1x4,1x8,2x8",
     "components": ",".join(COMPONENT_BUNDLES),
 }
 
@@ -119,7 +115,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="sweep one axis of the configuration")
     _add_run_options(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--axis", choices=sorted(_AXIS_NAMES), required=True)
+    p.add_argument("--axis", choices=[*SWEEP_AXES, *_AXIS_ALIASES], required=True)
     p.add_argument("--grid", help="comma-separated grid values")
     p.set_defaults(func=_cmd_sweep)
 
@@ -183,13 +179,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValueError(f"bad {what}: {text!r}") from None
 
 
-def _check_count(flag: str, value: int, low: int = 1) -> int:
-    # A count flag is checked where the command reads it, before any draw.
-    if check_size(flag, value) < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
-    return value
-
-
 def _overrides(args, cls: type) -> dict:
     """The flags given on the command line that set a field of dataclass ``cls``.
 
@@ -204,9 +193,8 @@ def _cmd_simulate(args) -> int:
     # Keys of a run config other than "synth" are allowed and ignored here.
     entry = check_config_keys(_load_config_file(args.config)).get("synth", {})
     cfg = config_section(SynthConfig, entry, "synth", _overrides(args, SynthConfig))
-    out = _ensure_out(args)
-    save_dataset(iter_subjects(cfg), out, cfg)
-    print(f"wrote {cfg.n_subjects} subjects x {cfg.t_len} epochs to {out}")
+    save_dataset(iter_subjects(cfg), args.out, cfg)  # it makes --out once a subject is made
+    print(f"wrote {cfg.n_subjects} subjects x {cfg.t_len} epochs to {args.out}")
     return 0
 
 
@@ -244,12 +232,13 @@ def _cmd_smooth_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _run_config_from_args(args)
-    grid_text = args.grid if args.grid is not None else _DEFAULT_GRIDS[args.axis]
-    if args.axis in ("window", "dk"):
+    axis = _AXIS_ALIASES.get(args.axis, args.axis)
+    grid_text = args.grid if args.grid is not None else _DEFAULT_GRIDS[axis]
+    if axis in ("window", "d_k"):
         grid = tuple(_parse_int_list(grid_text, f"--grid for {args.axis}"))
     else:
         grid = tuple(part for part in grid_text.split(",") if part != "")
-    rows = run_sweep(base, _AXIS_NAMES[args.axis], grid)
+    rows = run_sweep(base, axis, grid)
     out = _ensure_out(args)
     path = out / "sweep.csv"
     write_sweep_csv(rows, path)
@@ -263,7 +252,7 @@ def _cmd_kernel_validate(args) -> int:
     # dk_sweep_detail checks the grid and --trials before it draws a sequence.
     x_set = (
         centered_unit_sequence(args.t_len, args.dim, mix_seed(args.seed, i))
-        for i in range(_check_count("--sequences", args.sequences))
+        for i in range(check_size("--sequences", args.sequences, 1))
     )
     report, blocks, kernels = dk_sweep_detail(x_set, scheme, grid, args.trials, args.seed)
     out = _ensure_out(args)
@@ -294,8 +283,8 @@ def _cmd_logit_stats(args) -> int:
     for flag, items in (("--dk-grid", grid), ("--schemes", [scheme_label(s) for s in schemes])):
         if not items or len(set(items)) < len(items):
             raise ValueError(f"{flag} must be a non-empty list without repeats, got {items}")
-    shape = (_check_count("--t-len", args.t_len), _check_count("--dim", args.dim))
-    _check_count("--trials", args.trials)
+    shape = (check_size("--t-len", args.t_len, 1), check_size("--dim", args.dim, 1))
+    check_size("--trials", args.trials, 1)
     rng = generator(args.seed, 0xDD)
     with np.errstate(over="ignore"):  # rows that overflow fail in FeatureSequence
         x = FeatureSequence(args.row_scale * rng.standard_normal(shape))
@@ -321,7 +310,7 @@ def _cmd_logit_stats(args) -> int:
 
 def _stage_sequences(paths: list[Path], n_classes: int | None) -> list[StageSequence]:
     if n_classes is not None:
-        _check_count("--classes", n_classes)
+        check_size("--classes", n_classes, 1)
     labels = [read_label_csv(path, n_classes) for path in paths]
     # Without --classes the label space is the smallest that holds every file.
     c = n_classes if n_classes is not None else max(int(a.max()) for a in labels) + 1
@@ -334,18 +323,20 @@ def _cmd_metrics(args) -> int:
         labels = _stage_sequences([args.labels], args.classes)
         try:
             out["wte"] = wte(*labels)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             # Too few rows is the label file's fault, and so is a transition
-            # table too large to make, unless --classes set the label space.
+            # table too large to make or to allocate, unless --classes set
+            # the label space.
+            text = str(exc) or type(exc).__name__
             if args.classes is not None and labels[0].t_len >= 2:
-                raise ValueError(f"--classes {args.classes}: {exc}") from None
-            raise DatasetError(f"{args.labels}: {exc}") from None
+                raise ValueError(f"--classes {args.classes}: {text}") from None
+            raise DatasetError(f"{args.labels}: {text}") from None
     if (args.none is None) != (args.corr is None):
         raise ValueError("LSII needs both --none and --corr")
     if args.none is not None:
         if args.window is None:
             raise ValueError("LSII needs --window")
-        _check_count("--window", args.window, 2)
+        check_size("--window", args.window, 2)
         pair = _stage_sequences([args.none, args.corr], args.classes)
         try:  # with the window checked, what lsii rejects is the pair of files
             out["lsii"] = lsii(*pair, args.window)

@@ -243,17 +243,19 @@ def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
 def save_dataset(
     subjects: Iterable[Subject], out_dir: str | Path, config: SynthConfig | None = None
 ) -> Path:
-    """Write ``subjects`` under ``out_dir`` (created if needed), each as it
-    arrives, then a manifest naming them and ``config``. Any old manifest goes
-    first, so a write that fails part way leaves none. Every subject must share
+    """Write ``subjects`` under ``out_dir``, each as it arrives, then a
+    manifest naming them and ``config``. When the first subject arrives,
+    ``out_dir`` is created if needed and any old manifest goes, so a write
+    that fails part way leaves no manifest, and one that fails before its
+    first subject leaves ``out_dir`` as it was. Every subject must share
     the first's label space and feature width, and no subject id may repeat."""
     root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / _MANIFEST).unlink(missing_ok=True)
     entries: list[dict] = []
     for sub in subjects:
         if not entries:
             n_classes, feat_dim = sub.stages.n_classes, sub.features.dim
+            root.mkdir(parents=True, exist_ok=True)
+            (root / _MANIFEST).unlink(missing_ok=True)
         check_subject(sub, n_classes, feat_dim)
         if any(entry["id"] == sub.subject_id for entry in entries):
             raise ValueError(f"{sub.subject_id}: subject id repeats")

@@ -124,8 +124,10 @@ class RunConfig:
             check_seed(seed)
             if seed in self.seeds[:i]:
                 raise ValueError(f"seeds repeat {seed}")
-        if check_size("metric_window", self.resolved_metric_window) < 2:  # unset, it is the window
-            raise ValueError(f"metric_window must be >= 2, got {self.resolved_metric_window}")
+        check_size("metric_window", self.resolved_metric_window, 2)  # unset, it is the window
+        if self.integer_median and self.smoother != "median":
+            raise ValueError("integer_median applies only to the median smoother, "
+                             f"got smoother {self.smoother!r}")
 
     @property
     def resolved_metric_window(self) -> int:

@@ -115,8 +115,7 @@ def logit_concentration(
     """
     if check_size("trials", trials) < 100:
         raise ValueError(f"trials must be >= 100 for stable statistics, got {trials}")
-    if check_size("d_k", d_k) < 1:
-        raise ValueError(f"d_k must be >= 1, got {d_k}")
+    check_size("d_k", d_k, 1)
     rows = layer_norm_rows(x.data) if with_layernorm else x.data
 
     total = [0.0] * len(schemes)
@@ -202,8 +201,7 @@ def dk_sweep_detail(
     if grid[0] < 1:
         raise ValueError(f"d_k grid values must be >= 1, got {grid}")
     check_size("d_k grid value", grid[-1])
-    if check_size("trials", trials) < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_size("trials", trials, 1)
     x_set = list(x_set)
     if not x_set:
         raise ValueError("sequence set must be non-empty")
@@ -248,8 +246,7 @@ def centered_unit_sequence(t_len: int, dim: int, seed: int) -> FeatureSequence:
     """
     if check_size("t_len", t_len) < 2 or t_len % 2 != 0:
         raise ValueError(f"t_len must be even and >= 2, got {t_len}")
-    if check_size("dim", dim) < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    check_size("dim", dim, 1)
     rng = generator(seed, _ROLE_SEQ)
     half = rng.standard_normal((t_len // 2, dim))
     half /= np.linalg.norm(half, axis=1, keepdims=True)

@@ -39,10 +39,13 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def check_size(name: str, value: int) -> int:
-    """Return ``value`` if it is below 2**63; no numpy shape or index could hold it."""
+def check_size(name: str, value: int, low: int | None = None) -> int:
+    """Return ``value`` if it is below 2**63, above which no numpy shape or
+    index could hold it, and, when ``low`` is given, at least ``low``."""
     if value >= 2**63:
         raise ValueError(f"{name} must be < 2**63, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
 

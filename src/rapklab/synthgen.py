@@ -72,14 +72,10 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
-        for name in ("n_classes", "t_len", "n_subjects", "feat_dim"):
-            check_size(name, getattr(self, name))
-        if self.n_classes < 2:
-            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.t_len < 2:
-            raise ValueError(f"t_len must be >= 2, got {self.t_len}")
-        if self.n_subjects < 3:  # one subject for each split
-            raise ValueError(f"n_subjects must be >= 3, got {self.n_subjects}")
+        check_size("n_classes", self.n_classes, 2)
+        check_size("t_len", self.t_len, 2)
+        check_size("n_subjects", self.n_subjects, 3)  # one subject for each split
+        check_size("feat_dim", self.feat_dim)
         if not 0.0 <= self.self_prob <= 1.0:
             raise ValueError(f"self_prob must lie in [0, 1], got {self.self_prob}")
         if self.off_diag != "uniform":

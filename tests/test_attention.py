@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -189,6 +190,13 @@ def test_encoder_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("name", ["n_heads", "n_layers", "d_k", "window_w"])
+def test_encoder_config_sizes_at_their_bounds(name):
+    for value, message in ((0, "must be >= 1, got 0"), (2**63, f"must be < 2**63, got {2**63}")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}')}$"):
+            EncoderConfig(**{name: value})
+
+
 def test_encoder_config_head_divisibility():
     with pytest.raises(ValueError, match="divisible"):
         EncoderConfig(n_heads=3, d_k=8)
@@ -208,6 +216,27 @@ def test_encoder_residual_needs_matching_width_without_output_linear():
         n_heads=1, d_k=8, window_w=4,
         use_output_linear=False, use_residual=True,
     ), 8)
+
+
+def test_a_layer_stack_larger_than_memory_is_refused_after_layer_0(monkeypatch):
+    # Layer 0 holds 2048 bytes (Q/K/V 4x24, output 8x4, FFN 4x16 and 16x4),
+    # so three layers need 6144.
+    cfg = EncoderConfig(n_heads=2, d_k=8, n_layers=3, window_w=4)
+    drawn, real = [], attention.make_projection_set
+
+    def make_projection_set(*args):
+        drawn.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(attention, "make_projection_set", make_projection_set)
+    monkeypatch.setattr(attention, "_physical_memory", lambda: 6143)
+    with pytest.raises(MemoryError, match=r"^n_layers=3 layers of 2048 bytes each need 6144 "
+                                          r"bytes, more than the 6143 bytes of physical memory$"):
+        build_encoder_weights(cfg, 4)
+    assert len(drawn) == 2  # the two heads of layer 0, and nothing of layer 1
+    for memory in (6144, None):  # enough, or a host whose sysconf cannot tell
+        monkeypatch.setattr(attention, "_physical_memory", lambda: memory)
+        assert len(build_encoder_weights(cfg, 4).layers) == 3
 
 
 def test_encoder_layernorm_only_standardizes_rows():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import closed_form_kernel
 
-from rapklab import cli, dataio, harness, initializers, synthgen
+from rapklab import attention, cli, dataio, harness, initializers, synthgen
 from rapklab.attention import EncoderConfig
 from rapklab.cli import main
 from rapklab.dataio import DatasetError, load_dataset
@@ -351,6 +351,20 @@ def test_sweep_names_each_grid_point_one_way(axis, grids, values, run_config, tm
     assert sorted({row["value"] for row in rows}) == values
 
 
+@pytest.mark.parametrize("alias, axis, grid", [("dk", "d_k", "4,8"),
+                                               ("heads", "heads_layers", "1x1,2x1")])
+def test_sweep_axis_aliases_write_the_same_csv(alias, axis, grid, run_config, tmp_path):
+    # The short --axis spellings sweep the axis of their full name, which the rows carry.
+    written = []
+    for name in (alias, axis):
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(run_config), "--smoother", "random_transformer",
+                     "--axis", name, "--grid", grid, "--out", str(out)]) == 0
+        written.append((out / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
+    assert {row["axis"] for row in csv.DictReader(written[0].decode().splitlines())} == {axis}
+
+
 def test_sweep_bad_grid_and_missing_out(run_config, capsys):
     assert main([
         "sweep", "--config", str(run_config), "--axis", "window",
@@ -360,6 +374,27 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
         "sweep", "--config", str(run_config), "--axis", "window", "--grid", "2,3",
     ]) == 1
     assert "required: --out" in capsys.readouterr().err
+
+
+# Each count flag: its command, and the flag or field its messages name.
+_COUNTS = [
+    ("smooth-eval", "--heads", "n_heads"),
+    ("smooth-eval", "--layers", "n_layers"),
+    ("smooth-eval", "--dk", "d_k"),
+    ("smooth-eval", "--window", "window_w"),
+    ("smooth-eval", "--metric-window", "metric_window"),
+    ("simulate", "--classes", "n_classes"),
+    ("simulate", "--t-len", "t_len"),
+    ("simulate", "--subjects", "n_subjects"),
+    ("simulate", "--feat-dim", "feat_dim"),
+    ("kernel-validate", "--sequences", "--sequences"),
+    ("kernel-validate", "--trials", "trials"),
+    ("kernel-validate", "--t-len", "t_len"),
+    ("kernel-validate", "--dim", "dim"),
+    ("logit-stats", "--t-len", "--t-len"),
+    ("logit-stats", "--dim", "--dim"),
+    ("logit-stats", "--trials", "--trials"),
+]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -443,6 +478,31 @@ def test_sweep_bad_grid_and_missing_out(run_config, capsys):
                  id="logit-stats--t-len_0"),
     pytest.param(["logit-stats", "--dim=-1"], "--dim must be >= 1, got -1",
                  id="logit-stats--dim_-1"),
+    # Every count at 2**63, and one below its least value where no row above
+    # has it, names its flag or field in one message.
+    *(pytest.param([command, flag, str(2**63)], f"{name} must be < 2**63, got {2**63}",
+                   id=f"{command}{flag}_2**63")
+      for command, flag, name in _COUNTS),
+    *(pytest.param([command, flag, str(low - 1)], f"{name} must be >= {low}, got {low - 1}",
+                   id=f"{command}{flag}_{low - 1}")
+      for command, flag, name, low in (
+          ("smooth-eval", "--window", "window_w", 1),
+          ("smooth-eval", "--metric-window", "metric_window", 2),
+          ("simulate", "--classes", "n_classes", 2),
+          ("simulate", "--t-len", "t_len", 2),
+          ("kernel-validate", "--sequences", "--sequences", 1),
+          ("kernel-validate", "--trials", "trials", 1),
+          ("logit-stats", "--dim", "--dim", 1),
+          ("logit-stats", "--trials", "--trials", 1),
+      )),
+    # An integer median is a variant of the median smoother only.
+    pytest.param(["smooth-eval", "--smoother", "moving_average", "--integer-median"],
+                 "integer_median applies only to the median smoother, got smoother "
+                 "'moving_average'", id="smooth-eval_integer_median_moving_average"),
+    # The grid is named by the axis as typed, alias or not.
+    *(pytest.param(["sweep", "--axis", axis, "--grid", "4,x"], f"bad --grid for {axis}: '4,x'",
+                   id=f"sweep_grid_for_{axis}")
+      for axis in ("dk", "d_k")),
     # A synthetic scale must stay below 1e154, so that its square is finite,
     # and nan is refused too, before --out is made.
     *(pytest.param(["simulate", flag, value], f"{name} must lie in {span}, got {value}",
@@ -547,6 +607,62 @@ def test_an_allocation_failure_is_one_error_line(run_config, tmp_path, monkeypat
                  "--dk", str(2**40), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {line}\n"
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["metrics_classes", "metrics_label_file", "simulate",
+                                  "layers_probe", "layers_real"])
+def test_an_allocation_failure_names_its_flag_or_file(case, run_config, tmp_path, monkeypatch,
+                                                      capsys):
+    # Each allocation is made to fail as numpy fails, except the real --layers
+    # case, which draws only layer 0 before it is refused.
+    def fail(*args):
+        raise MemoryError(_NUMPY_ALLOCATION)
+
+    labels = tmp_path / "labels.csv"
+    labels.write_text("stage\n0\n1\n")
+    out = tmp_path / "out"
+    encoder = ["smooth-eval", "--config", str(run_config), "--smoother", "random_transformer"]
+    if case.startswith("metrics"):
+        monkeypatch.setattr(cli, "wte", fail)
+        classes = ["--classes", "5"] if case == "metrics_classes" else []
+        code = main(["metrics", "--labels", str(labels), *classes, "--out", str(out)])
+        line = (f"--classes 5: {_NUMPY_ALLOCATION}" if classes
+                else f"{labels}: {_NUMPY_ALLOCATION}")
+        assert (code, capsys.readouterr().err) == (1 if classes else 2, f"error: {line}\n")
+    elif case == "simulate":
+        monkeypatch.setattr(synthgen, "gen_features", fail)
+        assert main(["simulate", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {_NUMPY_ALLOCATION}\n"
+    elif case == "layers_probe":
+        # Layer 0 of this encoder holds 2048 bytes: Q/K/V 4x24, output 8x4, FFN 4x16 and 16x4.
+        monkeypatch.setattr(attention, "_physical_memory", lambda: 4095)
+        assert main([*encoder, "--layers", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: n_layers=2 layers of 2048 bytes each need 4096 bytes, "
+            "more than the 4095 bytes of physical memory\n")
+    else:
+        if attention._physical_memory() is None:
+            pytest.skip("without a memory size the layers would be drawn until killed")
+        assert main([*encoder, "--layers", "100000000000", "--out", str(out)]) == 1
+        assert re.fullmatch(r"error: n_layers=100000000000 layers of 2048 bytes each need "
+                            r"204800000000000 bytes, more than the \d+ bytes of physical "
+                            r"memory\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_simulate_that_fails_before_its_first_subject_keeps_the_old_dataset(tmp_path,
+                                                                           monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), *_FOUR_SUBJECTS]) == 0
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+    def fail(*args):
+        raise MemoryError(_NUMPY_ALLOCATION)
+
+    monkeypatch.setattr(synthgen, "gen_features", fail)
+    assert main(["simulate", "--out", str(out), *_FOUR_SUBJECTS]) == 1
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
 
 # Every int or float option of every command runs at each of these values.
@@ -872,6 +988,21 @@ def test_metrics_argument_errors(tmp_path, capsys):
     assert main(["metrics", "--labels", str(none_p), "--classes", str(2**62)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: --classes {2**62}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value, low", [
+    ("--classes", 0, 1), ("--classes", 2**63, 1), ("--window", 1, 2), ("--window", 2**63, 2),
+])
+def test_metrics_counts_at_their_bounds(flag, value, low, tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("stage\n0\n1\n")
+    files = ["--labels", str(labels)] if flag == "--classes" else [
+        "--none", str(labels), "--corr", str(labels)]
+    out = tmp_path / "out"
+    assert main(["metrics", *files, flag, str(value), "--out", str(out)]) == 1
+    bound = "< 2**63" if value == 2**63 else f">= {low}"
+    assert capsys.readouterr().err == f"error: {flag} must be {bound}, got {value}\n"
+    assert not out.exists()
 
 
 def test_metrics_label_file_too_short_for_transitions_is_a_dataset_error(tmp_path, capsys):

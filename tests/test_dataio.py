@@ -216,6 +216,25 @@ def test_save_dataset_leaves_no_manifest_when_a_subject_fails(small_dataset, tmp
         open_dataset(root)
 
 
+def test_save_dataset_that_fails_before_its_first_subject_leaves_out_dir_as_it_was(
+        small_dataset, tmp_path):
+    # out_dir is made, and an old manifest removed, only once a subject arrives.
+    root = save_dataset(small_dataset.subjects, tmp_path / "ds", small_dataset.config)
+    before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+    def failing():
+        raise MemoryError("source failed")
+        yield
+
+    with pytest.raises(MemoryError, match="source failed"):
+        save_dataset(failing(), root)
+    assert {path: path.read_bytes() for path in root.rglob("*") if path.is_file()} == before
+    open_dataset(root)
+    with pytest.raises(ValueError, match="at least one subject"):
+        save_dataset([], tmp_path / "empty")
+    assert not (tmp_path / "empty").exists()
+
+
 def test_save_dataset_memory_does_not_grow_with_the_cohort(tmp_path):
     # Each subject is written as it is drawn and freed before the next.
     t_len, feat_dim = 50, 64

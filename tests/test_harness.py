@@ -72,6 +72,12 @@ def test_run_config_validation():
         small_run(seeds=(222, 111, 222))
     with pytest.raises(ValueError, match="metric_window"):
         small_run(metric_window=1)
+    with pytest.raises(ValueError, match=rf"^metric_window must be < 2\*\*63, got {2**63}$"):
+        small_run(metric_window=2**63)
+    # A flag that changes nothing is refused, not carried into the digest.
+    with pytest.raises(ValueError, match="^integer_median applies only to the median smoother, "
+                                         "got smoother 'random_transformer'$"):
+        small_run(integer_median=True)
     # Unset, the metric window is the smoothing window, checked the same way.
     with pytest.raises(ValueError, match="metric_window must be >= 2, got 1"):
         small_run(encoder=small_encoder(window_w=1))
@@ -84,7 +90,7 @@ def test_resolved_metric_window_defaults_to_encoder_window():
 
 
 def test_load_run_config_round_trip():
-    cfg = small_run(metric_window=7, integer_median=True)
+    cfg = small_run(smoother="median", metric_window=7, integer_median=True)
     rebuilt = load_run_config(
         {
             "synth": run_config_dict(cfg)["synth"],

@@ -141,6 +141,10 @@ def test_logit_concentration_contract(monkeypatch):
         for trials, d_k, name in ((2**64, 8, "trials"), (100, 2**64, "d_k")):
             with pytest.raises(ValueError, match=rf"^{name} must be < 2\*\*63, got {2**64}$"):
                 logit_concentration(x, [XAVIER], d_k, False, trials=trials, seed=0)
+        for d_k, message in ((0, "d_k must be >= 1, got 0"),
+                             (2**63, rf"d_k must be < 2\*\*63, got {2**63}")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                logit_concentration(x, [XAVIER], d_k, False, trials=100, seed=0)
     (rep,) = logit_concentration(x, [XAVIER], 8, False, trials=100, seed=3)
     assert rep.scheme_label == "xavier_uniform"
     assert rep.d_k == 8 and rep.trials == 100
@@ -199,6 +203,10 @@ def test_dk_sweep_grid_validation(monkeypatch):
         patch.setattr(initializers, "_rng", _no_draw)
         with pytest.raises(ValueError, match=rf"^trials must be < 2\*\*63, got {2**64}$"):
             dk_sweep_detail(x, XAVIER, [8], trials=2**64, seed=0)
+        for trials, message in ((0, "trials must be >= 1, got 0"),
+                                (2**63, rf"trials must be < 2\*\*63, got {2**63}")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                dk_sweep_detail(x, XAVIER, [8], trials=trials, seed=0)
         with pytest.raises(ValueError, match=rf"^d_k grid value must be < 2\*\*63, got {2**64}$"):
             dk_sweep_detail(x, XAVIER, [8, 2**64], trials=1, seed=0)
 
@@ -251,3 +259,5 @@ def test_centered_unit_sequence_contract(monkeypatch):
     for t_len, dim, name in ((2**64, 5, "t_len"), (8, 2**64, "dim")):
         with pytest.raises(ValueError, match=rf"^{name} must be < 2\*\*63, got {2**64}$"):
             centered_unit_sequence(t_len, dim, seed=0)
+    with pytest.raises(ValueError, match=rf"^dim must be < 2\*\*63, got {2**63}$"):
+        centered_unit_sequence(8, 2**63, seed=0)

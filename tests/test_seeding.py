@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rapklab.initializers import InitScheme, init_matrix
-from rapklab.seeding import check_seed, generator, mix_seed, splitmix64
+from rapklab.seeding import check_seed, check_size, generator, mix_seed, splitmix64
 
 
 def test_splitmix64_golden_vector():
@@ -53,3 +53,14 @@ def test_the_64_bit_range_ends_are_seeds():
     assert check_seed(0) == 0
     assert check_seed(2**64 - 1) == 2**64 - 1
     assert mix_seed(2**64 - 1) == splitmix64(2**64 - 1)
+
+
+def test_check_size_bounds():
+    assert check_size("n", 2**63 - 1) == 2**63 - 1
+    assert check_size("n", 2, 2) == 2
+    assert check_size("n", -5) == -5  # no least value unless one is given
+    with pytest.raises(ValueError, match=r"^n must be >= 2, got 1$"):
+        check_size("n", 1, 2)
+    for low in (None, 1):  # the size bound comes first
+        with pytest.raises(ValueError, match=rf"^n must be < 2\*\*63, got {2**63}$"):
+            check_size("n", 2**63, low)

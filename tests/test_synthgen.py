@@ -157,6 +157,12 @@ def test_synth_config_validation():
         cfg(label_noise=-0.1)
     with pytest.raises(ValueError, match="t_len must be >= 2, got 1"):
         cfg(t_len=1)
+    for name in ("n_classes", "t_len", "n_subjects", "feat_dim"):
+        with pytest.raises(ValueError, match=rf"^{name} must be < 2\*\*63, got {2**63}$"):
+            cfg(**{name: 2**63})
+    # Each size is checked in full before the next, in field order.
+    with pytest.raises(ValueError, match="^n_classes must be >= 2, got 1$"):
+        cfg(n_classes=1, t_len=2**63)
     # A scale must stay below 1e154, so that its square is finite; nan fails
     # every comparison, so it is out of range too.
     for value in (-0.1, math.nan, 1e154, 1e308, math.inf):
