@@ -39,7 +39,7 @@ from .initializers import (
     parse_scheme,
     scheme_label,
 )
-from .metrics import EvalReport, accuracy, lsii, lsii_pooled, pearson, weighted_f1, wte, wte_pooled
+from .metrics import EvalReport, accuracy, lsii_pooled, pearson, weighted_f1, wte_pooled
 from .montecarlo import (
     KernelValidationReport,
     LogitConcentrationReport,

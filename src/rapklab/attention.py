@@ -49,6 +49,12 @@ ROW_SUM_TOL = 1e-9
 # stays near this many bytes: 250 rows at the reference encoder (d_k = 512).
 _TILE_BYTES = 3 * 2**20
 
+# OpenBLAS runs a GEMM of at most 4 * 65536 multiply-adds on one thread.
+# _scores splits a larger one into row blocks no smaller than _MIN_BLOCK_ROWS:
+# thinner blocks cost more than the thread split they avoid.
+_ONE_THREAD_GEMM = 4 * 65536
+_MIN_BLOCK_ROWS = 8
+
 # Stream tags for the encoder's weight draws.
 _ROLE_HEAD = 0x11
 _ROLE_OUT = 0x22
@@ -93,8 +99,24 @@ def softmax_rows(s: np.ndarray) -> AttentionMatrix:
 
 
 def _scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Scaled dot-product logits Q K^T / sqrt(d) over the last two axes."""
-    return (q @ k.swapaxes(-1, -2)) / math.sqrt(q.shape[-1])
+    """Scaled dot-product logits Q K^T / sqrt(d) over the last two axes.
+
+    OpenBLAS may split a product of more than ``_ONE_THREAD_GEMM``
+    multiply-adds across threads, which can change its bits. Such a product
+    runs in blocks of query rows that each stay within that size, when a
+    block still holds ``_MIN_BLOCK_ROWS`` rows; each logit is still one
+    full-length dot product.
+    """
+    (m, d), n = q.shape[-2:], k.shape[-2]
+    kt = k.swapaxes(-1, -2)
+    block = _ONE_THREAD_GEMM // (d * n or 1)
+    if block >= m or block < _MIN_BLOCK_ROWS:
+        return (q @ kt) / math.sqrt(d)
+    s = np.empty((*q.shape[:-1], n))
+    for lo in range(0, m, block):
+        np.matmul(q[..., lo:lo + block, :], kt, out=s[..., lo:lo + block, :])
+    s /= math.sqrt(d)
+    return s
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,

@@ -40,7 +40,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .initializers import parse_scheme, scheme_label
-from .metrics import lsii, wte
+from .metrics import lsii_pooled, wte_pooled
 from .montecarlo import centered_unit_sequence, dk_sweep_detail, logit_concentration
 from .seeding import check_size, generator, mix_seed
 from .sequences import FeatureSequence, StageSequence
@@ -322,7 +322,7 @@ def _cmd_metrics(args) -> int:
     if args.labels is not None:
         labels = _stage_sequences([args.labels], args.classes)
         try:
-            out["wte"] = wte(*labels)
+            out["wte"] = wte_pooled(labels)
         except (ValueError, MemoryError) as exc:
             # Too few rows is the label file's fault, and so is a transition
             # table too large to make or to allocate, unless --classes set
@@ -338,8 +338,8 @@ def _cmd_metrics(args) -> int:
             raise ValueError("LSII needs --window")
         check_size("--window", args.window, 2)
         pair = _stage_sequences([args.none, args.corr], args.classes)
-        try:  # with the window checked, what lsii rejects is the pair of files
-            out["lsii"] = lsii(*pair, args.window)
+        try:  # with the window checked, what LSII rejects is the pair of files
+            out["lsii"] = lsii_pooled(pair[:1], pair[1:], args.window)
         except ValueError as exc:
             raise DatasetError(f"{args.none}, {args.corr}: {exc}") from None
     if not out:

@@ -300,33 +300,34 @@ def _open_csv(path: Path):
 def _read_table(path: Path, expected_header: list[str]) -> np.ndarray:
     with _open_csv(path) as fh:
         try:
-            table = _parse_table(fh, expected_header)
-        except ValueError:  # loadtxt's parse errors and undecodable bytes
-            table = None
-        if table is None:
+            return _parse_table(fh, expected_header)
+        except ValueError:  # any fault, or undecodable bytes: the scan decides
             fh.seek(0)
-            table = _scan_table(fh, path, expected_header)
-    return table
+            return _scan_table(fh, path, expected_header)
 
 
-def _parse_table(fh, expected_header: list[str]) -> np.ndarray | None:
-    """One ``loadtxt`` call over the data rows, or None to leave the file to
-    ``_scan_table``. Only a finite table with one row per line and the
-    expected width is returned, so this never accepts a file the scan rejects."""
-    if fh.readline().rstrip("\r\n") != ",".join(expected_header):
-        return None
-    body = fh.tell()
-    n_rows = 0
+def _data_lines(fh) -> Iterator[str]:
+    """The lines after the header. A blank line, or none at all, raises
+    ValueError: ``loadtxt`` would skip the one and warn about the other."""
+    line = None
     for line in fh:
-        if not line.strip():  # loadtxt skips blank lines; the scan rejects them
-            return None
-        n_rows += 1
-    if not n_rows:
-        return None
-    fh.seek(body)
-    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    ok = table.shape == (n_rows, len(expected_header)) and np.isfinite(table).all()
-    return table if ok else None
+        if not line.strip():
+            raise ValueError("blank line")
+        yield line
+    if line is None:
+        raise ValueError("no data rows")
+
+
+def _parse_table(fh, expected_header: list[str]) -> np.ndarray:
+    """One ``loadtxt`` pass over the data rows. Only a finite table with one
+    row per line and the expected width is returned; anything else raises
+    ValueError, so this never accepts a file ``_scan_table`` rejects."""
+    if fh.readline().rstrip("\r\n") != ",".join(expected_header):
+        raise ValueError("header mismatch")
+    table = np.loadtxt(_data_lines(fh), delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != len(expected_header) or not np.isfinite(table).all():
+        raise ValueError("wrong width or non-finite cell")
+    return table
 
 
 def number_cell(cell: str, kind: type = float):

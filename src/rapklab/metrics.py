@@ -25,9 +25,7 @@ from .sequences import StageSequence
 
 __all__ = [
     "transition_counts",
-    "wte",
     "wte_pooled",
-    "lsii",
     "lsii_pooled",
     "accuracy",
     "per_class_f1",
@@ -46,22 +44,14 @@ def transition_counts(s: StageSequence) -> np.ndarray:
     return counts
 
 
-def wte(s: StageSequence) -> float:
-    """Weighted transition entropy of a stage sequence.
-
-    Rows of the transition matrix are entropy-scored with the natural log
-    (0 log 0 = 0) and averaged with weights proportional to how often each
-    stage is departed. Constant sequences score 0; the upper bound is
-    ln(n_classes).
-    """
-    return wte_pooled([s])
-
-
 def wte_pooled(sequences: list[StageSequence] | tuple[StageSequence, ...]) -> float:
-    """WTE of several sequences with transition counts pooled.
+    """Weighted transition entropy of one or more stage sequences.
 
-    Counts are summed per sequence, so no transition spans a sequence
-    boundary. All sequences must share the same label space.
+    Rows of the pooled transition matrix are entropy-scored with the natural
+    log (0 log 0 = 0) and averaged with weights proportional to how often
+    each stage is departed. Counts are summed per sequence, so no transition
+    spans a sequence boundary, and all sequences must share one label space.
+    Constant sequences score 0; the ceiling is ln(n_classes).
     """
     if not sequences:
         raise ValueError("need at least one sequence")
@@ -82,26 +72,21 @@ def wte_pooled(sequences: list[StageSequence] | tuple[StageSequence, ...]) -> fl
     return float(out)
 
 
-def lsii(none_preds: StageSequence, corr_preds: StageSequence, w: int) -> float | None:
-    """Local smoothing impact index of a corrected prediction sequence.
-
-    For each epoch where ``corr_preds`` differs from ``none_preds``, measures
-    the fraction of the other epochs in its non-overlapping width-``w``
-    window whose corrected label matches the corrected label at that epoch,
-    and averages over corrections. Agreement is measured against the
-    corrected sequence itself, so no ground truth enters the score. Returns
-    ``None`` when there are no corrections (or none with window context to
-    score).
-    """
-    return lsii_pooled([none_preds], [corr_preds], w)
-
-
 def lsii_pooled(
     none_list: list[StageSequence],
     corr_list: list[StageSequence],
     w: int,
 ) -> float | None:
-    """LSII with corrections pooled across several sequences (e.g. subjects)."""
+    """Local smoothing impact index, corrections pooled over sequence pairs.
+
+    For each epoch where a corrected sequence differs from its baseline,
+    measures the fraction of the other epochs in its non-overlapping
+    width-``w`` window whose corrected label matches the corrected label at
+    that epoch, and averages over all corrections of all pairs. Agreement is
+    measured against the corrected sequence itself, so no ground truth
+    enters the score. Returns ``None`` when no correction has window context
+    to score (in particular when there are no corrections).
+    """
     if len(none_list) != len(corr_list):
         raise ValueError("need one corrected sequence per baseline sequence")
     if w < 2:

@@ -33,7 +33,7 @@ from rapklab.harness import (
     write_report_json,
 )
 from rapklab.initializers import InitScheme
-from rapklab.metrics import lsii, wte
+from rapklab.metrics import lsii_pooled, wte_pooled
 from rapklab.montecarlo import centered_unit_sequence, dk_sweep_detail, logit_concentration
 from rapklab.rapk import linearized_softmax, rapk_coefficients, rapk_kernel
 from rapklab.seeding import generator, mix_seed
@@ -49,17 +49,17 @@ CORR_SYNTH = replace(ACC_SYNTH, self_prob=0.98, feat_dim=16, label_noise=0.35, s
 
 def test_01_metric_oracles_exhaustive():
     t0 = time.perf_counter()
-    assert wte(seq([0, 0, 1, 0, 1, 1], 2)) == pytest.approx(0.6591673732008658, abs=1e-6)
+    assert wte_pooled([seq([0, 0, 1, 0, 1, 1], 2)]) == pytest.approx(0.6591673732008658, abs=1e-6)
     flat = seq([0, 0, 0, 0, 0], 2)
-    assert lsii(seq([0, 0, 1, 0, 0], 2), flat, 5) == 1.0
-    assert lsii(seq([0, 0, 1, 1, 0], 2), seq([0, 0, 0, 1, 0], 2), 5) == 0.75
-    assert lsii(flat, flat, 5) is None
+    assert lsii_pooled([seq([0, 0, 1, 0, 0], 2)], [flat], 5) == 1.0
+    assert lsii_pooled([seq([0, 0, 1, 1, 0], 2)], [seq([0, 0, 0, 1, 0], 2)], 5) == 0.75
+    assert lsii_pooled([flat], [flat], 5) is None
 
     # WTE against the loop oracle over every ternary sequence up to length 8.
     checked_wte = 0
     for t_len in range(2, 9):
         for labels in itertools.product(range(3), repeat=t_len):
-            assert wte(seq(labels)) == pytest.approx(naive_wte(labels), abs=1e-12)
+            assert wte_pooled([seq(labels)]) == pytest.approx(naive_wte(labels), abs=1e-12)
             checked_wte += 1
 
     # LSII against the loop oracle: every ternary pair up to length 3, and a
@@ -70,7 +70,7 @@ def test_01_metric_oracles_exhaustive():
         for w in (2, 3):
             for none_l in itertools.product(range(3), repeat=t_len):
                 for corr_l in itertools.product(range(3), repeat=t_len):
-                    got = lsii(seq(none_l), seq(corr_l), w)
+                    got = lsii_pooled([seq(none_l)], [seq(corr_l)], w)
                     want = naive_lsii(none_l, corr_l, w)
                     assert (got is None and want is None) or got == pytest.approx(
                         want, abs=1e-12
@@ -82,7 +82,7 @@ def test_01_metric_oracles_exhaustive():
         w = int(rng.integers(2, t_len + 1))
         none_l = rng.integers(0, 3, size=t_len).tolist()
         corr_l = rng.integers(0, 3, size=t_len).tolist()
-        got = lsii(seq(none_l), seq(corr_l), w)
+        got = lsii_pooled([seq(none_l)], [seq(corr_l)], w)
         want = naive_lsii(none_l, corr_l, w)
         assert (got is None and want is None) or got == pytest.approx(want, abs=1e-12)
         checked_lsii += 1

@@ -48,6 +48,24 @@ def test_attention_scores_single_epoch():
     assert _scores(x, x).shape == (1, 1)
 
 
+@pytest.mark.parametrize("m,d,n", [(100, 64, 100), (300, 64, 300), (101, 64, 100),
+                                   (100, 512, 100), (64, 64, 64)])
+def test_attention_scores_in_row_blocks_match_one_product(m, d, n, monkeypatch):
+    # (100, 64, 100) runs in blocks of 40 rows, (101, 64, 100) ends in a
+    # 21-row block and (300, 64, 300) in a 12-row one; (100, 512, 100) would
+    # need 5-row blocks and (64, 64, 64) is small, so both are one product.
+    rng = generator(3, 0x5C)
+    q, k = rng.standard_normal((2, 3, m, d)), rng.standard_normal((2, 3, n, d))
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **kw: calls.append(1) or matmul(*a, **kw))
+    got = _scores(q, k)
+    blocks = -(-m // (262_144 // (d * n))) if m * d * n > 262_144 and d * n <= 32_768 else 0
+    assert len(calls) == blocks
+    np.testing.assert_allclose(got, np.einsum("...id,...jd->...ij", q, k) / math.sqrt(d),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_softmax_rows_uniform_on_zero_scores():
     a = softmax_rows(np.zeros((4, 4)))
     np.testing.assert_allclose(a.rows, np.full((4, 4), 0.25), atol=1e-15)
@@ -516,21 +534,25 @@ _THREAD_HASHES = f"""
 import hashlib
 from dataclasses import replace
 from rapklab.attention import EncoderConfig, encoder_forward
+from rapklab.harness import COMPONENT_BUNDLES
 from rapklab.initializers import InitScheme
 from rapklab.seeding import generator
 from rapklab.sequences import FeatureSequence
 x = FeatureSequence(generator(12, 0x17).standard_normal((1000, 256)))
-for w in (10, 35, 50):
-    out = encoder_forward(x, replace({ACC_ENCODER!r}, window_w=w)).data
-    print(w, hashlib.sha256(out.tobytes()).hexdigest())
+head_mean = replace({ACC_ENCODER!r}, **COMPONENT_BUNDLES["attention_no_linear"])
+for cfg, windows in (({ACC_ENCODER!r}, (10, 35, 50, 100, 300)), (head_mean, (10, 35, 50, 64))):
+    for w in windows:
+        out = encoder_forward(x, replace(cfg, window_w=w)).data
+        print(cfg.use_output_linear, w, hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
 def test_reference_encoder_bits_do_not_depend_on_blas_threads():
-    # The reference encoder on one 1000 x 256 input at the windows up to the
-    # default sweep grid's widest, under one and two OpenBLAS threads. Each
-    # count runs in a fresh process: OpenBLAS reads it when it loads. Wider
-    # windows (w * w * d_h above 262,144) can round the scores differently.
+    # The reference encoder (d_h 64) and the head mean (d_h 512) on one
+    # 1000 x 256 input, under one and two OpenBLAS threads. Each count runs in
+    # a fresh process: OpenBLAS reads it when it loads. A score product above
+    # 262,144 multiply-adds runs in row blocks that stay on one thread, which
+    # holds for d_h * w <= 32,768: w <= 512 here, and w <= 64 for the mean.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     hashes = [
@@ -539,5 +561,5 @@ def test_reference_encoder_bits_do_not_depend_on_blas_threads():
                                         "PYTHONPATH": path}).stdout
         for threads in ("1", "2")
     ]
-    assert hashes[0].count("\n") == 3
+    assert hashes[0].count("\n") == 9
     assert hashes[0] == hashes[1]

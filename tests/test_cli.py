@@ -624,7 +624,7 @@ def test_an_allocation_failure_names_its_flag_or_file(case, run_config, tmp_path
     out = tmp_path / "out"
     encoder = ["smooth-eval", "--config", str(run_config), "--smoother", "random_transformer"]
     if case.startswith("metrics"):
-        monkeypatch.setattr(cli, "wte", fail)
+        monkeypatch.setattr(cli, "wte_pooled", fail)
         classes = ["--classes", "5"] if case == "metrics_classes" else []
         code = main(["metrics", "--labels", str(labels), *classes, "--out", str(out)])
         line = (f"--classes 5: {_NUMPY_ALLOCATION}" if classes

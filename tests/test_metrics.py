@@ -10,13 +10,11 @@ from oracles import naive_lsii, naive_wte, seq
 from rapklab.metrics import (
     EvalReport,
     accuracy,
-    lsii,
     lsii_pooled,
     pearson,
     per_class_f1,
     transition_counts,
     weighted_f1,
-    wte,
     wte_pooled,
 )
 from rapklab.seeding import generator
@@ -34,26 +32,26 @@ def test_transition_counts_absent_class_row_is_zero():
 
 
 def test_wte_reference_fixture():
-    assert wte(seq([0, 0, 1, 0, 1, 1], 2)) == pytest.approx(0.6591673732008658, abs=1e-6)
+    assert wte_pooled([seq([0, 0, 1, 0, 1, 1], 2)]) == pytest.approx(0.6591673732008658, abs=1e-6)
     # Same value from first principles: rows (0->.) = {0:1, 1:2}, (1->.) = {0:1, 1:1}.
     h0 = -(1 / 3) * math.log(1 / 3) - (2 / 3) * math.log(2 / 3)
     h1 = math.log(2.0)
-    assert wte(seq([0, 0, 1, 0, 1, 1], 2)) == pytest.approx(0.6 * h0 + 0.4 * h1, abs=1e-12)
+    assert wte_pooled([seq([0, 0, 1, 0, 1, 1], 2)]) == pytest.approx(0.6 * h0 + 0.4 * h1, abs=1e-12)
 
 
 def test_wte_constant_and_deterministic_sequences_score_zero():
-    assert wte(seq([2, 2, 2, 2], 3)) == 0.0
-    assert wte(seq([0, 1, 0, 1, 0], 2)) == 0.0
+    assert wte_pooled([seq([2, 2, 2, 2], 3)]) == 0.0
+    assert wte_pooled([seq([0, 1, 0, 1, 0], 2)]) == 0.0
 
 
 def test_wte_bounds_and_relabeling_invariance():
     rng = generator(0, 0x50)
     for _ in range(20):
         labels = rng.integers(0, 4, size=30)
-        value = wte(StageSequence(labels, 4))
+        value = wte_pooled([StageSequence(labels, 4)])
         assert 0.0 <= value <= math.log(4.0) + 1e-12
         perm = rng.permutation(4)
-        assert wte(StageSequence(perm[labels], 4)) == pytest.approx(value, abs=1e-12)
+        assert wte_pooled([StageSequence(perm[labels], 4)]) == pytest.approx(value, abs=1e-12)
 
 
 def test_wte_matches_naive_exhaustively():
@@ -61,7 +59,7 @@ def test_wte_matches_naive_exhaustively():
     # to length 8.
     for t_len in range(2, 6):
         for labels in itertools.product(range(3), repeat=t_len):
-            got = wte(seq(labels, 3))
+            got = wte_pooled([seq(labels, 3)])
             assert got == pytest.approx(naive_wte(labels), abs=1e-12), labels
 
 
@@ -69,7 +67,7 @@ def test_wte_pooled_does_not_cross_boundaries():
     a = seq([0, 0], 2)
     b = seq([1, 1], 2)
     assert wte_pooled([a, b]) == 0.0
-    assert wte(seq([0, 0, 1, 1], 2)) > 0.0
+    assert wte_pooled([seq([0, 0, 1, 1], 2)]) > 0.0
 
 
 def test_wte_pooled_matches_count_merge():
@@ -84,32 +82,32 @@ def test_wte_pooled_matches_count_merge():
 
 
 def test_lsii_reference_fixtures():
-    assert lsii(seq([0, 0, 1, 0, 0], 2), seq([0, 0, 0, 0, 0], 2), 5) == 1.0
-    assert lsii(seq([0, 0, 1, 1, 0], 2), seq([0, 0, 0, 1, 0], 2), 5) == 0.75
+    assert lsii_pooled([seq([0, 0, 1, 0, 0], 2)], [seq([0, 0, 0, 0, 0], 2)], 5) == 1.0
+    assert lsii_pooled([seq([0, 0, 1, 1, 0], 2)], [seq([0, 0, 0, 1, 0], 2)], 5) == 0.75
 
 
 def test_lsii_none_when_nothing_scorable():
     s = seq([0, 1, 0, 1], 2)
-    assert lsii(s, s, 2) is None
+    assert lsii_pooled([s], [s], 2) is None
     # The only correction sits in a width-1 tail window.
     none_s = seq([0, 0, 0, 0, 1], 2)
     corr_s = seq([0, 0, 0, 0, 0], 2)
-    assert lsii(none_s, corr_s, 4) is None
+    assert lsii_pooled([none_s], [corr_s], 4) is None
 
 
 def test_lsii_validation():
     s = seq([0, 1], 2)
     with pytest.raises(ValueError, match=">= 2"):
-        lsii(s, s, 1)
+        lsii_pooled([s], [s], 1)
     with pytest.raises(ValueError, match="lengths differ"):
-        lsii(s, seq([0, 1, 0], 2), 2)
+        lsii_pooled([s], [seq([0, 1, 0], 2)], 2)
 
 
 def test_lsii_matches_naive_exhaustively():
     for w in (2, 3):
         for none_l in itertools.product(range(2), repeat=4):
             for corr_l in itertools.product(range(2), repeat=4):
-                got = lsii(seq(none_l, 2), seq(corr_l, 2), w)
+                got = lsii_pooled([seq(none_l, 2)], [seq(corr_l, 2)], w)
                 want = naive_lsii(none_l, corr_l, w)
                 if want is None:
                     assert got is None, (none_l, corr_l, w)
@@ -117,7 +115,7 @@ def test_lsii_matches_naive_exhaustively():
                     assert got == pytest.approx(want, abs=1e-12), (none_l, corr_l, w)
     for none_l in itertools.product(range(3), repeat=3):
         for corr_l in itertools.product(range(3), repeat=3):
-            got = lsii(seq(none_l, 3), seq(corr_l, 3), 2)
+            got = lsii_pooled([seq(none_l, 3)], [seq(corr_l, 3)], 2)
             want = naive_lsii(none_l, corr_l, 2)
             assert (got is None and want is None) or got == pytest.approx(want, abs=1e-12)
 

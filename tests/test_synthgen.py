@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from rapklab.metrics import wte
+from rapklab.metrics import wte_pooled
 from rapklab.seeding import generator
 from rapklab.sequences import StageSequence
 from rapklab.smoothers import CentroidSums, classify
@@ -43,7 +43,7 @@ def test_hypnogram_extremes():
 
 def test_hypnogram_wte_increases_with_churn():
     values = [
-        wte(gen_hypnogram(cfg(self_prob=p, t_len=10_000), 0))
+        wte_pooled([gen_hypnogram(cfg(self_prob=p, t_len=10_000), 0)])
         for p in (0.95, 0.8, 0.5)
     ]
     assert values[0] < values[1] < values[2]
