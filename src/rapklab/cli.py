@@ -41,7 +41,7 @@ from .harness import (
 )
 from .initializers import parse_scheme, scheme_label
 from .metrics import lsii_pooled, wte_pooled
-from .montecarlo import centered_unit_sequence, dk_sweep_detail, logit_concentration
+from .montecarlo import centered_unit_sequence, check_dk_grid, dk_sweep_detail, logit_concentration
 from .seeding import check_size, generator, mix_seed
 from .sequences import FeatureSequence, StageSequence
 from .synthgen import SynthConfig, iter_subjects
@@ -247,9 +247,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_kernel_validate(args) -> int:
-    grid = _parse_int_list(args.dk_grid, "--dk-grid")
+    grid = check_dk_grid(_parse_int_list(args.dk_grid, "--dk-grid"), "--dk-grid")
     scheme = parse_scheme(args.scheme)
-    # dk_sweep_detail checks the grid and --trials before it draws a sequence.
+    # dk_sweep_detail checks --trials before it draws a sequence.
     x_set = (
         centered_unit_sequence(args.t_len, args.dim, mix_seed(args.seed, i))
         for i in range(check_size("--sequences", args.sequences, 1))
@@ -275,14 +275,12 @@ def _cmd_kernel_validate(args) -> int:
 
 
 def _cmd_logit_stats(args) -> int:
-    grid = _parse_int_list(args.dk_grid, "--dk-grid")
-    if any(d_k < 1 for d_k in grid):
-        raise ValueError(f"--dk-grid values must be >= 1, got {args.dk_grid!r}")
+    grid = check_dk_grid(_parse_int_list(args.dk_grid, "--dk-grid"), "--dk-grid")
     schemes = [parse_scheme(part) for part in args.schemes.split(",") if part != ""]
     # Each row is one (scheme, d_k, layernorm) setting, so a repeat would be a duplicate row.
-    for flag, items in (("--dk-grid", grid), ("--schemes", [scheme_label(s) for s in schemes])):
-        if not items or len(set(items)) < len(items):
-            raise ValueError(f"{flag} must be a non-empty list without repeats, got {items}")
+    labels = [scheme_label(s) for s in schemes]
+    if not labels or len(set(labels)) < len(labels):
+        raise ValueError(f"--schemes must be a non-empty list without repeats, got {labels}")
     shape = (check_size("--t-len", args.t_len, 1), check_size("--dim", args.dim, 1))
     check_size("--trials", args.trials, 1)
     rng = generator(args.seed, 0xDD)
@@ -318,6 +316,17 @@ def _stage_sequences(paths: list[Path], n_classes: int | None) -> list[StageSequ
 
 
 def _cmd_metrics(args) -> int:
+    # Every flag is checked before any file is read.
+    if args.labels is None and args.none is None and args.corr is None:
+        raise ValueError("nothing to compute: pass --labels and/or --none/--corr")
+    if (args.none is None) != (args.corr is None):
+        raise ValueError("LSII needs both --none and --corr")
+    if args.none is not None and args.window is None:
+        raise ValueError("LSII needs --window")
+    if args.none is None and args.window is not None:
+        raise ValueError("--window sets the LSII window, so it needs --none and --corr")
+    if args.window is not None:
+        check_size("--window", args.window, 2)
     out: dict = {}
     if args.labels is not None:
         labels = _stage_sequences([args.labels], args.classes)
@@ -331,19 +340,12 @@ def _cmd_metrics(args) -> int:
             if args.classes is not None and labels[0].t_len >= 2:
                 raise ValueError(f"--classes {args.classes}: {text}") from None
             raise DatasetError(f"{args.labels}: {text}") from None
-    if (args.none is None) != (args.corr is None):
-        raise ValueError("LSII needs both --none and --corr")
     if args.none is not None:
-        if args.window is None:
-            raise ValueError("LSII needs --window")
-        check_size("--window", args.window, 2)
         pair = _stage_sequences([args.none, args.corr], args.classes)
         try:  # with the window checked, what LSII rejects is the pair of files
             out["lsii"] = lsii_pooled(pair[:1], pair[1:], args.window)
         except ValueError as exc:
             raise DatasetError(f"{args.none}, {args.corr}: {exc}") from None
-    if not out:
-        raise ValueError("nothing to compute: pass --labels and/or --none/--corr")
     text = json.dumps(out, indent=2, sort_keys=True)
     print(text)
     if args.out is not None:

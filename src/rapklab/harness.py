@@ -259,10 +259,7 @@ def _feature_smoothers(cfg: RunConfig, weights: list) -> list[Callable]:
         return [partial(fixed_attention_smooth, w=cfg.encoder.window_w)]
     if cfg.smoother != "random_transformer":
         return []
-    return [
-        partial(random_transformer_smooth, cfg=replace(cfg.encoder, seed=seed), weights=w)
-        for seed, w in zip(cfg.seeds, weights)
-    ]
+    return [partial(random_transformer_smooth, cfg=cfg.encoder, weights=w) for w in weights]
 
 
 def _label_smoothed(cfg: RunConfig, sub: Subject, none_pred: StageSequence) -> StageSequence:
@@ -389,8 +386,7 @@ def apply_axis(base: RunConfig, axis: str, value) -> tuple[object, RunConfig]:
     as "1x2"); every other value as given."""
     enc = base.encoder
     if axis == "window":
-        w = int(value)
-        return value, replace(base, encoder=replace(enc, window_w=w), metric_window=w)
+        return value, replace(base, encoder=replace(enc, window_w=int(value)))
     if axis == "d_k":
         return value, replace(base, encoder=replace(enc, d_k=int(value)))
     if axis == "init":

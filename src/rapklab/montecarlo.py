@@ -168,6 +168,19 @@ class KernelValidationReport:
     seed: int
 
 
+def check_dk_grid(d_k_grid: Iterable[int], name: str = "d_k grid") -> tuple[int, ...]:
+    """``d_k_grid`` as a tuple in the order given, once it is non-empty,
+    repeats no value, and holds only values in [1, 2**63); a fault is named
+    by ``name``."""
+    grid = tuple(int(v) for v in d_k_grid)
+    if any(d_k < 1 for d_k in grid):
+        raise ValueError(f"{name} values must be >= 1, got {list(grid)}")
+    if not grid or len(set(grid)) < len(grid):
+        raise ValueError(f"{name} must be a non-empty list without repeats, got {list(grid)}")
+    check_size(f"{name} value", max(grid))
+    return grid
+
+
 def dk_sweep_detail(
     x_set: Iterable[FeatureSequence],
     scheme: InitScheme,
@@ -193,14 +206,7 @@ def dk_sweep_detail(
     all-trials mean kernels. ``x_set`` is read only once the grid and the
     trial count pass their checks, so it may be a generator that draws.
     """
-    grid = tuple(int(v) for v in d_k_grid)
-    if not grid:
-        raise ValueError("d_k grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"d_k grid must be sorted ascending without repeats, got {grid}")
-    if grid[0] < 1:
-        raise ValueError(f"d_k grid values must be >= 1, got {grid}")
-    check_size("d_k grid value", grid[-1])
+    grid = check_dk_grid(d_k_grid)
     check_size("trials", trials, 1)
     x_set = list(x_set)
     if not x_set:

@@ -365,6 +365,29 @@ def test_sweep_axis_aliases_write_the_same_csv(alias, axis, grid, run_config, tm
     assert {row["axis"] for row in csv.DictReader(written[0].decode().splitlines())} == {axis}
 
 
+def test_window_sweep_keeps_an_explicit_metric_window(tmp_path):
+    # Each row of the sweep is the run at its window with the LSII window as given.
+    data = tmp_path / "data"
+    assert main(["simulate", "--classes", "3", "--t-len", "60", "--subjects", "5",
+                 "--feat-dim", "4", "--seed", "3", "--out", str(data)]) == 0
+    run = ["--dataset", str(data), "--smoother", "median", "--seed", "1"]
+    sweeps = {}
+    for flags in ([], ["--metric-window", "7"]):
+        out = tmp_path / f"sweep{len(sweeps)}"
+        assert main(["sweep", *run, "--axis", "window", "--grid", "3,5", *flags,
+                     "--out", str(out)]) == 0
+        sweeps[len(flags)] = read_sweep_csv(out / "sweep.csv")
+    for w in (3, 5):
+        out = tmp_path / f"eval{w}"
+        assert main(["smooth-eval", *run, "--window", str(w), "--metric-window", "7",
+                     "--out", str(out)]) == 0
+        per_seed, = json.loads((out / "report.json").read_text())["per_seed"]
+        row, = [r for r in sweeps[2] if r["value"] == str(w) and r["seed"] == 1]
+        assert {name: row[name] for name in ("accuracy", "weighted_f1", "wte", "lsii")} == {
+            name: per_seed[name] for name in ("accuracy", "weighted_f1", "wte", "lsii")}
+    assert [r["lsii"] for r in sweeps[0]] != [r["lsii"] for r in sweeps[2]]
+
+
 def test_sweep_bad_grid_and_missing_out(run_config, capsys):
     assert main([
         "sweep", "--config", str(run_config), "--axis", "window",
@@ -417,7 +440,7 @@ _COUNTS = [
     (["sweep", "--axis", "init", "--grid", "xavier_uniform,uniform_1e200"],
      "init scheme 'uniform_1e200': uniform requires scale_param < 1e+154 so that its "
      "variance is finite, got 1e+200"),
-    (["kernel-validate", "--dk-grid", "0,16"], "d_k grid values must be >= 1, got (0, 16)"),
+    (["kernel-validate", "--dk-grid", "0,16"], "--dk-grid values must be >= 1, got [0, 16]"),
     # Rows this large square past float64 in the logits or the analytic spread;
     # numpy's warnings fail these cases (pyproject's filterwarnings).
     *(pytest.param(["logit-stats", "--row-scale", scale],
@@ -513,6 +536,17 @@ _COUNTS = [
           ("--noise-std", "noise_std", "[0, 1e+154)", "1e+308"),
           ("--class-sep", "class_sep", "(0, 1e+154)", "inf"),
       )),
+    # Both Monte Carlo commands check --dk-grid by one rule, with one message
+    # (kernel-validate's 0,16 is a row above).
+    *(pytest.param([command, "--dk-grid", grid], message, id=f"{command}_dk_grid_{grid}")
+      for grid, message in (
+          ("0,16", "--dk-grid values must be >= 1, got [0, 16]"),
+          ("16,16", "--dk-grid must be a non-empty list without repeats, got [16, 16]"),
+          (",", "--dk-grid must be a non-empty list without repeats, got []"),
+          (f"16,{2**64}", f"--dk-grid value must be < 2**63, got {2**64}"),
+      )
+      for command in ("kernel-validate", "logit-stats")
+      if (command, grid) != ("kernel-validate", "0,16")),
 ])
 def test_bad_or_repeated_values_are_one_error_line(argv, message, run_config, tmp_path,
                                                    monkeypatch, capsys):
@@ -807,6 +841,15 @@ def test_kernel_validate(tmp_path, capsys):
     assert len(lines) == 3  # one 100-trial block per d_k
 
 
+def test_kernel_validate_keeps_the_dk_grid_order_given(tmp_path):
+    out = tmp_path / "kv"
+    assert main(["kernel-validate", "--out", str(out), "--t-len", "4", "--dim", "3",
+                 "--sequences", "1", "--trials", "100", "--dk-grid", "64,16"]) == 0
+    assert json.loads((out / "kernel_validation.json").read_text())["d_k_grid"] == [64, 16]
+    lines = (out / "kernel_validation.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == ["64", "16"]
+
+
 def test_kernel_validate_names_its_scheme_one_way(tmp_path):
     # Two spellings of one scheme run the same draws and write the same files.
     written = []
@@ -979,6 +1022,12 @@ def test_metrics_argument_errors(tmp_path, capsys):
     assert "needs --window" in err
     assert main(["metrics", "--none", str(none_p), "--corr", str(none_p), "--window", "1"]) == 1
     assert "--window must be >= 2, got 1" in capsys.readouterr().err
+    # --window sets only the LSII window; without the pair it is refused, not
+    # ignored, and before the label file is read.
+    for labels in (none_p, tmp_path / "ghost.csv"):
+        assert main(["metrics", "--labels", str(labels), "--window", "5"]) == 1
+        assert capsys.readouterr() == ("", "error: --window sets the LSII window, "
+                                           "so it needs --none and --corr\n")
     assert main(["metrics", "--labels", str(tmp_path / "ghost.csv")]) == 2
     assert main(["metrics", "--labels", str(none_p), "--classes", "0"]) == 1
     assert "--classes must be >= 1" in capsys.readouterr().err

@@ -319,12 +319,16 @@ def test_append_runs_csv_accumulates(tmp_path):
     assert float(first_row[6]) == result.per_seed[0].accuracy
 
 
-def test_apply_axis_window_also_sets_metric_window():
+def test_apply_axis_window_keeps_the_metric_window():
+    # Unset, the metric window follows the window; set, it stays as given.
     label, out = apply_axis(small_run(), "window", 7)
     assert label == 7
     assert out.encoder.window_w == 7
-    assert out.metric_window == 7
     assert out.resolved_metric_window == 7
+    label, out = apply_axis(replace(small_run(), metric_window=4), "window", 7)
+    assert label == 7
+    assert out.encoder.window_w == 7
+    assert out.metric_window == out.resolved_metric_window == 4
 
 
 def test_apply_axis_other_axes():

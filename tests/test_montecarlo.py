@@ -189,9 +189,10 @@ def test_logit_concentration_layernorm_bounds_scale():
 
 def test_dk_sweep_grid_validation(monkeypatch):
     x = [small_sequence()]
-    with pytest.raises(ValueError, match="sorted"):
-        dk_sweep_detail(x, XAVIER, [16, 8], trials=1, seed=0)
-    with pytest.raises(ValueError, match="sorted"):
+    # The grid runs in the order given; only a repeat is refused.
+    assert dk_sweep_detail(x, XAVIER, [16, 8], trials=1, seed=0)[0].d_k_grid == (16, 8)
+    with pytest.raises(ValueError, match=r"^d_k grid must be a non-empty list without repeats, "
+                                         r"got \[8, 8\]$"):
         dk_sweep_detail(x, XAVIER, [8, 8], trials=1, seed=0)
     with pytest.raises(ValueError, match="non-empty"):
         dk_sweep_detail([], XAVIER, [8], trials=1, seed=0)
