@@ -6,9 +6,9 @@ Subcommands: ``simulate`` (write a synthetic dataset), ``smooth-eval``
 (logit concentration across schemes), ``metrics`` (WTE/LSII on label CSVs),
 and ``correlate`` (metric-accuracy correlations over a sweep CSV).
 
-Exit codes: 0 on success, 1 on a usage error, an invalid config value or an
-allocation that fails, 2 when an input file cannot be read or a dataset, label
-or sweep file is faulty.
+Exit codes: 0 on success, 1 on a usage error, an invalid or unread config
+value (``harness.fields_read``) or an allocation that fails, 2 when an input
+file cannot be read or a dataset, label or sweep file is faulty.
 """
 
 from __future__ import annotations
@@ -282,7 +282,7 @@ def _cmd_logit_stats(args) -> int:
     if not labels or len(set(labels)) < len(labels):
         raise ValueError(f"--schemes must be a non-empty list without repeats, got {labels}")
     shape = (check_size("--t-len", args.t_len, 1), check_size("--dim", args.dim, 1))
-    check_size("--trials", args.trials, 1)
+    check_size("--trials", args.trials, 100)  # logit_concentration's floor, before any draw
     rng = generator(args.seed, 0xDD)
     with np.errstate(over="ignore"):  # rows that overflow fail in FeatureSequence
         x = FeatureSequence(args.row_scale * rng.standard_normal(shape))

@@ -64,9 +64,11 @@ __all__ = [
 
 SMOOTHERS = ("none", "moving_average", "median", "fixed_attention", "random_transformer")
 
-SWEEP_AXES = ("window", "d_k", "init", "heads_layers", "components")
-
 _USE_FLAGS = tuple(f.name for f in fields(EncoderConfig) if f.name.startswith("use_"))
+
+# Each sweep axis, and the encoder fields that it sets.
+SWEEP_AXES = {"window": ("window_w",), "d_k": ("d_k",), "init": ("init",),
+              "heads_layers": ("n_layers", "n_heads"), "components": _USE_FLAGS}
 
 
 def _bundle(*on: str) -> dict[str, bool]:
@@ -215,7 +217,7 @@ def load_run_config(entry: dict) -> RunConfig:
     if "seed" in entry.get("encoder", {}):
         raise ValueError("encoder.seed is not a config key: each run seed in 'seeds' sets it")
     seeds = _typed(entry.get("seeds", list(DEFAULT_SEEDS)), list, "seeds")
-    return RunConfig(
+    cfg = RunConfig(
         synth=synth,
         dataset_path=_typed(entry.get("dataset"), str, "dataset", none_ok=True),
         smoother=entry.get("smoother", "random_transformer"),
@@ -224,6 +226,14 @@ def load_run_config(entry: dict) -> RunConfig:
         seeds=tuple(_typed(s, int, f"seeds[{i}]") for i, s in enumerate(seeds)),
         integer_median=_typed(entry.get("integer_median", False), bool, "integer_median"),
     )
+    # One experiment, one digest: a field the run never reads keeps its default.
+    default = replace(cfg, encoder=EncoderConfig(), metric_window=None, integer_median=False)
+    given, default = ({**d.pop("encoder"), **d} for d in map(run_config_dict, (cfg, default)))
+    for name, value in given.items():
+        if value != default[name] and name not in fields_read(cfg):
+            raise _unread(cfg, f"does not read {name}, so it must stay {default[name]!r}, "
+                               f"got {value!r}")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -385,10 +395,9 @@ def apply_axis(base: RunConfig, axis: str, value) -> tuple[object, RunConfig]:
     canonical spelling ("kaiming_uniform" as "kaiming_uniform_relu", "01x2"
     as "1x2"); every other value as given."""
     enc = base.encoder
-    if axis == "window":
-        return value, replace(base, encoder=replace(enc, window_w=int(value)))
-    if axis == "d_k":
-        return value, replace(base, encoder=replace(enc, d_k=int(value)))
+    if axis in ("window", "d_k"):
+        (name,) = SWEEP_AXES[axis]
+        return value, replace(base, encoder=replace(enc, **{name: int(value)}))
     if axis == "init":
         scheme = parse_scheme(value)
         return scheme_label(scheme), replace(base, encoder=replace(enc, init=scheme))
@@ -406,7 +415,23 @@ def apply_axis(base: RunConfig, axis: str, value) -> tuple[object, RunConfig]:
                 f"unknown component bundle {name!r}; expected one of {sorted(COMPONENT_BUNDLES)}"
             )
         return value, replace(base, encoder=replace(enc, **COMPONENT_BUNDLES[name]))
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
+
+
+def fields_read(cfg: RunConfig) -> set[str]:
+    """The run fields, each encoder field by its own name, whose values can
+    change a result of ``cfg``: ``none`` reads only its seeds."""
+    if cfg.smoother == "random_transformer":
+        attention = () if cfg.encoder.use_attention else ("n_heads", "d_k", "use_output_linear")
+        return {"seeds", "metric_window", *_encoder_dict(cfg.encoder)}.difference(attention)
+    window = {"window_w", "metric_window"} if cfg.smoother != "none" else set()
+    return {"seeds", *window} | ({"integer_median"} if cfg.smoother == "median" else set())
+
+
+def _unread(cfg: RunConfig, text: str) -> ValueError:
+    # The random transformer leaves a field unread only with its attention off.
+    attention_off = " with use_attention false" * (cfg.smoother == "random_transformer")
+    return ValueError(f"smoother {cfg.smoother!r}{attention_off} {text}")
 
 
 def _value_sort_key(value):
@@ -434,8 +459,6 @@ def run_sweep(base: RunConfig, axis: str, grid: Sequence) -> list[dict]:
     plus ``mean`` and ``std`` aggregate rows per grid value; rows are sorted
     by (axis value, seed), with each value labelled as ``apply_axis`` does.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     points = [apply_axis(base, axis, value) for value in grid]
@@ -443,11 +466,10 @@ def run_sweep(base: RunConfig, axis: str, grid: Sequence) -> list[dict]:
     for i, value in enumerate(grid):
         if cfgs[i] in cfgs[:i]:
             raise ValueError(f"sweep grid for {axis} repeats {value!r}")
-    # Every other axis changes only the encoder weights, which such a
-    # smoother never reads: each row would repeat one result.
-    if axis != "window" and base.smoother != "random_transformer":
-        raise ValueError(f"smoother {base.smoother!r} uses no encoder weights, "
-                         f"so it sweeps only the window axis, not {axis}")
+    names = SWEEP_AXES[axis]
+    if not any(fields_read(cfg).intersection(names) for cfg in cfgs):
+        raise _unread(base, f"uses no encoder field that the {axis} axis sets "
+                            f"({', '.join(names)}), so each row would repeat one result")
     one_pass = axis == "window" and not (
         base.smoother == "random_transformer" and base.encoder.use_positional)
     # No axis changes the data source, so every pass reads the same one.

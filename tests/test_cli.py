@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import re
+import shutil
 import warnings
 from dataclasses import fields
 
@@ -14,7 +15,7 @@ from rapklab import attention, cli, dataio, harness, initializers, synthgen
 from rapklab.attention import EncoderConfig
 from rapklab.cli import main
 from rapklab.dataio import DatasetError, load_dataset
-from rapklab.harness import read_sweep_csv, write_sweep_csv
+from rapklab.harness import COMPONENT_BUNDLES, SMOOTHERS, read_sweep_csv, write_sweep_csv
 from rapklab.initializers import InitScheme, analytic_variance
 from rapklab.montecarlo import centered_unit_sequence, dk_sweep_detail
 from rapklab.seeding import mix_seed
@@ -24,7 +25,10 @@ SYNTH = {
     "n_classes": 3, "t_len": 60, "n_subjects": 4, "feat_dim": 4,
     "class_sep": 2.0, "noise_std": 0.4, "label_noise": 0.2, "seed": 5,
 }
-ENCODER = {"n_heads": 2, "d_k": 8, "window_w": 5}
+# The encoder of a test that switches the run config below to the random
+# transformer: a moving average reads none of these fields, so its config
+# may not set them.
+RT_FLAGS = ["--smoother", "random_transformer", "--heads", "2", "--dk", "8"]
 
 
 @pytest.fixture()
@@ -32,7 +36,6 @@ def run_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "synth": SYNTH,
-        "encoder": ENCODER,
         "smoother": "moving_average",
         "seeds": [111],
     }))
@@ -272,7 +275,7 @@ def test_smooth_eval_unknown_config_key(tmp_path, capsys):
 def test_smooth_eval_rejects_encoder_seed(tmp_path, capsys):
     # Each run seed sets the encoder seed, so a config seed would be ignored.
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"synth": SYNTH, "encoder": {**ENCODER, "seed": 5}}))
+    path.write_text(json.dumps({"synth": SYNTH, "encoder": {"seed": 5}}))
     assert main(["smooth-eval", "--config", str(path), "--smoother", "none"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -343,7 +346,7 @@ def test_sweep_names_each_grid_point_one_way(axis, grids, values, run_config, tm
     written = []
     for grid in grids:
         out = tmp_path / str(len(written))
-        assert main(["sweep", "--config", str(run_config), "--smoother", "random_transformer",
+        assert main(["sweep", "--config", str(run_config), *RT_FLAGS,
                      "--axis", axis, "--grid", grid, "--out", str(out)]) == 0
         written.append((out / "sweep.csv").read_bytes())
     assert written[0] == written[1]
@@ -358,7 +361,7 @@ def test_sweep_axis_aliases_write_the_same_csv(alias, axis, grid, run_config, tm
     written = []
     for name in (alias, axis):
         out = tmp_path / name
-        assert main(["sweep", "--config", str(run_config), "--smoother", "random_transformer",
+        assert main(["sweep", "--config", str(run_config), *RT_FLAGS,
                      "--axis", name, "--grid", grid, "--out", str(out)]) == 0
         written.append((out / "sweep.csv").read_bytes())
     assert written[0] == written[1]
@@ -433,7 +436,8 @@ _COUNTS = [
     (["smooth-eval", "--seed", "1,1"], "seeds repeat 1"),
     (["smooth-eval", "--window", "1"], "metric_window must be >= 2, got 1"),
     (["sweep", "--smoother", "median", "--axis", "dk"],
-     "smoother 'median' uses no encoder weights, so it sweeps only the window axis, not d_k"),
+     "smoother 'median' uses no encoder field that the d_k axis sets (d_k), so each row would "
+     "repeat one result"),
     (["smooth-eval", "--init", "normal_inf"],
      "init scheme 'normal_inf': normal requires scale_param < 1e+154 so that its "
      "variance is finite, got inf"),
@@ -516,12 +520,48 @@ _COUNTS = [
           ("kernel-validate", "--sequences", "--sequences", 1),
           ("kernel-validate", "--trials", "trials", 1),
           ("logit-stats", "--dim", "--dim", 1),
-          ("logit-stats", "--trials", "--trials", 1),
       )),
+    # logit-stats needs 100 trials for stable statistics, and refuses fewer
+    # before it draws its feature rows, however large they would be.
+    *(pytest.param(["logit-stats", *flags, "--trials", n], f"--trials must be >= 100, got {n}",
+                   id=f"logit-stats--trials_{n}")
+      for n, flags in (("0", []), ("99", []),
+                       ("50", ["--t-len", "1000000", "--dim", "1000000"]))),
     # An integer median is a variant of the median smoother only.
     pytest.param(["smooth-eval", "--smoother", "moving_average", "--integer-median"],
                  "integer_median applies only to the median smoother, got smoother "
                  "'moving_average'", id="smooth-eval_integer_median_moving_average"),
+    # A value that the run's smoother or components never read keeps its
+    # default, so that one experiment has one digest; and a sweep axis must
+    # set a field that some grid point reads.
+    *(pytest.param(["smooth-eval", "--smoother", "median", "--window", "5", "--seed", "1",
+                    flag, value], f"smoother 'median' does not read {name}, so it must stay "
+                   f"{default}, got {got}", id=f"smooth-eval_median{flag}")
+      for flag, value, name, default, got in (
+          ("--dk", "64", "d_k", 512, 64), ("--heads", "2", "n_heads", 8, 2),
+          ("--layers", "2", "n_layers", 1, 2),
+          ("--init", "orthogonal", "init", "'xavier_uniform'", "'orthogonal'"),
+      )),
+    pytest.param(["smooth-eval", "--smoother", "fixed_attention", "--use-positional"],
+                 "smoother 'fixed_attention' does not read use_positional, so it must stay "
+                 "False, got True", id="smooth-eval_fixed_attention--use-positional"),
+    *(pytest.param(["smooth-eval", "--smoother", "none", flag, "7"],
+                   f"smoother 'none' does not read {name}, so it must stay 10, got 7",
+                   id=f"smooth-eval_none{flag}")
+      for flag, name in (("--window", "window_w"), ("--metric-window", "metric_window"))),
+    *(pytest.param(["smooth-eval", "--smoother", "random_transformer", "--no-use-attention",
+                    flag, "2"], "smoother 'random_transformer' with use_attention false does "
+                   f"not read {name}, so it must stay {default}, got 2",
+                   id=f"smooth-eval_no_attention{flag}")
+      for flag, name, default in (("--heads", "n_heads", 8), ("--dk", "d_k", 512))),
+    pytest.param(["sweep", "--smoother", "none", "--axis", "window", "--grid", "5,10"],
+                 "smoother 'none' uses no encoder field that the window axis sets (window_w), "
+                 "so each row would repeat one result", id="sweep_none_window"),
+    pytest.param(["sweep", "--smoother", "random_transformer", "--no-use-attention",
+                  "--axis", "d_k", "--grid", "16,64"],
+                 "smoother 'random_transformer' with use_attention false uses no encoder field "
+                 "that the d_k axis sets (d_k), so each row would repeat one result",
+                 id="sweep_no_attention_d_k"),
     # The grid is named by the axis as typed, alias or not.
     *(pytest.param(["sweep", "--axis", axis, "--grid", "4,x"], f"bad --grid for {axis}: '4,x'",
                    id=f"sweep_grid_for_{axis}")
@@ -577,15 +617,18 @@ _MID_RUN_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("command", [["smooth-eval"],
-                                     ["sweep", "--axis", "window", "--grid", "3,5"]])
-@pytest.mark.parametrize("case, smoother", [
-    ("train_misses_a_class", "fixed_attention"),
-    ("train_misses_a_class", "none"),
-    ("test_subject_without_probs", "median"),
-    ("test_subject_without_probs", "moving_average"),
-    ("probs_row_short", "none"),
-    ("probs_row_not_a_distribution", "median"),
+@pytest.mark.parametrize("command, case, smoother", [
+    pytest.param(command, case, smoother, id=f"{case}-{smoother}-command{i}")
+    for case, smoother in (
+        ("train_misses_a_class", "fixed_attention"),
+        ("train_misses_a_class", "none"),
+        ("test_subject_without_probs", "median"),
+        ("test_subject_without_probs", "moving_average"),
+        ("probs_row_short", "none"),
+        ("probs_row_not_a_distribution", "median"),
+    )
+    for i, command in enumerate([["smooth-eval"], ["sweep", "--axis", "window", "--grid", "3,5"]])
+    if (smoother, i) != ("none", 1)  # no axis sets a field that none reads
 ])
 def test_dataset_faults_found_mid_run_are_one_error_line(case, smoother, command, tmp_path,
                                                          capsys):
@@ -656,7 +699,7 @@ def test_an_allocation_failure_names_its_flag_or_file(case, run_config, tmp_path
     labels = tmp_path / "labels.csv"
     labels.write_text("stage\n0\n1\n")
     out = tmp_path / "out"
-    encoder = ["smooth-eval", "--config", str(run_config), "--smoother", "random_transformer"]
+    encoder = ["smooth-eval", "--config", str(run_config), *RT_FLAGS]
     if case.startswith("metrics"):
         monkeypatch.setattr(cli, "wte_pooled", fail)
         classes = ["--classes", "5"] if case == "metrics_classes" else []
@@ -763,6 +806,188 @@ def test_every_numeric_flag_at_edge_values_runs_or_is_one_error_line(tmp_path, m
                 # The name ends there: "dim" in "dimensions" names nothing.
                 named = rf"({flag.lstrip('-')}|{action.dest})(?![\w-])"
                 assert code == 1 and re.search(named, err), (argv, err)
+
+
+# The smoothers that draw nothing from a run seed.
+_SEED_FREE = ("none", "moving_average", "median", "fixed_attention")
+
+# Options that may leave every output as it was, but for the config it
+# echoes, each with its reason, keyed by (command, base run, option) with "*"
+# for any command or base run. The influence walker below names a base run by
+# its smoother, or the random transformer's as random_transformer:<bundle>.
+_NO_INFLUENCE = {
+    ("*", "*", "--out"): "it says where the outputs go",
+    **{(command, "*", "--config"): "it names the base run's config file, whose every key is "
+                                   "walked as a flag"
+       for command in ("smooth-eval", "sweep")},
+    ("simulate", "*", "--config"): "simulate reads only the synth keys of a run config and "
+                                   "ignores the others, as documented",
+    ("metrics", "*", "--classes"): "it only bounds the labels: --labels with --classes 7 "
+                                   "writes the same WTE as without it",
+    **{(command, smoother, "--seed"): "a smoother without a seed repeats one result for each "
+                                      "run seed"
+       for command in ("smooth-eval", "sweep") for smoother in _SEED_FREE},
+    # What the rule in harness.fields_read accepts although nothing reads it.
+    ("sweep", "*", "--window"): "the window axis sets every grid point's window, so the base "
+                                "run's window is unread",
+    **{(command, f"random_transformer:{bundle}", option): "without attention, an FFN or "
+       "positional rows the encoder draws no weights and adds no residual, and more layers "
+       "only repeat a layer norm, which moves no prediction here"
+       for command in ("smooth-eval", "sweep") for bundle in ("none", "layernorm")
+       for option in ("--seed", "--init", "--layers", "--use-residual")},
+    **{(command, "random_transformer:none", option): "with every component off the encoder "
+       "is the identity, so the run scores as none does, with no LSII"
+       for command in ("smooth-eval", "sweep") for option in ("--window", "--metric-window")},
+}
+
+
+def _no_influence(command, base, option):
+    keys = ((command, base, option), (command, "*", option), ("*", "*", option))
+    return next((_NO_INFLUENCE[key] for key in keys if key in _NO_INFLUENCE), None)
+
+
+def _subparsers():
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_exemption_names_an_option_the_parser_has():
+    options = {(command, option) for command, parser in _subparsers().items()
+               for action in parser._actions for option in action.option_strings}
+    for command, _, option in _NO_INFLUENCE:
+        commands = _subparsers() if command == "*" else [command]
+        assert any((c, option) in options for c in commands), (command, option)
+
+
+def _outputs(out):
+    # What a run wrote, less the config it echoes: report.json without its
+    # config, digest and run seeds, sweep.csv without its seed column, and no
+    # runs.csv, whose other columns report.json holds.
+    files = {}
+    for path in sorted(out.rglob("*")) if out.exists() else []:
+        name = path.relative_to(out).as_posix()
+        if name == "report.json":
+            report = json.loads(path.read_text())
+            del report["config"], report["config_digest"]
+            for row in report["per_seed"]:
+                del row["config_digest"], row["seed"]
+            files[name] = report
+        elif name == "sweep.csv":
+            files[name] = [row[:2] + row[3:] for row in csv.reader(path.open())]
+        elif name != "runs.csv" and path.is_file():
+            files[name] = path.read_bytes()
+    return files
+
+
+def test_every_option_changes_an_output_or_is_refused_naming_itself(tmp_path, capsys):
+    # From a tiny base run of each command, and for smooth-eval and sweep one
+    # per smoother and per component bundle of the random transformer, every
+    # option of cli.build_parser() is set alone to a non-default valid value.
+    # The run must then change its stdout or some output file beyond the
+    # config it echoes, or exit 1 with one error line that names the option
+    # and no --out; unless _NO_INFLUENCE lists the option for that base run.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "synth": {"n_classes": 3, "t_len": 60, "n_subjects": 3, "feat_dim": 16,
+                  "self_prob": 0.5, "class_sep": 0.5, "seed": 3},
+        "seeds": [1],
+    }))
+    labels = {}
+    for name, stages in (("labels", "0 1 1 2 0 0 2 1 "), ("corr", "0 1 1 1 0 0 0 1 "),
+                         ("other", "0 0 1 2 2 0 2 2 ")):
+        labels[name] = tmp_path / f"{name}.csv"
+        labels[name].write_text("stage\n" + "\n".join((stages * 4).split()) + "\n")
+    for name, grid in (("sweep", "3,5,8"), ("other_sweep", "4,6,9")):
+        assert main(["sweep", "--config", str(config), "--smoother", "median", "--axis", "window",
+                     "--grid", grid, "--out", str(tmp_path / name)]) == 0
+    data = tmp_path / "data"
+    assert main(["simulate", "--classes", "3", "--t-len", "60", "--subjects", "3",
+                 "--feat-dim", "16", "--self-prob", "0.5", "--seed", "8",
+                 "--out", str(data)]) == 0
+    numbers = {int: ("16", "24"), float: ("0.25", "0.5")}
+    strings = {  # by dest, for each option that takes any string
+        "seeds": "2", "init": "orthogonal", "dataset": str(data), "grid": "3,4",
+        "dk_grid": "2", "scheme": "orthogonal", "schemes": "orthogonal",
+        "labels": str(labels["other"]), "none": str(labels["other"]),
+        "corr": str(labels["other"]), "csv": str(tmp_path / "other_sweep" / "sweep.csv"),
+    }
+
+    def use_flags(flags):
+        return [f"--{'' if on else 'no-'}{flag.replace('_', '-')}" for flag, on in flags.items()]
+
+    run = ["--config", str(config)]
+
+    def transformer(flags):
+        # With attention off its fields are unread, so they keep their defaults.
+        if not flags["use_attention"]:
+            return [*run, "--smoother", "random_transformer",
+                    *use_flags({**flags, "use_output_linear": True})]
+        return [*run, "--smoother", "random_transformer", "--heads", "2", "--dk", "16",
+                *use_flags(flags)]
+
+    encoder_bases = {
+        **{smoother: [*run, "--smoother", smoother, *use_flags(COMPONENT_BUNDLES["full"])]
+           for smoother in _SEED_FREE},
+        **{f"random_transformer:{bundle}": transformer(flags)
+           for bundle, flags in COMPONENT_BUNDLES.items()},
+    }
+    bases = [
+        ("simulate", "*", ["--classes", "2", "--t-len", "4", "--subjects", "3",
+                           "--feat-dim", "16"]),
+        *(("smooth-eval", name, argv) for name, argv in encoder_bases.items()),
+        # No sweep axis sets a field that none reads.
+        *(("sweep", name, [*argv, "--axis", "window"]) for name, argv in encoder_bases.items()
+          if name != "none"),
+        ("kernel-validate", "*", ["--t-len", "2", "--dim", "2", "--sequences", "1",
+                                  "--trials", "2", "--dk-grid", "1"]),
+        ("logit-stats", "*", ["--t-len", "2", "--dim", "2", "--trials", "100", "--dk-grid", "1",
+                              "--schemes", "xavier_uniform"]),
+        ("metrics", "*", ["--labels", str(labels["labels"]), "--none", str(labels["labels"]),
+                          "--corr", str(labels["corr"]), "--window", "2"]),
+        ("correlate", "*", ["--csv", str(tmp_path / "sweep" / "sweep.csv")]),
+    ]
+    parsers = _subparsers()
+    assert {command for command, _, _ in bases} == set(parsers)
+    out = tmp_path / "out"
+
+    def call(command, argv):
+        code = main([command, *argv])
+        stdout, err = capsys.readouterr()
+        written = (stdout, _outputs(out))
+        shutil.rmtree(out, ignore_errors=True)
+        return code, err, written
+
+    walked, unmoved = 0, []
+    for command, base, argv in bases:
+        if any(action.dest == "out" for action in parsers[command]._actions):
+            argv = [*argv, "--out", str(out)]
+        code, err, before = call(command, argv)
+        assert (code, err) == (0, ""), (command, base, err)
+        given = parsers[command].parse_args(argv)
+        for action in parsers[command]._actions:
+            if not action.option_strings or isinstance(action, argparse._HelpAction):
+                continue
+            flag, now = action.option_strings[0], getattr(given, action.dest)
+            if _no_influence(command, base, flag) is not None:
+                continue
+            if isinstance(action, argparse.BooleanOptionalAction):
+                option = [action.option_strings[bool(now)]]  # --use-x, or --no-use-x if set
+            elif action.nargs == 0:  # store_true
+                option = [flag]
+            elif action.choices is not None:
+                option = [flag, next(c for c in action.choices if c != now)]
+            elif action.type in numbers:
+                option = [flag, next(v for v in numbers[action.type] if action.type(v) != now)]
+            else:  # a new option that takes any string needs its value in strings
+                option = [flag, strings[action.dest]]
+            code, err, after = call(command, [*argv, *option])
+            walked += 1
+            named = rf"error: .*({flag.lstrip('-')}|{action.dest})(?![\w-])"
+            refused = code == 1 and err.count("\n") == 1 and re.match(named, err)
+            if (code, after) == (0, before) or code and not (refused and after[1] == {}):
+                unmoved.append((command, base, option, code, err))
+    assert unmoved == [], "\n".join(map(str, unmoved))
+    assert walked > 200
 
 
 def test_a_synth_cohort_that_misses_a_class_is_a_config_value(tmp_path, capsys):
@@ -940,8 +1165,7 @@ def test_kernel_validate_rejects_an_overflowing_scale_before_any_draw(label, tmp
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["smooth-eval", "--smoother", "random_transformer", "--init", "normal_1e100"],
-     "values overflowed in a layer norm"),
+    (["smooth-eval", *RT_FLAGS, "--init", "normal_1e100"], "values overflowed in a layer norm"),
     (["kernel-validate", "--scheme", "normal_1e100"],
      "the closed-form kernel coefficients overflowed"),
 ])
@@ -1180,7 +1404,7 @@ def test_dataset_with_an_empty_split_is_a_dataset_error(missing, tmp_path, capsy
     capsys.readouterr()
     for command in (["smooth-eval"], ["sweep", "--axis", "window", "--grid", "3",
                                       "--out", str(tmp_path / "sw")]):
-        assert main([*command, "--dataset", str(root), "--smoother", "none"]) == 2
+        assert main([*command, "--dataset", str(root), "--smoother", "median"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {root}: dataset needs non-empty train and test splits\n"
 

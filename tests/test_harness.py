@@ -90,7 +90,8 @@ def test_resolved_metric_window_defaults_to_encoder_window():
 
 
 def test_load_run_config_round_trip():
-    cfg = small_run(smoother="median", metric_window=7, integer_median=True)
+    cfg = small_run(smoother="median", encoder=EncoderConfig(window_w=5), metric_window=7,
+                    integer_median=True)
     rebuilt = load_run_config(
         {
             "synth": run_config_dict(cfg)["synth"],
@@ -385,15 +386,26 @@ def test_run_sweep_rejects_bad_grids_before_any_data(tmp_path, monkeypatch):
             run_sweep(base, "heads_layers", ("1x2", " 1x2"))
         with pytest.raises(ValueError, match="unknown component bundle"):
             run_sweep(base, "components", ("full", "everything"))
-        # A smoother without encoder weights would repeat one result on any
-        # other axis.
+        # An axis that sets no field the run reads would repeat one result on
+        # every row: every axis but the window under a smoother without
+        # encoder weights, every axis under none, and d_k under the random
+        # transformer with its attention off.
         for smoother in ("none", "moving_average", "median", "fixed_attention"):
             for axis, grid in (("d_k", (4, 8)), ("init", ("orthogonal",)),
                                ("heads_layers", ("1x2",)), ("components", ("full",))):
-                with pytest.raises(ValueError, match=f"sweeps only the window axis, not {axis}"):
+                with pytest.raises(ValueError, match=f"^smoother '{smoother}' uses no encoder "
+                                                     f"field that the {axis} axis sets"):
                     run_sweep(replace(base, smoother=smoother), axis, grid)
+        with pytest.raises(ValueError, match=r"^smoother 'none' uses no encoder field that the "
+                                             r"window axis sets \(window_w\), so each row "
+                                             r"would repeat one result$"):
+            run_sweep(replace(base, smoother="none"), "window", (3, 4))
+        no_attention = replace(base, encoder=replace(base.encoder, use_attention=False))
+        with pytest.raises(ValueError, match=r"^smoother 'random_transformer' with use_attention "
+                                             r"false uses no encoder field that the d_k axis"):
+            run_sweep(no_attention, "d_k", (4, 8))
     monkeypatch.undo()
-    for smoother in ("none", "moving_average", "median", "fixed_attention"):
+    for smoother in ("moving_average", "median", "fixed_attention"):
         assert run_sweep(small_run(smoother=smoother), "window", (3, 4))
 
 
@@ -489,8 +501,8 @@ def test_sweep_takes_one_pass_per_weights_group_and_skips_val(
 # sha256 of sweep.csv for small sweeps on a 5-subject cohort at two run
 # seeds, as written when each grid point took its own pass over a cohort
 # held in memory: every axis with the random transformer, the window axis
-# for every other smoother and with positional rows, and a dataset
-# directory as the source.
+# for each other smoother that reads a window, the window axis with
+# positional rows, and a dataset directory as the source.
 _WINDOWS = (3, 5, 8)
 _REFERENCE_SWEEPS = {
     "window": (
@@ -512,10 +524,6 @@ _REFERENCE_SWEEPS = {
     "components": (
         "random_transformer", "components", tuple(COMPONENT_BUNDLES), {},
         "231803b9c33e01f72e71dd6fe2eed2116cb85318c74d0073279c07206daa6106",
-    ),
-    "window-none": (
-        "none", "window", _WINDOWS, {},
-        "00b83e352d3a3e583fd3960bb44ece7b6fd36cf257b42a6849c1883fc2c9b29e",
     ),
     "window-moving_average": (
         "moving_average", "window", _WINDOWS, {},
