@@ -6,9 +6,9 @@ Subcommands: ``simulate`` (write a synthetic dataset), ``smooth-eval``
 (logit concentration across schemes), ``metrics`` (WTE/LSII on label CSVs),
 and ``correlate`` (metric-accuracy correlations over a sweep CSV).
 
-Exit codes: 0 on success, 1 on a usage error, an invalid or unread config
-value (``harness.fields_read``) or an allocation that fails, 2 when an input
-file cannot be read or a dataset, label or sweep file is faulty.
+Exit codes: README's exit-code table is the contract, one row per rule with
+an example command and its one ``error:`` line; ``tests/test_readme.py`` runs
+every row.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .harness import (
     correlation_study,
     load_run_config,
     read_sweep_csv,
+    run_config_dict,
     run_pipeline,
     run_sweep,
     write_report_json,
@@ -233,6 +234,13 @@ def _cmd_smooth_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     base = _run_config_from_args(args)
     axis = _AXIS_ALIASES.get(args.axis, args.axis)
+    # Every grid point sets the axis's fields, so the base run's values go unread.
+    given, default = (run_config_dict(replace(base, encoder=enc))["encoder"]
+                      for enc in (base.encoder, EncoderConfig()))
+    for name in SWEEP_AXES[axis]:
+        if given[name] != default[name]:
+            raise ValueError(f"a sweep on the {axis} axis does not read the base run's {name}, "
+                             f"so it must stay {default[name]!r}, got {given[name]!r}")
     grid_text = args.grid if args.grid is not None else _DEFAULT_GRIDS[axis]
     if axis in ("window", "d_k"):
         grid = tuple(_parse_int_list(grid_text, f"--grid for {args.axis}"))
@@ -367,6 +375,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        out = getattr(args, "out", None)
+        if out is not None and out.exists() and not out.is_dir():  # found before any work
+            raise FileExistsError(f"--out {out} exists and is not a directory")
         return args.func(args)
     except (DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,8 @@ SYNTH = {
 # transformer: a moving average reads none of these fields, so its config
 # may not set them.
 RT_FLAGS = ["--smoother", "random_transformer", "--heads", "2", "--dk", "8"]
+# RT_FLAGS less the flag of a field that the swept axis sets at every grid point.
+RT_SWEEP_FLAGS = {"d_k": RT_FLAGS[:4], "heads_layers": RT_FLAGS[:2] + RT_FLAGS[4:]}
 
 
 @pytest.fixture()
@@ -346,7 +348,8 @@ def test_sweep_names_each_grid_point_one_way(axis, grids, values, run_config, tm
     written = []
     for grid in grids:
         out = tmp_path / str(len(written))
-        assert main(["sweep", "--config", str(run_config), *RT_FLAGS,
+        flags = RT_SWEEP_FLAGS.get(cli._AXIS_ALIASES.get(axis, axis), RT_FLAGS)
+        assert main(["sweep", "--config", str(run_config), *flags,
                      "--axis", axis, "--grid", grid, "--out", str(out)]) == 0
         written.append((out / "sweep.csv").read_bytes())
     assert written[0] == written[1]
@@ -361,7 +364,7 @@ def test_sweep_axis_aliases_write_the_same_csv(alias, axis, grid, run_config, tm
     written = []
     for name in (alias, axis):
         out = tmp_path / name
-        assert main(["sweep", "--config", str(run_config), *RT_FLAGS,
+        assert main(["sweep", "--config", str(run_config), *RT_SWEEP_FLAGS[axis],
                      "--axis", name, "--grid", grid, "--out", str(out)]) == 0
         written.append((out / "sweep.csv").read_bytes())
     assert written[0] == written[1]
@@ -768,7 +771,7 @@ def test_every_numeric_flag_at_edge_values_runs_or_is_one_error_line(tmp_path, m
     base = {
         "simulate": ["--classes", "2", "--t-len", "4", "--subjects", "3", "--feat-dim", "2"],
         "smooth-eval": run,
-        "sweep": [*run, "--axis", "dk", "--grid", "2"],
+        "sweep": [*run, "--axis", "init", "--grid", "xavier_uniform"],
         "kernel-validate": ["--t-len", "2", "--dim", "2", "--sequences", "1", "--trials", "2",
                             "--dk-grid", "1"],
         "logit-stats": ["--t-len", "2", "--dim", "2", "--trials", "100", "--dk-grid", "1",
@@ -828,8 +831,6 @@ _NO_INFLUENCE = {
                                       "run seed"
        for command in ("smooth-eval", "sweep") for smoother in _SEED_FREE},
     # What the rule in harness.fields_read accepts although nothing reads it.
-    ("sweep", "*", "--window"): "the window axis sets every grid point's window, so the base "
-                                "run's window is unread",
     **{(command, f"random_transformer:{bundle}", option): "without attention, an FFN or "
        "positional rows the encoder draws no weights and adds no residual, and more layers "
        "only repeat a layer norm, which moves no prediction here"
@@ -990,19 +991,6 @@ def test_every_option_changes_an_output_or_is_refused_naming_itself(tmp_path, ca
     assert walked > 200
 
 
-def test_a_synth_cohort_that_misses_a_class_is_a_config_value(tmp_path, capsys):
-    # The same cohort as a dataset fault above, given as a config value.
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"synth": {"n_subjects": 3, "t_len": 5, "feat_dim": 5,
-                                            "self_prob": 1.0, "label_noise": 1.0},
-                                  "smoother": "fixed_attention"}))
-    out = tmp_path / "out"
-    assert main(["smooth-eval", "--config", str(config), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: class 0 has no training examples; cannot place a centroid\n")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("axis", sorted(cli._DEFAULT_GRIDS))
 def test_every_default_grid_builds_through_apply_axis(axis, run_config, tmp_path,
                                                       monkeypatch, capsys):
@@ -1033,20 +1021,29 @@ def test_repeated_seeds_in_the_config_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seeds repeat 7\n"
 
 
+# A missing --out, or one that names a file, is found before any work.
 @pytest.mark.parametrize("argv", [
     ["sweep", "--config", "CONFIG", "--axis", "window", "--grid", "2,3"],
     ["kernel-validate", "--trials", "10"],
     ["logit-stats", "--trials", "10"],
+    *([*argv, "--out", "FILE"] for argv in (
+        ["sweep", "--config", "CONFIG", "--axis", "window"], ["kernel-validate"], ["logit-stats"],
+        ["smooth-eval", "--config", "CONFIG"], ["simulate"], ["metrics", "--labels", "FILE"])),
 ])
-def test_missing_out_fails_before_any_work(argv, run_config, monkeypatch, capsys):
+def test_missing_out_fails_before_any_work(argv, run_config, tmp_path, monkeypatch, capsys):
     def work(*args, **kwargs):
         raise AssertionError("the command ran its work before checking --out")
 
-    for name in ("run_sweep", "dk_sweep_detail", "logit_concentration"):
+    for name in ("run_sweep", "dk_sweep_detail", "logit_concentration", "run_pipeline",
+                 "save_dataset", "read_label_csv"):
         monkeypatch.setattr(cli, name, work)
-    argv = [str(run_config) if a == "CONFIG" else a for a in argv]
-    assert main(argv) == 1
-    assert "required: --out" in capsys.readouterr().err
+    afile = tmp_path / "afile"
+    afile.write_text("stage\n0\n1\n")
+    argv = [{"CONFIG": str(run_config), "FILE": str(afile)}.get(a, a) for a in argv]
+    code, line = ((2, f"--out {afile} exists and is not a directory") if "--out" in argv
+                  else (1, "the following arguments are required: --out"))
+    assert (main(argv), capsys.readouterr().err) == (code, f"error: {line}\n")
+    assert afile.read_text() == "stage\n0\n1\n"
 
 
 def test_kernel_validate(tmp_path, capsys):
@@ -1276,14 +1273,6 @@ def test_metrics_counts_at_their_bounds(flag, value, low, tmp_path, capsys):
     bound = "< 2**63" if value == 2**63 else f">= {low}"
     assert capsys.readouterr().err == f"error: {flag} must be {bound}, got {value}\n"
     assert not out.exists()
-
-
-def test_metrics_label_file_too_short_for_transitions_is_a_dataset_error(tmp_path, capsys):
-    labels = tmp_path / "labels.csv"
-    labels.write_text("stage\n0\n")
-    assert main(["metrics", "--labels", str(labels)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {labels}: transition statistics need at least 2 epochs, got 1\n"
 
 
 def test_metrics_lsii_files_of_different_lengths(tmp_path, capsys):

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rapklab
+from rapklab import attention, cli, synthgen
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -35,19 +37,57 @@ def test_each_tour_block_runs(block):
     assert done.stderr == ""
 
 
-def test_the_example_of_an_unread_value_is_refused_as_quoted(tmp_path):
-    # README quotes one command and the error line it prints; both run here
-    # as written, from a directory that holds a tiny cohort at data/demo.
-    (argv, line), = re.findall(r"^ *```sh\n *rapklab (smooth-eval .*)\n *# (error: .*)\n *```",
-                               README, re.M)
+# README's exit-code table: per rule, its exit code, an example command (or, in at most two
+# rows, the test_cli.py test that covers it) and its one error line, "…" standing for host text.
+EXIT_ROWS = re.findall(r"^\| ([12]) \| (.+) \| `([^`]+)` \| `(error: [^`]+)` \|$", README, re.M)
+NAMED = [row for row in EXIT_ROWS if not row[2].startswith("rapklab ")]
+assert len(EXIT_ROWS) >= 25 and len(NAMED) <= 2, "README's exit-code table does not parse"
+FILES = {"list.json": "[1, 2]", "seeds5.json": '{"seeds": 5}', "one.csv": "stage\n0\n",
+         "two.csv": "stage\n0\n1\n", "cells.csv": "stage\n0\n1,2\n", "afile": "",
+         "oneclass.json": '{"synth": {"n_subjects": 3, "t_len": 5, "feat_dim": 5, "self_prob": 1, '
+                          '"label_noise": 1}, "smoother": "fixed_attention"}'}
 
-    def rapklab(*args):
-        return subprocess.run([sys.executable, "-W", "error", "-m", "rapklab.cli", *args],
-                              cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=120)
 
-    assert rapklab("simulate", "--classes", "3", "--t-len", "60", "--subjects", "5",
-                   "--feat-dim", "4", "--seed", "3", "--out", "data/demo").returncode == 0
-    argv = argv.split()
-    done = rapklab(*argv)
-    assert (done.returncode, done.stdout, done.stderr) == (1, "", line + "\n")
-    assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
+@pytest.fixture(scope="module")
+def examples_dir(tmp_path_factory):
+    # A tiny cohort at data/demo, one whose train split lacks a class at data/oneclass, and FILES.
+    root = tmp_path_factory.mktemp("examples")
+    for name, text in FILES.items():
+        (root / name).write_text(text)
+    assert cli.main(["simulate", "--classes", "3", "--t-len", "60", "--subjects", "5",
+                     "--feat-dim", "4", "--seed", "3", "--out", str(root / "data/demo")]) == 0
+    assert cli.main(["simulate", "--config", str(root / "oneclass.json"),
+                     "--out", str(root / "data/oneclass")]) == 0
+    return root
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("code, rule, example, line", [
+    pytest.param(*row, id="-".join([f"exit{row[0]}", *re.findall(r"\w+", row[1].lower())[:5]]))
+    for row in EXIT_ROWS])
+def test_each_exit_code_row_runs_as_quoted(code, rule, example, line, examples_dir, monkeypatch,
+                                           capsys):
+    if (code, rule, example, line) in NAMED:
+        # No host can be asked for memory it lacks: the named test makes the
+        # allocation fail and checks this line.
+        source = (ROOT / "tests" / "test_cli.py").read_text()
+        assert f"\ndef {example}(" in source
+        assert line.split("…")[0].removeprefix("error: ") in source
+        return
+    if "physical memory" in line and attention._physical_memory() is None:
+        pytest.skip("without a memory size the layers would be drawn until killed")
+    if "before any draw" in rule:
+        def drew(*args):
+            raise AssertionError("a subject or a matrix was made before the values were checked")
+
+        monkeypatch.setattr(synthgen, "gen_features", drew)
+        monkeypatch.setattr(np.random, "PCG64", drew)  # every draw seeds a PCG64
+    monkeypatch.chdir(examples_dir)
+    argv = example.split()[1:]
+    out = Path(argv[argv.index("--out") + 1] if "--out" in argv else "runs")
+    before = out.read_bytes() if out.is_file() else out.exists()
+    assert cli.main(argv) == int(code)
+    printed = capsys.readouterr()
+    quoted = ".+".join(map(re.escape, line.split("…"))) + "\n"
+    assert printed.out == "" and re.fullmatch(quoted, printed.err)
+    assert (out.read_bytes() if out.is_file() else out.exists()) == before
