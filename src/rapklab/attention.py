@@ -268,8 +268,7 @@ def window_blocks(t_len: int, w: int) -> list[tuple[int, int, int]]:
     """The non-overlapping windows of ``w`` rows that cover [0, t_len), as at
     most two ``(lo, hi, width)`` blocks: the whole windows, then the shorter
     tail. Rows ``lo:hi`` of a block reshape to a batch ``(-1, width, ...)``."""
-    if w < 1:
-        raise ValueError(f"window width must be >= 1, got {w}")
+    check_size("window width", w, 1)
     full = t_len - t_len % w
     return [(lo, hi, width) for lo, hi, width in ((0, full, w), (full, t_len, t_len - full))
             if hi > lo]

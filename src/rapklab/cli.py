@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ from .harness import (
     correlation_study,
     load_run_config,
     read_sweep_csv,
-    run_config_dict,
     run_pipeline,
     run_sweep,
     write_report_json,
@@ -43,7 +42,7 @@ from .harness import (
 from .initializers import parse_scheme, scheme_label
 from .metrics import lsii_pooled, wte_pooled
 from .montecarlo import centered_unit_sequence, check_dk_grid, dk_sweep_detail, logit_concentration
-from .seeding import check_size, generator, mix_seed
+from .seeding import check_list, check_size, generator, mix_seed
 from .sequences import FeatureSequence, StageSequence
 from .synthgen import SynthConfig, iter_subjects
 
@@ -199,7 +198,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_config_from_args(args):
+def _run_config_from_args(args, axis=None):
     entry = _load_config_file(args.config)
     enc = _overrides(args, EncoderConfig)
     file_enc = entry.get("encoder", {})
@@ -211,7 +210,7 @@ def _run_config_from_args(args):
     entry.update(_overrides(args, RunConfig))
     if args.seeds is not None:
         entry["seeds"] = _parse_int_list(args.seeds, "--seed list")
-    return load_run_config(entry)
+    return load_run_config(entry, axis)
 
 
 def _cmd_smooth_eval(args) -> int:
@@ -232,15 +231,8 @@ def _cmd_smooth_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = _run_config_from_args(args)
     axis = _AXIS_ALIASES.get(args.axis, args.axis)
-    # Every grid point sets the axis's fields, so the base run's values go unread.
-    given, default = (run_config_dict(replace(base, encoder=enc))["encoder"]
-                      for enc in (base.encoder, EncoderConfig()))
-    for name in SWEEP_AXES[axis]:
-        if given[name] != default[name]:
-            raise ValueError(f"a sweep on the {axis} axis does not read the base run's {name}, "
-                             f"so it must stay {default[name]!r}, got {given[name]!r}")
+    base = _run_config_from_args(args, axis)
     grid_text = args.grid if args.grid is not None else _DEFAULT_GRIDS[axis]
     if axis in ("window", "d_k"):
         grid = tuple(_parse_int_list(grid_text, f"--grid for {args.axis}"))
@@ -286,9 +278,7 @@ def _cmd_logit_stats(args) -> int:
     grid = check_dk_grid(_parse_int_list(args.dk_grid, "--dk-grid"), "--dk-grid")
     schemes = [parse_scheme(part) for part in args.schemes.split(",") if part != ""]
     # Each row is one (scheme, d_k, layernorm) setting, so a repeat would be a duplicate row.
-    labels = [scheme_label(s) for s in schemes]
-    if not labels or len(set(labels)) < len(labels):
-        raise ValueError(f"--schemes must be a non-empty list without repeats, got {labels}")
+    check_list("--schemes", [scheme_label(s) for s in schemes])
     shape = (check_size("--t-len", args.t_len, 1), check_size("--dim", args.dim, 1))
     check_size("--trials", args.trials, 100)  # logit_concentration's floor, before any draw
     rng = generator(args.seed, 0xDD)
@@ -376,8 +366,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         out = getattr(args, "out", None)
-        if out is not None and out.exists() and not out.is_dir():  # found before any work
-            raise FileExistsError(f"--out {out} exists and is not a directory")
+        near = out and next(path for path in (out, *out.parents) if path.exists())
+        if near and not near.is_dir():  # found before any work
+            raise NotADirectoryError(f"--out {out} cannot be made: {near} is not a directory")
         return args.func(args)
     except (DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

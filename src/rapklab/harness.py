@@ -30,7 +30,7 @@ from .metrics import (
     weighted_f1,
     wte_pooled,
 )
-from .seeding import check_seed, check_size
+from .seeding import check_list, check_seed, check_size
 from .sequences import StageSequence
 from .smoothers import (
     CentroidSums,
@@ -120,12 +120,7 @@ class RunConfig:
             raise ValueError("exactly one data source (synth or dataset_path) must be set")
         if self.smoother not in SMOOTHERS:
             raise ValueError(f"unknown smoother {self.smoother!r}; expected one of {SMOOTHERS}")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
-        for i, seed in enumerate(self.seeds):
-            check_seed(seed)
-            if seed in self.seeds[:i]:
-                raise ValueError(f"seeds repeat {seed}")
+        check_list("seeds", [check_seed(seed) for seed in self.seeds])
         check_size("metric_window", self.resolved_metric_window, 2)  # unset, it is the window
         if self.integer_median and self.smoother != "median":
             raise ValueError("integer_median applies only to the median smoother, "
@@ -207,8 +202,8 @@ def check_config_keys(entry: dict) -> dict:
     return entry
 
 
-def load_run_config(entry: dict) -> RunConfig:
-    """Build a ``RunConfig`` from a JSON-style dict (e.g. a config file)."""
+def load_run_config(entry: dict, axis: str | None = None) -> RunConfig:
+    """Build a ``RunConfig`` from a JSON-style dict: a sweep's base run if ``axis`` is given."""
     check_config_keys(entry)
     synth = None
     if entry.get("synth") is not None:
@@ -226,13 +221,15 @@ def load_run_config(entry: dict) -> RunConfig:
         seeds=tuple(_typed(s, int, f"seeds[{i}]") for i, s in enumerate(seeds)),
         integer_median=_typed(entry.get("integer_median", False), bool, "integer_median"),
     )
-    # One experiment, one digest: a field the run never reads keeps its default.
+    # One experiment, one digest: a field the run never reads keeps its default,
+    # and so does a field that a sweep's axis sets at every grid point.
     default = replace(cfg, encoder=EncoderConfig(), metric_window=None, integer_median=False)
     given, default = ({**d.pop("encoder"), **d} for d in map(run_config_dict, (cfg, default)))
     for name, value in given.items():
-        if value != default[name] and name not in fields_read(cfg):
-            raise _unread(cfg, f"does not read {name}, so it must stay {default[name]!r}, "
-                               f"got {value!r}")
+        if value != default[name] and name not in fields_read(cfg) - {*SWEEP_AXES.get(axis, ())}:
+            reader = _reader(cfg) if name not in fields_read(cfg) else f"a sweep on the {axis} axis"
+            raise ValueError(f"{reader} does not read {name}, so it must stay {default[name]!r}, "
+                             f"got {value!r}")
     return cfg
 
 
@@ -428,10 +425,10 @@ def fields_read(cfg: RunConfig) -> set[str]:
     return {"seeds", *window} | ({"integer_median"} if cfg.smoother == "median" else set())
 
 
-def _unread(cfg: RunConfig, text: str) -> ValueError:
+def _reader(cfg: RunConfig) -> str:
     # The random transformer leaves a field unread only with its attention off.
-    attention_off = " with use_attention false" * (cfg.smoother == "random_transformer")
-    return ValueError(f"smoother {cfg.smoother!r}{attention_off} {text}")
+    attention_off = cfg.smoother == "random_transformer" and not cfg.encoder.use_attention
+    return f"smoother {cfg.smoother!r}" + " with use_attention false" * attention_off
 
 
 def _value_sort_key(value):
@@ -451,7 +448,8 @@ def run_sweep(base: RunConfig, axis: str, grid: Sequence) -> list[dict]:
     """Evaluate ``base`` at every ``grid`` point of ``axis`` and return flat
     result rows.
 
-    Every grid point is built and checked before any subject is made or read.
+    Every grid point is built and checked before any subject is made or read:
+    each must read a value of ``axis`` that no other point shares.
     A window sweep takes one pass over the data, so it makes or reads each
     subject once, unless it runs the random transformer with positional rows,
     which the window sizes; then, as on every other axis, each grid point has
@@ -462,14 +460,13 @@ def run_sweep(base: RunConfig, axis: str, grid: Sequence) -> list[dict]:
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     points = [apply_axis(base, axis, value) for value in grid]
-    cfgs = [cfg for _, cfg in points]
-    for i, value in enumerate(grid):
-        if cfgs[i] in cfgs[:i]:
-            raise ValueError(f"sweep grid for {axis} repeats {value!r}")
-    names = SWEEP_AXES[axis]
-    if not any(fields_read(cfg).intersection(names) for cfg in cfgs):
-        raise _unread(base, f"uses no encoder field that the {axis} axis sets "
-                            f"({', '.join(names)}), so each row would repeat one result")
+    read: list[dict] = []  # only the axis's fields differ between the points
+    for value, (_, cfg) in zip(grid, points):
+        read.append({name: getattr(cfg.encoder, name) for name in SWEEP_AXES[axis]
+                     if name in fields_read(cfg)})
+        if not read[-1] or read[-1] in read[:-1]:
+            raise ValueError(f"{_reader(cfg)} reads no value that sets grid point {value!r} "
+                             f"of the {axis} axis apart")
     one_pass = axis == "window" and not (
         base.smoother == "random_transformer" and base.encoder.use_positional)
     # No axis changes the data source, so every pass reads the same one.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import MAX_SCALE, check_seed, mix_seed
+from .seeding import MAX_SCALE, check_seed, check_size, mix_seed
 
 __all__ = [
     "SCHEME_KINDS",
@@ -149,8 +149,8 @@ def init_matrices(
     at ``seed``. A truncated normal resamples from the generator state right
     after ``z``, restored for each truncated scheme.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape must be positive, got ({rows}, {cols})")
+    check_size("rows", rows, 1)
+    check_size("cols", cols, 1)
     u = z = None
     for scheme in schemes:
         kind = scheme.kind
@@ -185,8 +185,8 @@ def init_matrix(rows: int, cols: int, scheme: InitScheme, seed: int) -> np.ndarr
 
 def analytic_variance(scheme: InitScheme, rows: int, cols: int) -> float:
     """Element variance implied by ``scheme`` at shape (rows, cols)."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape must be positive, got ({rows}, {cols})")
+    check_size("rows", rows, 1)
+    check_size("cols", cols, 1)
     kind = scheme.kind
     if kind in ("xavier_uniform", "xavier_normal"):
         return 2.0 / (rows + cols)
@@ -242,7 +242,9 @@ def parse_scheme(label: str) -> InitScheme:
 
 
 def scheme_label(scheme: InitScheme) -> str:
-    """Canonical CLI label for ``scheme`` (inverse of ``parse_scheme``)."""
-    if scheme.kind in _SCALED_KINDS:
-        return f"{scheme.kind}_{scheme.scale_param:g}"
-    return scheme.kind
+    """Canonical CLI label for ``scheme`` (inverse of ``parse_scheme``), with
+    a scale in ``:g``'s six digits where they are exact, else in ``repr``'s."""
+    scale = f"{scheme.scale_param:g}"
+    if float(scale) != scheme.scale_param:
+        scale = repr(scheme.scale_param)
+    return f"{scheme.kind}_{scale}" if scheme.kind in _SCALED_KINDS else scheme.kind

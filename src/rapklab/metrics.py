@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seeding import check_size
 from .sequences import StageSequence
 
 __all__ = [
@@ -89,8 +90,7 @@ def lsii_pooled(
     """
     if len(none_list) != len(corr_list):
         raise ValueError("need one corrected sequence per baseline sequence")
-    if w < 2:
-        raise ValueError(f"window width must be >= 2, got {w}")
+    check_size("window width", w, 2)
     terms: list[float] = []
     for none_s, corr_s in zip(none_list, corr_list):
         if none_s.t_len != corr_s.t_len:

@@ -25,7 +25,7 @@ from .initializers import (
 )
 from .metrics import pearson
 from .rapk import rapk_coefficients, rapk_kernel
-from .seeding import check_size, generator, mix_seed
+from .seeding import check_list, check_size, generator, mix_seed
 from .sequences import FeatureSequence
 
 __all__ = [
@@ -113,8 +113,7 @@ def logit_concentration(
     projections of a trial are kept, one role at a time. Logits whose squares
     overflow float64 raise ``ValueError`` naming the first such scheme.
     """
-    if check_size("trials", trials) < 100:
-        raise ValueError(f"trials must be >= 100 for stable statistics, got {trials}")
+    check_size("trials", trials, 100)  # fewer give unstable statistics
     check_size("d_k", d_k, 1)
     rows = layer_norm_rows(x.data) if with_layernorm else x.data
 
@@ -172,13 +171,7 @@ def check_dk_grid(d_k_grid: Iterable[int], name: str = "d_k grid") -> tuple[int,
     """``d_k_grid`` as a tuple in the order given, once it is non-empty,
     repeats no value, and holds only values in [1, 2**63); a fault is named
     by ``name``."""
-    grid = tuple(int(v) for v in d_k_grid)
-    if any(d_k < 1 for d_k in grid):
-        raise ValueError(f"{name} values must be >= 1, got {list(grid)}")
-    if not grid or len(set(grid)) < len(grid):
-        raise ValueError(f"{name} must be a non-empty list without repeats, got {list(grid)}")
-    check_size(f"{name} value", max(grid))
-    return grid
+    return check_list(name, tuple(check_size(f"{name} values", int(v), 1) for v in d_k_grid))
 
 
 def dk_sweep_detail(

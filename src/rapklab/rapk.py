@@ -25,6 +25,7 @@ import math
 import numpy as np
 
 from .attention import empirical_kernel
+from .seeding import check_size
 from .sequences import FeatureSequence
 
 __all__ = [
@@ -59,8 +60,7 @@ def rapk_coefficients(
     correction. Both double sums are evaluated with numpy's pairwise
     reductions in float64.
     """
-    if d_k < 1:
-        raise ValueError(f"d_k must be >= 1, got {d_k}")
+    check_size("d_k", d_k, 1)
     for s in (sigma_q2, sigma_k2, sigma_v2):
         if not s > 0.0:
             raise ValueError(f"projection variances must be > 0, got {s}")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MASK64", "MAX_SCALE", "check_seed", "check_size", "splitmix64", "mix_seed",
-           "generator"]
+__all__ = ["MASK64", "MAX_SCALE", "check_seed", "check_size", "check_list", "splitmix64",
+           "mix_seed", "generator"]
 
 MASK64 = (1 << 64) - 1
 
@@ -47,6 +47,13 @@ def check_size(name: str, value: int, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def check_list(name: str, values: list | tuple) -> list | tuple:
+    """Return ``values`` if it is non-empty and repeats no value."""
+    if not values or len(set(values)) < len(values):
+        raise ValueError(f"{name} must be a non-empty list without repeats, got {list(values)}")
+    return values
 
 
 def mix_seed(seed: int, *streams: int) -> int:

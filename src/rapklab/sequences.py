@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seeding import check_size
+
 __all__ = ["FeatureSequence", "StageSequence", "ProbSequence"]
 
 # Row sums of a probability sequence may drift this far from 1 before we
@@ -71,8 +73,7 @@ class StageSequence:
             if not np.all(arr == np.floor(arr)):
                 raise ValueError("labels must be integers")
         arr = arr.astype(np.int64)
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
+        check_size("n_classes", self.n_classes, 1)
         if arr.min() < 0 or arr.max() >= self.n_classes:
             raise ValueError(
                 f"labels must lie in [0, {self.n_classes}), "

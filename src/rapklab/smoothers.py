@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import EncoderConfig, EncoderWeights, encoder_forward, window_blocks
+from .seeding import check_size
 from .sequences import FeatureSequence, ProbSequence, StageSequence
 
 __all__ = [
@@ -41,8 +42,7 @@ def _window_sums(values: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
 
     The window spans [t - w//2, t + w//2], truncated at the sequence edges.
     """
-    if w < 1:
-        raise ValueError(f"window width must be >= 1, got {w}")
+    check_size("window width", w, 1)
     idx = np.arange(len(values))
     lo = np.maximum(idx - w // 2, 0)
     hi = np.minimum(idx + w // 2 + 1, len(values))

@@ -427,27 +427,29 @@ _COUNTS = [
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sweep", "--axis", "window", "--grid", "3,3"], "sweep grid for window repeats 3"),
-    (["sweep", "--axis", "heads", "--grid", "1x1,1x1"],
-     "sweep grid for heads_layers repeats '1x1'"),
+    (["sweep", "--axis", "window", "--grid", "3,3"],
+     "smoother 'moving_average' reads no value that sets grid point 3 of the window axis apart"),
+    (["sweep", *RT_SWEEP_FLAGS["heads_layers"], "--axis", "heads", "--grid", "1x1,01x1"],
+     "smoother 'random_transformer' reads no value that sets grid point '01x1' of the "
+     "heads_layers axis apart"),
     (["sweep", "--axis", "heads", "--grid", "2x"],
      "heads_layers value must look like '1x8', got '2x'"),
     (["sweep", "--axis", "heads", "--grid", "1x1,x8"],
      "heads_layers value must look like '1x8', got 'x8'"),
     (["sweep", "--axis", "heads", "--grid", "ax2"],
      "heads_layers value must look like '1x8', got 'ax2'"),
-    (["smooth-eval", "--seed", "1,1"], "seeds repeat 1"),
+    (["smooth-eval", "--seed", "1,1"],
+     "seeds must be a non-empty list without repeats, got [1, 1]"),
     (["smooth-eval", "--window", "1"], "metric_window must be >= 2, got 1"),
     (["sweep", "--smoother", "median", "--axis", "dk"],
-     "smoother 'median' uses no encoder field that the d_k axis sets (d_k), so each row would "
-     "repeat one result"),
+     "smoother 'median' reads no value that sets grid point 16 of the d_k axis apart"),
     (["smooth-eval", "--init", "normal_inf"],
      "init scheme 'normal_inf': normal requires scale_param < 1e+154 so that its "
      "variance is finite, got inf"),
     (["sweep", "--axis", "init", "--grid", "xavier_uniform,uniform_1e200"],
      "init scheme 'uniform_1e200': uniform requires scale_param < 1e+154 so that its "
      "variance is finite, got 1e+200"),
-    (["kernel-validate", "--dk-grid", "0,16"], "--dk-grid values must be >= 1, got [0, 16]"),
+    (["kernel-validate", "--dk-grid", "0,16"], "--dk-grid values must be >= 1, got 0"),
     # Rows this large square past float64 in the logits or the analytic spread;
     # numpy's warnings fail these cases (pyproject's filterwarnings).
     *(pytest.param(["logit-stats", "--row-scale", scale],
@@ -535,8 +537,8 @@ _COUNTS = [
                  "integer_median applies only to the median smoother, got smoother "
                  "'moving_average'", id="smooth-eval_integer_median_moving_average"),
     # A value that the run's smoother or components never read keeps its
-    # default, so that one experiment has one digest; and a sweep axis must
-    # set a field that some grid point reads.
+    # default, so that one experiment has one digest, and so does a field
+    # that a sweep's axis sets at every grid point.
     *(pytest.param(["smooth-eval", "--smoother", "median", "--window", "5", "--seed", "1",
                     flag, value], f"smoother 'median' does not read {name}, so it must stay "
                    f"{default}, got {got}", id=f"smooth-eval_median{flag}")
@@ -557,14 +559,38 @@ _COUNTS = [
                    f"not read {name}, so it must stay {default}, got 2",
                    id=f"smooth-eval_no_attention{flag}")
       for flag, name, default in (("--heads", "n_heads", 8), ("--dk", "d_k", 512))),
+    *(pytest.param(["sweep", "--smoother", "random_transformer", "--axis", axis, "--grid", grid,
+                    *flag], f"a sweep on the {axis} axis does not read {name}, so it must stay "
+                   f"{default}, got {got}", id=f"sweep_{axis}{flag[0]}")
+      for axis, grid, flag, name, default, got in (
+          ("window", "3,5", ["--window", "7"], "window_w", 10, 7),
+          ("d_k", "16,64", ["--dk", "64"], "d_k", 512, 64),
+          ("init", "orthogonal", ["--init", "normal_0.02"], "init", "'xavier_uniform'",
+           "'normal_0.02'"),
+          ("heads_layers", "1x2", ["--layers", "2"], "n_layers", 1, 2),
+          ("components", "full", ["--no-use-ffn"], "use_ffn", True, False),
+      )),
+    # Each grid point must read a value of the axis that no other point
+    # shares: every axis under none, d_k or a head count without attention,
+    # and a value repeated once parsed, as "3,03" or "1x1,01x1" are.
     pytest.param(["sweep", "--smoother", "none", "--axis", "window", "--grid", "5,10"],
-                 "smoother 'none' uses no encoder field that the window axis sets (window_w), "
-                 "so each row would repeat one result", id="sweep_none_window"),
+                 "smoother 'none' reads no value that sets grid point 5 of the window axis apart",
+                 id="sweep_none_window"),
     pytest.param(["sweep", "--smoother", "random_transformer", "--no-use-attention",
                   "--axis", "d_k", "--grid", "16,64"],
-                 "smoother 'random_transformer' with use_attention false uses no encoder field "
-                 "that the d_k axis sets (d_k), so each row would repeat one result",
-                 id="sweep_no_attention_d_k"),
+                 "smoother 'random_transformer' with use_attention false reads no value that "
+                 "sets grid point 16 of the d_k axis apart", id="sweep_no_attention_d_k"),
+    pytest.param(["sweep", "--smoother", "random_transformer", "--no-use-attention",
+                  "--axis", "heads_layers", "--grid", "1x1,1x4,2x4", "--seed", "1"],
+                 "smoother 'random_transformer' with use_attention false reads no value that "
+                 "sets grid point '1x4' of the heads_layers axis apart",
+                 id="sweep_no_attention_heads_layers"),
+    # An init scale is labelled by every digit it has, so only one scale
+    # written two ways repeats (normal_0.02 and normal_0.02000001 do not).
+    pytest.param(["sweep", *RT_FLAGS, "--axis", "init", "--grid",
+                  "normal_0.02,normal_0.02000001,normal_0.020000010"],
+                 "smoother 'random_transformer' reads no value that sets grid point "
+                 "'normal_0.020000010' of the init axis apart", id="sweep_init_label_digits"),
     # The grid is named by the axis as typed, alias or not.
     *(pytest.param(["sweep", "--axis", axis, "--grid", "4,x"], f"bad --grid for {axis}: '4,x'",
                    id=f"sweep_grid_for_{axis}")
@@ -583,10 +609,10 @@ _COUNTS = [
     # (kernel-validate's 0,16 is a row above).
     *(pytest.param([command, "--dk-grid", grid], message, id=f"{command}_dk_grid_{grid}")
       for grid, message in (
-          ("0,16", "--dk-grid values must be >= 1, got [0, 16]"),
+          ("0,16", "--dk-grid values must be >= 1, got 0"),
           ("16,16", "--dk-grid must be a non-empty list without repeats, got [16, 16]"),
           (",", "--dk-grid must be a non-empty list without repeats, got []"),
-          (f"16,{2**64}", f"--dk-grid value must be < 2**63, got {2**64}"),
+          (f"16,{2**64}", f"--dk-grid values must be < 2**63, got {2**64}"),
       )
       for command in ("kernel-validate", "logit-stats")
       if (command, grid) != ("kernel-validate", "0,16")),
@@ -1018,10 +1044,12 @@ def test_repeated_seeds_in_the_config_file(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"synth": SYNTH, "seeds": [7, 8, 7]}))
     assert main(["smooth-eval", "--config", str(config)]) == 1
-    assert capsys.readouterr().err == "error: seeds repeat 7\n"
+    assert capsys.readouterr().err == ("error: seeds must be a non-empty list without repeats, "
+                                       "got [7, 8, 7]\n")
 
 
-# A missing --out, or one that names a file, is found before any work.
+# A missing --out, or one that names a file or lies below one, is found
+# before any work.
 @pytest.mark.parametrize("argv", [
     ["sweep", "--config", "CONFIG", "--axis", "window", "--grid", "2,3"],
     ["kernel-validate", "--trials", "10"],
@@ -1029,6 +1057,8 @@ def test_repeated_seeds_in_the_config_file(tmp_path, capsys):
     *([*argv, "--out", "FILE"] for argv in (
         ["sweep", "--config", "CONFIG", "--axis", "window"], ["kernel-validate"], ["logit-stats"],
         ["smooth-eval", "--config", "CONFIG"], ["simulate"], ["metrics", "--labels", "FILE"])),
+    ["kernel-validate", "--out", "FILE/sub"],
+    ["simulate", "--out", "FILE/ds"],
 ])
 def test_missing_out_fails_before_any_work(argv, run_config, tmp_path, monkeypatch, capsys):
     def work(*args, **kwargs):
@@ -1039,9 +1069,9 @@ def test_missing_out_fails_before_any_work(argv, run_config, tmp_path, monkeypat
         monkeypatch.setattr(cli, name, work)
     afile = tmp_path / "afile"
     afile.write_text("stage\n0\n1\n")
-    argv = [{"CONFIG": str(run_config), "FILE": str(afile)}.get(a, a) for a in argv]
-    code, line = ((2, f"--out {afile} exists and is not a directory") if "--out" in argv
-                  else (1, "the following arguments are required: --out"))
+    argv = [a.replace("CONFIG", str(run_config)).replace("FILE", str(afile)) for a in argv]
+    code, line = ((2, f"--out {argv[-1]} cannot be made: {afile} is not a directory")
+                  if "--out" in argv else (1, "the following arguments are required: --out"))
     assert (main(argv), capsys.readouterr().err) == (code, f"error: {line}\n")
     assert afile.read_text() == "stage\n0\n1\n"
 

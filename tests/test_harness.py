@@ -66,9 +66,11 @@ def test_run_config_validation():
         RunConfig(synth=small_synth(), dataset_path="somewhere")
     with pytest.raises(ValueError, match="unknown smoother"):
         small_run(smoother="kalman")
-    with pytest.raises(ValueError, match="seeds"):
+    with pytest.raises(ValueError, match=r"^seeds must be a non-empty list without repeats, "
+                                         r"got \[\]$"):
         small_run(seeds=())
-    with pytest.raises(ValueError, match="seeds repeat 222"):
+    with pytest.raises(ValueError, match=r"^seeds must be a non-empty list without repeats, "
+                                         r"got \[222, 111, 222\]$"):
         small_run(seeds=(222, 111, 222))
     with pytest.raises(ValueError, match="metric_window"):
         small_run(metric_window=1)
@@ -379,34 +381,44 @@ def test_run_sweep_rejects_bad_grids_before_any_data(tmp_path, monkeypatch):
             run_sweep(base, "gamma", (1,))
         with pytest.raises(ValueError, match="non-empty"):
             run_sweep(base, "window", ())
-        # Values repeat once parsed: " 1x2" and "1x2" give one config.
-        with pytest.raises(ValueError, match="window repeats 3"):
-            run_sweep(base, "window", (3, 2, 3))
-        with pytest.raises(ValueError, match="heads_layers repeats ' 1x2'"):
-            run_sweep(base, "heads_layers", ("1x2", " 1x2"))
         with pytest.raises(ValueError, match="unknown component bundle"):
             run_sweep(base, "components", ("full", "everything"))
-        # An axis that sets no field the run reads would repeat one result on
-        # every row: every axis but the window under a smoother without
-        # encoder weights, every axis under none, and d_k under the random
-        # transformer with its attention off.
+        # Each grid point must read a value of the axis that no other point
+        # shares. Values repeat once parsed: " 1x2" and "1x2" give one config.
+        for axis, grid in (("window", (3, 2, 3)), ("heads_layers", ("1x2", " 1x2"))):
+            with pytest.raises(ValueError, match=f"^smoother 'random_transformer' reads no value "
+                                                 f"that sets grid point {grid[-1]!r} of the "
+                                                 f"{axis} axis apart$"):
+                run_sweep(base, axis, grid)
+        # A point that reads no value of the axis would repeat one result: on
+        # every axis but the window under a smoother without encoder weights,
+        # on every axis under none, and on d_k under the random transformer
+        # with its attention off, or on a head count, its layers aside.
         for smoother in ("none", "moving_average", "median", "fixed_attention"):
             for axis, grid in (("d_k", (4, 8)), ("init", ("orthogonal",)),
                                ("heads_layers", ("1x2",)), ("components", ("full",))):
-                with pytest.raises(ValueError, match=f"^smoother '{smoother}' uses no encoder "
-                                                     f"field that the {axis} axis sets"):
+                with pytest.raises(ValueError, match=f"^smoother '{smoother}' reads no value "
+                                                     f"that sets grid point {grid[0]!r} of the "
+                                                     f"{axis} axis apart$"):
                     run_sweep(replace(base, smoother=smoother), axis, grid)
-        with pytest.raises(ValueError, match=r"^smoother 'none' uses no encoder field that the "
-                                             r"window axis sets \(window_w\), so each row "
-                                             r"would repeat one result$"):
+        with pytest.raises(ValueError, match=r"^smoother 'none' reads no value that sets grid "
+                                             r"point 3 of the window axis apart$"):
             run_sweep(replace(base, smoother="none"), "window", (3, 4))
         no_attention = replace(base, encoder=replace(base.encoder, use_attention=False))
-        with pytest.raises(ValueError, match=r"^smoother 'random_transformer' with use_attention "
-                                             r"false uses no encoder field that the d_k axis"):
-            run_sweep(no_attention, "d_k", (4, 8))
+        for axis, grid, point in (("d_k", (4, 8), 4),
+                                  ("heads_layers", ("1x1", "1x4", "2x4"), "1x4")):
+            with pytest.raises(ValueError, match=f"^smoother 'random_transformer' with "
+                                                 f"use_attention false reads no value that sets "
+                                                 f"grid point {point!r} of the {axis} axis apart$"):
+                run_sweep(no_attention, axis, grid)
     monkeypatch.undo()
     for smoother in ("moving_average", "median", "fixed_attention"):
         assert run_sweep(small_run(smoother=smoother), "window", (3, 4))
+    # Two init scales that agree to six digits are two grid points, each
+    # labelled by every digit it has.
+    rows = run_sweep(small_run(seeds=(111,)), "init", ("normal_0.02", "normal_0.02000001"))
+    assert [row["value"] for row in rows if row["seed"] == 111] == ["normal_0.02",
+                                                                    "normal_0.02000001"]
 
 
 def test_run_sweep_rows_and_ordering():

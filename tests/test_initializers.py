@@ -100,8 +100,10 @@ def test_init_matrices_draws_each_base_stream_once(monkeypatch):
 
 
 def test_init_matrices_rejects_empty_shape():
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="^rows must be >= 1, got 0$"):
         list(init_matrices(0, 3, [parse_scheme("orthogonal")], 0))
+    with pytest.raises(ValueError, match="^cols must be >= 1, got 0$"):
+        list(init_matrices(3, 0, [parse_scheme("orthogonal")], 0))
 
 
 def test_init_matrix_deterministic():
@@ -192,7 +194,10 @@ def test_orthogonal_raises_on_a_degenerate_factor(shape, monkeypatch):
 
 
 def test_parse_scheme_round_trips_labels():
-    for label in ALL_LABELS:
+    # A scale that :g would round to six digits keeps every digit, so two
+    # schemes never share a label.
+    for label in [*ALL_LABELS, "normal_0.02000001", "uniform_123456.7",
+                  "trunc_normal_1.0000001e-07"]:
         assert scheme_label(parse_scheme(label)) == label
     # A fixed kind is its own label; the Kaiming labels keep their short
     # spellings as input aliases, and surrounding spaces are stripped.

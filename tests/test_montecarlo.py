@@ -208,7 +208,7 @@ def test_dk_sweep_grid_validation(monkeypatch):
                                 (2**63, rf"trials must be < 2\*\*63, got {2**63}")):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 dk_sweep_detail(x, XAVIER, [8], trials=trials, seed=0)
-        with pytest.raises(ValueError, match=rf"^d_k grid value must be < 2\*\*63, got {2**64}$"):
+        with pytest.raises(ValueError, match=rf"^d_k grid values must be < 2\*\*63, got {2**64}$"):
             dk_sweep_detail(x, XAVIER, [8, 2**64], trials=1, seed=0)
 
 
