@@ -179,11 +179,20 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         for name in ("n_heads", "n_layers", "d_k", "window_w"):
             check_size(name, getattr(self, name), 1)
-        if self.use_attention and self.use_output_linear and self.d_k % self.n_heads != 0:
-            raise ValueError(
-                f"d_k={self.d_k} must be divisible by n_heads={self.n_heads} "
-                "when heads are concatenated for the output linear"
-            )
+
+    def head_width(self, d: int) -> int:
+        """Each attention head's width on inputs of width ``d``. Heads that do
+        not split ``d_k`` for the output linear, and a residual add of another
+        width than the input's, are a ValueError."""
+        if not self.use_output_linear:
+            if self.use_residual and self.d_k != d:
+                raise ValueError(f"residual add needs matching widths: input is {d}, "
+                                 f"attention output is d_k={self.d_k} (no output linear)")
+            return self.d_k
+        if self.d_k % self.n_heads:
+            raise ValueError(f"d_k={self.d_k} must be divisible by n_heads={self.n_heads} "
+                             "when heads are concatenated for the output linear")
+        return self.d_k // self.n_heads
 
 
 @dataclass(frozen=True)
@@ -218,15 +227,17 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
     Pure function of (cfg, d): repeated calls return identical weights, which
     is what freezes the encoder across windows and runs. Once layer 0 is
     drawn, a stack of ``n_layers`` layers its size that would not fit in
-    physical memory raises ``MemoryError`` before layer 1 is drawn.
+    physical memory raises ``MemoryError`` before layer 1 is drawn; a shape
+    that ``cfg.head_width`` refuses raises before any draw.
     """
     width = d
     layers: list[LayerWeights] = []
     for li in range(cfg.n_layers):
         w_qkv: np.ndarray | None = None
         w_out: np.ndarray | None = None
+        new_width = width
         if cfg.use_attention:
-            head_width = cfg.d_k // cfg.n_heads if cfg.use_output_linear else cfg.d_k
+            head_width = cfg.head_width(d)
             qkv = np.empty((width, 3, cfg.n_heads, head_width))
             for h in range(cfg.n_heads):
                 qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h] = make_projection_set(
@@ -234,16 +245,8 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
             w_qkv = qkv.reshape(width, -1)
             if cfg.use_output_linear:
                 w_out = init_matrix(cfg.d_k, width, cfg.init, mix_seed(cfg.seed, _ROLE_OUT, li))
-                new_width = width
             else:
-                if cfg.use_residual and cfg.d_k != width:
-                    raise ValueError(
-                        f"residual add needs matching widths: input is {width}, "
-                        f"attention output is d_k={cfg.d_k} (no output linear)"
-                    )
                 new_width = cfg.d_k
-        else:
-            new_width = width
         w_ff1 = w_ff2 = None
         if cfg.use_ffn:
             w_ff1 = init_matrix(new_width, 4 * new_width, cfg.init, mix_seed(cfg.seed, _ROLE_FF1, li))

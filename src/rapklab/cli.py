@@ -149,7 +149,6 @@ def build_parser() -> _Parser:
     p.add_argument("--none", type=Path, help="unsmoothed predictions CSV (LSII)")
     p.add_argument("--corr", type=Path, help="smoothed predictions CSV (LSII)")
     p.add_argument("--window", type=int, help="LSII window width")
-    p.add_argument("--classes", type=int, help="label-space size override")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("correlate", help="metric-accuracy correlations over a sweep CSV")
@@ -198,7 +197,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_config_from_args(args, axis=None):
+def _run_config_from_args(args, axis=None, grid=()):
     entry = _load_config_file(args.config)
     enc = _overrides(args, EncoderConfig)
     file_enc = entry.get("encoder", {})
@@ -210,7 +209,7 @@ def _run_config_from_args(args, axis=None):
     entry.update(_overrides(args, RunConfig))
     if args.seeds is not None:
         entry["seeds"] = _parse_int_list(args.seeds, "--seed list")
-    return load_run_config(entry, axis)
+    return load_run_config(entry, axis, grid)
 
 
 def _cmd_smooth_eval(args) -> int:
@@ -232,13 +231,12 @@ def _cmd_smooth_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     axis = _AXIS_ALIASES.get(args.axis, args.axis)
-    base = _run_config_from_args(args, axis)
     grid_text = args.grid if args.grid is not None else _DEFAULT_GRIDS[axis]
     if axis in ("window", "d_k"):
         grid = tuple(_parse_int_list(grid_text, f"--grid for {args.axis}"))
     else:
         grid = tuple(part for part in grid_text.split(",") if part != "")
-    rows = run_sweep(base, axis, grid)
+    rows = run_sweep(_run_config_from_args(args, axis, grid), axis, grid)
     out = _ensure_out(args)
     path = out / "sweep.csv"
     write_sweep_csv(rows, path)
@@ -304,12 +302,10 @@ def _cmd_logit_stats(args) -> int:
     return 0
 
 
-def _stage_sequences(paths: list[Path], n_classes: int | None) -> list[StageSequence]:
-    if n_classes is not None:
-        check_size("--classes", n_classes, 1)
-    labels = [read_label_csv(path, n_classes) for path in paths]
-    # Without --classes the label space is the smallest that holds every file.
-    c = n_classes if n_classes is not None else max(int(a.max()) for a in labels) + 1
+def _stage_sequences(paths: list[Path]) -> list[StageSequence]:
+    labels = [read_label_csv(path) for path in paths]
+    # The label space is the smallest that holds every file.
+    c = max(int(a.max()) for a in labels) + 1
     return [StageSequence(a, c) for a in labels]
 
 
@@ -327,19 +323,14 @@ def _cmd_metrics(args) -> int:
         check_size("--window", args.window, 2)
     out: dict = {}
     if args.labels is not None:
-        labels = _stage_sequences([args.labels], args.classes)
         try:
-            out["wte"] = wte_pooled(labels)
+            out["wte"] = wte_pooled(_stage_sequences([args.labels]))
         except (ValueError, MemoryError) as exc:
             # Too few rows is the label file's fault, and so is a transition
-            # table too large to make or to allocate, unless --classes set
-            # the label space.
-            text = str(exc) or type(exc).__name__
-            if args.classes is not None and labels[0].t_len >= 2:
-                raise ValueError(f"--classes {args.classes}: {text}") from None
-            raise DatasetError(f"{args.labels}: {text}") from None
+            # table too large to make or to allocate.
+            raise DatasetError(f"{args.labels}: {str(exc) or type(exc).__name__}") from None
     if args.none is not None:
-        pair = _stage_sequences([args.none, args.corr], args.classes)
+        pair = _stage_sequences([args.none, args.corr])
         try:  # with the window checked, what LSII rejects is the pair of files
             out["lsii"] = lsii_pooled(pair[:1], pair[1:], args.window)
         except ValueError as exc:

@@ -70,6 +70,17 @@ _USE_FLAGS = tuple(f.name for f in fields(EncoderConfig) if f.name.startswith("u
 SWEEP_AXES = {"window": ("window_w",), "d_k": ("d_k",), "init": ("init",),
               "heads_layers": ("n_layers", "n_heads"), "components": _USE_FLAGS}
 
+# The random transformer's fields that only some of its components read,
+# each with those components: with all of them off, the field is unread.
+_READ_WITH = {
+    **dict.fromkeys(("n_heads", "d_k", "use_output_linear"), ("use_attention",)),
+    "use_residual": ("use_attention", "use_ffn"),
+    "init": ("use_attention", "use_ffn", "use_positional"),  # the weights it draws
+    "n_layers": ("use_attention", "use_ffn", "use_layernorm"),  # what a layer does
+    **dict.fromkeys(("window_w", "metric_window"),
+                    ("use_attention", "use_ffn", "use_layernorm", "use_positional")),
+}
+
 
 def _bundle(*on: str) -> dict[str, bool]:
     # Every use_* flag of EncoderConfig, true exactly for the components named.
@@ -202,8 +213,9 @@ def check_config_keys(entry: dict) -> dict:
     return entry
 
 
-def load_run_config(entry: dict, axis: str | None = None) -> RunConfig:
-    """Build a ``RunConfig`` from a JSON-style dict: a sweep's base run if ``axis`` is given."""
+def load_run_config(entry: dict, axis: str | None = None, grid: Sequence = ()) -> RunConfig:
+    """Build a ``RunConfig`` from a JSON-style dict: the base run of a sweep
+    over ``grid`` on ``axis`` if an axis is given."""
     check_config_keys(entry)
     synth = None
     if entry.get("synth") is not None:
@@ -221,13 +233,16 @@ def load_run_config(entry: dict, axis: str | None = None) -> RunConfig:
         seeds=tuple(_typed(s, int, f"seeds[{i}]") for i, s in enumerate(seeds)),
         integer_median=_typed(entry.get("integer_median", False), bool, "integer_median"),
     )
-    # One experiment, one digest: a field the run never reads keeps its default,
-    # and so does a field that a sweep's axis sets at every grid point.
+    # One experiment, one digest: a field that no run reads keeps its default. A sweep
+    # runs only its grid points, whose axis sets its own fields (an empty grid: the base).
+    runs = [apply_axis(cfg, axis, value)[1] for value in grid] or [cfg]
+    swept = set(SWEEP_AXES.get(axis, ()))
+    read = set().union(*map(fields_read, runs)) - swept
     default = replace(cfg, encoder=EncoderConfig(), metric_window=None, integer_median=False)
     given, default = ({**d.pop("encoder"), **d} for d in map(run_config_dict, (cfg, default)))
     for name, value in given.items():
-        if value != default[name] and name not in fields_read(cfg) - {*SWEEP_AXES.get(axis, ())}:
-            reader = _reader(cfg) if name not in fields_read(cfg) else f"a sweep on the {axis} axis"
+        if value != default[name] and name not in read:
+            reader = f"a sweep on the {axis} axis" if name in swept else _reader(runs[0], {name})
             raise ValueError(f"{reader} does not read {name}, so it must stay {default[name]!r}, "
                              f"got {value!r}")
     return cfg
@@ -259,8 +274,8 @@ def _open_data(cfg: RunConfig) -> tuple[int, int, Callable[[str], Iterable[Subje
 
 
 def _feature_smoothers(cfg: RunConfig, weights: list) -> list[Callable]:
-    """The feature-space smoother of each distinct smoothed head: one per run
-    seed for the random transformer, with that seed's ``weights``; one for the
+    """The feature-space smoother of each distinct smoothed head: one per
+    weight set in ``weights`` for the random transformer; one for the
     seed-free window mean; none for the label-space smoothers."""
     if cfg.smoother == "fixed_attention":
         return [partial(fixed_attention_smooth, w=cfg.encoder.window_w)]
@@ -304,8 +319,10 @@ def _evaluate(cfgs: list[RunConfig], n_classes: int, feat_dim: int,
     for every config and seed at once, so the run holds one subject at a time.
     The configs share their encoder weights, their seeds and one base head."""
     lead = cfgs[0]
+    # With no init read, no weights are drawn: one result serves every seed.
+    seeds = lead.seeds if "init" in fields_read(lead) else lead.seeds[:1]
     weights = [] if lead.smoother != "random_transformer" else [
-        build_encoder_weights(replace(lead.encoder, seed=seed), feat_dim) for seed in lead.seeds
+        build_encoder_weights(replace(lead.encoder, seed=seed), feat_dim) for seed in seeds
     ]
     smoothers = [_feature_smoothers(cfg, weights) for cfg in cfgs]
     # Per config, one prediction list per smoothed head, or one for a
@@ -417,18 +434,24 @@ def apply_axis(base: RunConfig, axis: str, value) -> tuple[object, RunConfig]:
 
 def fields_read(cfg: RunConfig) -> set[str]:
     """The run fields, each encoder field by its own name, whose values can
-    change a result of ``cfg``: ``none`` reads only its seeds."""
+    change a result of ``cfg``: ``none`` reads only its seeds. The random
+    transformer reads its heads only with attention, its residual with
+    attention or an FFN, its init when it draws weights, its layers when a
+    layer does something, and its windows unless it is the identity
+    (``_READ_WITH``); without weights, one result repeats for each seed."""
     if cfg.smoother == "random_transformer":
-        attention = () if cfg.encoder.use_attention else ("n_heads", "d_k", "use_output_linear")
-        return {"seeds", "metric_window", *_encoder_dict(cfg.encoder)}.difference(attention)
+        unread = {name for name, on in _READ_WITH.items()
+                  if not any(getattr(cfg.encoder, flag) for flag in on)}
+        return {"seeds", "metric_window", *_encoder_dict(cfg.encoder)} - unread
     window = {"window_w", "metric_window"} if cfg.smoother != "none" else set()
     return {"seeds", *window} | ({"integer_median"} if cfg.smoother == "median" else set())
 
 
-def _reader(cfg: RunConfig) -> str:
-    # The random transformer leaves a field unread only with its attention off.
-    attention_off = cfg.smoother == "random_transformer" and not cfg.encoder.use_attention
-    return f"smoother {cfg.smoother!r}" + " with use_attention false" * attention_off
+def _reader(cfg: RunConfig, names: set[str]) -> str:
+    # The smoother, and the random transformer's components whose being off leaves ``names`` unread.
+    unread = names - fields_read(cfg) if cfg.smoother == "random_transformer" else set()
+    off = [flag for flag in _USE_FLAGS if any(flag in _READ_WITH[name] for name in unread)]
+    return f"smoother {cfg.smoother!r}" + f" with {' and '.join(off)} false" * bool(off)
 
 
 def _value_sort_key(value):
@@ -449,7 +472,7 @@ def run_sweep(base: RunConfig, axis: str, grid: Sequence) -> list[dict]:
     result rows.
 
     Every grid point is built and checked before any subject is made or read:
-    each must read a value of ``axis`` that no other point shares.
+    each must read an ``axis`` value no other point shares, in a shape the encoder runs.
     A window sweep takes one pass over the data, so it makes or reads each
     subject once, unless it runs the random transformer with positional rows,
     which the window sizes; then, as on every other axis, each grid point has
@@ -465,12 +488,15 @@ def run_sweep(base: RunConfig, axis: str, grid: Sequence) -> list[dict]:
         read.append({name: getattr(cfg.encoder, name) for name in SWEEP_AXES[axis]
                      if name in fields_read(cfg)})
         if not read[-1] or read[-1] in read[:-1]:
-            raise ValueError(f"{_reader(cfg)} reads no value that sets grid point {value!r} "
-                             f"of the {axis} axis apart")
+            raise ValueError(f"{_reader(cfg, set(SWEEP_AXES[axis]))} reads no value that sets "
+                             f"grid point {value!r} of the {axis} axis apart")
     one_pass = axis == "window" and not (
         base.smoother == "random_transformer" and base.encoder.use_positional)
     # No axis changes the data source, so every pass reads the same one.
     data = _open_data(base)
+    for _, cfg in points:  # a shape no encoder can run, found before any pass
+        if cfg.smoother == "random_transformer" and cfg.encoder.use_attention:
+            cfg.encoder.head_width(data[1])
     rows: list[dict] = []
     for group in [points] if one_pass else [[point] for point in points]:
         labels, cfgs = zip(*group)
@@ -530,17 +556,9 @@ def append_runs_csv(result: PipelineResult, path: str | Path) -> None:
         if fresh:
             writer.writerow(_RUNS_HEADER)
         for report in result.per_seed:
-            writer.writerow(
-                [
-                    result.digest,
-                    report.seed,
-                    result.config["smoother"],
-                    enc["window_w"],
-                    enc["d_k"],
-                    enc["init"],
-                    *(float_cell(getattr(report, name)) for name in _SCORES),
-                ]
-            )
+            scores = (float_cell(getattr(report, name)) for name in _SCORES)
+            writer.writerow([result.digest, report.seed, result.config["smoother"],
+                             enc["window_w"], enc["d_k"], enc["init"], *scores])
 
 
 _SWEEP_HEADER = ["axis", "value", "seed", *_SCORES]
@@ -551,27 +569,15 @@ def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_SWEEP_HEADER)
         for r in rows:
-            writer.writerow(
-                [
-                    r["axis"],
-                    r["value"],
-                    r["seed"],
-                    *(float_cell(r[name]) for name in _SCORES),
-                ]
-            )
+            writer.writerow([r["axis"], r["value"], r["seed"], *(float_cell(r[n]) for n in _SCORES)])
 
 
 def _sweep_row(row: list[str]) -> dict:
-    axis, value, seed, acc, wf1, wte_v, lsii_v = row
-    return {
-        "axis": axis,
-        "value": value,
-        "seed": seed if seed in ("mean", "std") else number_cell(seed, int),
-        "accuracy": number_cell(acc),
-        "weighted_f1": number_cell(wf1),
-        "wte": number_cell(wte_v),
-        "lsii": None if lsii_v == "" else number_cell(lsii_v),
-    }
+    axis, value, seed, *scores = row  # an LSII cell may be empty, for no LSII
+    return {"axis": axis, "value": value,
+            "seed": seed if seed in ("mean", "std") else number_cell(seed, int),
+            **{name: None if name == "lsii" and cell == "" else number_cell(cell)
+               for name, cell in zip(_SCORES, scores)}}
 
 
 def read_sweep_csv(path: str | Path) -> list[dict]:

@@ -216,10 +216,13 @@ def test_encoder_config_sizes_at_their_bounds(name):
 
 
 def test_encoder_config_head_divisibility():
+    # Checked where the heads are drawn, before any draw, so that a sweep's
+    # base may hold a head count that only its grid points pair with a d_k.
     with pytest.raises(ValueError, match="divisible"):
-        EncoderConfig(n_heads=3, d_k=8)
+        build_encoder_weights(EncoderConfig(n_heads=3, d_k=8), 4)
     # No concatenation, no constraint.
-    EncoderConfig(n_heads=3, d_k=8, use_output_linear=False, use_residual=False)
+    assert EncoderConfig(n_heads=3, d_k=8, use_output_linear=False,
+                         use_residual=False).head_width(4) == 8
 
 
 def test_encoder_residual_needs_matching_width_without_output_linear():

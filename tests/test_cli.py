@@ -570,6 +570,40 @@ _COUNTS = [
           ("heads_layers", "1x2", ["--layers", "2"], "n_layers", 1, 2),
           ("components", "full", ["--no-use-ffn"], "use_ffn", True, False),
       )),
+    # The random transformer without attention or an FFN draws no weights
+    # but positional rows, and adds no residual; with its layer norm off too,
+    # its layers do nothing and the encoder is the identity, so it reads no
+    # window. A sweep's base value must be read by one of its grid points.
+    *(pytest.param(["smooth-eval", "--smoother", "random_transformer", "--no-use-attention",
+                    "--no-use-ffn", "--seed", "1", *flags],
+                   f"smoother 'random_transformer' with use_attention and use_ffn{off} false "
+                   f"does not read {name}, so it must stay {default}, got {got}",
+                   id=f"smooth-eval_weightless_{name}")
+      for flags, off, name, default, got in (
+          (["--init", "normal_0.02"], " and use_positional", "init", "'xavier_uniform'",
+           "'normal_0.02'"),
+          (["--no-use-residual"], "", "use_residual", True, False),
+          (["--no-use-layernorm", "--window", "5"], " and use_layernorm and use_positional",
+           "window_w", 10, 5),
+          (["--no-use-layernorm", "--metric-window", "5"], " and use_layernorm and use_positional",
+           "metric_window", 10, 5),
+          (["--no-use-layernorm", "--layers", "3"], " and use_layernorm", "n_layers", 1, 3),
+      )),
+    pytest.param(["sweep", "--smoother", "random_transformer", "--axis", "components",
+                  "--grid", "none,layernorm", "--init", "normal_0.02"],
+                 "smoother 'random_transformer' with use_attention and use_ffn and "
+                 "use_positional false does not read init, so it must stay 'xavier_uniform', "
+                 "got 'normal_0.02'", id="sweep_components_weightless--init"),
+    # Encoder shapes are checked at each grid point, where the heads meet a
+    # d_k, and against the input width before the first draw.
+    pytest.param(["sweep", "--smoother", "random_transformer", "--axis", "d_k", "--grid", "6,8",
+                  "--heads", "3", "--seed", "1"],
+                 "d_k=8 must be divisible by n_heads=3 when heads are concatenated for the "
+                 "output linear", id="sweep_d_k_point_not_divisible"),
+    pytest.param(["smooth-eval", "--smoother", "random_transformer", "--no-use-output-linear",
+                  "--use-residual", "--dk", "8", "--heads", "2", "--seed", "1"],
+                 "residual add needs matching widths: input is 4, attention output is d_k=8 "
+                 "(no output linear)", id="smooth-eval_residual_width"),
     # Each grid point must read a value of the axis that no other point
     # shares: every axis under none, d_k or a head count without attention,
     # and a value repeated once parsed, as "3,03" or "1x1,01x1" are.
@@ -716,8 +750,8 @@ def test_an_allocation_failure_is_one_error_line(run_config, tmp_path, monkeypat
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case", ["metrics_classes", "metrics_label_file", "simulate",
-                                  "layers_probe", "layers_real"])
+@pytest.mark.parametrize("case", ["metrics_label_file", "simulate", "layers_probe",
+                                  "layers_real"])
 def test_an_allocation_failure_names_its_flag_or_file(case, run_config, tmp_path, monkeypatch,
                                                       capsys):
     # Each allocation is made to fail as numpy fails, except the real --layers
@@ -729,13 +763,10 @@ def test_an_allocation_failure_names_its_flag_or_file(case, run_config, tmp_path
     labels.write_text("stage\n0\n1\n")
     out = tmp_path / "out"
     encoder = ["smooth-eval", "--config", str(run_config), *RT_FLAGS]
-    if case.startswith("metrics"):
+    if case == "metrics_label_file":
         monkeypatch.setattr(cli, "wte_pooled", fail)
-        classes = ["--classes", "5"] if case == "metrics_classes" else []
-        code = main(["metrics", "--labels", str(labels), *classes, "--out", str(out)])
-        line = (f"--classes 5: {_NUMPY_ALLOCATION}" if classes
-                else f"{labels}: {_NUMPY_ALLOCATION}")
-        assert (code, capsys.readouterr().err) == (1 if classes else 2, f"error: {line}\n")
+        assert main(["metrics", "--labels", str(labels), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {labels}: {_NUMPY_ALLOCATION}\n"
     elif case == "simulate":
         monkeypatch.setattr(synthgen, "gen_features", fail)
         assert main(["simulate", "--out", str(out)]) == 1
@@ -809,7 +840,7 @@ def test_every_numeric_flag_at_edge_values_runs_or_is_one_error_line(tmp_path, m
                if isinstance(a, argparse._SubParsersAction))
     options = [(command, action) for command, parser in sub.choices.items()
                for action in parser._actions if action.type in (int, float)]
-    assert len(options) >= 31 and {command for command, _ in options} == set(base)
+    assert len(options) >= 30 and {command for command, _ in options} == set(base)
 
     def draw(seed):
         raise AssertionError(f"{argv} drew before failing")
@@ -837,8 +868,10 @@ def test_every_numeric_flag_at_edge_values_runs_or_is_one_error_line(tmp_path, m
                 assert code == 1 and re.search(named, err), (argv, err)
 
 
-# The smoothers that draw nothing from a run seed.
-_SEED_FREE = ("none", "moving_average", "median", "fixed_attention")
+# The base runs that draw nothing from a run seed: every smoother but the
+# random transformer, and its bundles without attention, FFN or positional rows.
+_SEED_FREE = ("none", "moving_average", "median", "fixed_attention",
+              "random_transformer:none", "random_transformer:layernorm")
 
 # Options that may leave every output as it was, but for the config it
 # echoes, each with its reason, keyed by (command, base run, option) with "*"
@@ -851,20 +884,12 @@ _NO_INFLUENCE = {
        for command in ("smooth-eval", "sweep")},
     ("simulate", "*", "--config"): "simulate reads only the synth keys of a run config and "
                                    "ignores the others, as documented",
-    ("metrics", "*", "--classes"): "it only bounds the labels: --labels with --classes 7 "
-                                   "writes the same WTE as without it",
-    **{(command, smoother, "--seed"): "a smoother without a seed repeats one result for each "
-                                      "run seed"
-       for command in ("smooth-eval", "sweep") for smoother in _SEED_FREE},
-    # What the rule in harness.fields_read accepts although nothing reads it.
-    **{(command, f"random_transformer:{bundle}", option): "without attention, an FFN or "
-       "positional rows the encoder draws no weights and adds no residual, and more layers "
-       "only repeat a layer norm, which moves no prediction here"
-       for command in ("smooth-eval", "sweep") for bundle in ("none", "layernorm")
-       for option in ("--seed", "--init", "--layers", "--use-residual")},
-    **{(command, "random_transformer:none", option): "with every component off the encoder "
-       "is the identity, so the run scores as none does, with no LSII"
-       for command in ("smooth-eval", "sweep") for option in ("--window", "--metric-window")},
+    **{(command, base, "--seed"): "a run without a seed or encoder weights repeats one "
+                                  "result for each run seed"
+       for command in ("smooth-eval", "sweep") for base in _SEED_FREE},
+    **{(command, "random_transformer:layernorm", "--layers"): "the run reads it to repeat a "
+       "layer norm, which moves no prediction here"
+       for command in ("smooth-eval", "sweep")},
 }
 
 
@@ -945,16 +970,16 @@ def test_every_option_changes_an_output_or_is_refused_naming_itself(tmp_path, ca
     run = ["--config", str(config)]
 
     def transformer(flags):
-        # With attention off its fields are unread, so they keep their defaults.
-        if not flags["use_attention"]:
-            return [*run, "--smoother", "random_transformer",
-                    *use_flags({**flags, "use_output_linear": True})]
-        return [*run, "--smoother", "random_transformer", "--heads", "2", "--dk", "16",
-                *use_flags(flags)]
+        # A field that the bundle leaves unread keeps its default.
+        attention, ffn = flags["use_attention"], flags["use_ffn"]
+        flags = {**flags, "use_output_linear": flags["use_output_linear"] or not attention,
+                 "use_residual": flags["use_residual"] or not (attention or ffn)}
+        heads = ["--heads", "2", "--dk", "16"] if attention else []
+        return [*run, "--smoother", "random_transformer", *heads, *use_flags(flags)]
 
     encoder_bases = {
         **{smoother: [*run, "--smoother", smoother, *use_flags(COMPONENT_BUNDLES["full"])]
-           for smoother in _SEED_FREE},
+           for smoother in SMOOTHERS if smoother != "random_transformer"},
         **{f"random_transformer:{bundle}": transformer(flags)
            for bundle, flags in COMPONENT_BUNDLES.items()},
     }
@@ -962,9 +987,9 @@ def test_every_option_changes_an_output_or_is_refused_naming_itself(tmp_path, ca
         ("simulate", "*", ["--classes", "2", "--t-len", "4", "--subjects", "3",
                            "--feat-dim", "16"]),
         *(("smooth-eval", name, argv) for name, argv in encoder_bases.items()),
-        # No sweep axis sets a field that none reads.
+        # No sweep axis sets a field that none, or the identity encoder, reads.
         *(("sweep", name, [*argv, "--axis", "window"]) for name, argv in encoder_bases.items()
-          if name != "none"),
+          if name not in ("none", "random_transformer:none")),
         ("kernel-validate", "*", ["--t-len", "2", "--dim", "2", "--sequences", "1",
                                   "--trials", "2", "--dk-grid", "1"]),
         ("logit-stats", "*", ["--t-len", "2", "--dim", "2", "--trials", "100", "--dk-grid", "1",
@@ -1037,7 +1062,8 @@ def test_every_default_grid_builds_through_apply_axis(axis, run_config, tmp_path
     assert main(["sweep", "--config", str(run_config), "--smoother", "random_transformer",
                  "--axis", axis, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: reached the data\n"
-    assert [str(label) for label in labels] == cli._DEFAULT_GRIDS[axis].split(",")
+    # Built once to check the base run's values, and once for the sweep.
+    assert [str(label) for label in labels] == cli._DEFAULT_GRIDS[axis].split(",") * 2
 
 
 def test_repeated_seeds_in_the_config_file(tmp_path, capsys):
@@ -1280,26 +1306,15 @@ def test_metrics_argument_errors(tmp_path, capsys):
         assert capsys.readouterr() == ("", "error: --window sets the LSII window, "
                                            "so it needs --none and --corr\n")
     assert main(["metrics", "--labels", str(tmp_path / "ghost.csv")]) == 2
-    assert main(["metrics", "--labels", str(none_p), "--classes", "0"]) == 1
-    assert "--classes must be >= 1" in capsys.readouterr().err
-    # A label space no array can hold is the flag's fault, not the file's.
-    assert main(["metrics", "--labels", str(none_p), "--classes", str(2**64)]) == 1
-    assert capsys.readouterr().err == f"error: --classes must be < 2**63, got {2**64}\n"
-    assert main(["metrics", "--labels", str(none_p), "--classes", str(2**62)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: --classes {2**62}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag, value, low", [
-    ("--classes", 0, 1), ("--classes", 2**63, 1), ("--window", 1, 2), ("--window", 2**63, 2),
-])
+@pytest.mark.parametrize("flag, value, low", [("--window", 1, 2), ("--window", 2**63, 2)])
 def test_metrics_counts_at_their_bounds(flag, value, low, tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     labels.write_text("stage\n0\n1\n")
-    files = ["--labels", str(labels)] if flag == "--classes" else [
-        "--none", str(labels), "--corr", str(labels)]
     out = tmp_path / "out"
-    assert main(["metrics", *files, flag, str(value), "--out", str(out)]) == 1
+    assert main(["metrics", "--none", str(labels), "--corr", str(labels), flag, str(value),
+                 "--out", str(out)]) == 1
     bound = "< 2**63" if value == 2**63 else f">= {low}"
     assert capsys.readouterr().err == f"error: {flag} must be {bound}, got {value}\n"
     assert not out.exists()
@@ -1686,9 +1701,9 @@ def test_metrics_rejects_non_finite_or_huge_labels(cell, tmp_path, capsys):
 def test_metrics_reads_each_label_file_once(tmp_path, monkeypatch, capsys):
     reads = []
 
-    def read_label_csv(path, n_classes):
+    def read_label_csv(path):
         reads.append(path)
-        return dataio.read_label_csv(path, n_classes)
+        return dataio.read_label_csv(path)
 
     monkeypatch.setattr(cli, "read_label_csv", read_label_csv)
     none_p = tmp_path / "none.csv"

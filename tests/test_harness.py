@@ -1,7 +1,7 @@
 import hashlib
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -411,9 +411,28 @@ def test_run_sweep_rejects_bad_grids_before_any_data(tmp_path, monkeypatch):
                                                  f"use_attention false reads no value that sets "
                                                  f"grid point {point!r} of the {axis} axis apart$"):
                 run_sweep(no_attention, axis, grid)
+        # With every component off the encoder is the identity, which reads no window.
+        identity = replace(base, encoder=replace(base.encoder, **COMPONENT_BUNDLES["none"]))
+        with pytest.raises(ValueError, match=r"^smoother 'random_transformer' with use_attention "
+                                             r"and use_ffn and use_layernorm and use_positional "
+                                             r"false reads no value that sets grid point 3 of "
+                                             r"the window axis apart$"):
+            run_sweep(identity, "window", (3, 4))
+        # Each grid point's heads must split its d_k, whatever the base's d_k.
+        with pytest.raises(ValueError, match=r"^d_k=8 must be divisible by n_heads=3 "):
+            run_sweep(replace(base, encoder=replace(base.encoder, n_heads=3)), "d_k", (6, 8))
     monkeypatch.undo()
     for smoother in ("moving_average", "median", "fixed_attention"):
         assert run_sweep(small_run(smoother=smoother), "window", (3, 4))
+    # A base run whose heads do not split the default d_k (or the reverse)
+    # sweeps grid points that pair them.
+    for axis, grid, encoder in (("d_k", (6, 9), {"n_heads": 3}),
+                                ("heads_layers", ("1x3", "1x4"), {"d_k": 12}),
+                                ("components", ("none", "attention_no_linear"),
+                                 {"n_heads": 3, "d_k": 10})):
+        entry = {"synth": asdict(small_synth()), "encoder": encoder, "seeds": [111]}
+        rows = run_sweep(load_run_config(entry, axis, grid), axis, grid)
+        assert sorted({row["value"] for row in rows}) == sorted(grid)
     # Two init scales that agree to six digits are two grid points, each
     # labelled by every digit it has.
     rows = run_sweep(small_run(seeds=(111,)), "init", ("normal_0.02", "normal_0.02000001"))

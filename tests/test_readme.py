@@ -1,3 +1,4 @@
+import argparse
 import ast
 import os
 import re
@@ -91,3 +92,20 @@ def test_each_exit_code_row_runs_as_quoted(code, rule, example, line, examples_d
     quoted = ".+".join(map(re.escape, line.split("…"))) + "\n"
     assert printed.out == "" and re.fullmatch(quoted, printed.err)
     assert (out.read_bytes() if out.is_file() else out.exists()) == before
+
+
+def test_every_flag_of_the_command_line_section_is_a_parser_option():
+    # Each code span and example line of "Command line" that names a command
+    # names only that command's options; any other names options of some command.
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {name: {option for action in parser._actions for option in action.option_strings}
+                for name, parser in sub.choices.items()}
+    section = README.split("\n## Command line\n")[1].split("\n## ")[0].replace("\\\n", " ")
+    blocks = re.findall(r"^```sh\n(.*?)^```", section, re.M | re.S)
+    texts = re.findall(r"`([^`\n]+)`", section) + "\n".join(blocks).splitlines()
+    assert len(blocks) == 1 and len(texts) > 100
+    for text in texts:
+        words = text.removeprefix("rapklab ").split()
+        known = commands.get(words[0] if words else "") or set().union(*commands.values())
+        flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+        assert flags <= known, (text, flags - known)
