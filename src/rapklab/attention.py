@@ -17,8 +17,10 @@ gives every head's Q, K and V; that matrix is the only copy of those weights.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,7 +197,7 @@ class EncoderConfig:
         return self.d_k // self.n_heads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerWeights:
     """One layer's weights. ``w_qkv`` is ``(width, 3 * H * d_h)``: the Q, then
     the K, then the V columns of every head in head order."""
@@ -254,7 +256,9 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
         layers.append(LayerWeights(w_qkv=w_qkv, w_out=w_out, w_ff1=w_ff1, w_ff2=w_ff2))
         width = new_width
         if li == 0 and cfg.n_layers > 1:
-            layer_bytes = sum(w.nbytes for w in (w_qkv, w_out, w_ff1, w_ff2) if w is not None)
+            # A layer without weights still holds its (slotted) object.
+            layer_bytes = sys.getsizeof(layers[0]) + sum(
+                w.nbytes for w in (w_qkv, w_out, w_ff1, w_ff2) if w is not None)
             memory = _physical_memory()
             if memory is not None and cfg.n_layers * layer_bytes > memory:
                 raise MemoryError(
@@ -282,8 +286,8 @@ def _attention_block(h: np.ndarray, lw: LayerWeights, cfg: EncoderConfig) -> np.
     # One GEMM gives every head's Q, K and V; each window block is then one
     # (n_win, H, width, d_h) batch, whose output lands in place in ``heads``.
     # With the output linear the heads sit side by side in the (rows, H * d_h)
-    # layout it reads; without it they are averaged by a running sum in head
-    # order.
+    # layout it reads; without it they are added in head order and divided by
+    # H (a sum or mean over the head axis adds pairwise, with other bits).
     rows, n_heads, d_h = len(h), cfg.n_heads, lw.w_qkv.shape[1] // (3 * cfg.n_heads)
     qkv = (h @ lw.w_qkv).reshape(rows, 3, n_heads, d_h)
     heads = np.empty((rows, n_heads, d_h))
@@ -294,10 +298,7 @@ def _attention_block(h: np.ndarray, lw: LayerWeights, cfg: EncoderConfig) -> np.
     if cfg.use_output_linear:
         att = heads.reshape(rows, -1) @ lw.w_out
     else:
-        att = heads[:, 0].copy()
-        for i in range(1, n_heads):
-            att += heads[:, i]
-        att /= n_heads
+        att = functools.reduce(np.add, heads.swapaxes(0, 1)) / n_heads
     return h + att if cfg.use_residual else att
 
 

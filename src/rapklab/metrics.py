@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import window_blocks
 from .seeding import check_size
 from .sequences import StageSequence
 
@@ -82,11 +83,11 @@ def lsii_pooled(
 
     For each epoch where a corrected sequence differs from its baseline,
     measures the fraction of the other epochs in its non-overlapping
-    width-``w`` window whose corrected label matches the corrected label at
-    that epoch, and averages over all corrections of all pairs. Agreement is
-    measured against the corrected sequence itself, so no ground truth
-    enters the score. Returns ``None`` when no correction has window context
-    to score (in particular when there are no corrections).
+    width-``w`` window (``window_blocks``) whose corrected label matches the
+    corrected label at that epoch, and averages over all corrections of all
+    pairs. Agreement is measured against the corrected sequence itself, so no
+    ground truth enters the score. Returns ``None`` when no correction has
+    window context to score: there are none, or each has a window to itself.
     """
     if len(none_list) != len(corr_list):
         raise ValueError("need one corrected sequence per baseline sequence")
@@ -97,15 +98,15 @@ def lsii_pooled(
             raise ValueError(
                 f"sequence lengths differ: none={none_s.t_len}, corrected={corr_s.t_len}"
             )
-        corr = corr_s.labels
-        for t in np.nonzero(none_s.labels != corr)[0]:
-            start = (int(t) // w) * w
-            stop = min(start + w, corr_s.t_len)
-            others = stop - start - 1
-            if others == 0:
-                # Singleton window: no context to agree with.
+        for lo, hi, width in window_blocks(corr_s.t_len, w):
+            if width == 1:
                 continue
-            terms.append((int(np.count_nonzero(corr[start:stop] == corr[t])) - 1) / others)
+            # An epoch's agreement is the count of its (window, label rank) group less one.
+            _, ranks = np.unique(corr_s.labels[lo:hi], return_inverse=True)
+            keys = np.arange(hi - lo) // width * (hi - lo) + ranks  # below (hi - lo)**2
+            _, group, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            agree = counts[group[none_s.labels[lo:hi] != corr_s.labels[lo:hi]]] - 1
+            terms.extend((agree / (width - 1)).tolist())
     if not terms:
         return None
     return sum(terms) / len(terms)
@@ -122,14 +123,10 @@ def per_class_f1(pred: StageSequence, true: StageSequence, n_classes: int) -> np
     """F1 per class; classes with zero precision+recall score 0."""
     if pred.t_len != true.t_len:
         raise ValueError(f"lengths differ: pred={pred.t_len}, true={true.t_len}")
-    f1 = np.zeros(n_classes)
-    for c in range(n_classes):
-        tp = int(np.count_nonzero((pred.labels == c) & (true.labels == c)))
-        fp = int(np.count_nonzero((pred.labels == c) & (true.labels != c)))
-        fn = int(np.count_nonzero((pred.labels != c) & (true.labels == c)))
-        denom = 2 * tp + fp + fn
-        f1[c] = 2 * tp / denom if denom > 0 else 0.0
-    return f1
+    hits, n_pred, n_true = (np.bincount(labels, minlength=n_classes)[:n_classes] for labels in
+                            (pred.labels[pred.labels == true.labels], pred.labels, true.labels))
+    denom = n_pred + n_true  # 2 * tp + fp + fn
+    return np.divide(2 * hits, denom, out=np.zeros(n_classes), where=denom > 0)
 
 
 def weighted_f1(pred: StageSequence, true: StageSequence, n_classes: int) -> float:

@@ -78,16 +78,22 @@ def naive_wte(*label_lists) -> float:
 
 
 def naive_lsii(none_l, corr_l, w: int):
+    return naive_lsii_pooled([none_l], [corr_l], w)
+
+
+def naive_lsii_pooled(none_ls, corr_ls, w: int):
+    """LSII by loop over every correction of every pair, its window rescanned."""
     terms = []
-    for t in range(len(none_l)):
-        if none_l[t] == corr_l[t]:
-            continue
-        start = (t // w) * w
-        stop = min(start + w, len(none_l))
-        others = [u for u in range(start, stop) if u != t]
-        if not others:
-            continue
-        terms.append(sum(1 for u in others if corr_l[u] == corr_l[t]) / len(others))
+    for none_l, corr_l in zip(none_ls, corr_ls):
+        for t in range(len(none_l)):
+            if none_l[t] == corr_l[t]:
+                continue
+            start = (t // w) * w
+            stop = min(start + w, len(none_l))
+            others = [u for u in range(start, stop) if u != t]
+            if not others:
+                continue
+            terms.append(sum(1 for u in others if corr_l[u] == corr_l[t]) / len(others))
     return sum(terms) / len(terms) if terms else None
 
 

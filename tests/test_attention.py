@@ -15,6 +15,7 @@ from rapklab.attention import (
     _ROLE_HEAD,
     AttentionMatrix,
     EncoderConfig,
+    LayerWeights,
     _attend,
     _scores,
     _tile_rows,
@@ -240,8 +241,9 @@ def test_encoder_residual_needs_matching_width_without_output_linear():
 
 
 def test_a_layer_stack_larger_than_memory_is_refused_after_layer_0(monkeypatch):
-    # Layer 0 holds 2048 bytes (Q/K/V 4x24, output 8x4, FFN 4x16 and 16x4),
-    # so three layers need 6144.
+    # Layer 0 holds 2048 bytes of weights (Q/K/V 4x24, output 8x4, FFN 4x16
+    # and 16x4) and its layer object, so three layers need three times that.
+    layer = 2048 + sys.getsizeof(LayerWeights(None, None, None, None))
     cfg = EncoderConfig(n_heads=2, d_k=8, n_layers=3, window_w=4)
     drawn, real = [], attention.make_projection_set
 
@@ -250,12 +252,13 @@ def test_a_layer_stack_larger_than_memory_is_refused_after_layer_0(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(attention, "make_projection_set", make_projection_set)
-    monkeypatch.setattr(attention, "_physical_memory", lambda: 6143)
-    with pytest.raises(MemoryError, match=r"^n_layers=3 layers of 2048 bytes each need 6144 "
-                                          r"bytes, more than the 6143 bytes of physical memory$"):
+    monkeypatch.setattr(attention, "_physical_memory", lambda: 3 * layer - 1)
+    with pytest.raises(MemoryError, match=rf"^n_layers=3 layers of {layer} bytes each need "
+                                          rf"{3 * layer} bytes, more than the {3 * layer - 1} "
+                                          r"bytes of physical memory$"):
         build_encoder_weights(cfg, 4)
     assert len(drawn) == 2  # the two heads of layer 0, and nothing of layer 1
-    for memory in (6144, None):  # enough, or a host whose sysconf cannot tell
+    for memory in (3 * layer, None):  # enough, or a host whose sysconf cannot tell
         monkeypatch.setattr(attention, "_physical_memory", lambda: memory)
         assert len(build_encoder_weights(cfg, 4).layers) == 3
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shutil
+import sys
 import warnings
 from dataclasses import fields
 
@@ -31,6 +32,8 @@ SYNTH = {
 RT_FLAGS = ["--smoother", "random_transformer", "--heads", "2", "--dk", "8"]
 # RT_FLAGS less the flag of a field that the swept axis sets at every grid point.
 RT_SWEEP_FLAGS = {"d_k": RT_FLAGS[:4], "heads_layers": RT_FLAGS[:2] + RT_FLAGS[4:]}
+# The bytes of one layer object, which every layer holds besides its weights.
+LAYER_OBJECT = sys.getsizeof(attention.LayerWeights(None, None, None, None))
 
 
 @pytest.fixture()
@@ -589,6 +592,16 @@ _COUNTS = [
            "metric_window", 10, 5),
           (["--no-use-layernorm", "--layers", "3"], " and use_layernorm", "n_layers", 1, 3),
       )),
+    # Layers without weights still hold their objects, so 10**11 of them are
+    # refused after layer 0 instead of being built until the process is killed.
+    pytest.param(["smooth-eval", "--smoother", "random_transformer", "--no-use-attention",
+                  "--no-use-ffn", "--seed", "1", "--layers", "100000000000"],
+                 f"n_layers=100000000000 layers of {LAYER_OBJECT} bytes each need "
+                 f"{10**11 * LAYER_OBJECT} bytes, more than the {attention._physical_memory()} "
+                 "bytes of physical memory", id="smooth-eval_weightless_layers",
+                 marks=pytest.mark.skipif(attention._physical_memory() is None,
+                                          reason="without a memory size the layers would be "
+                                                 "built until killed")),
     pytest.param(["sweep", "--smoother", "random_transformer", "--axis", "components",
                   "--grid", "none,layernorm", "--init", "normal_0.02"],
                  "smoother 'random_transformer' with use_attention and use_ffn and "
@@ -772,18 +785,21 @@ def test_an_allocation_failure_names_its_flag_or_file(case, run_config, tmp_path
         assert main(["simulate", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {_NUMPY_ALLOCATION}\n"
     elif case == "layers_probe":
-        # Layer 0 of this encoder holds 2048 bytes: Q/K/V 4x24, output 8x4, FFN 4x16 and 16x4.
-        monkeypatch.setattr(attention, "_physical_memory", lambda: 4095)
+        # Layer 0 of this encoder holds 2048 bytes of weights (Q/K/V 4x24, output
+        # 8x4, FFN 4x16 and 16x4) and its layer object.
+        layer = 2048 + LAYER_OBJECT
+        monkeypatch.setattr(attention, "_physical_memory", lambda: 2 * layer - 1)
         assert main([*encoder, "--layers", "2", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: n_layers=2 layers of 2048 bytes each need 4096 bytes, "
-            "more than the 4095 bytes of physical memory\n")
+            f"error: n_layers=2 layers of {layer} bytes each need {2 * layer} bytes, "
+            f"more than the {2 * layer - 1} bytes of physical memory\n")
     else:
         if attention._physical_memory() is None:
             pytest.skip("without a memory size the layers would be drawn until killed")
+        layer = 2048 + LAYER_OBJECT
         assert main([*encoder, "--layers", "100000000000", "--out", str(out)]) == 1
-        assert re.fullmatch(r"error: n_layers=100000000000 layers of 2048 bytes each need "
-                            r"204800000000000 bytes, more than the \d+ bytes of physical "
+        assert re.fullmatch(rf"error: n_layers=100000000000 layers of {layer} bytes each need "
+                            rf"{10**11 * layer} bytes, more than the \d+ bytes of physical "
                             r"memory\n", capsys.readouterr().err)
     assert not out.exists()
 

@@ -1,11 +1,12 @@
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from oracles import naive_lsii, naive_wte, seq
+from oracles import naive_lsii_pooled, naive_wte, seq
 
 from rapklab.metrics import (
     EvalReport,
@@ -103,21 +104,42 @@ def test_lsii_validation():
         lsii_pooled([s], [seq([0, 1, 0], 2)], 2)
 
 
-def test_lsii_matches_naive_exhaustively():
+def _lsii_oracle_inputs():
+    # (none label lists, corrected label lists, n_classes, w): every binary
+    # pair of length 4 at w = 2 and 3, every ternary pair of length 3 at w = 2,
+    # then tails, windows, pooling and label spaces the small cases miss.
     for w in (2, 3):
         for none_l in itertools.product(range(2), repeat=4):
             for corr_l in itertools.product(range(2), repeat=4):
-                got = lsii_pooled([seq(none_l, 2)], [seq(corr_l, 2)], w)
-                want = naive_lsii(none_l, corr_l, w)
-                if want is None:
-                    assert got is None, (none_l, corr_l, w)
-                else:
-                    assert got == pytest.approx(want, abs=1e-12), (none_l, corr_l, w)
+                yield [none_l], [corr_l], 2, w
     for none_l in itertools.product(range(3), repeat=3):
         for corr_l in itertools.product(range(3), repeat=3):
-            got = lsii_pooled([seq(none_l, 3)], [seq(corr_l, 3)], 2)
-            want = naive_lsii(none_l, corr_l, 2)
-            assert (got is None and want is None) or got == pytest.approx(want, abs=1e-12)
+            yield [none_l], [corr_l], 3, 2
+    rng = generator(2, 0x52)
+
+    def pair(t_len, labels, p=0.5):
+        # Labels drawn from ``labels``; each epoch corrected with probability p.
+        none_l = rng.choice(labels, t_len)
+        corr_l = np.where(rng.random(t_len) < p, rng.choice(labels, t_len), none_l)
+        return [none_l.tolist()], [corr_l.tolist()]
+
+    yield *pair(13, np.arange(3)), 3, 4    # a width-1 tail
+    yield *pair(17, np.arange(3)), 3, 5    # a width-2 tail
+    yield *pair(23, np.arange(4)), 4, 7    # a width-2 tail after three windows
+    yield *pair(9, np.arange(3)), 3, 20    # one window longer than the sequence
+    pairs = [pair(t_len, np.arange(3)) for t_len in (5, 12, 1, 8)]
+    yield [p[0][0] for p in pairs], [p[1][0] for p in pairs], 3, 4  # unequal lengths, pooled
+    yield *pair(40, 2**62 + np.arange(-2, 3)), 2**62 + 3, 6       # labels near 2**62
+    yield *pair(12, np.array([0, 12, 24])), 25, 3  # labels a multiple of the block length apart
+    yield *pair(5000, np.arange(5), p=0.05), 5, 5000              # 5,000 epochs, one window
+
+
+def test_lsii_matches_naive_exhaustively():
+    # Exact: the oracle sums the same terms in the same order.
+    for none_ls, corr_ls, n_classes, w in _lsii_oracle_inputs():
+        got = lsii_pooled([seq(labels, n_classes) for labels in none_ls],
+                          [seq(labels, n_classes) for labels in corr_ls], w)
+        assert got == naive_lsii_pooled(none_ls, corr_ls, w), (none_ls, corr_ls, w)
 
 
 def test_lsii_pooled_combines_terms():
@@ -153,6 +175,25 @@ def test_per_class_f1_silent_class_scores_zero():
     true = seq([0, 1], 3)
     np.testing.assert_allclose(per_class_f1(pred, true, 3), [1.0, 1.0, 0.0])
     assert weighted_f1(pred, true, 3) == 1.0
+
+
+def test_per_class_f1_matches_a_count_loop():
+    # 100,000 classes, most of them silent, against counts made epoch by epoch.
+    n_classes, rng = 100_000, generator(3, 0x53)
+    true = rng.integers(0, n_classes, 3000)
+    pred = np.where(rng.random(3000) < 0.5, true, rng.integers(0, n_classes, 3000))
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for p, t in zip(pred.tolist(), true.tolist()):
+        if p == t:
+            tp[p] += 1
+        else:
+            fp[p] += 1
+            fn[t] += 1
+    want = np.zeros(n_classes)
+    for c in tp.keys() | fp.keys() | fn.keys():
+        want[c] = 2 * tp[c] / (2 * tp[c] + fp[c] + fn[c])
+    got = per_class_f1(StageSequence(pred, n_classes), StageSequence(true, n_classes), n_classes)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_metric_accuracy_correlation():

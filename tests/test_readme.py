@@ -38,6 +38,15 @@ def test_each_tour_block_runs(block):
     assert done.stderr == ""
 
 
+def test_the_module_map_has_one_row_per_module():
+    # One row per module under src/rapklab (__init__ excepted), each naming a module that exists.
+    table = README.split("Module map (under `src/rapklab/`):\n\n")[1].split("\n\n")[0]
+    rows = re.findall(r"^\| `(\w+)` +\| .+ \|$", table, re.M)
+    modules = {path.stem for path in (ROOT / "src" / "rapklab").glob("*.py")} - {"__init__"}
+    assert len(rows) == len(table.splitlines()) - 2  # every line but the header is a row
+    assert sorted(rows) == sorted(modules)
+
+
 # README's exit-code table: per rule, its exit code, an example command (or, in at most two
 # rows, the test_cli.py test that covers it) and its one error line, "…" standing for host text.
 EXIT_ROWS = re.findall(r"^\| ([12]) \| (.+) \| `([^`]+)` \| `(error: [^`]+)` \|$", README, re.M)
