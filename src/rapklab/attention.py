@@ -223,15 +223,24 @@ def _physical_memory() -> int | None:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
+def build_encoder_weights(cfg: EncoderConfig, d: int, drawn: dict | None = None) -> EncoderWeights:
     """Draw every weight of the encoder for input width ``d``.
 
     Pure function of (cfg, d): repeated calls return identical weights, which
-    is what freezes the encoder across windows and runs. Once layer 0 is
-    drawn, a stack of ``n_layers`` layers its size that would not fit in
-    physical memory raises ``MemoryError`` before layer 1 is drawn; a shape
-    that ``cfg.head_width`` refuses raises before any draw.
+    is what freezes the encoder across windows and runs. Calls that share a
+    ``drawn`` dict draw each matrix once, keyed by every argument of its draw.
+    Once layer 0 is drawn, a stack of ``n_layers`` layers its size that would
+    not fit in physical memory raises ``MemoryError`` before layer 1 is drawn;
+    a shape that ``cfg.head_width`` refuses raises before any draw.
     """
+    drawn = {} if drawn is None else drawn
+
+    def matrix(rows: int, cols: int, *role: int) -> np.ndarray:
+        key = (rows, cols, cfg.init, mix_seed(cfg.seed, *role))  # init_matrix's arguments
+        if key not in drawn:
+            drawn[key] = init_matrix(*key)
+        return drawn[key]
+
     width = d
     layers: list[LayerWeights] = []
     for li in range(cfg.n_layers):
@@ -240,19 +249,22 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
         new_width = width
         if cfg.use_attention:
             head_width = cfg.head_width(d)
-            qkv = np.empty((width, 3, cfg.n_heads, head_width))
-            for h in range(cfg.n_heads):
-                qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h] = make_projection_set(
-                    width, head_width, cfg.init, mix_seed(cfg.seed, _ROLE_HEAD, li, h))
-            w_qkv = qkv.reshape(width, -1)
+            key = (width, cfg.n_heads, head_width, cfg.init, cfg.seed, li)
+            if key not in drawn:
+                qkv = np.empty((width, 3, cfg.n_heads, head_width))
+                for h in range(cfg.n_heads):
+                    qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h] = make_projection_set(
+                        width, head_width, cfg.init, mix_seed(cfg.seed, _ROLE_HEAD, li, h))
+                drawn[key] = qkv.reshape(width, -1)
+            w_qkv = drawn[key]
             if cfg.use_output_linear:
-                w_out = init_matrix(cfg.d_k, width, cfg.init, mix_seed(cfg.seed, _ROLE_OUT, li))
+                w_out = matrix(cfg.d_k, width, _ROLE_OUT, li)
             else:
                 new_width = cfg.d_k
         w_ff1 = w_ff2 = None
         if cfg.use_ffn:
-            w_ff1 = init_matrix(new_width, 4 * new_width, cfg.init, mix_seed(cfg.seed, _ROLE_FF1, li))
-            w_ff2 = init_matrix(4 * new_width, new_width, cfg.init, mix_seed(cfg.seed, _ROLE_FF2, li))
+            w_ff1 = matrix(new_width, 4 * new_width, _ROLE_FF1, li)
+            w_ff2 = matrix(4 * new_width, new_width, _ROLE_FF2, li)
         layers.append(LayerWeights(w_qkv=w_qkv, w_out=w_out, w_ff1=w_ff1, w_ff2=w_ff2))
         width = new_width
         if li == 0 and cfg.n_layers > 1:
@@ -267,7 +279,7 @@ def build_encoder_weights(cfg: EncoderConfig, d: int) -> EncoderWeights:
                     "of physical memory")
     positional = None
     if cfg.use_positional:
-        positional = init_matrix(cfg.window_w, d, cfg.init, mix_seed(cfg.seed, _ROLE_POS))
+        positional = matrix(cfg.window_w, d, _ROLE_POS)
     return EncoderWeights(positional=positional, layers=tuple(layers), d_in=d)
 
 

@@ -2,8 +2,8 @@
 
 A run is a pure function of its resolved configuration, so reports are
 byte-identical across repeats. Every run streams its subjects: one pass over
-the train split, then one over the test split, with every seed (and every
-grid point that shares encoder weights) handled inside each pass.
+the train split, then one over the test split, for every seed and grid point
+at once, with each matrix that two grid points draw alike held once.
 """
 
 from __future__ import annotations
@@ -273,15 +273,19 @@ def _open_data(cfg: RunConfig) -> tuple[int, int, Callable[[str], Iterable[Subje
     return data.n_classes, data.feat_dim, data.iter_subjects
 
 
-def _feature_smoothers(cfg: RunConfig, weights: list) -> list[Callable]:
-    """The feature-space smoother of each distinct smoothed head: one per
-    weight set in ``weights`` for the random transformer; one for the
+def _feature_smoothers(cfg: RunConfig, d: int, drawn: dict) -> list[Callable]:
+    """The feature-space smoother of each distinct smoothed head: one per seed's
+    weights (drawn through ``drawn``) for the random transformer; one for the
     seed-free window mean; none for the label-space smoothers."""
     if cfg.smoother == "fixed_attention":
         return [partial(fixed_attention_smooth, w=cfg.encoder.window_w)]
     if cfg.smoother != "random_transformer":
         return []
-    return [partial(random_transformer_smooth, cfg=cfg.encoder, weights=w) for w in weights]
+    # With no init read, no weights are drawn: one result serves every seed.
+    seeds = cfg.seeds if "init" in fields_read(cfg) else cfg.seeds[:1]
+    return [partial(random_transformer_smooth, cfg=cfg.encoder,
+                    weights=build_encoder_weights(replace(cfg.encoder, seed=seed), d, drawn))
+            for seed in seeds]
 
 
 def _label_smoothed(cfg: RunConfig, sub: Subject, none_pred: StageSequence) -> StageSequence:
@@ -316,15 +320,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 def _evaluate(cfgs: list[RunConfig], n_classes: int, feat_dim: int,
               subjects: Callable[[str], Iterable[Subject]]) -> list[PipelineResult]:
     """One pass over ``subjects("train")``, then one over ``subjects("test")``,
-    for every config and seed at once, so the run holds one subject at a time.
-    The configs share their encoder weights, their seeds and one base head."""
-    lead = cfgs[0]
-    # With no init read, no weights are drawn: one result serves every seed.
-    seeds = lead.seeds if "init" in fields_read(lead) else lead.seeds[:1]
-    weights = [] if lead.smoother != "random_transformer" else [
-        build_encoder_weights(replace(lead.encoder, seed=seed), feat_dim) for seed in seeds
-    ]
-    smoothers = [_feature_smoothers(cfg, weights) for cfg in cfgs]
+    for every config and seed at once, so the run holds one subject at a time,
+    one base head, and each matrix that two configs draw alike once."""
+    drawn: dict = {}
+    smoothers = [_feature_smoothers(cfg, feat_dim, drawn) for cfg in cfgs]
     # Per config, one prediction list per smoothed head, or one for a
     # label-space smoother; a seed-free smoother's list serves every seed.
     preds = [[[] for _ in range(max(len(row), 1))] for row in smoothers]
@@ -342,9 +341,9 @@ def _evaluate(cfgs: list[RunConfig], n_classes: int, feat_dim: int,
     try:  # every head sees the same labels, so the base head fails first
         base_centroids = base.classifier()
     except ValueError as exc:  # a class no train subject holds
-        if lead.dataset_path is None:  # a config value of a synthetic cohort
+        if cfgs[0].dataset_path is None:  # a config value of a synthetic cohort
             raise
-        raise DatasetError(f"{lead.dataset_path}: {exc}") from None
+        raise DatasetError(f"{cfgs[0].dataset_path}: {exc}") from None
     fitted = [(smooth, head.classifier(), out) for smooth, head, out in heads]
 
     truth: list[StageSequence] = []
@@ -392,11 +391,11 @@ def _score(cfg: RunConfig, n_classes: int, truth_all: StageSequence,
 
 
 def _aggregate(reports: list[EvalReport]) -> dict:
-    # Mean and population std over the seeds that have a value; None when no
-    # seed has one, as for the LSII of the identity smoother.
+    # Mean and population std, in sorted-seed order, over the seeds that have a
+    # value; None when no seed has one, as for the LSII of the identity smoother.
     out: dict = {"n_seeds": len(reports)}
     for name in _SCORES:
-        values = [getattr(r, name) for r in reports]
+        values = [getattr(r, name) for r in sorted(reports, key=lambda r: r.seed)]
         arr = np.asarray([v for v in values if v is not None], dtype=np.float64)
         out[f"mean_{name}"] = float(arr.mean()) if arr.size else None
         out[f"std_{name}"] = float(arr.std()) if arr.size else None
@@ -461,24 +460,17 @@ def _value_sort_key(value):
         return (1, 0.0, str(value))
 
 
-def _seed_sort_key(seed):
-    if isinstance(seed, int):
-        return (0, seed)
-    return (1, 0) if seed == "mean" else (1, 1)
-
-
 def run_sweep(base: RunConfig, axis: str, grid: Sequence) -> list[dict]:
     """Evaluate ``base`` at every ``grid`` point of ``axis`` and return flat
     result rows.
 
     Every grid point is built and checked before any subject is made or read:
     each must read an ``axis`` value no other point shares, in a shape the encoder runs.
-    A window sweep takes one pass over the data, so it makes or reads each
-    subject once, unless it runs the random transformer with positional rows,
-    which the window sizes; then, as on every other axis, each grid point has
-    its own encoder weights and its own pass. One row per (grid value, seed),
-    plus ``mean`` and ``std`` aggregate rows per grid value; rows are sorted
-    by (axis value, seed), with each value labelled as ``apply_axis`` does.
+    Every point runs in the same two passes (train, then test), so each
+    subject is made or read once, and the run holds, for every seed, each
+    distinct matrix its points draw. One row per (grid value, seed), plus
+    ``mean`` and ``std`` aggregate rows per grid value; rows are sorted by
+    (axis value, seed), with each value labelled as ``apply_axis`` does.
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
@@ -490,24 +482,19 @@ def run_sweep(base: RunConfig, axis: str, grid: Sequence) -> list[dict]:
         if not read[-1] or read[-1] in read[:-1]:
             raise ValueError(f"{_reader(cfg, set(SWEEP_AXES[axis]))} reads no value that sets "
                              f"grid point {value!r} of the {axis} axis apart")
-    one_pass = axis == "window" and not (
-        base.smoother == "random_transformer" and base.encoder.use_positional)
-    # No axis changes the data source, so every pass reads the same one.
+    # No axis changes the data source, so every point reads the same one.
     data = _open_data(base)
-    for _, cfg in points:  # a shape no encoder can run, found before any pass
+    for _, cfg in points:  # a shape no encoder can run, found before any draw
         if cfg.smoother == "random_transformer" and cfg.encoder.use_attention:
             cfg.encoder.head_width(data[1])
+    results = zip(points, _evaluate([cfg for _, cfg in points], *data))
     rows: list[dict] = []
-    for group in [points] if one_pass else [[point] for point in points]:
-        labels, cfgs = zip(*group)
-        for label, result in zip(labels, _evaluate(list(cfgs), *data)):
-            scores = [(r.seed, {name: getattr(r, name) for name in _SCORES})
-                      for r in result.per_seed]
-            scores += [(tag, {name: result.aggregate[f"{tag}_{name}"] for name in _SCORES})
-                       for tag in ("mean", "std")]
-            rows += [{"axis": axis, "value": label, "seed": seed, **row}
-                     for seed, row in scores]
-    rows.sort(key=lambda r: (_value_sort_key(r["value"]), _seed_sort_key(r["seed"])))
+    for (label, _), result in sorted(results, key=lambda pair: _value_sort_key(pair[0][0])):
+        scores = [(r.seed, {name: getattr(r, name) for name in _SCORES})
+                  for r in sorted(result.per_seed, key=lambda r: r.seed)]
+        scores += [(tag, {name: result.aggregate[f"{tag}_{name}"] for name in _SCORES})
+                   for tag in ("mean", "std")]
+        rows += [{"axis": axis, "value": label, "seed": seed, **row} for seed, row in scores]
     return rows
 
 

@@ -751,7 +751,7 @@ def test_an_allocation_failure_is_one_error_line(run_config, tmp_path, monkeypat
     # A size that passes every check yet cannot be allocated: the draw is made
     # to fail as numpy fails, since whether a huge allocation fails at once
     # depends on the host's overcommit policy.
-    def draw(cfg, d):
+    def draw(*args):
         raise raised
 
     monkeypatch.setattr(harness, "build_encoder_weights", draw)

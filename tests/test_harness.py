@@ -1,14 +1,15 @@
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from oracles import ACC_ENCODER, ACC_SYNTH, SEEDS, acc_pipeline
 
-from rapklab import dataio, synthgen
-from rapklab.attention import EncoderConfig
+from rapklab import dataio, initializers, synthgen
+from rapklab.attention import _ROLE_FF1, _ROLE_FF2, _ROLE_HEAD, _ROLE_OUT, EncoderConfig
 from rapklab.dataio import DatasetError, save_dataset
 from rapklab.harness import (
     COMPONENT_BUNDLES,
@@ -28,6 +29,7 @@ from rapklab.harness import (
 )
 from rapklab.initializers import InitScheme
 from rapklab.metrics import accuracy
+from rapklab.seeding import mix_seed
 from rapklab.sequences import StageSequence
 from rapklab.smoothers import CentroidSums, classify
 from rapklab.synthgen import SynthConfig, iter_subjects, make_dataset
@@ -190,6 +192,21 @@ def test_pipeline_aggregate_uses_population_std():
     assert result.aggregate["mean_accuracy"] == pytest.approx(np.mean(accs), abs=1e-12)
     assert result.aggregate["std_accuracy"] == pytest.approx(np.std(accs), abs=1e-12)
     assert result.aggregate["n_seeds"] == 2
+
+
+def test_seed_order_changes_no_aggregate_bit():
+    # The aggregate is taken in sorted-seed order; the per-seed rows and the
+    # digest keep the order given.
+    synth = small_synth(n_subjects=6, t_len=200, feat_dim=16)
+    orders = ((111, 222, 333), (333, 111, 222), (222, 333, 111))
+    results = [run_pipeline(small_run(synth=synth, encoder=small_encoder(window_w=10),
+                                      seeds=seeds)) for seeds in orders]
+    aggregates = [{k: v.hex() if isinstance(v, float) else v for k, v in r.aggregate.items()}
+                  for r in results]
+    assert aggregates[1:] == aggregates[:1] * 2
+    for seeds, result in zip(orders, results):
+        assert tuple(r.seed for r in result.per_seed) == seeds
+    assert len({r.digest for r in results}) == 3
 
 
 def test_pipeline_from_saved_dataset_matches_in_memory(tmp_path):
@@ -441,9 +458,9 @@ def test_run_sweep_rejects_bad_grids_before_any_data(tmp_path, monkeypatch):
 
 
 def test_run_sweep_rows_and_ordering():
-    base = small_run(seeds=(111, 222))
+    base = small_run(seeds=(222, 111))
     rows = run_sweep(base, "window", (3, 2))
-    # Sorted by numeric value, then seeds, then mean before std.
+    # Sorted by numeric value, then seeds in sorted order, then mean before std.
     assert [(r["value"], r["seed"]) for r in rows] == [
         (2, 111), (2, 222), (2, "mean"), (2, "std"),
         (3, 111), (3, 222), (3, "mean"), (3, "std"),
@@ -479,30 +496,30 @@ def test_sweep_memory_does_not_grow_with_the_cohort(source, tmp_path):
 
 
 @pytest.mark.parametrize("source", ["synth", "dataset"])
-@pytest.mark.parametrize("smoother, axis, grid, passes, positional", [
-    ("median", "window", (3, 5, 7), 1, False),
-    ("random_transformer", "window", (3, 5, 7), 1, False),
-    ("random_transformer", "d_k", (4, 8, 16), 3, False),
-    ("random_transformer", "window", (3, 5, 7), 3, True),
-    ("median", "window", (3, 5, 7), 1, True),
+@pytest.mark.parametrize("smoother, axis, grid, positional", [
+    ("median", "window", (3, 5, 7), False),
+    ("median", "window", (3, 5, 7), True),
+    ("random_transformer", "window", (3, 5, 7), False),
+    ("random_transformer", "window", (3, 5, 7), True),
+    ("random_transformer", "d_k", (4, 8, 16), False),
+    ("random_transformer", "init", ("xavier_uniform", "orthogonal", "normal_0.02"), False),
+    ("random_transformer", "heads_layers", ("1x1", "1x2", "2x2"), False),
+    ("random_transformer", "components", tuple(COMPONENT_BUNDLES), False),
 ])
-def test_sweep_takes_one_pass_per_weights_group_and_skips_val(
-    source, smoother, axis, grid, passes, positional, tmp_path, monkeypatch
+def test_sweep_reads_each_subject_once_and_skips_val(
+    source, smoother, axis, grid, positional, tmp_path, monkeypatch
 ):
-    # Grid points that share encoder weights share a pass: a window sweep
-    # makes or reads every train and test subject once, unless the random
-    # transformer's positional rows (sized by the window) differ per point; a
-    # d_k sweep takes one pass per grid point; no pass touches a val subject.
-    # The rows are those of one run_pipeline per grid point.
+    # Every grid point runs in one pass on every axis, so a sweep makes or
+    # reads every train and test subject once, and no val subject. The rows
+    # are those of one run_pipeline per grid point.
     synth = small_synth(n_subjects=10)
     splits = {s.subject_id: s.split for s in iter_subjects(synth)}
     once = [i for i, split in splits.items() if split != "val"]
     assert len(once) < len(splits)
     base = _sweep_base(source, synth, tmp_path / "ds", smoother=smoother,
                        encoder=small_encoder(use_positional=positional))
-    expected = {
-        value: run_pipeline(apply_axis(base, axis, value)[1]).per_seed for value in grid
-    }
+    expected = {label: run_pipeline(cfg).per_seed
+                for label, cfg in (apply_axis(base, axis, value) for value in grid)}
 
     seen = []
     if source == "synth":
@@ -517,16 +534,62 @@ def test_sweep_takes_one_pass_per_weights_group_and_skips_val(
                                                   and seen.append(path.parent.name))
                             or real_read(path, header))
     rows = run_sweep(base, axis, grid)
-    assert sorted(seen) == sorted(once * passes)
+    assert sorted(seen) == sorted(once)
 
     got = {}
     for r in rows:
         if isinstance(r["seed"], int):
             got.setdefault(r["value"], []).append((r["seed"], r["accuracy"], r["wte"], r["lsii"]))
     assert got == {
-        value: [(e.seed, e.accuracy, e.wte, e.lsii) for e in reports]
-        for value, reports in expected.items()
+        label: [(e.seed, e.accuracy, e.wte, e.lsii) for e in reports]
+        for label, reports in expected.items()
     }
+
+
+def _count_draws(monkeypatch) -> Counter:
+    # Every init_matrix draw, keyed by all of its arguments: (rows, cols, scheme, seed).
+    draws: Counter = Counter()
+    real = initializers.init_matrices
+
+    def counted(rows, cols, schemes, seed):
+        schemes = tuple(schemes)
+        draws.update((rows, cols, scheme, seed) for scheme in schemes)
+        return real(rows, cols, schemes, seed)
+
+    monkeypatch.setattr(initializers, "init_matrices", counted)
+    return draws
+
+
+def test_sweep_draws_each_matrix_once(monkeypatch):
+    # Grid points that draw a matrix alike share one draw of it: a window
+    # sweep draws what one point draws, a d_k sweep one FFN per seed, and the
+    # attention bundles one Q/K/V block and one output linear per seed.
+    seeds, d = (111, 222), small_synth().feat_dim
+    base = small_run(seeds=seeds)
+    init = base.encoder.init
+    draws = _count_draws(monkeypatch)
+    run_pipeline(base)
+    one_point = Counter(draws)
+    draws.clear()
+    run_sweep(base, "window", (3, 5, 8))
+    assert draws == one_point
+
+    draws.clear()
+    run_sweep(base, "d_k", (4, 8, 16))
+    for seed in seeds:
+        assert draws[d, 4 * d, init, mix_seed(seed, _ROLE_FF1, 0)] == 1
+        assert draws[4 * d, d, init, mix_seed(seed, _ROLE_FF2, 0)] == 1
+    assert set(draws.values()) == {1}
+
+    draws.clear()
+    run_sweep(base, "components", ("attention", "attention_ffn", "attention_layernorm", "full"))
+    d_h = base.encoder.d_k // base.encoder.n_heads
+    for seed in seeds:
+        for h in range(base.encoder.n_heads):
+            head = mix_seed(seed, _ROLE_HEAD, 0, h)
+            assert [draws[d, d_h, init, mix_seed(head, role)] for role in range(3)] == [1, 1, 1]
+        assert draws[base.encoder.d_k, d, init, mix_seed(seed, _ROLE_OUT, 0)] == 1
+    assert set(draws.values()) == {1}
 
 
 # sha256 of sweep.csv for small sweeps on a 5-subject cohort at two run
