@@ -9,10 +9,11 @@ components are identity maps, so with every flag false it is the identity.
 Every layer of the encoder is window-local: attention stays inside
 non-overlapping windows and everything else works row by row. So the encoder
 runs the whole layer stack over one tile at a time, a block of whole windows
-sized so that its Q/K/V block stays near ``_TILE_BYTES``, and writes each
-tile's result into one output array; no intermediate is ever held at full
-length. Inside a tile one GEMM against a per-layer ``(d, 3*H*d_h)`` matrix
-gives every head's Q, K and V; that matrix is the only copy of those weights.
+sized so that its widest row block (Q/K/V or FFN hidden) stays near
+``_TILE_BYTES``, and writes each tile's result into one output array; no
+intermediate is ever held at full length. Inside a tile one GEMM against a
+per-layer ``(d, 3*H*d_h)`` matrix gives every head's Q, K and V; that matrix
+is the only copy of those weights.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ LAYERNORM_EPS = 1e-5
 # Row sums of a softmax output may drift this far from 1 before we reject.
 ROW_SUM_TOL = 1e-9
 
-# encoder_forward sizes its row tiles so that one tile's fused Q/K/V block
-# stays near this many bytes: 250 rows at the reference encoder (d_k = 512).
+# encoder_forward sizes its row tiles so that one tile's widest row block
+# stays near this many bytes: 250 rows at the reference encoder (d_k = 512),
+# whose Q/K/V block (1,536 columns) is wider than its FFN's (1,024).
 _TILE_BYTES = 3 * 2**20
 
 # OpenBLAS runs a GEMM of at most 4 * 65536 multiply-adds on one thread.
@@ -333,10 +335,10 @@ def _encode_tile(h: np.ndarray, cfg: EncoderConfig, weights: EncoderWeights) -> 
 
 
 def _tile_rows(cfg: EncoderConfig, weights: EncoderWeights) -> int:
-    # Whole windows, at least one, whose widest float64 Q/K/V block (or
-    # input, with no attention) fits in _TILE_BYTES.
-    cols = max((lw.w_qkv.shape[1] for lw in weights.layers if lw.w_qkv is not None),
-               default=weights.d_in)
+    # Whole windows, at least one, whose widest float64 Q/K/V or FFN hidden
+    # block (or input, with neither) fits in _TILE_BYTES.
+    cols = max((w.shape[1] for lw in weights.layers for w in (lw.w_qkv, lw.w_ff1)
+                if w is not None), default=weights.d_in)
     return max(1, _TILE_BYTES // (8 * cols) // cfg.window_w) * cfg.window_w
 
 

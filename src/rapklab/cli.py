@@ -14,7 +14,6 @@ every row.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -22,9 +21,20 @@ from pathlib import Path
 import numpy as np
 
 from .attention import EncoderConfig
-from .dataio import DatasetError, float_cell, read_json_object, read_label_csv, save_dataset
+from .dataio import (
+    DatasetError,
+    check_csv_header,
+    json_text,
+    read_json_object,
+    read_label_csv,
+    save_dataset,
+    write_csv,
+    write_json,
+    write_matrix_csv,
+)
 from .harness import (
     COMPONENT_BUNDLES,
+    RUNS_HEADER,
     SMOOTHERS,
     SWEEP_AXES,
     RunConfig,
@@ -214,6 +224,8 @@ def _run_config_from_args(args, axis=None, grid=()):
 
 def _cmd_smooth_eval(args) -> int:
     cfg = _run_config_from_args(args)
+    if args.out is not None:  # rows are never appended under another table's header
+        check_csv_header(args.out / "runs.csv", RUNS_HEADER)
     result = run_pipeline(cfg)
     agg = result.aggregate
     lsii_text = "n/a" if agg["mean_lsii"] is None else f"{agg['mean_lsii']:.4f}"
@@ -256,17 +268,13 @@ def _cmd_kernel_validate(args) -> int:
     out = _ensure_out(args)
     payload = asdict(report)
     payload["scheme"] = scheme_label(scheme)
-    (out / "kernel_validation.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    with (out / "kernel_validation.csv").open("w", newline="") as fh:
-        fh.write("d_k,trial_block,mse,pearson\n")
-        for d_k, block, mse, pearson in blocks:
-            fh.write(f"{d_k},{block},{mse!r},{pearson!r}\n")
+    write_json(out / "kernel_validation.json", payload)
+    write_csv(out / "kernel_validation.csv", ["d_k", "trial_block", "mse", "pearson"], blocks,
+              end="\n")
     if args.dump_kernels:
         for d_k, si, emp, theory in kernels:
-            np.savetxt(out / f"kernel_emp_dk{d_k}_seq{si}.csv", emp, delimiter=",")
-            np.savetxt(out / f"kernel_theory_dk{d_k}_seq{si}.csv", theory, delimiter=",")
+            write_matrix_csv(out / f"kernel_emp_dk{d_k}_seq{si}.csv", emp)
+            write_matrix_csv(out / f"kernel_theory_dk{d_k}_seq{si}.csv", theory)
     for d_k, mse, pearson in zip(report.d_k_grid, report.mse_per_dk, report.pearson_per_dk):
         print(f"d_k={d_k}: mse {mse:.3e}  pearson {pearson:.4f}")
     return 0
@@ -291,13 +299,10 @@ def _cmd_logit_stats(args) -> int:
     # Rows run scheme by scheme, then over the d_k grid and layernorm off/on.
     rows = [asdict(reports[i]) for i in range(len(schemes)) for reports in settings]
     out = _ensure_out(args)
-    (out / "logit_stats.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    with (out / "logit_stats.csv").open("w", newline="") as fh:
-        fh.write("scheme,d_k,with_layernorm,empirical_mean,empirical_std,"
-                 "analytic_std,frac_within_eps,trials\n")
-        for r in rows:
-            cells = (float_cell(v) if isinstance(v, float) else str(v) for v in r.values())
-            fh.write(",".join(cells) + "\n")
+    write_json(out / "logit_stats.json", rows)
+    write_csv(out / "logit_stats.csv", ["scheme", "d_k", "with_layernorm", "empirical_mean",
+                                        "empirical_std", "analytic_std", "frac_within_eps",
+                                        "trials"], (r.values() for r in rows), end="\n")
     print(f"wrote {len(rows)} rows to {out / 'logit_stats.csv'}")
     return 0
 
@@ -335,11 +340,9 @@ def _cmd_metrics(args) -> int:
             out["lsii"] = lsii_pooled(pair[:1], pair[1:], args.window)
         except ValueError as exc:
             raise DatasetError(f"{args.none}, {args.corr}: {exc}") from None
-    text = json.dumps(out, indent=2, sort_keys=True)
-    print(text)
+    print(json_text(out), end="")
     if args.out is not None:
-        out_dir = _ensure_out(args)
-        (out_dir / "metrics.json").write_text(text + "\n")
+        write_json(_ensure_out(args) / "metrics.json", out)
     return 0
 
 
@@ -348,7 +351,7 @@ def _cmd_correlate(args) -> int:
         r_lsii, r_wte = correlation_study(read_sweep_csv(args.csv))
     except ValueError as exc:
         raise DatasetError(f"{args.csv}: {exc}") from None
-    print(json.dumps({"r_lsii_acc": r_lsii, "r_wte_acc": r_wte}, indent=2, sort_keys=True))
+    print(json_text({"r_lsii_acc": r_lsii, "r_wte_acc": r_wte}), end="")
     return 0
 
 

@@ -27,6 +27,9 @@ reached, so a run holds one subject at a time; ``load_dataset`` reads them all.
 
 Config files (``read_json_object``) and sweep CSVs (``read_csv_rows``, the
 same row scan) are read here too, so every read fault is a ``DatasetError``.
+Every file rapklab writes goes through here as well (``write_json``,
+``write_csv``, ``write_matrix_csv``): result and dataset CSVs end their lines
+with CRLF, the Monte Carlo CSVs with LF, and the pinned digests hold both.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from .synthgen import SPLITS, Subject, SynthConfig, SynthDataset, check_subject
 
 __all__ = [
     "DatasetError", "DatasetDir", "save_dataset", "open_dataset", "load_dataset",
-    "read_label_csv", "read_json_object", "read_csv_rows", "number_cell", "float_cell",
+    "read_label_csv", "read_json_object", "read_csv_rows", "number_cell",
+    "json_text", "write_json", "check_csv_header", "write_csv", "write_matrix_csv",
 ]
 
 _MANIFEST = "manifest.json"
@@ -285,10 +289,52 @@ def save_dataset(
         "synth_config": asdict(config) if config is not None else None,
         "subjects": entries,
     }
-    with (root / _MANIFEST).open("w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(root / _MANIFEST, manifest)
     return root
+
+
+def json_text(payload) -> str:
+    """Every JSON document's text, in a file or on stdout: sorted keys, indent 2, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` to ``path`` as ``json_text``."""
+    Path(path).write_text(json_text(payload), encoding="utf-8")
+
+
+def check_csv_header(path: str | Path, header: list[str], end: str = "\r\n") -> bool:
+    """Whether rows appended to the CSV at ``path`` need ``header`` first:
+    True when the file is missing or empty. A file that does not begin with
+    that header line raises ``DatasetError``, so no row lands under another."""
+    line = (",".join(header) + end).encode()
+    try:
+        with Path(path).open("rb") as fh:
+            start = fh.read(len(line))
+    except FileNotFoundError:
+        return True
+    if start not in (b"", line):
+        raise DatasetError(f"{path}: does not begin with the header {','.join(header)}")
+    return not start
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable, end: str = "\r\n",
+              append: bool = False) -> None:
+    """A CSV of lines ended by ``end``; ``append`` adds rows, the header only to a new file.
+    A float cell is ``repr(float(v))`` (numpy 2's ``repr`` of np.float64 names its type),
+    ``None`` is empty, and any other cell is as ``csv.writer`` writes it."""
+    fresh = not append or check_csv_header(path, header, end)
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=end)
+        if fresh:
+            writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
+    """A 2-D array with every cell as ``%.18e``, comma-separated, one LF line per row."""
+    np.savetxt(path, matrix, fmt="%.18e", delimiter=",")
 
 
 def _open_csv(path: Path):
@@ -340,12 +386,6 @@ def number_cell(cell: str, kind: type = float):
     if kind is float and not math.isfinite(value):
         raise ValueError("contains a non-finite cell")
     return value
-
-
-def float_cell(value) -> str:
-    """The cell a score is written as in a result CSV: its ``repr`` as a
-    float, or empty for ``None``; ``number_cell`` reads it back losslessly."""
-    return "" if value is None else repr(float(value))
 
 
 def _scan_rows(fh, path: Path, expected_header: list[str], parse_row: Callable) -> list:

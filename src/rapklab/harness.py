@@ -8,7 +8,6 @@ at once, with each matrix that two grid points draw alike held once.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from collections.abc import Callable, Iterable, Sequence
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import EncoderConfig, build_encoder_weights
-from .dataio import DatasetError, float_cell, number_cell, open_dataset, read_csv_rows
+from .dataio import DatasetError, number_cell, open_dataset, read_csv_rows, write_csv, write_json
 from .initializers import parse_scheme, scheme_label
 from .metrics import (
     EvalReport,
@@ -57,6 +56,7 @@ __all__ = [
     "run_sweep",
     "correlation_study",
     "write_report_json",
+    "RUNS_HEADER",
     "append_runs_csv",
     "write_sweep_csv",
     "read_sweep_csv",
@@ -518,45 +518,34 @@ def correlation_study(rows: list[dict]) -> tuple[float, float]:
 # Serialization
 
 def write_report_json(result: PipelineResult, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "config": result.config,
         "config_digest": result.digest,
         "per_seed": [asdict(r) for r in result.per_seed],
         "aggregate": result.aggregate,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
+    })
 
 
-_RUNS_HEADER = [
+RUNS_HEADER = [
     "config_digest", "seed", "smoother", "window_w", "d_k", "init", *_SCORES,
 ]
 
 
 def append_runs_csv(result: PipelineResult, path: str | Path) -> None:
     """Append one row per seed to a cumulative runs CSV."""
-    target = Path(path)
-    fresh = not target.exists()
     enc = result.config["encoder"]
-    with target.open("a", newline="") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(_RUNS_HEADER)
-        for report in result.per_seed:
-            scores = (float_cell(getattr(report, name)) for name in _SCORES)
-            writer.writerow([result.digest, report.seed, result.config["smoother"],
-                             enc["window_w"], enc["d_k"], enc["init"], *scores])
+    write_csv(path, RUNS_HEADER, ([result.digest, report.seed, result.config["smoother"],
+                                   enc["window_w"], enc["d_k"], enc["init"],
+                                   *(getattr(report, name) for name in _SCORES)]
+                                  for report in result.per_seed), append=True)
 
 
 _SWEEP_HEADER = ["axis", "value", "seed", *_SCORES]
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_HEADER)
-        for r in rows:
-            writer.writerow([r["axis"], r["value"], r["seed"], *(float_cell(r[n]) for n in _SCORES)])
+    write_csv(path, _SWEEP_HEADER, ([r["axis"], r["value"], r["seed"], *(r[n] for n in _SCORES)]
+                                    for r in rows))
 
 
 def _sweep_row(row: list[str]) -> dict:

@@ -439,19 +439,24 @@ def test_encoder_forward_matches_per_window_oracle(case, monkeypatch):
 
 
 def test_encoder_forward_transient_memory():
-    # The reference encoder on one 1000 x 256 subject, with its weights built
-    # beforehand as the pipeline does. Only the 2.0 MB output is full length;
-    # the rest is one 250-row tile's intermediates (8.0 MB traced in all, 12.3
-    # MB when every layer ran at full length).
-    x = FeatureSequence(generator(10, 0x15).standard_normal((1000, 256)))
-    weights = build_encoder_weights(ACC_ENCODER, 256)
-    tracemalloc.start()
-    try:
-        encoder_forward(x, ACC_ENCODER, weights)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9 * 10**6
+    # Weights are built beforehand, as the pipeline does. The reference
+    # encoder on one 1000 x 256 subject holds only its 2.0 MB output at full
+    # length; the rest is one 250-row tile's intermediates (8.0 MB traced in
+    # all, 12.3 MB when every layer ran at full length). At d_k = 16 the
+    # Q/K/V block is 48 columns and the FFN's hidden block 1,024, so a tile
+    # sized by Q/K/V alone held 8,190 rows (100.6 MB traced on 8,190 rows);
+    # sized by the FFN it holds 380 (24.8 MB, 16.8 MB of it the output).
+    for cfg, t_len, bound in [(ACC_ENCODER, 1000, 9 * 10**6),
+                              (replace(ACC_ENCODER, d_k=16), 8190, 26 * 10**6)]:
+        x = FeatureSequence(generator(10, 0x15).standard_normal((t_len, 256)))
+        weights = build_encoder_weights(cfg, 256)
+        tracemalloc.start()
+        try:
+            encoder_forward(x, cfg, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, cfg.d_k
 
 
 def test_head_mean_holds_two_head_buffers():

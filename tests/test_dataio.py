@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import tracemalloc
@@ -391,3 +392,48 @@ def test_writing_a_subject_holds_one_block_of_arrays(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_write_csv_cells_line_endings_and_append(tmp_path):
+    # A float cell is repr(float(v)) (numpy 2's repr of a numpy float names
+    # its type), None is an empty cell, and appended rows get the header only
+    # in a new or empty file; a file with another header takes no row.
+    path = tmp_path / "t.csv"
+    path.touch()
+    dataio.write_csv(path, ["a", "b", "c"], [[np.float64(0.5), None, True]], append=True)
+    dataio.write_csv(path, ["a", "b", "c"], [[1, "x", 0.1]], append=True)
+    assert path.read_bytes() == b"a,b,c\r\n0.5,,True\r\n1,x,0.1\r\n"
+    dataio.write_csv(path, ["a"], [[2.0]], end="\n")
+    assert path.read_bytes() == b"a\n2.0\n"
+    with pytest.raises(DatasetError, match="t.csv: does not begin with the header b,c$"):
+        dataio.write_csv(path, ["b", "c"], [[1, 2]], append=True)
+    assert path.read_bytes() == b"a\n2.0\n"
+
+
+def _file_writes(path: Path) -> list[str]:
+    # Each call that writes a file: open or .open with a mode that writes,
+    # write_text, write_bytes, json.dump, np.savetxt or csv.writer.
+    writes = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name == "open" or name.endswith(".open"):
+            modes = [*(node.args[1:2] if name == "open" else node.args[:1]),
+                     *(kw.value for kw in node.keywords if kw.arg == "mode")]
+            writing = any(not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+")
+                          for mode in modes)
+        else:
+            writing = (name in ("json.dump", "np.savetxt", "csv.writer")
+                       or name.endswith((".write_text", ".write_bytes")))
+        if writing:
+            writes.append(f"{path.name}:{node.lineno} {name}")
+    return writes
+
+
+def test_no_module_but_dataio_writes_a_file():
+    # Every output format is spelt out once, in dataio.
+    modules = sorted(Path(dataio.__file__).parent.glob("*.py"))
+    writes = {path.stem: _file_writes(path) for path in modules}
+    assert writes["dataio"]  # the scan finds dataio's own writes
+    assert [w for stem, found in writes.items() if stem != "dataio" for w in found] == []

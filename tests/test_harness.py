@@ -334,6 +334,7 @@ def test_append_runs_csv_accumulates(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("config_digest,seed,smoother")
     assert len(lines) == 1 + 2 * len(result.per_seed)
+    assert path.read_bytes().count(b"\r\n") == len(lines)  # CRLF, as sweep.csv
     first_row = lines[1].split(",")
     assert first_row[0] == result.digest
     assert float(first_row[6]) == result.per_seed[0].accuracy

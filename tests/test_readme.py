@@ -54,6 +54,7 @@ NAMED = [row for row in EXIT_ROWS if not row[2].startswith("rapklab ")]
 assert len(EXIT_ROWS) >= 25 and len(NAMED) <= 2, "README's exit-code table does not parse"
 FILES = {"list.json": "[1, 2]", "seeds5.json": '{"seeds": 5}', "one.csv": "stage\n0\n",
          "two.csv": "stage\n0\n1\n", "cells.csv": "stage\n0\n1,2\n", "afile": "",
+         "foreign/runs.csv": "a,b\r\n1,2\r\n",
          "oneclass.json": '{"synth": {"n_subjects": 3, "t_len": 5, "feat_dim": 5, "self_prob": 1, '
                           '"label_noise": 1}, "smoother": "fixed_attention"}'}
 
@@ -63,6 +64,7 @@ def examples_dir(tmp_path_factory):
     # A tiny cohort at data/demo, one whose train split lacks a class at data/oneclass, and FILES.
     root = tmp_path_factory.mktemp("examples")
     for name, text in FILES.items():
+        (root / name).parent.mkdir(exist_ok=True)
         (root / name).write_text(text)
     assert cli.main(["simulate", "--classes", "3", "--t-len", "60", "--subjects", "5",
                      "--feat-dim", "4", "--seed", "3", "--out", str(root / "data/demo")]) == 0
